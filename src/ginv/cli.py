@@ -9,8 +9,9 @@ Subcommands:
   ensemble   campaign over every configured check id
 
 Exit codes: 0 all checks passed (or the requested object was produced),
-1 a mathematical check failed or the requested inverse does not exist,
-2 malformed input, unknown ids, or generation problems.
+1 a mathematical check failed, a campaign recorded failures (draws that
+could not be made included), or the requested inverse does not exist,
+2 malformed input or unknown ids.
 
 The environment variable GINV_DEFAULT_TOL overrides the default equality
 tolerance; --tol-rank/--tol-eq/--tol-inv override individual fields and win
@@ -39,17 +40,16 @@ from .serialize import (
     config_from_json,
     dump_file,
     dumps,
-    equivalence_report_to_json,
     exact_matrix_from_json,
     exact_matrix_to_json,
     existence_report_to_json,
     gap_result_to_json,
     ginv_result_to_json,
     idempotent_from_json,
-    implication_report_to_json,
     load_file,
     matrix_from_json,
     matrix_to_json,
+    report_to_json,
     scenario_from_json,
 )
 from .subspaces import Subspace, gap, orth_basis
@@ -170,9 +170,9 @@ def _cmd_perturb(args) -> int:
     checks = {}
     for name in ("thm2.4", "lemma2.6", "thm2.7", "cor2.8"):
         try:
-            kind, report = run_check(name, s)
-            checks[name] = equivalence_report_to_json(report)
-            if not report.consistent:
+            _, report = run_check(name, s)
+            checks[name] = report_to_json(report)
+            if not report.ok:
                 code = 1
         except NotExists as e:
             checks[name] = {"error": str(e)}
@@ -212,30 +212,15 @@ def _cmd_verify(args) -> int:
         tol = _resolve_tol(args)
         s = scenario_from_json(load_file(args.infile), tol)
         kind, report = run_check(theorem, s)
-        if kind == "bound":
-            _emit(
-                {"kind": kind, "report": _bound_json(report)},
-                args.out,
-            )
-            if args.csv:
-                _write_csv([report], args.csv)
-            return 0 if report.holds else 1
-        if kind == "equiv":
-            _emit({"kind": kind, "report": equivalence_report_to_json(report)}, args.out)
-            return 0 if report.consistent else 1
-        _emit({"kind": kind, "report": implication_report_to_json(report)}, args.out)
+        _emit({"kind": kind, "report": report_to_json(report)}, args.out)
+        if args.csv and kind == "bound":
+            _write_csv([report], args.csv)
         return 0 if report.ok else 1
     if args.config:
         config = config_from_json(load_file(args.config))
         config = replace(config, theorems=(theorem,))
         return _campaign(config, args)
     raise InputError("verify needs --in or --config")
-
-
-def _bound_json(report):
-    from .serialize import bound_report_to_json
-
-    return bound_report_to_json(report)
 
 
 def _cmd_ensemble(args) -> int:

@@ -15,7 +15,7 @@ violations.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -26,6 +26,7 @@ from .idempotents import idempotent_from_matrix, oblique, perturb_idempotent, ra
 from .linalg import DEFAULT_TOL, Tolerances, spectral_norm, try_inverse
 from .perturbation import (
     Scenario,
+    _thresholds,
     bound_thm34,
     bound_thm36,
     bound_thm38,
@@ -42,12 +43,7 @@ from .perturbation import (
     lemma26_f,
 )
 from .randomstream import RandomStream
-from .serialize import (
-    bound_report_to_json,
-    equivalence_report_to_json,
-    implication_report_to_json,
-    scenario_to_json,
-)
+from .serialize import report_to_json, scenario_to_json
 from .subspaces import Subspace, direct_sum_is_all, orth_basis, range_of
 
 __all__ = [
@@ -251,9 +247,10 @@ def _make_delta(stream, cls, a, b, p, q, mag):
     return scale * d
 
 
-# Profiles: (base family, cycle of delta classes, wants p', wants q', q' uses
-# the combined threshold). Bound checks get their idempotent perturbations
-# capped at THRESHOLD_HEADROOM times the applicable smallness threshold.
+# Profiles: (base family, cycle of delta classes, moves p, moves q). The
+# checks that move an idempotent are the bound checks: their moves, and the
+# shift of a when the class cycle asks for one, stay below THRESHOLD_HEADROOM
+# times the smallness thresholds of the bound.
 _PROFILES = {
     "thm2.4": ("outer", ("stable", "generic", "singular"), False, False),
     "lemma2.6": ("outer_rank", ("zero", "stable", "destabilizing"), False, False),
@@ -280,17 +277,11 @@ _BASES = {
     "strict": _base_strict,
 }
 
-_BOUND_IDS = {"thm3.4", "thm3.6", "thm3.8", "thm3.9", "cor3.11", "cor3.12", "cor3.13", "selftest-bad-bound"}
+_BOUND_IDS = frozenset(t for t, (_, _, moves_p, moves_q) in _PROFILES.items() if moves_p or moves_q)
 
 # Checks whose statement assumes 1 + b delta_a invertible; generation
 # re-draws the rare degenerate shift instead of tripping that precondition.
 _NEEDS_INVERTIBLE = {"thm2.7", "cor2.8", "lemma2.6", "thm2.12"}
-
-
-def _q_threshold(theorem: str, kap: float) -> float:
-    if theorem == "thm3.6" or theorem == "cor3.12":
-        return 1.0 / (2.0 + kap)
-    return 1.0 / (3.0 + kap)
 
 
 def gen_scenario(config: EnsembleConfig, index: int, theorem: Optional[str] = None) -> Scenario:
@@ -336,21 +327,18 @@ def gen_scenario(config: EnsembleConfig, index: int, theorem: Optional[str] = No
         delta = np.zeros((n, n), dtype=complex)
         try:
             if theorem in _BOUND_IDS:
+                cap_p, cap_q, cap_d = _thresholds(kap, want_p, THRESHOLD_HEADROOM)
+                mode = "range" if family == "strict" else "both"
                 if want_p:
-                    cap = THRESHOLD_HEADROOM / (1.0 + kap) ** 2
-                    mode = "range" if family == "strict" else "both"
-                    p_prime = perturb_idempotent(p, min(mag, cap), stream, tol, mode=mode)
+                    p_prime = perturb_idempotent(p, min(mag, cap_p), stream, tol, mode=mode)
                 if want_q:
-                    cap = THRESHOLD_HEADROOM * _q_threshold(theorem, kap)
-                    mode = "range" if family == "strict" else "both"
-                    q_prime = perturb_idempotent(q, min(mag, cap), stream, tol, mode=mode)
+                    q_prime = perturb_idempotent(q, min(mag, cap_q), stream, tol, mode=mode)
                 if cls != "zero":
-                    cap_d = THRESHOLD_HEADROOM * 2.0 * kap / ((kap + 1.0) * (kap + 4.0)) / max(nb, 1e-12)
                     d = _delta_direction(stream, cls, a, b, p, q)
                     if d is None:
                         last = "degenerate perturbation direction"
                         continue
-                    delta = d * min(mag * max(spectral_norm(a), 1.0), cap_d)
+                    delta = d * min(mag * max(spectral_norm(a), 1.0), cap_d / max(nb, 1e-12))
             else:
                 d = _make_delta(stream, cls, a, b, p, q, mag)
                 if d is None:
@@ -383,70 +371,36 @@ def _need(s: Scenario, name: str):
     return v
 
 
-def _check_bound34(s):
-    return "bound", bound_thm34(s.a, s.p, s.q, _need(s, "p_prime"), s.tol)
-
-
-def _check_bound36(s):
-    return "bound", bound_thm36(s.a, s.p, s.q, _need(s, "q_prime"), s.tol)
-
-
-def _check_bound38(s):
-    return "bound", bound_thm38(s.a, s.p, s.q, _need(s, "p_prime"), _need(s, "q_prime"), s.tol)
-
-
-def _check_bound39(s):
-    return "bound", bound_thm39(s.a, s.delta_a, s.p, s.q, _need(s, "p_prime"), _need(s, "q_prime"), s.tol)
-
-
-def _check_cor311(s):
-    return "bound", cor_12_variants(s.a, s.p, s.q, p_prime=_need(s, "p_prime"), tol=s.tol)
-
-
-def _check_cor312(s):
-    return "bound", cor_12_variants(s.a, s.p, s.q, q_prime=_need(s, "q_prime"), tol=s.tol)
-
-
-def _check_cor313(s):
-    return "bound", cor_12_variants(
-        s.a, s.p, s.q, p_prime=_need(s, "p_prime"), q_prime=_need(s, "q_prime"), tol=s.tol
-    )
-
-
 def _check_selftest(s):
-    from dataclasses import replace
-
     r = bound_thm34(s.a, s.p, s.q, _need(s, "p_prime"), s.tol)
     if not r.hypothesis_satisfied:
-        return "bound", replace(r, theorem="selftest-bad-bound")
+        return replace(r, theorem="selftest-bad-bound")
     bad_rhs = r.rhs / 1e6
     holds = r.lhs <= bad_rhs + s.tol.tol_eq
-    return "bound", replace(
-        r, theorem="selftest-bad-bound", rhs=bad_rhs, margin=bad_rhs - r.lhs, holds=holds
-    )
+    return replace(r, theorem="selftest-bad-bound", rhs=bad_rhs, margin=bad_rhs - r.lhs, holds=holds)
 
 
-def _check_lemma26(s):
-    _, rep = lemma26_f(s)
-    return "equiv", rep
-
-
+# Each checker returns a report that knows its kind and verdict. The lambdas
+# look the checkers up by name at call time, so a wrapper installed on this
+# module's names (a profiler, a tracer) sees every call.
 CHECKS = {
-    "thm2.4": lambda s: ("equiv", equivalence_thm24(s)),
-    "lemma2.6": _check_lemma26,
-    "thm2.7": lambda s: ("equiv", equivalence_thm27(s)),
-    "cor2.8": lambda s: ("equiv", equivalence_cor28(s)),
-    "tm2.7": lambda s: ("equiv", equivalence_thm_tm27(s)),
-    "lemma2.10": lambda s: ("impl", gap_sufficient_lemma210(s)),
-    "lemas1": lambda s: ("impl", cor_lemas1(s)),
-    "thm2.12": lambda s: ("equiv", equivalence_thm212(s)),
-    "thm3.4": _check_bound34,
-    "thm3.6": _check_bound36,
-    "thm3.8": _check_bound38,
-    "thm3.9": _check_bound39,
-    "cor3.11": _check_cor311,
-    "cor3.12": _check_cor312,
-    "cor3.13": _check_cor313,
+    "thm2.4": lambda s: equivalence_thm24(s),
+    "lemma2.6": lambda s: lemma26_f(s)[1],
+    "thm2.7": lambda s: equivalence_thm27(s),
+    "cor2.8": lambda s: equivalence_cor28(s),
+    "tm2.7": lambda s: equivalence_thm_tm27(s),
+    "lemma2.10": lambda s: gap_sufficient_lemma210(s),
+    "lemas1": lambda s: cor_lemas1(s),
+    "thm2.12": lambda s: equivalence_thm212(s),
+    "thm3.4": lambda s: bound_thm34(s.a, s.p, s.q, _need(s, "p_prime"), s.tol),
+    "thm3.6": lambda s: bound_thm36(s.a, s.p, s.q, _need(s, "q_prime"), s.tol),
+    "thm3.8": lambda s: bound_thm38(s.a, s.p, s.q, _need(s, "p_prime"), _need(s, "q_prime"), s.tol),
+    "thm3.9": lambda s: bound_thm39(s.a, s.delta_a, s.p, s.q, _need(s, "p_prime"), _need(s, "q_prime"), s.tol),
+    "cor3.11": lambda s: cor_12_variants(s.a, s.p, s.q, p_prime=_need(s, "p_prime"), tol=s.tol),
+    "cor3.12": lambda s: cor_12_variants(s.a, s.p, s.q, q_prime=_need(s, "q_prime"), tol=s.tol),
+    "cor3.13": lambda s: cor_12_variants(
+        s.a, s.p, s.q, p_prime=_need(s, "p_prime"), q_prime=_need(s, "q_prime"), tol=s.tol
+    ),
     "selftest-bad-bound": _check_selftest,
 }
 
@@ -455,32 +409,19 @@ def run_check(theorem: str, scenario: Scenario):
     """Run one checker; returns (kind, report) with kind in bound/equiv/impl."""
     if theorem not in CHECKS:
         raise InputError(f"unknown check id {theorem!r}; known: {sorted(CHECKS)}")
-    return CHECKS[theorem](scenario)
-
-
-def _report_json(kind, report) -> dict:
-    if kind == "bound":
-        return bound_report_to_json(report)
-    if kind == "equiv":
-        return equivalence_report_to_json(report)
-    return implication_report_to_json(report)
-
-
-def _is_ok(kind, report) -> bool:
-    if kind == "bound":
-        return report.holds
-    if kind == "equiv":
-        return report.consistent
-    return report.ok
+    report = CHECKS[theorem](scenario)
+    return report.kind, report
 
 
 def run_campaign(config: EnsembleConfig, on_report=None) -> CampaignReport:
     """Run every configured check over `count` fresh scenarios each.
 
-    Failures are recorded as data (scenario dump plus the offending report),
-    never raised; the report is identical for identical (config, seed) apart
-    from wall time. `on_report(theorem, index, kind, report)` is called for
-    every evaluated instance when given (for CSV export and the like).
+    Failures are recorded as data, never raised: a failing report with its
+    scenario dump, or the error of a check that raised (with the scenario)
+    or of a draw that failed (without one). The report is identical for
+    identical (config, seed) apart from wall time. `on_report(theorem,
+    index, kind, report)` is called for every evaluated instance when given
+    (for CSV export and the like).
     """
     t0 = time.perf_counter()
     stats = {}
@@ -488,23 +429,19 @@ def run_campaign(config: EnsembleConfig, on_report=None) -> CampaignReport:
         st = TheoremStats()
         stats[theorem] = st
         for index in range(config.count):
-            scenario = gen_scenario(config, index, theorem)
             st.instances += 1
+            scenario = None
             try:
+                scenario = gen_scenario(config, index, theorem)
                 kind, report = run_check(theorem, scenario)
             except GinvError as e:
-                st.failures.append(
-                    {
-                        "index": index,
-                        "seed": config.seed,
-                        "error": f"{type(e).__name__}: {e}",
-                        "scenario": scenario_to_json(scenario),
-                    }
-                )
+                failure = {"index": index, "seed": config.seed, "error": f"{type(e).__name__}: {e}"}
+                if scenario is not None:  # a draw that failed has no scenario to keep
+                    failure["scenario"] = scenario_to_json(scenario)
+                st.failures.append(failure)
                 continue
             if on_report is not None:
                 on_report(theorem, index, kind, report)
-            ok = _is_ok(kind, report)
             if kind == "bound":
                 st.hypothesis_satisfied += 1 if report.hypothesis_satisfied else 0
                 st.holds += 1 if report.holds else 0
@@ -521,14 +458,14 @@ def run_campaign(config: EnsembleConfig, on_report=None) -> CampaignReport:
                         )
             else:
                 st.hypothesis_satisfied += 1
-                st.holds += 1 if ok else 0
-                st.consistent += 1 if ok else 0
-            if not ok:
+                st.holds += 1 if report.ok else 0
+                st.consistent += 1 if report.ok else 0
+            if not report.ok:
                 st.failures.append(
                     {
                         "index": index,
                         "seed": config.seed,
-                        "report": _report_json(kind, report),
+                        "report": report_to_json(report),
                         "scenario": scenario_to_json(scenario),
                     }
                 )

@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
-from .errors import DimMismatch, InputError, NotExists, RepresentationMismatch, SideConditionViolated
+from .errors import DimMismatch, InputError, NoGroupInverse, NotExists, RepresentationMismatch, SideConditionViolated
 from .gen_inverse import (
     GInvResult,
+    _as_idempotent,
     build_witness,
     classify_strict,
     compute_l,
@@ -38,7 +39,7 @@ from .gen_inverse import (
     group_inverse,
     one_five_inverse,
 )
-from .idempotents import Idempotent, idempotent_from_matrix
+from .idempotents import Idempotent
 from .linalg import DEFAULT_TOL, Tolerances, as_matrix, spectral_norm, try_inverse
 from .subspaces import (
     gap,
@@ -101,9 +102,8 @@ class Scenario:
             val = getattr(self, name)
             if val is None:
                 continue
-            if not isinstance(val, Idempotent):
-                val = idempotent_from_matrix(val, self.tol)
-                object.__setattr__(self, name, val)
+            val = _as_idempotent(val, self.tol)
+            object.__setattr__(self, name, val)
             if val.n != a.shape[0]:
                 raise DimMismatch(f"{name} does not match the size of a")
 
@@ -128,6 +128,11 @@ class EquivalenceReport:
     conditions: tuple
     consistent: bool
     aux: dict = field(default_factory=dict)
+    kind: ClassVar[str] = "equiv"
+
+    @property
+    def ok(self) -> bool:
+        return self.consistent
 
     def booleans(self):
         return [c[1] for c in self.conditions]
@@ -151,6 +156,7 @@ class ImplicationReport:
 
     items: tuple
     ok: bool
+    kind: ClassVar[str] = "impl"
 
 
 @dataclass(frozen=True)
@@ -171,6 +177,11 @@ class BoundReport:
     margin: float
     holds: bool
     aux: dict = field(default_factory=dict)
+    kind: ClassVar[str] = "bound"
+
+    @property
+    def ok(self) -> bool:
+        return self.holds
 
 
 def kappa(a, b) -> float:
@@ -599,16 +610,114 @@ def equivalence_thm212(scenario: Scenario) -> EquivalenceReport:
     return EquivalenceReport(conditions, all(flags) == any(flags))
 
 
-def _vacuous(theorem: str, n: int, kap: float, aux: dict) -> BoundReport:
-    return BoundReport(theorem, n, kap, False, NAN, NAN, NAN, True, aux)
+def _thresholds(kap: float, moves_p: bool, scale: float = 1.0):
+    """The smallness thresholds of the bounds, each multiplied by scale.
+
+    Returns the caps on ||p - p'||, on ||q - q'|| and on ||b|| ||delta_a||:
+    1/(1+kappa)^2; 1/(2+kappa) when q moves alone, 1/(3+kappa) when p moves
+    too; and 2 kappa / ((kappa+1)(kappa+4)). The order of the operations is
+    fixed: scale = 1.0 gives the thresholds bit for bit, and scenario
+    generation gets its capped magnitudes from the same expressions.
+    """
+    return (
+        scale / (1.0 + kap) ** 2,
+        scale * (1.0 / ((3.0 if moves_p else 2.0) + kap)),
+        scale * 2.0 * kap / ((kap + 1.0) * (kap + 4.0)),
+    )
 
 
-def _relative_lhs(b_new: np.ndarray, b_old: np.ndarray) -> float:
-    diff = spectral_norm(b_new - b_old)
-    base = spectral_norm(b_old)
-    if base == 0.0:
-        return 0.0 if diff == 0.0 else math.inf
-    return diff / base
+def _bound(theorem, a, p, q, p_new, q_new, tol, delta_a=None, base=None, extra=None) -> BoundReport:
+    """The skeleton every quantitative bound shares.
+
+    p_new and q_new are the moved idempotents (None for one that stays).
+    Without delta_a the bound is on the relative change of the inverse; with
+    delta_a the matrix moves too and it is on the absolute change. The norm
+    bound for the new inverse goes to aux. base is the inverse for (a, p, q)
+    when the caller has it already. When the new inverse exists,
+    extra(aux, a, b, p, q, q_new, new, tol) adds the theorem's own
+    diagnostics to aux and says whether its own part of the statement held.
+    """
+    tol = tol or DEFAULT_TOL
+    a = as_matrix(a)
+    p, q, p_new, q_new = (None if x is None else _as_idempotent(x, tol) for x in (p, q, p_new, q_new))
+    if base is None:
+        base = compute_outer_pql(a, p, q, tol)
+    b = base.b
+    nb = spectral_norm(b)
+    kap = spectral_norm(a) * nb
+    n = a.shape[0]
+    thr_p, thr_q, thr_d = _thresholds(kap, p_new is not None)
+    aux = {}
+    hyp = True
+    dp = dq = 0.0
+    if p_new is not None:
+        dp = spectral_norm(p_new.m - p.m)
+        aux.update(dp=dp, threshold_dp=thr_p)
+        hyp = dp < thr_p - tol.tol_eq
+    if q_new is not None:
+        dq = spectral_norm(q_new.m - q.m)
+        aux.update(dq=dq, threshold_dq=thr_q)
+        hyp = hyp and dq < thr_q - tol.tol_eq
+    if delta_a is not None:
+        nd = spectral_norm(delta_a)
+        aux.update(b_norm_times_delta=nb * nd, threshold_delta=thr_d)
+        hyp = hyp and nb * nd < thr_d - tol.tol_eq
+    if not hyp:
+        return BoundReport(theorem, n, kap, False, NAN, NAN, NAN, True, aux)
+    denom = 1.0 - (1.0 + kap) * dp - kap * dq
+    if delta_a is None:
+        rhs = (1.0 + kap) * (dp + dq) / denom
+        norm_rhs = (1.0 + dq) * nb / denom
+    else:
+        denom_full = denom - (1.0 + dq) * nb * nd
+        if denom_full <= 0:
+            rhs = norm_rhs = math.inf
+        else:
+            rhs = (nb / denom) * ((1.0 + kap) * (dp + dq) + (1.0 + dq) ** 2 * nd * nb / denom_full)
+            norm_rhs = (1.0 + dq) * nb / denom_full
+    a_new = a if delta_a is None else a + delta_a
+    try:
+        new = compute_outer_pql(a_new, p if p_new is None else p_new, q if q_new is None else q_new, tol)
+    except NotExists:
+        aux["exists"] = 0.0
+        return BoundReport(theorem, n, kap, True, math.inf, rhs, -math.inf, False, aux)
+    aux["exists"] = 1.0
+    lhs = spectral_norm(new.b - b)
+    if delta_a is None:  # the change relative to ||b||
+        lhs = lhs / nb if nb else (0.0 if lhs == 0.0 else math.inf)
+    norm_lhs = spectral_norm(new.b)
+    aux.update(norm_lhs=norm_lhs, norm_rhs=norm_rhs)
+    holds = lhs <= rhs + tol.tol_eq and norm_lhs <= norm_rhs + tol.tol_eq
+    if extra is not None and not extra(aux, a, b, p, q, q_new, new, tol):
+        holds = False
+    return BoundReport(theorem, n, kap, True, lhs, rhs, rhs - lhs, holds, aux)
+
+
+def _witness_representations(aux, a, b, p, q, q_prime, new, tol) -> bool:
+    """The witness representations of the new inverse when the kernel side
+    moves; their deviations go to aux and never gate the bound."""
+    eye = np.eye(a.shape[0], dtype=complex)
+
+    def represent(v, w):
+        return b + b @ one_five_inverse(a @ v, tol) @ a @ (v - w) @ (eye - a @ b)
+
+    try:
+        w = build_witness(p, q, tol).w
+        rep = represent(build_witness(p, q_prime, tol).w, w)
+        aux["representation_deviation"] = spectral_norm(rep - new.b)
+    except (NotExists, DimMismatch):
+        aux["representation_deviation"] = math.inf
+    # The literal reading of the alternative witness convention needs
+    # rank q' + rank q = n, which generically fails; report, don't gate.
+    stmt_feasible = q_prime.rank + q.rank == a.shape[0]
+    aux["statement_witness_feasible"] = 1.0 if stmt_feasible else 0.0
+    if stmt_feasible:
+        try:
+            rep2 = represent(build_witness(q_prime, q, tol).w, w)
+            aux["statement_rep_deviation"] = spectral_norm(rep2 - new.b)
+        except (NotExists, DimMismatch):
+            aux["statement_rep_deviation"] = math.inf
+    return True
 
 
 def bound_thm34(a, p, q, p_prime, tol: Tolerances = DEFAULT_TOL) -> BoundReport:
@@ -619,34 +728,7 @@ def bound_thm34(a, p, q, p_prime, tol: Tolerances = DEFAULT_TOL) -> BoundReport:
     (1+kappa) d / (1 - (1+kappa) d), and its norm is at most
     ||b|| / (1 - (1+kappa) d).
     """
-    a = as_matrix(a)
-    tol = tol or DEFAULT_TOL
-    base = compute_outer_pql(a, p, q, tol)
-    b = base.b
-    kap = kappa(a, b)
-    p = p if isinstance(p, Idempotent) else idempotent_from_matrix(p, tol)
-    p_prime = p_prime if isinstance(p_prime, Idempotent) else idempotent_from_matrix(p_prime, tol)
-    dp = spectral_norm(p_prime.m - p.m)
-    threshold = 1.0 / (1.0 + kap) ** 2
-    n = a.shape[0]
-    aux = {"dp": dp, "threshold_dp": threshold}
-    if not dp < threshold - tol.tol_eq:
-        return _vacuous("thm3.4", n, kap, aux)
-    denom = 1.0 - (1.0 + kap) * dp
-    rhs = (1.0 + kap) * dp / denom
-    try:
-        new = compute_outer_pql(a, p_prime, q, tol)
-    except NotExists:
-        aux["exists"] = 0.0
-        return BoundReport("thm3.4", n, kap, True, math.inf, rhs, -math.inf, False, aux)
-    aux["exists"] = 1.0
-    lhs = _relative_lhs(new.b, b)
-    norm_lhs = spectral_norm(new.b)
-    norm_rhs = spectral_norm(b) / denom
-    aux["norm_lhs"] = norm_lhs
-    aux["norm_rhs"] = norm_rhs
-    holds = lhs <= rhs + tol.tol_eq and norm_lhs <= norm_rhs + tol.tol_eq
-    return BoundReport("thm3.4", n, kap, True, lhs, rhs, rhs - lhs, holds, aux)
+    return _bound("thm3.4", a, p, q, p_prime, None, tol)
 
 
 def bound_thm36(a, p, q, q_prime, tol: Tolerances = DEFAULT_TOL) -> BoundReport:
@@ -660,90 +742,12 @@ def bound_thm36(a, p, q, q_prime, tol: Tolerances = DEFAULT_TOL) -> BoundReport:
     on (q', q) is feasible only when rank q' + rank q = n and is reported
     as a separate diagnostic.
     """
-    a = as_matrix(a)
-    base = compute_outer_pql(a, p, q, tol)
-    b = base.b
-    kap = kappa(a, b)
-    p = p if isinstance(p, Idempotent) else idempotent_from_matrix(p, tol)
-    q = q if isinstance(q, Idempotent) else idempotent_from_matrix(q, tol)
-    q_prime = q_prime if isinstance(q_prime, Idempotent) else idempotent_from_matrix(q_prime, tol)
-    dq = spectral_norm(q_prime.m - q.m)
-    threshold = 1.0 / (2.0 + kap)
-    n = a.shape[0]
-    aux = {"dq": dq, "threshold_dq": threshold}
-    if not dq < threshold - tol.tol_eq:
-        return _vacuous("thm3.6", n, kap, aux)
-    denom = 1.0 - kap * dq
-    rhs = (1.0 + kap) * dq / denom
-    try:
-        new = compute_outer_pql(a, p, q_prime, tol)
-    except NotExists:
-        aux["exists"] = 0.0
-        return BoundReport("thm3.6", n, kap, True, math.inf, rhs, -math.inf, False, aux)
-    aux["exists"] = 1.0
-    lhs = _relative_lhs(new.b, b)
-    norm_lhs = spectral_norm(new.b)
-    norm_rhs = (1.0 + dq) / denom * spectral_norm(b)
-    aux["norm_lhs"] = norm_lhs
-    aux["norm_rhs"] = norm_rhs
-
-    eye = np.eye(n, dtype=complex)
-    try:
-        v = build_witness(p, q_prime, tol).w
-        w = build_witness(p, q, tol).w
-        rep = b + b @ one_five_inverse(a @ v, tol) @ a @ (v - w) @ (eye - a @ b)
-        aux["representation_deviation"] = spectral_norm(rep - new.b)
-    except (NotExists, DimMismatch):
-        aux["representation_deviation"] = math.inf
-    # The literal reading of the alternative witness convention needs
-    # rank q' + rank q = n, which generically fails; report, don't gate.
-    stmt_feasible = q_prime.rank + q.rank == n
-    aux["statement_witness_feasible"] = 1.0 if stmt_feasible else 0.0
-    if stmt_feasible:
-        try:
-            v2 = build_witness(q_prime, q, tol).w
-            rep2 = b + b @ one_five_inverse(a @ v2, tol) @ a @ (v2 - w) @ (eye - a @ b)
-            aux["statement_rep_deviation"] = spectral_norm(rep2 - new.b)
-        except (NotExists, DimMismatch):
-            aux["statement_rep_deviation"] = math.inf
-
-    holds = lhs <= rhs + tol.tol_eq and norm_lhs <= norm_rhs + tol.tol_eq
-    return BoundReport("thm3.6", n, kap, True, lhs, rhs, rhs - lhs, holds, aux)
+    return _bound("thm3.6", a, p, q, None, q_prime, tol, extra=_witness_representations)
 
 
 def bound_thm38(a, p, q, p_prime, q_prime, tol: Tolerances = DEFAULT_TOL) -> BoundReport:
     """Moving both idempotents: combined certified bound."""
-    a = as_matrix(a)
-    base = compute_outer_pql(a, p, q, tol)
-    b = base.b
-    kap = kappa(a, b)
-    p = p if isinstance(p, Idempotent) else idempotent_from_matrix(p, tol)
-    q = q if isinstance(q, Idempotent) else idempotent_from_matrix(q, tol)
-    p_prime = p_prime if isinstance(p_prime, Idempotent) else idempotent_from_matrix(p_prime, tol)
-    q_prime = q_prime if isinstance(q_prime, Idempotent) else idempotent_from_matrix(q_prime, tol)
-    dp = spectral_norm(p_prime.m - p.m)
-    dq = spectral_norm(q_prime.m - q.m)
-    thr_p = 1.0 / (1.0 + kap) ** 2
-    thr_q = 1.0 / (3.0 + kap)
-    n = a.shape[0]
-    aux = {"dp": dp, "dq": dq, "threshold_dp": thr_p, "threshold_dq": thr_q}
-    if not (dp < thr_p - tol.tol_eq and dq < thr_q - tol.tol_eq):
-        return _vacuous("thm3.8", n, kap, aux)
-    denom = 1.0 - (1.0 + kap) * dp - kap * dq
-    rhs = (1.0 + kap) * (dp + dq) / denom
-    try:
-        new = compute_outer_pql(a, p_prime, q_prime, tol)
-    except NotExists:
-        aux["exists"] = 0.0
-        return BoundReport("thm3.8", n, kap, True, math.inf, rhs, -math.inf, False, aux)
-    aux["exists"] = 1.0
-    lhs = _relative_lhs(new.b, b)
-    norm_lhs = spectral_norm(new.b)
-    norm_rhs = (1.0 + dq) * spectral_norm(b) / denom
-    aux["norm_lhs"] = norm_lhs
-    aux["norm_rhs"] = norm_rhs
-    holds = lhs <= rhs + tol.tol_eq and norm_lhs <= norm_rhs + tol.tol_eq
-    return BoundReport("thm3.8", n, kap, True, lhs, rhs, rhs - lhs, holds, aux)
+    return _bound("thm3.8", a, p, q, p_prime, q_prime, tol)
 
 
 def bound_thm39(a, delta_a, p, q, p_prime, q_prime, tol: Tolerances = DEFAULT_TOL) -> BoundReport:
@@ -758,67 +762,7 @@ def bound_thm39(a, delta_a, p, q, p_prime, q_prime, tol: Tolerances = DEFAULT_TO
     delta_a = as_matrix(delta_a)
     if delta_a.shape != a.shape:
         raise DimMismatch("delta_a must match a")
-    base = compute_outer_pql(a, p, q, tol)
-    b = base.b
-    kap = kappa(a, b)
-    p = p if isinstance(p, Idempotent) else idempotent_from_matrix(p, tol)
-    q = q if isinstance(q, Idempotent) else idempotent_from_matrix(q, tol)
-    p_prime = p_prime if isinstance(p_prime, Idempotent) else idempotent_from_matrix(p_prime, tol)
-    q_prime = q_prime if isinstance(q_prime, Idempotent) else idempotent_from_matrix(q_prime, tol)
-    dp = spectral_norm(p_prime.m - p.m)
-    dq = spectral_norm(q_prime.m - q.m)
-    nd = spectral_norm(delta_a)
-    nb = spectral_norm(b)
-    thr_p = 1.0 / (1.0 + kap) ** 2
-    thr_q = 1.0 / (3.0 + kap)
-    thr_d = 2.0 * kap / ((kap + 1.0) * (kap + 4.0))
-    n = a.shape[0]
-    aux = {
-        "dp": dp,
-        "dq": dq,
-        "b_norm_times_delta": nb * nd,
-        "threshold_dp": thr_p,
-        "threshold_dq": thr_q,
-        "threshold_delta": thr_d,
-    }
-    hyp = (
-        dp < thr_p - tol.tol_eq
-        and dq < thr_q - tol.tol_eq
-        and nb * nd < thr_d - tol.tol_eq
-    )
-    if not hyp:
-        return _vacuous("thm3.9", n, kap, aux)
-    denom = 1.0 - (1.0 + kap) * dp - kap * dq
-    denom_full = denom - (1.0 + dq) * nb * nd
-    if denom_full <= 0:
-        rhs = math.inf
-        norm_rhs = math.inf
-    else:
-        rhs = (nb / denom) * ((1.0 + kap) * (dp + dq) + (1.0 + dq) ** 2 * nd * nb / denom_full)
-        norm_rhs = (1.0 + dq) * nb / denom_full
-    a_bar = a + delta_a
-    try:
-        new = compute_outer_pql(a_bar, p_prime, q_prime, tol)
-    except NotExists:
-        aux["exists"] = 0.0
-        return BoundReport("thm3.9", n, kap, True, math.inf, rhs, -math.inf, False, aux)
-    aux["exists"] = 1.0
-    lhs = spectral_norm(new.b - b)
-    norm_lhs = spectral_norm(new.b)
-    aux["norm_lhs"] = norm_lhs
-    aux["norm_rhs"] = norm_rhs
-    holds = lhs <= rhs + tol.tol_eq and norm_lhs <= norm_rhs + tol.tol_eq
-    return BoundReport("thm3.9", n, kap, True, lhs, rhs, rhs - lhs, holds, aux)
-
-
-def _strict_base(a, p, q, tol: Tolerances) -> GInvResult:
-    base = compute_outer_pql(a, p, q, tol)
-    if not base.flags["strict_12"]:
-        raise NotExists(
-            "the base inverse is not a strict two-sided inverse for (p, q); "
-            "these variants need b a = p and 1 - a b = q exactly"
-        )
-    return base
+    return _bound("thm3.9", a, p, q, p_prime, q_prime, tol, delta_a=delta_a)
 
 
 def cor_12_variants(a, p, q, p_prime=None, q_prime=None, tol: Tolerances = DEFAULT_TOL) -> BoundReport:
@@ -834,52 +778,32 @@ def cor_12_variants(a, p, q, p_prime=None, q_prime=None, tol: Tolerances = DEFAU
     a = as_matrix(a)
     if p_prime is None and q_prime is None:
         raise InputError("one of p_prime, q_prime is required")
-    p = p if isinstance(p, Idempotent) else idempotent_from_matrix(p, tol)
-    q = q if isinstance(q, Idempotent) else idempotent_from_matrix(q, tol)
-    if p_prime is not None and not isinstance(p_prime, Idempotent):
-        p_prime = idempotent_from_matrix(p_prime, tol)
-    if q_prime is not None and not isinstance(q_prime, Idempotent):
-        q_prime = idempotent_from_matrix(q_prime, tol)
+    p, q, p_prime, q_prime = (None if x is None else _as_idempotent(x, tol) for x in (p, q, p_prime, q_prime))
     na = spectral_norm(a)
-    if p_prime is not None:
-        resid = spectral_norm(a @ p_prime.m - a)
-        if resid > tol.tol_eq * (1.0 + na) * (1.0 + spectral_norm(p_prime.m)):
-            raise SideConditionViolated(f"a p' = a fails by {resid:.3e}")
-    if q_prime is not None:
-        resid = spectral_norm(q_prime.m @ a)
-        if resid > tol.tol_eq * (1.0 + na) * (1.0 + spectral_norm(q_prime.m)):
-            raise SideConditionViolated(f"(1 - q') a = a fails by {resid:.3e}")
+    sides = ((p_prime, lambda m: a @ m - a, "a p' = a"), (q_prime, lambda m: m @ a, "(1 - q') a = a"))
+    for moved, residual, rule in sides:
+        if moved is not None:
+            resid = spectral_norm(residual(moved.m))
+            if resid > tol.tol_eq * (1.0 + na) * (1.0 + spectral_norm(moved.m)):
+                raise SideConditionViolated(f"{rule} fails by {resid:.3e}")
+    base = compute_outer_pql(a, p, q, tol)
+    if not base.flags["strict_12"]:
+        raise NotExists(
+            "the base inverse is not a strict two-sided inverse for (p, q); "
+            "these variants need b a = p and 1 - a b = q exactly"
+        )
 
-    base = _strict_base(a, p, q, tol)
-    b = base.b
-    nb = spectral_norm(b)
-    kap = na * nb
-    n = a.shape[0]
-
-    if p_prime is not None and q_prime is None:
-        inner = bound_thm34(a, p, q, p_prime, tol)
-        label, new_pair = "cor3.11", (p_prime, q)
-    elif q_prime is not None and p_prime is None:
-        inner = bound_thm36(a, p, q, q_prime, tol)
-        label, new_pair = "cor3.12", (p, q_prime)
-    else:
-        inner = bound_thm38(a, p, q, p_prime, q_prime, tol)
-        label, new_pair = "cor3.13", (p_prime, q_prime)
-
-    aux = dict(inner.aux)
-    if not inner.hypothesis_satisfied:
-        return _vacuous(label, n, kap, aux)
-    holds = inner.holds
-    if aux.get("exists"):
-        new = compute_outer_pql(a, new_pair[0], new_pair[1], tol)
+    def strict_new(aux, a, b, p, q, q_new, new, tol):
         strict_ok = new.flags["strict_12"]
         aux["new_inverse_strict"] = 1.0 if strict_ok else 0.0
-        holds = holds and strict_ok
-        if label == "cor3.12":
-            v = new.b
+        if p_prime is None:
+            _witness_representations(aux, a, b, p, q, q_new, new, tol)
             try:
-                rep = b + b @ group_inverse(a @ v, tol) @ a @ (v - b) @ q.m
+                rep = b + b @ group_inverse(a @ new.b, tol) @ a @ (new.b - b) @ q.m
                 aux["group_rep_deviation"] = spectral_norm(rep - new.b)
-            except Exception:
+            except (NoGroupInverse, np.linalg.LinAlgError):
                 aux["group_rep_deviation"] = math.inf
-    return BoundReport(label, n, kap, True, inner.lhs, inner.rhs, inner.margin, holds, aux)
+        return strict_ok
+
+    label = "cor3.11" if q_prime is None else "cor3.12" if p_prime is None else "cor3.13"
+    return _bound(label, a, p, q, p_prime, q_prime, tol, base=base, extra=strict_new)

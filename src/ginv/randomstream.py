@@ -75,19 +75,6 @@ class RandomStream:
                 out[i, j] = self.complex_normal()
         return out
 
-    def unit_vector(self, n: int) -> np.ndarray:
-        v = self.normal_matrix(n, 1)
-        nv = float(np.linalg.norm(v))
-        while nv < 1e-12:
-            v = self.normal_matrix(n, 1)
-            nv = float(np.linalg.norm(v))
-        return v / nv
-
     def spawn(self, index: int) -> "RandomStream":
         """Independent child stream determined by (seed, index), not by draws so far."""
         return RandomStream(_mix((self._seed ^ _mix((index + 1) * _GOLDEN & _MASK64)) & _MASK64))
-
-    def shuffle(self, items: list) -> None:
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randint(0, i)
-            items[i], items[j] = items[j], items[i]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from fractions import Fraction
 from typing import Any
 
@@ -44,6 +45,7 @@ __all__ = [
     "equivalence_report_to_json",
     "implication_report_to_json",
     "bound_report_to_json",
+    "report_to_json",
     "campaign_report_to_json",
     "bound_reports_to_csv",
     "dumps",
@@ -87,26 +89,26 @@ def matrix_to_json(m) -> dict:
     return {"rows": r, "cols": c, "data": data}
 
 
+def _is_real_type(t) -> bool:
+    return issubclass(t, numbers.Real) and not issubclass(t, (bool, np.bool_))
+
+
 def matrix_from_json(d: dict) -> np.ndarray:
+    """A complex matrix; each entry is a JSON number or an [re, im] pair of them."""
     try:
         r, c = int(d["rows"]), int(d["cols"])
         data = d["data"]
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"malformed matrix object: {e}") from e
     if d.get("exact"):
         return exact_matrix_from_json(d).to_complex()
-    if len(data) != r * c:
-        raise InputError(f"matrix data length {len(data)} != {r}x{c}")
-    m = np.empty((r, c), dtype=complex)
-    for i in range(r):
-        for j in range(c):
-            entry = data[i * c + j]
-            if isinstance(entry, (int, float)):
-                m[i, j] = complex(float(entry), 0.0)
-            else:
-                re, im = entry
-                m[i, j] = complex(float(re), float(im))
-    return m
+    if not isinstance(data, (list, tuple)) or len(data) != r * c:
+        raise InputError(f"matrix data must be a list of {r}x{c} entries")
+    pairs = [e if isinstance(e, (list, tuple)) else (e, 0.0) for e in data]
+    # Checking the distinct types, not every entry, keeps large matrices cheap.
+    if any(len(e) != 2 for e in pairs) or not all(map(_is_real_type, {type(x) for e in pairs for x in e})):
+        raise InputError("matrix entries must be numbers or [re, im] pairs of numbers")
+    return np.array(pairs, dtype=float).view(complex).reshape(r, c)
 
 
 def exact_matrix_to_json(m: ExactMatrix) -> dict:
@@ -298,6 +300,18 @@ def bound_report_to_json(r) -> dict:
         "holds": r.holds,
         "aux": {k: _enc_float(v) for k, v in r.aux.items()},
     }
+
+
+_REPORT_ENCODERS = {
+    "bound": bound_report_to_json,
+    "equiv": equivalence_report_to_json,
+    "impl": implication_report_to_json,
+}
+
+
+def report_to_json(r) -> dict:
+    """Any checker report, encoded by its kind."""
+    return _REPORT_ENCODERS[r.kind](r)
 
 
 def campaign_report_to_json(r) -> dict:

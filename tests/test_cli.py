@@ -291,3 +291,29 @@ def test_argparse_errors_surface_as_exit_codes(capsys):
     assert cli([]) == 2
     assert cli(["compute"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("entry", ["12", True, ["x"], [1, 2, 3]])
+def test_compute_rejects_entries_that_are_not_numbers(tmp_path, capsys, entry):
+    obj = {"a": matrix_to_json(E1_A), "p": matrix_to_json(E1_P), "q": matrix_to_json(E1_Q)}
+    obj["a"]["data"][0] = entry
+    path = write(tmp_path, "bad_entry.json", obj)
+    code, out, err = run(capsys, ["compute", "--in", path])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:")
+
+
+@pytest.mark.parametrize("theorem", ["thm3.4", "selftest-bad-bound", "thm2.4", "lemma2.10"])
+def test_verify_exit_code_follows_report_ok(tmp_path, capsys, theorem):
+    from ginv import EnsembleConfig, gen_scenario, run_check
+    from ginv.serialize import load_file, report_to_json, scenario_from_json, scenario_to_json
+
+    config = EnsembleConfig(n_range=(3, 4), rank_range=(1, 2), count=1, seed=3, theorems=(theorem,))
+    path = write(tmp_path, "scenario.json", scenario_to_json(gen_scenario(config, 0, theorem)))
+    kind, report = run_check(theorem, scenario_from_json(load_file(path)))
+    code, out, _ = run(capsys, ["verify", theorem, "--in", path])
+    assert code == (0 if report.ok else 1)
+    result = json.loads(out)
+    assert result["kind"] == kind == report.kind
+    assert result["report"] == json.loads(dumps(report_to_json(report)))

@@ -177,3 +177,33 @@ def test_selftest_check_is_caught():
     failure = st.failures[0]
     assert failure["report"]["theorem"] == "selftest-bad-bound"
     assert "scenario" in failure
+
+
+def test_campaign_records_draws_that_cannot_be_made():
+    # rank 5 needs n >= 6, so most draws of n in [2, 6] cannot be made
+    config = EnsembleConfig(
+        n_range=(2, 6), rank_range=(5, 5), count=5, seed=1, theorems=("thm3.4",)
+    )
+    report = run_campaign(config)
+    st = report.stats["thm3.4"]
+    assert not report.ok
+    assert st.instances == 5
+    drawn = [f for f in st.failures if f.get("error", "").startswith("GenerationFailed")]
+    assert drawn
+    for f in drawn:
+        assert set(f) == {"index", "seed", "error"}
+        assert f["seed"] == 1
+
+
+_VERDICT = {"bound": "holds", "equiv": "consistent", "impl": "ok"}
+
+
+@pytest.mark.parametrize("theorem", sorted(CHECKS))
+def test_reports_carry_their_kind_and_verdict(theorem):
+    config = small_config(count=2, seed=6, theorems=(theorem,))
+    seen = []
+    run_campaign(config, on_report=lambda th, i, kind, rep: seen.append((kind, rep)))
+    assert seen
+    for kind, rep in seen:
+        assert kind == rep.kind
+        assert rep.ok == getattr(rep, _VERDICT[kind])

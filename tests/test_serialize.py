@@ -305,3 +305,22 @@ def test_load_file_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(InputError):
         load_file(str(bad))
+
+
+@pytest.mark.parametrize("entry", ["12", True, ["x"], [1, 2, 3], [1, False], ["1", "2"], None])
+def test_matrix_rejects_entries_that_are_not_numbers(entry):
+    with pytest.raises(InputError):
+        matrix_from_json({"rows": 1, "cols": 2, "data": [entry, 0]})
+
+
+def test_report_to_json_encodes_every_kind():
+    from ginv.serialize import report_to_json
+
+    s = diag_scenario(delta=np.diag([0.1, 0.0, 0.0]).astype(complex))
+    a, p, q = s.a, s.p, s.q
+    eq = equivalence_thm24(s)
+    imp = gap_sufficient_lemma210(s)
+    bnd = bound_thm34(a, p, q, perturb_idempotent(p, 0.05, seed=1))
+    assert dumps(report_to_json(eq)) == dumps(equivalence_report_to_json(eq))
+    assert dumps(report_to_json(imp)) == dumps(implication_report_to_json(imp))
+    assert dumps(report_to_json(bnd)) == dumps(bound_report_to_json(bnd))
