@@ -65,11 +65,14 @@ def _resolve_tol(args, base: Tolerances = DEFAULT_TOL) -> Tolerances:
             tol_eq = float(env)
         except ValueError as e:
             raise InputError(f"GINV_DEFAULT_TOL is not a number: {env!r}") from e
-    return Tolerances(
-        tol_rank=args.tol_rank if args.tol_rank is not None else base.tol_rank,
-        tol_eq=args.tol_eq if args.tol_eq is not None else tol_eq,
-        tol_inv=args.tol_inv if args.tol_inv is not None else base.tol_inv,
-    )
+    try:
+        return Tolerances(
+            tol_rank=args.tol_rank if args.tol_rank is not None else base.tol_rank,
+            tol_eq=args.tol_eq if args.tol_eq is not None else tol_eq,
+            tol_inv=args.tol_inv if args.tol_inv is not None else base.tol_inv,
+        )
+    except ValueError as e:
+        raise InputError(f"bad tolerance: {e}") from e
 
 
 def _emit(obj, out_path):
@@ -88,27 +91,26 @@ def _add_tol_flags(sp):
     sp.add_argument("--tol-inv", type=float, default=None)
 
 
-def _load_instance(path, tol):
+def _instance_fields(path):
+    """The undecoded a, p and q of an instance file."""
     d = load_file(path)
+    if not isinstance(d, dict):
+        raise InputError(f"{path} must hold a JSON object with fields a, p and q")
     try:
-        a = matrix_from_json(d["a"])
-        p = idempotent_from_json(d["p"], tol)
-        q = idempotent_from_json(d["q"], tol)
+        return d["a"], d["p"], d["q"]
     except KeyError as e:
         raise InputError(f"instance file is missing field {e}") from e
-    return a, p, q
+
+
+def _load_instance(path, tol):
+    a, p, q = _instance_fields(path)
+    return matrix_from_json(a), idempotent_from_json(p, tol), idempotent_from_json(q, tol)
 
 
 def _cmd_compute(args) -> int:
     tol = _resolve_tol(args)
-    d = load_file(args.infile)
     if args.exact:
-        try:
-            a = exact_matrix_from_json(d["a"])
-            p = exact_matrix_from_json(d["p"])
-            q = exact_matrix_from_json(d["q"])
-        except KeyError as e:
-            raise InputError(f"instance file is missing field {e}") from e
+        a, p, q = (exact_matrix_from_json(x) for x in _instance_fields(args.infile))
         try:
             b = compute_outer_pql_exact(a, p, q)
         except NotExists as e:

@@ -9,21 +9,23 @@ to recover them from a noisy difference like 1 - q.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import NotComplementary, PerturbationTooLarge
-from .linalg import DEFAULT_TOL, Tolerances, as_matrix, spectral_norm
+from .errors import MismatchedAmbient, NotComplementary, PerturbationTooLarge
+from .linalg import DEFAULT_TOL, Tolerances, as_matrix, rank, spectral_norm
 from .randomstream import RandomStream
 from .subspaces import (
     Subspace,
-    direct_sum_is_all,
     kernel_of,
     orthocomplement,
     range_of,
     subspace_from_columns,
     zero_subspace,
 )
+
+_EPS = np.finfo(float).eps
 
 __all__ = [
     "Idempotent",
@@ -64,6 +66,30 @@ def projector(t: Subspace) -> Idempotent:
     return Idempotent(t.projector(), t, orthocomplement(t))
 
 
+def _oblique_matrix(tb: np.ndarray, sb: np.ndarray, tol: Tolerances):
+    """[tb sb] diag(I, 0) [tb sb]^{-1} for orthonormal bases tb and sb.
+
+    None when the spans do not split C^n: the dimensions must add up to n and
+    [tb sb] must have full numerical rank, which is the rule of
+    `direct_sum_is_all`.
+    """
+    n, r = tb.shape
+    k = sb.shape[1]
+    if r + k != n:
+        return None
+    if r == 0:
+        return np.zeros((n, n), dtype=complex)
+    if k == 0:
+        return np.eye(n, dtype=complex)
+    x = np.hstack([tb, sb])
+    if rank(x, tol) != n:
+        return None
+    d = np.zeros((n, n), dtype=complex)
+    d[:r, :r] = np.eye(r)
+    # m = (x d) x^{-1}, computed by a solve against x^T on the right.
+    return np.linalg.solve(x.T, (x @ d).T).T
+
+
 def oblique(t: Subspace, s: Subspace, tol: Tolerances = DEFAULT_TOL) -> Idempotent:
     """The unique idempotent with range t and kernel s.
 
@@ -71,18 +97,11 @@ def oblique(t: Subspace, s: Subspace, tol: Tolerances = DEFAULT_TOL) -> Idempote
     [B_t B_s]^{-1}, so the result is idempotent up to the conditioning of the
     combined basis.
     """
-    if not direct_sum_is_all(t, s, tol):
+    if t.ambient_dim != s.ambient_dim:
+        raise MismatchedAmbient(f"ambient dims differ: {t.ambient_dim} vs {s.ambient_dim}")
+    m = _oblique_matrix(t.basis, s.basis, tol)
+    if m is None:
         raise NotComplementary("range and kernel candidates do not split C^n")
-    n = t.ambient_dim
-    if t.dim == 0:
-        return Idempotent(np.zeros((n, n), dtype=complex), t, s)
-    if t.dim == n:
-        return Idempotent(np.eye(n, dtype=complex), t, s)
-    x = np.hstack([t.basis, s.basis])
-    d = np.zeros((n, n), dtype=complex)
-    d[: t.dim, : t.dim] = np.eye(t.dim)
-    # m = (x d) x^{-1}, computed by a solve against x^T on the right.
-    m = np.linalg.solve(x.T, (x @ d).T).T
     return Idempotent(m, t, s)
 
 
@@ -125,16 +144,24 @@ def random_idempotent(n: int, r: int, skew: float = 0.0, seed=0) -> Idempotent:
         comp = orthocomplement(t)
         tilt = t.basis @ stream.normal_matrix(r, n - r) if skew else 0.0
         s = subspace_from_columns(comp.basis + skew * tilt if skew else comp.basis)
-        if s.dim != n - r or not direct_sum_is_all(t, s):
+        if s.dim != n - r:
             continue
-        return oblique(t, s)
+        try:
+            return oblique(t, s)
+        except NotComplementary:
+            continue
     raise PerturbationTooLarge("could not draw a complementary pair; skew too extreme")
 
 
-def _cayley(k: np.ndarray, theta: float) -> np.ndarray:
-    """Unitary Cayley rotation (1 - tk/2)^{-1}(1 + tk/2) of a skew-hermitian k."""
-    eye = np.eye(k.shape[0], dtype=complex)
-    return np.linalg.solve(eye - 0.5 * theta * k, eye + 0.5 * theta * k)
+class _Candidate(NamedTuple):
+    """One angle of the search: rotated bases, the idempotent (None when the
+    bases are not complementary) and its distance to the start."""
+
+    theta: float
+    tb: Optional[np.ndarray]
+    sb: Optional[np.ndarray]
+    m: Optional[np.ndarray]
+    dist: Optional[float]
 
 
 def _skew_direction(stream: RandomStream, n: int) -> np.ndarray:
@@ -142,6 +169,20 @@ def _skew_direction(stream: RandomStream, n: int) -> np.ndarray:
     k = g - g.conj().T
     nk = spectral_norm(k)
     return k / nk if nk > 0 else k
+
+
+def _rotation(k: np.ndarray, basis: np.ndarray):
+    """theta -> Cayley rotation (1 - theta k/2)^{-1}(1 + theta k/2) applied to basis.
+
+    k is skew-hermitian, so 1j k = V diag(w) V^H is hermitian and
+    k = V diag(lam) V^H with lam = -1j w purely imaginary. The rotation is
+    V diag(f) V^H with |f| = 1, so each angle costs one scaling and one
+    product in place of a solve, and the rotated basis stays orthonormal.
+    """
+    w, v = np.linalg.eigh(1j * k)
+    half = -0.5j * w
+    c = v.conj().T @ basis
+    return lambda theta: v @ (((1 + theta * half) / (1 - theta * half))[:, None] * c)
 
 
 def perturb_idempotent(
@@ -154,10 +195,13 @@ def perturb_idempotent(
     """A nearby idempotent p' with ||p - p'|| at most `magnitude`.
 
     The range and kernel bases are rotated by random unitary rotations
-    (Cayley form of a skew-hermitian direction); the rotation angle is found
-    by bisection so the achieved distance lands close to, and never above,
-    the requested magnitude. The result is re-assembled through `oblique`,
-    so it is exactly idempotent up to that construction's conditioning.
+    (Cayley form of a skew-hermitian direction). The angle is bracketed by
+    doubling from 1e-4 and then found by root-finding (Illinois false
+    position, with a midpoint step whenever the secant leaves the bracket or
+    the far end is not complementary), so the achieved distance lands close
+    to, and never above, the requested magnitude. p' is assembled by the
+    formula of `oblique`, so it is exactly idempotent up to that
+    construction's conditioning.
 
     mode selects which subspace moves: "both", "range" (kernel pinned), or
     "kernel" (range pinned). Rank 0 and rank n idempotents admit no motion
@@ -171,43 +215,66 @@ def perturb_idempotent(
     if mode not in ("both", "range", "kernel"):
         raise ValueError(f"unknown mode {mode!r}")
     stream = _as_stream(seed)
+    # Both directions are drawn in every mode, so a shared stream advances
+    # the same way whichever subspace is pinned.
     kt = _skew_direction(stream, n)
     ks = _skew_direction(stream, n)
+    moves_t, moves_s = mode in ("both", "range"), mode in ("both", "kernel")
+    rot_t = _rotation(kt, p.range.basis) if moves_t else None
+    rot_s = _rotation(ks, p.kernel.basis) if moves_s else None
 
-    def build(theta: float):
-        tb = _cayley(kt, theta) @ p.range.basis if mode in ("both", "range") else p.range.basis
-        sb = _cayley(ks, theta) @ p.kernel.basis if mode in ("both", "kernel") else p.kernel.basis
-        try:
-            return oblique(subspace_from_columns(tb, tol), subspace_from_columns(sb, tol), tol)
-        except NotComplementary:
-            return None
+    def build(theta: float) -> _Candidate:
+        tb = rot_t(theta) if moves_t else p.range.basis
+        sb = rot_s(theta) if moves_s else p.kernel.basis
+        m = _oblique_matrix(tb, sb, tol)
+        return _Candidate(theta, tb, sb, m, None if m is None else spectral_norm(m - p.m))
 
-    def dist(cand) -> float:
-        return spectral_norm(cand.m - p.m)
+    def accept(c: _Candidate) -> Idempotent:
+        # Only the accepted bases are Gram-checked; a pinned one is p's own.
+        rng = Subspace(n, c.tb) if moves_t else p.range
+        ker = Subspace(n, c.sb) if moves_s else p.kernel
+        return Idempotent(c.m, rng, ker)
 
     # Grow the angle until the requested distance is bracketed or the pair
     # stops being complementary.
-    lo, hi = 0.0, 1e-4
-    hi_cand = build(hi)
-    while hi_cand is not None and dist(hi_cand) < magnitude and hi <= 64.0:
-        lo = hi
-        hi *= 2.0
-        hi_cand = build(hi)
+    lo = _Candidate(0.0, None, None, None, 0.0)
+    hi = build(1e-4)
+    while hi.m is not None and hi.dist < magnitude and hi.theta <= 64.0:
+        lo, hi = hi, build(2.0 * hi.theta)
 
-    if hi_cand is not None and dist(hi_cand) <= magnitude:
+    if hi.m is not None and hi.dist <= magnitude:
         # The rotation family saturates below the request; the farthest
         # sampled point still honors the distance bound.
-        return hi_cand
+        return accept(hi)
 
-    # Bisect between a known-good angle and the overshooting (or invalid) one.
-    best = build(lo) if lo > 0 else None
+    # Illinois false position on f = dist - magnitude between lo (f <= 0) and
+    # hi (f > 0, or not complementary): the secant through the two ends, with
+    # the f of an end kept twice in a row halved, and the midpoint whenever
+    # the secant is unusable.
+    f_lo = lo.dist - magnitude
+    f_hi = None if hi.m is None else hi.dist - magnitude
+    kept = None
     for _ in range(70):
-        mid = 0.5 * (lo + hi)
-        cand = build(mid)
-        if cand is not None and dist(cand) <= magnitude:
-            lo, best = mid, cand
+        if magnitude - lo.dist <= 4 * _EPS * magnitude:
+            break
+        theta = 0.5 * (lo.theta + hi.theta)
+        if f_hi is not None:
+            secant = hi.theta - f_hi * (hi.theta - lo.theta) / (f_hi - f_lo)
+            if lo.theta < secant < hi.theta:
+                theta = secant
+        if not lo.theta < theta < hi.theta:
+            break
+        c = build(theta)
+        if c.m is not None and c.dist <= magnitude:
+            lo, f_lo = c, c.dist - magnitude
+            if kept == "hi" and f_hi is not None:
+                f_hi *= 0.5
+            kept = "hi"
         else:
-            hi = mid
-    if best is None or dist(best) == 0.0:
+            hi, f_hi = c, None if c.m is None else c.dist - magnitude
+            if kept == "lo":
+                f_lo *= 0.5
+            kept = "lo"
+    if lo.m is None or lo.dist == 0.0:
         raise PerturbationTooLarge("no usable rotation below the requested magnitude")
-    return best
+    return accept(lo)

@@ -62,7 +62,7 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got ndim={a.ndim}")
-    if a.size and not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if a.size and not np.isfinite(a).all():
         raise ValueError("matrix contains NaN or infinite entries")
     return a
 
@@ -80,7 +80,7 @@ def spectral_norm(m) -> float:
     a = np.asarray(m, dtype=complex)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def _singular_values(m: np.ndarray) -> np.ndarray:

@@ -108,7 +108,10 @@ def matrix_from_json(d: dict) -> np.ndarray:
     # Checking the distinct types, not every entry, keeps large matrices cheap.
     if any(len(e) != 2 for e in pairs) or not all(map(_is_real_type, {type(x) for e in pairs for x in e})):
         raise InputError("matrix entries must be numbers or [re, im] pairs of numbers")
-    return np.array(pairs, dtype=float).view(complex).reshape(r, c)
+    m = np.array(pairs, dtype=float).view(complex).reshape(r, c)
+    if not np.isfinite(m).all():
+        raise InputError("matrix entries must be finite")
+    return m
 
 
 def exact_matrix_to_json(m: ExactMatrix) -> dict:
@@ -156,9 +159,12 @@ def idempotent_to_json(p: Idempotent) -> dict:
 
 
 def idempotent_from_json(d: dict, tol: Tolerances = DEFAULT_TOL) -> Idempotent:
-    if "matrix" in d:
-        return idempotent_from_matrix(matrix_from_json(d["matrix"]), tol)
-    return idempotent_from_matrix(matrix_from_json(d), tol)
+    """A validated idempotent, given as {"matrix": ...} or as the matrix itself."""
+    m = matrix_from_json(d["matrix"] if isinstance(d, dict) and "matrix" in d else d)
+    try:
+        return idempotent_from_matrix(m, tol)
+    except ValueError as e:
+        raise InputError(f"bad idempotent: {e}") from e
 
 
 def tolerances_to_json(t: Tolerances) -> dict:
@@ -208,6 +214,8 @@ def scenario_from_json(d: dict, tol: Tolerances | None = None):
         )
     except KeyError as e:
         raise InputError(f"scenario object is missing field {e}") from e
+    except (TypeError, ValueError) as e:
+        raise InputError(f"malformed scenario: {e}") from e
 
 
 def config_to_json(c) -> dict:

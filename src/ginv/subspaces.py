@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MismatchedAmbient
-from .linalg import DEFAULT_TOL, Tolerances, as_matrix, null_basis, orth_basis, rank
+from .linalg import DEFAULT_TOL, Tolerances, as_matrix, null_basis, orth_basis, rank, spectral_norm
 
 __all__ = [
     "Subspace",
@@ -51,7 +51,7 @@ class Subspace:
             raise ValueError("more basis vectors than ambient dimension")
         if k:
             g = b.conj().T @ b
-            if np.linalg.norm(g - np.eye(k), 2) > 1e-8:
+            if spectral_norm(g - np.eye(k)) > 1e-8:
                 raise ValueError("basis columns are not orthonormal")
 
     @property
@@ -153,7 +153,7 @@ def gap(m: Subspace, n: Subspace) -> GapResult:
     def one_sided(pa, pb, dim_a):
         if dim_a == 0:
             return 0.0
-        v = float(np.linalg.norm((eye - pb) @ pa, 2))
+        v = spectral_norm((eye - pb) @ pa)
         return min(max(v, 0.0), 1.0)
 
     d_mn = one_sided(pm, pn, m.dim)

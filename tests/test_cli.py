@@ -317,3 +317,43 @@ def test_verify_exit_code_follows_report_ok(tmp_path, capsys, theorem):
     result = json.loads(out)
     assert result["kind"] == kind == report.kind
     assert result["report"] == json.loads(dumps(report_to_json(report)))
+
+
+@pytest.mark.parametrize(
+    "argv, edit, env",
+    [
+        (["compute"], "nan", None),
+        (["exists"], "nan", None),
+        (["compute", "--tol-eq", "-1"], None, None),
+        (["compute"], None, "-1"),
+        (["compute"], "p-not-idempotent", None),
+        (["compute"], "list", None),
+        (["verify", "thm2.4"], "list", None),
+    ],
+    ids=[
+        "nan-compute",
+        "nan-exists",
+        "negative-tol-flag",
+        "negative-tol-env",
+        "p-not-idempotent",
+        "list-instance",
+        "list-scenario",
+    ],
+)
+def test_bad_input_exits_two_without_traceback(tmp_path, capsys, monkeypatch, argv, edit, env):
+    obj = {"a": matrix_to_json(E1_A), "p": matrix_to_json(E1_P), "q": matrix_to_json(E1_Q)}
+    if edit == "nan":
+        obj["a"]["data"][0] = [float("nan"), 0.0]
+    elif edit == "p-not-idempotent":
+        obj["p"] = matrix_to_json(np.diag([1.0, 0.5, 0.0]))
+    elif edit == "list":
+        obj = [obj]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))  # json.dumps writes NaN as the bare token NaN
+    if env is not None:
+        monkeypatch.setenv("GINV_DEFAULT_TOL", env)
+    code, out, err = run(capsys, argv + ["--in", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:")
+    assert "Traceback" not in err

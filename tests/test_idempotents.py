@@ -203,3 +203,36 @@ def test_perturb_input_validation():
         perturb_idempotent(p, 0.1, mode="sideways")
     full = random_idempotent(3, 3)
     assert perturb_idempotent(full, 0.5) is full
+
+
+SATURATING = 1e6
+
+
+@pytest.mark.parametrize("mode", ["both", "range", "kernel"])
+def test_perturb_contract_on_seeded_grid(mode):
+    # A request the rotation family cannot reach returns its farthest sampled
+    # point, the same one for every such request with the same seed. With
+    # these seeds, 5.0 is out of reach on 28 of the 45 draws.
+    for n in range(2, 7):
+        for r in range(1, n):
+            p = random_idempotent(n, r, skew=0.3, seed=100 * n + r)
+            seed = 1000 * n + r
+            far = perturb_idempotent(p, SATURATING, seed=seed, mode=mode)
+            assert spectral_norm(far.m - p.m) < SATURATING * (1 - 1e-8)
+            for mag in (0.5, 0.05, 1e-3, 1e-6, 5.0, SATURATING):
+                moved = perturb_idempotent(p, mag, seed=seed, mode=mode)
+                d = spectral_norm(moved.m - p.m)
+                assert d <= mag, (n, r, mag)
+                if d < mag * (1 - 1e-8):
+                    assert np.array_equal(moved.m, far.m), (n, r, mag)
+                nm = spectral_norm(moved.m)
+                assert spectral_norm(moved.m @ moved.m - moved.m) <= 1e-10 * (1.0 + nm * nm)
+                assert moved.rank == r
+                if mode == "range":
+                    assert gap(moved.kernel, p.kernel).gap <= 1e-12
+                    assert spectral_norm(moved.m @ p.kernel.basis) <= 1e-10 * nm
+                if mode == "kernel":
+                    assert gap(moved.range, p.range).gap <= 1e-12
+                    assert spectral_norm(moved.m @ p.range.basis - p.range.basis) <= 1e-10 * nm
+                again = perturb_idempotent(p, mag, seed=seed, mode=mode)
+                assert np.array_equal(again.m, moved.m)
