@@ -163,8 +163,7 @@ def _cmd_perturb(args) -> int:
     out = {}
     code = 0
     try:
-        base = compute_outer_pql(s.a, s.p, s.q, s.tol)
-        upd = update_formula(base.b, s.delta_a, s.tol)
+        upd = update_formula(s.base.b, s.delta_a, s.tol)
         out["update"] = matrix_to_json(upd)
     except NotExists as e:
         out["update"] = None

@@ -16,7 +16,7 @@ independent routes (useful as cross-checks).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -31,25 +31,17 @@ from .errors import (
 )
 from .exact import ExactMatrix
 from .idempotents import Idempotent, idempotent_from_matrix
-from .linalg import (
-    DEFAULT_TOL,
-    Tolerances,
-    as_matrix,
-    rank,
-    spectral_norm,
-    try_inverse,
-)
+from .linalg import DEFAULT_TOL, Tolerances, _singular_values, as_matrix, identity, rank, spectral_norm, try_inverse
 from .randomstream import RandomStream
 from .subspaces import (
     Subspace,
+    _norm_range_kernel,
     canonical_basis,
     direct_sum_is_all,
     gap,
     intersection_trivial,
-    kernel_of,
     map_subspace,
     orthocomplement,
-    range_of,
 )
 
 __all__ = [
@@ -120,12 +112,10 @@ def _check_inputs(a: np.ndarray, p: Idempotent, q: Idempotent) -> None:
         raise DimMismatch("idempotents must match the size of a")
 
 
-def _sigma_min(m: np.ndarray) -> float:
-    if m.shape[0] == 0 and m.shape[1] == 0:
+def _sigma_min(sv: np.ndarray, shape) -> float:
+    if shape[0] == 0 and shape[1] == 0:
         return float("inf")
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.svd(m, compute_uv=False)[-1])
+    return float(sv[-1]) if sv.size else 0.0
 
 
 def _random_unitary(stream: RandomStream, k: int) -> np.ndarray:
@@ -154,30 +144,58 @@ def _core_matrices(a, p: Idempotent, q: Idempotent, basis_seed=None):
     return u, m0, m0 @ a @ u
 
 
-def _existence(a, p: Idempotent, q: Idempotent, tol: Tolerances, l_mode: bool):
-    """Shared boolean evaluation for the outer and inner-outer variants."""
+class _Existence(NamedTuple):
+    """The existence booleans and margin, plus what solving for b needs."""
+
+    trivial: bool
+    dsum: bool
+    dims: bool
+    smin: float
+    exists: bool
+    na: float
+    u: np.ndarray
+    m0: np.ndarray
+    core: np.ndarray
+    sv: np.ndarray  # singular values of core
+
+
+def _existence(a, p: Idempotent, q: Idempotent, tol: Tolerances, l_mode: bool) -> _Existence:
+    """Shared evaluation for the outer and inner-outer variants."""
     n = a.shape[0]
-    na = spectral_norm(a)
-    scale = max(na, 1.0)
-    ker_a = kernel_of(a, tol, scale=scale)
+    na, col_a, ker_a = _norm_range_kernel(a, tol)
     trivial = intersection_trivial(ker_a, p.range, tol)
     if l_mode:
-        dsum = direct_sum_is_all(range_of(a, tol, scale=scale), q.range, tol)
+        dsum = direct_sum_is_all(col_a, q.range, tol)
     else:
         dsum = direct_sum_is_all(map_subspace(a, p.range, tol), q.range, tol)
     dims = p.rank + q.rank == n
     u, m0, core = _core_matrices(a, p, q)
-    smin = _sigma_min(core)
+    sv = _singular_values(core)
+    smin = _sigma_min(sv, core.shape)
     exists = trivial and dsum and dims and smin > tol.tol_inv * na
-    return trivial, dsum, dims, smin, exists, u, m0, core
+    return _Existence(trivial, dsum, dims, smin, exists, na, u, m0, core, sv)
 
 
-def _solve(a, u, m0, core, tol: Tolerances) -> np.ndarray:
-    inv = try_inverse(core, tol)
-    if inv is None:
-        smin = _sigma_min(core)
-        raise IllConditioned(f"core matrix is numerically singular (sigma_min = {smin:.3e})")
-    return u @ inv @ m0
+def _solve(u, m0, core, sv, tol: Tolerances) -> np.ndarray:
+    """b = U core^{-1} M0, with try_inverse's singularity test on the
+    singular values sv of core."""
+    k = core.shape[0]
+    if k and (sv[0] == 0.0 or sv[-1] <= tol.tol_inv * sv[0]):
+        raise IllConditioned(f"core matrix is numerically singular (sigma_min = {sv[-1]:.3e})")
+    return u @ np.linalg.solve(core, identity(k)) @ m0
+
+
+def _existence_report(a, p, q, tol: Tolerances, l_mode: bool) -> ExistenceReport:
+    a = as_matrix(a)
+    p = _as_idempotent(p, tol)
+    q = _as_idempotent(q, tol)
+    _check_inputs(a, p, q)
+    e = _existence(a, p, q, tol, l_mode)
+    certs = None
+    if e.exists:
+        b = _solve(e.u, e.m0, e.core, e.sv, tol)
+        certs = (b, b)
+    return ExistenceReport(e.trivial, e.dsum, e.dims, e.smin, e.exists, certs)
 
 
 def exists_outer_pql(a, p, q, tol: Tolerances = DEFAULT_TOL) -> ExistenceReport:
@@ -187,18 +205,10 @@ def exists_outer_pql(a, p, q, tol: Tolerances = DEFAULT_TOL) -> ExistenceReport:
     col(q) split the whole space, and rank p + rank q = n. The core margin
     sigma_min(M0 a U) certifies the same thing numerically. The report is
     always produced; when the inverse exists the certificate pair (t, s)
-    with t = s = b is attached.
+    with t = s = b is attached; this b is bit for bit the b of
+    compute_outer_pql.
     """
-    a = as_matrix(a)
-    p = _as_idempotent(p, tol)
-    q = _as_idempotent(q, tol)
-    _check_inputs(a, p, q)
-    trivial, dsum, dims, smin, exists, u, m0, core = _existence(a, p, q, tol, l_mode=False)
-    certs = None
-    if exists:
-        b = _solve(a, u, m0, core, tol)
-        certs = (b, b)
-    return ExistenceReport(trivial, dsum, dims, smin, exists, certs)
+    return _existence_report(a, p, q, tol, l_mode=False)
 
 
 def compute_outer_pql(a, p, q, tol: Tolerances = DEFAULT_TOL, *, basis_seed=None) -> GInvResult:
@@ -212,18 +222,19 @@ def compute_outer_pql(a, p, q, tol: Tolerances = DEFAULT_TOL, *, basis_seed=None
     p = _as_idempotent(p, tol)
     q = _as_idempotent(q, tol)
     _check_inputs(a, p, q)
-    trivial, dsum, dims, smin, exists, u, m0, core = _existence(a, p, q, tol, l_mode=False)
-    if not (trivial and dsum and dims):
+    e = _existence(a, p, q, tol, l_mode=False)
+    if not (e.trivial and e.dsum and e.dims):
         raise NotExists(
             "no outer inverse with the prescribed range and kernel: "
-            f"trivial_kernel_intersection={trivial}, direct_sum={dsum}, dims_compatible={dims}"
+            f"trivial_kernel_intersection={e.trivial}, direct_sum={e.dsum}, dims_compatible={e.dims}"
         )
-    if not smin > tol.tol_inv * spectral_norm(a):
-        raise IllConditioned(f"core margin too small (sigma_min = {smin:.3e})")
+    if not e.exists:
+        raise IllConditioned(f"core margin too small (sigma_min = {e.smin:.3e})")
+    u, m0, core, sv = e.u, e.m0, e.core, e.sv
     if basis_seed is not None:
         u, m0, core = _core_matrices(a, p, q, basis_seed)
-    b = _solve(a, u, m0, core, tol)
-    return classify_strict(a, p, q, b, tol)
+        sv = _singular_values(core)
+    return _classify(a, p, q, _solve(u, m0, core, sv, tol), tol, e.na)
 
 
 def exists_l(a, p, q, tol: Tolerances = DEFAULT_TOL) -> ExistenceReport:
@@ -232,16 +243,7 @@ def exists_l(a, p, q, tol: Tolerances = DEFAULT_TOL) -> ExistenceReport:
     Requires col(a) and col(q) to split the space and null(a) and col(p) to
     split the space. The report reuses the same fields: direct_sum here
     refers to col(a) + col(q)."""
-    a = as_matrix(a)
-    p = _as_idempotent(p, tol)
-    q = _as_idempotent(q, tol)
-    _check_inputs(a, p, q)
-    trivial, dsum, dims, smin, exists, u, m0, core = _existence(a, p, q, tol, l_mode=True)
-    certs = None
-    if exists:
-        b = _solve(a, u, m0, core, tol)
-        certs = (b, b)
-    return ExistenceReport(trivial, dsum, dims, smin, exists, certs)
+    return _existence_report(a, p, q, tol, l_mode=True)
 
 
 def compute_l(a, p, q, tol: Tolerances = DEFAULT_TOL) -> GInvResult:
@@ -250,6 +252,12 @@ def compute_l(a, p, q, tol: Tolerances = DEFAULT_TOL) -> GInvResult:
     p = _as_idempotent(p, tol)
     q = _as_idempotent(q, tol)
     _check_inputs(a, p, q)
+    return _require_l(a, p, q, tol, lambda: compute_outer_pql(a, p, q, tol))
+
+
+def _require_l(a, p, q, tol: Tolerances, outer) -> GInvResult:
+    """compute_l's two tests: the inner-outer existence test, then a b a = a
+    on the outer inverse that outer() returns (called only after the first)."""
     report = exists_l(a, p, q, tol)
     if not report.exists:
         raise NotExists(
@@ -258,7 +266,7 @@ def compute_l(a, p, q, tol: Tolerances = DEFAULT_TOL) -> GInvResult:
             f"direct_sum={report.direct_sum}, dims_compatible={report.dims_compatible}, "
             f"sigma_min_core={report.sigma_min_core:.3e}"
         )
-    result = compute_outer_pql(a, p, q, tol)
+    result = outer()
     if not result.flags["l_inverse"]:
         raise NotExists(f"a b a = a fails: residual {result.residuals['aba_a']:.3e}")
     return result
@@ -279,10 +287,14 @@ def classify_strict(a, p, q, b, tol: Tolerances = DEFAULT_TOL) -> GInvResult:
     _check_inputs(a, p, q)
     if b.shape != a.shape:
         raise DimMismatch("b must have the same shape as a")
+    return _classify(a, p, q, b, tol, spectral_norm(a))
+
+
+def _classify(a, p: Idempotent, q: Idempotent, b, tol: Tolerances, na: float) -> GInvResult:
+    """classify_strict on checked inputs, given na = ||a||."""
     n = a.shape[0]
     eye = np.eye(n, dtype=complex)
-    na = spectral_norm(a)
-    nb = spectral_norm(b)
+    nb, col_b, ker_b = _norm_range_kernel(b, tol)
     ab = a @ b
     ba = b @ a
     residuals = {
@@ -290,8 +302,8 @@ def classify_strict(a, p, q, b, tol: Tolerances = DEFAULT_TOL) -> GInvResult:
         "aba_a": spectral_norm(ab @ a - a),
         "ba_p": spectral_norm(ba - p.m),
         "one_ab_q": spectral_norm(eye - ab - q.m),
-        "gap_range": gap(range_of(b, tol, scale=max(nb, 1.0)), p.range).gap,
-        "gap_kernel": gap(kernel_of(b, tol, scale=max(nb, 1.0)), q.range).gap,
+        "gap_range": gap(col_b, p.range).gap,
+        "gap_kernel": gap(ker_b, q.range).gap,
     }
     e = tol.tol_eq
     outer = (
@@ -300,9 +312,9 @@ def classify_strict(a, p, q, b, tol: Tolerances = DEFAULT_TOL) -> GInvResult:
         and residuals["gap_kernel"] <= 10 * e
     )
     l_inverse = residuals["aba_a"] <= e * (1.0 + na * na * nb)
-    strict_pq = residuals["ba_p"] <= e * (1.0 + na * nb + spectral_norm(p.m)) and residuals[
-        "one_ab_q"
-    ] <= e * (1.0 + na * nb + spectral_norm(q.m))
+    strict_pq = residuals["ba_p"] <= e * (1.0 + na * nb + p.norm) and residuals["one_ab_q"] <= e * (
+        1.0 + na * nb + q.norm
+    )
     flags = {
         "outer_pql": outer,
         "l_inverse": l_inverse,
@@ -452,8 +464,7 @@ def exists_dual_check(a, p, q, tol: Tolerances = DEFAULT_TOL) -> bool:
     p = _as_idempotent(p, tol)
     q = _as_idempotent(q, tol)
     _check_inputs(a, p, q)
-    scale = max(spectral_norm(a), 1.0)
-    left_kernel_a = orthocomplement(range_of(a, tol, scale=scale))
+    left_kernel_a = orthocomplement(_norm_range_kernel(a, tol)[1])
     rows_one_minus_q = orthocomplement(q.range)
     cond1 = intersection_trivial(left_kernel_a, rows_one_minus_q, tol)
     rows_one_minus_q_a = map_subspace(a.conj().T, rows_one_minus_q, tol)

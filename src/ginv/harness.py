@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import GenerationFailed, GinvError, InputError, NotExists
-from .gen_inverse import compute_outer_pql, exists_l, exists_outer_pql
+from .gen_inverse import classify_strict, compute_outer_pql, exists_l, exists_outer_pql
 from .idempotents import idempotent_from_matrix, oblique, perturb_idempotent, random_idempotent
 from .linalg import DEFAULT_TOL, Tolerances, spectral_norm, try_inverse
 from .perturbation import (
@@ -39,12 +39,11 @@ from .perturbation import (
     equivalence_thm212,
     equivalence_thm_tm27,
     gap_sufficient_lemma210,
-    kappa,
     lemma26_f,
 )
 from .randomstream import RandomStream
 from .serialize import report_to_json, scenario_to_json
-from .subspaces import Subspace, direct_sum_is_all, orth_basis, range_of
+from .subspaces import Subspace, _norm_range_kernel, direct_sum_is_all, orth_basis
 
 __all__ = [
     "EnsembleConfig",
@@ -136,14 +135,20 @@ def _rank_r_matrix(stream: RandomStream, n: int, r: int) -> np.ndarray:
     return stream.normal_matrix(n, r) @ stream.normal_matrix(r, n)
 
 
+# Each base family returns (a, p, q, base) or None for a rejected draw; base
+# is the inverse for (a, p, q) when the family has solved it already (the
+# outer families classify the certificate of exists_outer_pql), else None.
+
+
 def _base_outer(stream, n, r, skew, tol):
     """Full-rank a with random compatible idempotents."""
     a = stream.normal_matrix(n, n)
     p = random_idempotent(n, r, skew, stream)
     q = random_idempotent(n, n - r, skew, stream)
-    if not exists_outer_pql(a, p, q, tol).exists:
+    report = exists_outer_pql(a, p, q, tol)
+    if not report.exists:
         return None
-    return a, p, q
+    return a, p, q, classify_strict(a, p, q, report.certificates[0], tol)
 
 
 def _base_outer_rank(stream, n, r, skew, tol):
@@ -151,17 +156,18 @@ def _base_outer_rank(stream, n, r, skew, tol):
     a = _rank_r_matrix(stream, n, r)
     p = random_idempotent(n, r, skew, stream)
     q = random_idempotent(n, n - r, skew, stream)
-    if not exists_outer_pql(a, p, q, tol).exists:
+    report = exists_outer_pql(a, p, q, tol)
+    if not report.exists:
         return None
-    if not direct_sum_is_all(range_of(a, tol, scale=max(spectral_norm(a), 1.0)), q.range, tol):
+    if not direct_sum_is_all(_norm_range_kernel(a, tol)[1], q.range, tol):
         return None
-    return a, p, q
+    return a, p, q, classify_strict(a, p, q, report.certificates[0], tol)
 
 
 def _base_l_aligned(stream, n, r, skew, tol):
     """Rank-r a with the kernel of q pinned to col(a), so a col(p) = ker q."""
     a = _rank_r_matrix(stream, n, r)
-    col_a = range_of(a, tol, scale=max(spectral_norm(a), 1.0))
+    col_a = _norm_range_kernel(a, tol)[1]
     t = Subspace(n, orth_basis(stream.normal_matrix(n, n - r), tol))
     if not direct_sum_is_all(t, col_a, tol):
         return None
@@ -169,7 +175,7 @@ def _base_l_aligned(stream, n, r, skew, tol):
     p = random_idempotent(n, r, skew, stream)
     if not exists_l(a, p, q, tol).exists:
         return None
-    return a, p, q
+    return a, p, q, None
 
 
 def _base_strict(stream, n, r, skew, tol):
@@ -199,7 +205,7 @@ def _base_strict(stream, n, r, skew, tol):
         return None
     if not base.flags["strict_12"]:
         return None
-    return a, p, q
+    return a, p, q, base
 
 
 def _delta_direction(stream, cls, a, b, p, q):
@@ -313,14 +319,16 @@ def gen_scenario(config: EnsembleConfig, index: int, theorem: Optional[str] = No
         if made is None:
             last = f"base family {family} rejected the draw (attempt {attempt})"
             continue
-        a, p, q = made
-        try:
-            b = compute_outer_pql(a, p, q, tol).b
-        except NotExists:
-            last = "base inverse vanished under tolerance"
-            continue
-        kap = kappa(a, b)
+        a, p, q, base = made
+        if base is None:
+            try:
+                base = compute_outer_pql(a, p, q, tol)
+            except NotExists:
+                last = "base inverse vanished under tolerance"
+                continue
+        b = base.b
         nb = spectral_norm(b)
+        kap = spectral_norm(a) * nb
 
         p_prime = None
         q_prime = None
@@ -356,7 +364,9 @@ def gen_scenario(config: EnsembleConfig, index: int, theorem: Optional[str] = No
             if try_inverse(np.eye(n, dtype=complex) + b @ delta, tol) is None:
                 last = "shift made the update factor singular"
                 continue
-        return Scenario(a, delta, p, q, p_prime=p_prime, q_prime=q_prime, tol=tol)
+        scenario = Scenario(a, delta, p, q, p_prime=p_prime, q_prime=q_prime, tol=tol)
+        scenario.__dict__["base"] = base  # prime Scenario.base with the inverse solved above
+        return scenario
     raise GenerationFailed(f"no scenario after {_RETRIES} attempts: {last}")
 
 

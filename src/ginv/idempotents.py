@@ -9,6 +9,7 @@ to recover them from a noisy difference like 1 - q.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -16,14 +17,7 @@ import numpy as np
 from .errors import MismatchedAmbient, NotComplementary, PerturbationTooLarge
 from .linalg import DEFAULT_TOL, Tolerances, as_matrix, rank, spectral_norm
 from .randomstream import RandomStream
-from .subspaces import (
-    Subspace,
-    kernel_of,
-    orthocomplement,
-    range_of,
-    subspace_from_columns,
-    zero_subspace,
-)
+from .subspaces import Subspace, _norm_range_kernel, orthocomplement, subspace_from_columns, zero_subspace
 
 _EPS = np.finfo(float).eps
 
@@ -52,6 +46,11 @@ class Idempotent:
     @property
     def rank(self) -> int:
         return self.range.dim
+
+    @cached_property
+    def norm(self) -> float:
+        """Spectral norm of the matrix, computed once."""
+        return spectral_norm(self.m)
 
     def complement(self) -> "Idempotent":
         """The idempotent 1 - p, with range and kernel swapped."""
@@ -110,14 +109,13 @@ def idempotent_from_matrix(m, tol: Tolerances = DEFAULT_TOL) -> Idempotent:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValueError("idempotent must be square")
-    nm = spectral_norm(a)
+    nm, rng, ker = _norm_range_kernel(a, tol)
     resid = spectral_norm(a @ a - a)
     if resid > tol.tol_eq * (1.0 + nm * nm):
         raise ValueError(f"matrix is not idempotent: ||m^2 - m|| = {resid:.3e}")
-    scale = max(nm, 1.0)
-    rng = range_of(a, tol, scale=scale)
-    ker = kernel_of(a, tol, scale=scale)
-    return Idempotent(a, rng, ker)
+    p = Idempotent(a, rng, ker)
+    p.__dict__["norm"] = nm  # prime the cached norm with the one just computed
+    return p
 
 
 def _as_stream(seed) -> RandomStream:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -31,8 +32,9 @@ from .errors import DimMismatch, InputError, NoGroupInverse, NotExists, Represen
 from .gen_inverse import (
     GInvResult,
     _as_idempotent,
+    _classify,
+    _require_l,
     build_witness,
-    classify_strict,
     compute_l,
     compute_outer_pql,
     exists_outer_pql,
@@ -40,15 +42,8 @@ from .gen_inverse import (
     one_five_inverse,
 )
 from .idempotents import Idempotent
-from .linalg import DEFAULT_TOL, Tolerances, as_matrix, spectral_norm, try_inverse
-from .subspaces import (
-    gap,
-    intersection_trivial,
-    kernel_of,
-    map_subspace,
-    range_of,
-    subspaces_equal,
-)
+from .linalg import DEFAULT_TOL, Tolerances, as_matrix, rank, spectral_norm, try_inverse
+from .subspaces import _norm_range_kernel, gap, intersection_trivial, map_subspace, subspaces_equal
 
 __all__ = [
     "Scenario",
@@ -79,7 +74,11 @@ NAN = float("nan")
 
 @dataclass(frozen=True)
 class Scenario:
-    """One perturbation instance: a, its shift, and the prescribed idempotents."""
+    """One perturbation instance: a, its shift, and the prescribed idempotents.
+
+    base, the inverse for (a, p, q), is computed on first use unless the
+    generator that built the scenario has stored the one it already solved.
+    """
 
     a: np.ndarray
     delta_a: np.ndarray
@@ -114,6 +113,10 @@ class Scenario:
     @property
     def a_bar(self) -> np.ndarray:
         return self.a + self.delta_a
+
+    @cached_property
+    def base(self) -> GInvResult:
+        return compute_outer_pql(self.a, self.p, self.q, self.tol)
 
 
 @dataclass(frozen=True)
@@ -200,18 +203,19 @@ def _defect(m, n_sub, tol: Tolerances) -> float:
     """How many dimensions two subspaces share (0.0 means trivial meet)."""
     if m.dim == 0 or n_sub.dim == 0:
         return 0.0
-    from .linalg import rank as _rank
-
     stacked = np.hstack([m.basis, n_sub.basis])
-    return float(m.dim + n_sub.dim - _rank(stacked, tol, scale=1.0))
+    return float(m.dim + n_sub.dim - rank(stacked, tol, scale=1.0))
 
 
 def is_stable(scenario: Scenario) -> bool:
     """Does col(a + delta_a) still meet col(q) only at zero?"""
     s = scenario
-    a_bar = s.a_bar
-    scale = max(spectral_norm(a_bar), 1.0)
-    return intersection_trivial(range_of(a_bar, s.tol, scale=scale), s.q.range, s.tol)
+    return intersection_trivial(_norm_range_kernel(s.a_bar, s.tol)[1], s.q.range, s.tol)
+
+
+def _l_base(s: Scenario) -> GInvResult:
+    """compute_l(s.a, s.p, s.q) on the scenario's base inverse."""
+    return _require_l(s.a, s.p, s.q, s.tol, lambda: s.base)
 
 
 def update_formula(b, delta_a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -264,8 +268,7 @@ def equivalence_thm24(scenario: Scenario) -> EquivalenceReport:
     the deviation is the third condition's residual.
     """
     s = scenario
-    base = compute_outer_pql(s.a, s.p, s.q, s.tol)
-    b = base.b
+    b = s.base.b
     n = s.n
     eye = np.eye(n, dtype=complex)
     ok_right, m_right = _invertible(eye + s.delta_a @ b, s.tol)
@@ -276,9 +279,9 @@ def equivalence_thm24(scenario: Scenario) -> EquivalenceReport:
     identity_ok = True
     if ok_right and ok_left and report.exists:
         updated = update_formula(b, s.delta_a, s.tol)
-        direct = compute_outer_pql(s.a_bar, s.p, s.q, s.tol)
-        dev = spectral_norm(updated - direct.b)
-        identity_ok = dev <= _res_scale(spectral_norm(s.a_bar), spectral_norm(direct.b), s.tol)
+        direct = report.certificates[0]  # the perturbed inverse, as compute_outer_pql solves it
+        dev = spectral_norm(updated - direct)
+        identity_ok = dev <= _res_scale(spectral_norm(s.a_bar), spectral_norm(direct), s.tol)
         aux["update_vs_direct"] = dev
     conditions = (
         ("one_plus_delta_b_invertible", ok_right, m_right),
@@ -300,30 +303,27 @@ def lemma26_f(scenario: Scenario):
     requires the two unconditional facts.
     """
     s = scenario
-    base = compute_outer_pql(s.a, s.p, s.q, s.tol)
-    b = base.b
+    b = s.base.b
     n = s.n
     eye = np.eye(n, dtype=complex)
     inv_left = try_inverse(eye + b @ s.delta_a, s.tol)
     if inv_left is None:
         raise NotExists("1 + b delta_a is singular")
     f = inv_left @ (eye - b @ s.a)
-    a_bar = s.a_bar
-    nf = spectral_norm(f)
+    # The rank of f can drop to 0 and the matrix is built from cancellation,
+    # so its rank cutoff is anchored at max(||f||, 1), not at ||f|| alone.
+    nf, col_f, _ = _norm_range_kernel(f, s.tol)
     idem_resid = spectral_norm(f @ f - f)
     idem_ok = idem_resid <= s.tol.tol_eq * (1.0 + nf * nf)
-    # The rank of f can drop to 0 and the matrix is built from cancellation,
-    # so anchor its rank cutoff at 1 rather than at its own largest singular
-    # value.
-    col_f = range_of(f, s.tol, scale=max(nf, 1.0))
-    ker_bar = kernel_of(a_bar, s.tol, scale=max(spectral_norm(a_bar), 1.0))
-    subset_gap = gap(ker_bar, col_f).delta_mn
+    _, col_bar, ker_bar = _norm_range_kernel(s.a_bar, s.tol)
+    g = gap(ker_bar, col_f)
+    subset_gap = g.delta_mn
     subset_ok = subset_gap <= 10 * s.tol.tol_eq
     equal = subspaces_equal(ker_bar, col_f, s.tol)
-    stable = is_stable(s)
+    stable = intersection_trivial(col_bar, s.q.range, s.tol)
     conditions = (
-        ("kernel_of_perturbed_equals_range_f", equal, gap(ker_bar, col_f).gap),
-        ("stable", stable, _defect(range_of(a_bar, s.tol, scale=max(spectral_norm(a_bar), 1.0)), s.q.range, s.tol)),
+        ("kernel_of_perturbed_equals_range_f", equal, g.gap),
+        ("stable", stable, _defect(col_bar, s.q.range, s.tol)),
     )
     consistent = (equal == stable) and idem_ok and subset_ok
     aux = {"f_idempotent_residual": idem_resid, "kernel_subset_gap": subset_gap}
@@ -338,13 +338,13 @@ def equivalence_thm27(scenario: Scenario) -> EquivalenceReport:
     one-sided annihilation identities. Requires 1 + b delta_a invertible.
     """
     s = scenario
-    base = compute_outer_pql(s.a, s.p, s.q, s.tol)
-    b = base.b
+    b = s.base.b
     n = s.n
     eye = np.eye(n, dtype=complex)
     a_bar = s.a_bar
+    na_bar, col_bar, _ = _norm_range_kernel(a_bar, s.tol)
     w = update_formula(b, s.delta_a, s.tol)
-    w_class = classify_strict(a_bar, s.p, s.q, w, s.tol)
+    w_class = _classify(a_bar, s.p, s.q, w, s.tol, na_bar)
     cond1 = w_class.flags["outer_pql"] and w_class.flags["l_inverse"]
     resid1 = max(
         w_class.residuals["bab_b"],
@@ -352,8 +352,7 @@ def equivalence_thm27(scenario: Scenario) -> EquivalenceReport:
         w_class.residuals["gap_range"],
         w_class.residuals["gap_kernel"],
     )
-    stable = is_stable(s)
-    na_bar = spectral_norm(a_bar)
+    stable = intersection_trivial(col_bar, s.q.range, s.tol)
     scale = _res_scale(na_bar, spectral_norm(b), s.tol)
     inv_left = try_inverse(eye + b @ s.delta_a, s.tol)
     inv_right = try_inverse(eye + s.delta_a @ b, s.tol)
@@ -361,12 +360,9 @@ def equivalence_thm27(scenario: Scenario) -> EquivalenceReport:
         raise NotExists("1 + b delta_a is singular")
     resid3 = spectral_norm(a_bar @ inv_left @ (eye - b @ s.a))
     resid4 = spectral_norm((eye - s.a @ b) @ inv_right @ a_bar)
-    stable_defect = _defect(
-        range_of(a_bar, s.tol, scale=max(na_bar, 1.0)), s.q.range, s.tol
-    )
     conditions = (
         ("update_is_inner_outer_for_perturbed", cond1, resid1),
-        ("stable", stable, stable_defect),
+        ("stable", stable, _defect(col_bar, s.q.range, s.tol)),
         ("a_bar_annihilates_left_factor", resid3 <= scale, resid3),
         ("a_bar_annihilated_right_factor", resid4 <= scale, resid4),
     )
@@ -377,25 +373,19 @@ def equivalence_thm27(scenario: Scenario) -> EquivalenceReport:
 def equivalence_cor28(scenario: Scenario) -> EquivalenceReport:
     """Stability versus the two mapped-subspace identities of the update factors."""
     s = scenario
-    base = compute_outer_pql(s.a, s.p, s.q, s.tol)
-    b = base.b
+    b = s.base.b
     n = s.n
     eye = np.eye(n, dtype=complex)
-    a_bar = s.a_bar
     inv_left = try_inverse(eye + b @ s.delta_a, s.tol)
     inv_right = try_inverse(eye + s.delta_a @ b, s.tol)
     if inv_left is None or inv_right is None:
         raise NotExists("update factor is singular")
-    na_bar = max(spectral_norm(a_bar), 1.0)
-    stable = is_stable(s)
-    ba = b @ s.a
-    ab = s.a @ b
-    ker_ba = kernel_of(ba, s.tol, scale=max(spectral_norm(ba), 1.0))
-    ker_bar = kernel_of(a_bar, s.tol, scale=na_bar)
+    _, col_bar, ker_bar = _norm_range_kernel(s.a_bar, s.tol)
+    stable = intersection_trivial(col_bar, s.q.range, s.tol)
+    ker_ba = _norm_range_kernel(b @ s.a, s.tol)[2]
     mapped_kernel = map_subspace(inv_left, ker_ba, s.tol)
     cond2 = subspaces_equal(mapped_kernel, ker_bar, s.tol)
-    col_bar = range_of(a_bar, s.tol, scale=na_bar)
-    col_ab = range_of(ab, s.tol, scale=max(spectral_norm(ab), 1.0))
+    col_ab = _norm_range_kernel(s.a @ b, s.tol)[1]
     mapped_range = map_subspace(inv_right, col_bar, s.tol)
     cond3 = subspaces_equal(mapped_range, col_ab, s.tol)
     conditions = (
@@ -418,16 +408,14 @@ def equivalence_thm_tm27(scenario: Scenario) -> EquivalenceReport:
     condition false.
     """
     s = scenario
-    base = compute_l(s.a, s.p, s.q, s.tol)
-    b = base.b
+    b = _l_base(s).b
     n = s.n
     eye = np.eye(n, dtype=complex)
     a_bar = s.a_bar
-    na_bar = max(spectral_norm(a_bar), 1.0)
     aux = {}
 
     ok_left, margin_left = _invertible(eye + b @ s.delta_a, s.tol)
-    col_bar = range_of(a_bar, s.tol, scale=na_bar)
+    na_bar, col_bar, ker_bar = _norm_range_kernel(a_bar, s.tol)
     range_matches = subspaces_equal(col_bar, s.q.kernel, s.tol)
     formula_ok = False
     dev = NAN
@@ -436,25 +424,24 @@ def equivalence_thm_tm27(scenario: Scenario) -> EquivalenceReport:
         try:
             direct = compute_l(a_bar, s.p, s.q, s.tol)
             dev = spectral_norm(updated - direct.b)
-            formula_ok = dev <= _res_scale(spectral_norm(a_bar), spectral_norm(direct.b), s.tol)
+            formula_ok = dev <= _res_scale(na_bar, spectral_norm(direct.b), s.tol)
         except NotExists:
             formula_ok = False
     cond1 = ok_left and range_matches and formula_ok
     aux["update_factor_margin"] = margin_left
-    aux["range_vs_kernel_q_gap"] = gap(col_bar, s.q.kernel).gap
+    aux["range_vs_kernel_q_gap"] = range_gap = gap(col_bar, s.q.kernel).gap
     aux["update_vs_direct"] = dev
 
-    ker_bar = kernel_of(a_bar, s.tol, scale=na_bar)
     stable = intersection_trivial(col_bar, s.q.range, s.tol)
     trivial_p = intersection_trivial(ker_bar, s.p.range, s.tol)
     image = map_subspace(a_bar, s.p.range, s.tol)
     image_matches = subspaces_equal(image, s.q.kernel, s.tol)
     cond2 = stable and trivial_p and image_matches
-    aux["image_vs_kernel_q_gap"] = gap(image, s.q.kernel).gap
+    aux["image_vs_kernel_q_gap"] = image_gap = gap(image, s.q.kernel).gap
 
     conditions = (
-        ("update_valid_and_range_matches", cond1, gap(col_bar, s.q.kernel).gap),
-        ("stable_trivial_and_image_matches", cond2, gap(image, s.q.kernel).gap),
+        ("update_valid_and_range_matches", cond1, range_gap),
+        ("stable_trivial_and_image_matches", cond2, image_gap),
     )
     return EquivalenceReport(conditions, cond1 == cond2, aux)
 
@@ -468,23 +455,17 @@ def gap_sufficient_lemma210(scenario: Scenario) -> ImplicationReport:
     conclusion-false instances must never occur.
     """
     s = scenario
-    base = compute_l(s.a, s.p, s.q, s.tol)
-    b = base.b
+    b = _l_base(s).b
     n = s.n
     eye = np.eye(n, dtype=complex)
-    a_bar = s.a_bar
-    na = max(spectral_norm(s.a), 1.0)
-    na_bar = max(spectral_norm(a_bar), 1.0)
+    _, col_a, ker_a = _norm_range_kernel(s.a, s.tol)
+    _, col_bar, ker_bar = _norm_range_kernel(s.a_bar, s.tol)
 
-    col_bar = range_of(a_bar, s.tol, scale=na_bar)
-    col_a = range_of(s.a, s.tol, scale=na)
     norm_one_ab = spectral_norm(eye - s.a @ b)
     thr_range = math.inf if norm_one_ab == 0 else 1.0 / norm_one_ab
     delta_range = gap(col_bar, col_a).delta_mn
     concl_range = intersection_trivial(col_bar, s.q.range, s.tol)
 
-    ker_bar = kernel_of(a_bar, s.tol, scale=na_bar)
-    ker_a = kernel_of(s.a, s.tol, scale=na)
     norm_ba = spectral_norm(b @ s.a)
     thr_kernel = math.inf if norm_ba == 0 else 1.0 / norm_ba
     delta_kernel = gap(ker_bar, ker_a).delta_mn
@@ -516,18 +497,12 @@ def cor_lemas1(scenario: Scenario) -> ImplicationReport:
     inverse exists and equals b (1 + delta_a b)^{-1}.
     """
     s = scenario
-    base = compute_l(s.a, s.p, s.q, s.tol)
-    b = base.b
+    b = _l_base(s).b
     n = s.n
     eye = np.eye(n, dtype=complex)
     a_bar = s.a_bar
-    na = max(spectral_norm(s.a), 1.0)
-    na_bar = max(spectral_norm(a_bar), 1.0)
-
-    col_bar = range_of(a_bar, s.tol, scale=na_bar)
-    col_a = range_of(s.a, s.tol, scale=na)
-    ker_bar = kernel_of(a_bar, s.tol, scale=na_bar)
-    ker_a = kernel_of(s.a, s.tol, scale=na)
+    _, col_a, ker_a = _norm_range_kernel(s.a, s.tol)
+    na_bar, col_bar, ker_bar = _norm_range_kernel(a_bar, s.tol)
     norm_one_ab = spectral_norm(eye - s.a @ b)
     norm_ba = spectral_norm(b @ s.a)
     thr_range = math.inf if norm_one_ab == 0 else 1.0 / norm_one_ab
@@ -548,7 +523,7 @@ def cor_lemas1(scenario: Scenario) -> ImplicationReport:
             updated = update_formula(b, s.delta_a, s.tol)
             direct = compute_l(a_bar, s.p, s.q, s.tol)
             dev = spectral_norm(updated - direct.b)
-            conclusion = dev <= _res_scale(spectral_norm(a_bar), spectral_norm(direct.b), s.tol)
+            conclusion = dev <= _res_scale(na_bar, spectral_norm(direct.b), s.tol)
         except NotExists:
             conclusion = False
     data = {"update_vs_direct": dev}
@@ -568,7 +543,7 @@ def equivalence_thm212(scenario: Scenario) -> EquivalenceReport:
     product identities. Requires 1 + b delta_a invertible.
     """
     s = scenario
-    base = compute_outer_pql(s.a, s.p, s.q, s.tol)
+    base = s.base
     if not base.flags["strict_pq"]:
         raise NotExists(
             "the base inverse is not strict for (p, q): "
@@ -585,7 +560,7 @@ def equivalence_thm212(scenario: Scenario) -> EquivalenceReport:
     scale = _res_scale(na_bar, spectral_norm(b), s.tol)
 
     w = update_formula(b, s.delta_a, s.tol)
-    w_class = classify_strict(a_bar, s.p, s.q, w, s.tol)
+    w_class = _classify(a_bar, s.p, s.q, w, s.tol, na_bar)
     cond1 = w_class.flags["outer_pql"] and w_class.flags["strict_pq"]
     resid1 = max(
         w_class.residuals["bab_b"],
@@ -784,7 +759,7 @@ def cor_12_variants(a, p, q, p_prime=None, q_prime=None, tol: Tolerances = DEFAU
     for moved, residual, rule in sides:
         if moved is not None:
             resid = spectral_norm(residual(moved.m))
-            if resid > tol.tol_eq * (1.0 + na) * (1.0 + spectral_norm(moved.m)):
+            if resid > tol.tol_eq * (1.0 + na) * (1.0 + moved.norm):
                 raise SideConditionViolated(f"{rule} fails by {resid:.3e}")
     base = compute_outer_pql(a, p, q, tol)
     if not base.flags["strict_12"]:

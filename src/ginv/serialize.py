@@ -122,27 +122,36 @@ def exact_matrix_to_json(m: ExactMatrix) -> dict:
     return {"rows": m.rows, "cols": m.cols, "exact": True, "data": data}
 
 
+def _exact_part(x, text) -> str:
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        return text(x)
+    raise InputError(f"exact entries must be rational strings or numbers, got {x!r}")
+
+
 def exact_matrix_from_json(d: dict) -> ExactMatrix:
+    """An exact matrix; each entry is a rational string such as "3/2", a JSON
+    number, or an [re, im] pair of those."""
     try:
         r, c = int(d["rows"]), int(d["cols"])
         data = d["data"]
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"malformed matrix object: {e}") from e
-    if len(data) != r * c:
-        raise InputError(f"matrix data length {len(data)} != {r}x{c}")
-    rows = []
-    for i in range(r):
-        row = []
-        for j in range(c):
-            entry = data[i * c + j]
-            if isinstance(entry, str):
-                row.append(entry)
-            elif isinstance(entry, (int, float)):
-                row.append(str(Fraction(entry)))
-            else:
-                row.append((str(entry[0]), str(entry[1])))
-        rows.append(row)
-    return ExactMatrix.from_strings(rows)
+    if not isinstance(data, (list, tuple)) or len(data) != r * c:
+        raise InputError(f"matrix data must be a list of {r}x{c} entries")
+
+    def entry(e):
+        if isinstance(e, (list, tuple)):
+            if len(e) != 2:
+                raise InputError(f"an exact [re, im] pair needs two parts, got {e!r}")
+            return tuple(_exact_part(x, str) for x in e)
+        return _exact_part(e, lambda x: str(Fraction(x)))
+
+    try:
+        return ExactMatrix.from_strings([[entry(data[i * c + j]) for j in range(c)] for i in range(r)])
+    except (ValueError, ZeroDivisionError, OverflowError) as e:
+        raise InputError(f"bad exact matrix entry: {e}") from e
 
 
 def subspace_to_json(s: Subspace) -> dict:

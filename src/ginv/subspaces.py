@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MismatchedAmbient
-from .linalg import DEFAULT_TOL, Tolerances, as_matrix, null_basis, orth_basis, rank, spectral_norm
+from .linalg import DEFAULT_TOL, Tolerances, _rank_from_sv, as_matrix, null_basis, orth_basis, rank, spectral_norm
 
 __all__ = [
     "Subspace",
@@ -50,8 +50,10 @@ class Subspace:
         if k > self.ambient_dim:
             raise ValueError("more basis vectors than ambient dimension")
         if k:
-            g = b.conj().T @ b
-            if spectral_norm(g - np.eye(k)) > 1e-8:
+            d = b.conj().T @ b - np.eye(k)
+            # The Frobenius norm bounds the spectral norm, so the SVD runs
+            # only for a basis that the cheap test cannot clear.
+            if np.linalg.norm(d) > 1e-8 and spectral_norm(d) > 1e-8:
                 raise ValueError("basis columns are not orthonormal")
 
     @property
@@ -99,6 +101,23 @@ def kernel_of(m, tol: Tolerances = DEFAULT_TOL, scale=None) -> Subspace:
     """Null space of m."""
     a = as_matrix(m)
     return Subspace(a.shape[1], null_basis(a, tol, scale))
+
+
+def _norm_range_kernel(m, tol: Tolerances = DEFAULT_TOL):
+    """(||m||, range_of(m), kernel_of(m)) from one full SVD.
+
+    The rank cutoff is the one range_of and kernel_of use with
+    scale = max(||m||, 1). The norm is the leading singular value of the full
+    decomposition, which may differ from spectral_norm(m) in the last bits.
+    """
+    a = as_matrix(m)
+    rows, cols = a.shape
+    if a.size == 0:
+        return 0.0, Subspace(rows, np.zeros((rows, 0), dtype=complex)), full_subspace(cols)
+    u, s, vh = np.linalg.svd(a)
+    nm = float(s[0])
+    r = _rank_from_sv(s, a.shape, tol, max(nm, 1.0))
+    return nm, Subspace(rows, u[:, :r]), Subspace(cols, vh[r:, :].conj().T)
 
 
 def orthocomplement(s: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:

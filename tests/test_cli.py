@@ -357,3 +357,24 @@ def test_bad_input_exits_two_without_traceback(tmp_path, capsys, monkeypatch, ar
     assert out == ""
     assert err.startswith("input error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [None, "x", [1], "1/0", True, float("inf"), [1, 2, 3], ["1", False]],
+    ids=["null", "not-a-number", "short-pair", "zero-denominator", "boolean", "infinite", "long-pair", "boolean-part"],
+)
+def test_compute_exact_rejects_bad_entries(tmp_path, capsys, entry):
+    diag = ["1", "0", "0", "0", "1", "0", "0", "0", "0"]
+    obj = {
+        "a": {"rows": 3, "cols": 3, "exact": True, "data": [entry] + diag[1:]},
+        "p": {"rows": 3, "cols": 3, "exact": True, "data": diag},
+        "q": {"rows": 3, "cols": 3, "exact": True, "data": ["0"] * 8 + ["1"]},
+    }
+    path = tmp_path / "bad_exact.json"
+    path.write_text(json.dumps(obj))  # json.dumps writes inf as the bare token Infinity
+    code, out, err = run(capsys, ["compute", "--exact", "--in", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:")
+    assert "Traceback" not in err
