@@ -16,6 +16,7 @@ independent routes (useful as cross-checks).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -81,11 +82,69 @@ class ExistenceReport:
     certificates: Optional[tuple] = None
 
 
-@dataclass(frozen=True)
 class GInvResult:
-    b: np.ndarray
-    flags: dict
-    residuals: dict
+    """The inverse b, with its defining residuals and the flags derived
+    from them (see classify_strict).
+
+    Most callers read only b, so residuals and flags are worked out on first
+    access, from the a, p and q that b was solved for (na is ||a|| when the
+    caller has it); those inputs must not be changed in place before then.
+    """
+
+    def __init__(self, b: np.ndarray, a: np.ndarray, p: Idempotent, q: Idempotent, tol: Tolerances, na=None):
+        self.b = b
+        self._a, self._p, self._q, self._tol = a, p, q, tol
+        if na is not None:
+            self.__dict__["_na"] = na
+
+    @cached_property
+    def _na(self) -> float:
+        return spectral_norm(self._a)
+
+    @cached_property
+    def _b_summary(self):
+        """(||b||, col b, ker b) from one SVD."""
+        return _norm_range_kernel(self.b, self._tol)
+
+    @cached_property
+    def _aba_a(self) -> float:
+        return spectral_norm(self._a @ self.b @ self._a - self._a)
+
+    @property
+    def _l_inverse(self) -> bool:
+        """flags["l_inverse"], without working out the other residuals."""
+        na, nb = self._na, self._b_summary[0]
+        return self._aba_a <= self._tol.tol_eq * (1.0 + na * na * nb)
+
+    @cached_property
+    def residuals(self) -> dict:
+        a, b, p, q = self._a, self.b, self._p, self._q
+        _, col_b, ker_b = self._b_summary
+        ba = b @ a
+        return {
+            "bab_b": spectral_norm(ba @ b - b),
+            "aba_a": self._aba_a,
+            "ba_p": spectral_norm(ba - p.m),
+            "one_ab_q": spectral_norm(np.eye(a.shape[0], dtype=complex) - a @ b - q.m),
+            "gap_range": gap(col_b, p.range).gap,
+            "gap_kernel": gap(ker_b, q.range).gap,
+        }
+
+    @cached_property
+    def flags(self) -> dict:
+        res = self.residuals
+        na, nb, e = self._na, self._b_summary[0], self._tol.tol_eq
+        outer = res["bab_b"] <= e * (1.0 + na * nb * nb) and res["gap_range"] <= 10 * e and res["gap_kernel"] <= 10 * e
+        strict_pq = res["ba_p"] <= e * (1.0 + na * nb + self._p.norm) and res["one_ab_q"] <= e * (
+            1.0 + na * nb + self._q.norm
+        )
+        l_inverse = self._l_inverse
+        return {
+            "outer_pql": outer,
+            "l_inverse": l_inverse,
+            "strict_pq": strict_pq,
+            "strict_12": strict_pq and l_inverse,
+        }
 
     def __repr__(self):
         on = [k for k, v in self.flags.items() if v]
@@ -103,13 +162,6 @@ class Witness:
 
 def _as_idempotent(x, tol: Tolerances) -> Idempotent:
     return x if isinstance(x, Idempotent) else idempotent_from_matrix(x, tol)
-
-
-def _check_inputs(a: np.ndarray, p: Idempotent, q: Idempotent) -> None:
-    if a.shape[0] != a.shape[1]:
-        raise DimMismatch("a must be square")
-    if p.n != a.shape[0] or q.n != a.shape[0]:
-        raise DimMismatch("idempotents must match the size of a")
 
 
 def _sigma_min(sv: np.ndarray, shape) -> float:
@@ -145,35 +197,50 @@ def _core_matrices(a, p: Idempotent, q: Idempotent, basis_seed=None):
 
 
 class _Existence(NamedTuple):
-    """The existence booleans and margin, plus what solving for b needs."""
+    """What the outer and the inner-outer existence tests share, plus what
+    solving for b needs; only their direct-sum tests differ (_direct_sum)."""
 
     trivial: bool
-    dsum: bool
     dims: bool
     smin: float
-    exists: bool
     na: float
+    col_a: Subspace
     u: np.ndarray
     m0: np.ndarray
     core: np.ndarray
     sv: np.ndarray  # singular values of core
 
 
-def _existence(a, p: Idempotent, q: Idempotent, tol: Tolerances, l_mode: bool) -> _Existence:
-    """Shared evaluation for the outer and inner-outer variants."""
+def _checked(a, p, q, tol: Tolerances):
+    """(a, p, q) coerced to a matrix and two idempotents of its size."""
+    a = as_matrix(a)
+    p = _as_idempotent(p, tol)
+    q = _as_idempotent(q, tol)
+    if a.shape[0] != a.shape[1]:
+        raise DimMismatch("a must be square")
+    if p.n != a.shape[0] or q.n != a.shape[0]:
+        raise DimMismatch("idempotents must match the size of a")
+    return a, p, q
+
+
+def _existence(a, p: Idempotent, q: Idempotent, tol: Tolerances) -> _Existence:
     n = a.shape[0]
     na, col_a, ker_a = _norm_range_kernel(a, tol)
     trivial = intersection_trivial(ker_a, p.range, tol)
-    if l_mode:
-        dsum = direct_sum_is_all(col_a, q.range, tol)
-    else:
-        dsum = direct_sum_is_all(map_subspace(a, p.range, tol), q.range, tol)
     dims = p.rank + q.rank == n
     u, m0, core = _core_matrices(a, p, q)
     sv = _singular_values(core)
-    smin = _sigma_min(sv, core.shape)
-    exists = trivial and dsum and dims and smin > tol.tol_inv * na
-    return _Existence(trivial, dsum, dims, smin, exists, na, u, m0, core, sv)
+    return _Existence(trivial, dims, _sigma_min(sv, core.shape), na, col_a, u, m0, core, sv)
+
+
+def _direct_sum(e: _Existence, a, p: Idempotent, q: Idempotent, tol: Tolerances, l_mode: bool) -> bool:
+    """col(a) + col(q) = C^n for the inner-outer variant, a col(p) + col(q)
+    = C^n for the outer one."""
+    return direct_sum_is_all(e.col_a if l_mode else map_subspace(a, p.range, tol), q.range, tol)
+
+
+def _exists(e: _Existence, dsum: bool, tol: Tolerances) -> bool:
+    return e.trivial and dsum and e.dims and e.smin > tol.tol_inv * e.na
 
 
 def _solve(u, m0, core, sv, tol: Tolerances) -> np.ndarray:
@@ -186,16 +253,15 @@ def _solve(u, m0, core, sv, tol: Tolerances) -> np.ndarray:
 
 
 def _existence_report(a, p, q, tol: Tolerances, l_mode: bool) -> ExistenceReport:
-    a = as_matrix(a)
-    p = _as_idempotent(p, tol)
-    q = _as_idempotent(q, tol)
-    _check_inputs(a, p, q)
-    e = _existence(a, p, q, tol, l_mode)
+    a, p, q = _checked(a, p, q, tol)
+    e = _existence(a, p, q, tol)
+    dsum = _direct_sum(e, a, p, q, tol, l_mode)
+    exists = _exists(e, dsum, tol)
     certs = None
-    if e.exists:
+    if exists:
         b = _solve(e.u, e.m0, e.core, e.sv, tol)
         certs = (b, b)
-    return ExistenceReport(e.trivial, e.dsum, e.dims, e.smin, e.exists, certs)
+    return ExistenceReport(e.trivial, dsum, e.dims, e.smin, exists, certs)
 
 
 def exists_outer_pql(a, p, q, tol: Tolerances = DEFAULT_TOL) -> ExistenceReport:
@@ -218,23 +284,25 @@ def compute_outer_pql(a, p, q, tol: Tolerances = DEFAULT_TOL, *, basis_seed=None
     they pass but the core is numerically singular. basis_seed rotates the
     internal orthonormal bases; the result must agree (b is unique).
     """
-    a = as_matrix(a)
-    p = _as_idempotent(p, tol)
-    q = _as_idempotent(q, tol)
-    _check_inputs(a, p, q)
-    e = _existence(a, p, q, tol, l_mode=False)
-    if not (e.trivial and e.dsum and e.dims):
+    a, p, q = _checked(a, p, q, tol)
+    return _outer(a, p, q, tol, _existence(a, p, q, tol), basis_seed)
+
+
+def _outer(a, p: Idempotent, q: Idempotent, tol: Tolerances, e: _Existence, basis_seed=None) -> GInvResult:
+    """compute_outer_pql on checked inputs, given their existence evaluation e."""
+    dsum = _direct_sum(e, a, p, q, tol, l_mode=False)
+    if not (e.trivial and dsum and e.dims):
         raise NotExists(
             "no outer inverse with the prescribed range and kernel: "
-            f"trivial_kernel_intersection={e.trivial}, direct_sum={e.dsum}, dims_compatible={e.dims}"
+            f"trivial_kernel_intersection={e.trivial}, direct_sum={dsum}, dims_compatible={e.dims}"
         )
-    if not e.exists:
+    if not _exists(e, dsum, tol):
         raise IllConditioned(f"core margin too small (sigma_min = {e.smin:.3e})")
     u, m0, core, sv = e.u, e.m0, e.core, e.sv
     if basis_seed is not None:
         u, m0, core = _core_matrices(a, p, q, basis_seed)
         sv = _singular_values(core)
-    return _classify(a, p, q, _solve(u, m0, core, sv, tol), tol, e.na)
+    return GInvResult(_solve(u, m0, core, sv, tol), a, p, q, tol, e.na)
 
 
 def exists_l(a, p, q, tol: Tolerances = DEFAULT_TOL) -> ExistenceReport:
@@ -248,26 +316,27 @@ def exists_l(a, p, q, tol: Tolerances = DEFAULT_TOL) -> ExistenceReport:
 
 def compute_l(a, p, q, tol: Tolerances = DEFAULT_TOL) -> GInvResult:
     """Compute the inverse and insist that a b a = a holds as well."""
-    a = as_matrix(a)
-    p = _as_idempotent(p, tol)
-    q = _as_idempotent(q, tol)
-    _check_inputs(a, p, q)
-    return _require_l(a, p, q, tol, lambda: compute_outer_pql(a, p, q, tol))
+    a, p, q = _checked(a, p, q, tol)
+    e = _existence(a, p, q, tol)
+    return _require_l(a, p, q, tol, lambda: _outer(a, p, q, tol, e), e)
 
 
-def _require_l(a, p, q, tol: Tolerances, outer) -> GInvResult:
+def _require_l(a, p, q, tol: Tolerances, outer, e: Optional[_Existence] = None) -> GInvResult:
     """compute_l's two tests: the inner-outer existence test, then a b a = a
-    on the outer inverse that outer() returns (called only after the first)."""
-    report = exists_l(a, p, q, tol)
-    if not report.exists:
+    on the outer inverse that outer() returns (called only after the first).
+    e is the existence evaluation of (a, p, q) when the caller has it."""
+    if e is None:
+        e = _existence(a, p, q, tol)
+    dsum = _direct_sum(e, a, p, q, tol, l_mode=True)
+    if not _exists(e, dsum, tol):
         raise NotExists(
             "no inner-outer inverse for these idempotents: "
-            f"trivial_kernel_intersection={report.trivial_kernel_intersection}, "
-            f"direct_sum={report.direct_sum}, dims_compatible={report.dims_compatible}, "
-            f"sigma_min_core={report.sigma_min_core:.3e}"
+            f"trivial_kernel_intersection={e.trivial}, "
+            f"direct_sum={dsum}, dims_compatible={e.dims}, "
+            f"sigma_min_core={e.smin:.3e}"
         )
     result = outer()
-    if not result.flags["l_inverse"]:
+    if not result._l_inverse:
         raise NotExists(f"a b a = a fails: residual {result.residuals['aba_a']:.3e}")
     return result
 
@@ -280,48 +349,11 @@ def classify_strict(a, p, q, b, tol: Tolerances = DEFAULT_TOL) -> GInvResult:
     1 - a b = q; strict_12 is both. Thresholds are relative to the norms
     of the factors entering each residual.
     """
-    a = as_matrix(a)
+    a, p, q = _checked(a, p, q, tol)
     b = as_matrix(b)
-    p = _as_idempotent(p, tol)
-    q = _as_idempotent(q, tol)
-    _check_inputs(a, p, q)
     if b.shape != a.shape:
         raise DimMismatch("b must have the same shape as a")
-    return _classify(a, p, q, b, tol, spectral_norm(a))
-
-
-def _classify(a, p: Idempotent, q: Idempotent, b, tol: Tolerances, na: float) -> GInvResult:
-    """classify_strict on checked inputs, given na = ||a||."""
-    n = a.shape[0]
-    eye = np.eye(n, dtype=complex)
-    nb, col_b, ker_b = _norm_range_kernel(b, tol)
-    ab = a @ b
-    ba = b @ a
-    residuals = {
-        "bab_b": spectral_norm(ba @ b - b),
-        "aba_a": spectral_norm(ab @ a - a),
-        "ba_p": spectral_norm(ba - p.m),
-        "one_ab_q": spectral_norm(eye - ab - q.m),
-        "gap_range": gap(col_b, p.range).gap,
-        "gap_kernel": gap(ker_b, q.range).gap,
-    }
-    e = tol.tol_eq
-    outer = (
-        residuals["bab_b"] <= e * (1.0 + na * nb * nb)
-        and residuals["gap_range"] <= 10 * e
-        and residuals["gap_kernel"] <= 10 * e
-    )
-    l_inverse = residuals["aba_a"] <= e * (1.0 + na * na * nb)
-    strict_pq = residuals["ba_p"] <= e * (1.0 + na * nb + p.norm) and residuals["one_ab_q"] <= e * (
-        1.0 + na * nb + q.norm
-    )
-    flags = {
-        "outer_pql": outer,
-        "l_inverse": l_inverse,
-        "strict_pq": strict_pq,
-        "strict_12": strict_pq and l_inverse,
-    }
-    return GInvResult(b=b, flags=flags, residuals=residuals)
+    return GInvResult(b, a, p, q, tol)
 
 
 def group_inverse(x, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -460,10 +492,7 @@ def exists_dual_check(a, p, q, tol: Tolerances = DEFAULT_TOL) -> bool:
     the rows of 1 - p must fill the space. Everything reduces to column
     spaces of adjoints; must agree with exists_outer_pql on every input.
     """
-    a = as_matrix(a)
-    p = _as_idempotent(p, tol)
-    q = _as_idempotent(q, tol)
-    _check_inputs(a, p, q)
+    a, p, q = _checked(a, p, q, tol)
     left_kernel_a = orthocomplement(_norm_range_kernel(a, tol)[1])
     rows_one_minus_q = orthocomplement(q.range)
     cond1 = intersection_trivial(left_kernel_a, rows_one_minus_q, tol)

@@ -26,12 +26,8 @@ from .idempotents import idempotent_from_matrix, oblique, perturb_idempotent, ra
 from .linalg import DEFAULT_TOL, Tolerances, spectral_norm, try_inverse
 from .perturbation import (
     Scenario,
+    _BOUND_CHECKS,
     _thresholds,
-    bound_thm34,
-    bound_thm36,
-    bound_thm38,
-    bound_thm39,
-    cor_12_variants,
     cor_lemas1,
     equivalence_cor28,
     equivalence_thm24,
@@ -327,8 +323,9 @@ def gen_scenario(config: EnsembleConfig, index: int, theorem: Optional[str] = No
                 last = "base inverse vanished under tolerance"
                 continue
         b = base.b
+        na = spectral_norm(a)
         nb = spectral_norm(b)
-        kap = spectral_norm(a) * nb
+        kap = na * nb
 
         p_prime = None
         q_prime = None
@@ -346,7 +343,7 @@ def gen_scenario(config: EnsembleConfig, index: int, theorem: Optional[str] = No
                     if d is None:
                         last = "degenerate perturbation direction"
                         continue
-                    delta = d * min(mag * max(spectral_norm(a), 1.0), cap_d / max(nb, 1e-12))
+                    delta = d * min(mag * max(na, 1.0), cap_d / max(nb, 1e-12))
             else:
                 d = _make_delta(stream, cls, a, b, p, q, mag)
                 if d is None:
@@ -365,7 +362,8 @@ def gen_scenario(config: EnsembleConfig, index: int, theorem: Optional[str] = No
                 last = "shift made the update factor singular"
                 continue
         scenario = Scenario(a, delta, p, q, p_prime=p_prime, q_prime=q_prime, tol=tol)
-        scenario.__dict__["base"] = base  # prime Scenario.base with the inverse solved above
+        # prime the scenario's cached base inverse and norms with those above
+        scenario.__dict__.update(base=base, norm_a=na, norm_b=nb)
         return scenario
     raise GenerationFailed(f"no scenario after {_RETRIES} attempts: {last}")
 
@@ -374,15 +372,8 @@ def gen_scenario(config: EnsembleConfig, index: int, theorem: Optional[str] = No
 # checkers
 
 
-def _need(s: Scenario, name: str):
-    v = getattr(s, name)
-    if v is None:
-        raise InputError(f"this check needs the scenario field {name}")
-    return v
-
-
 def _check_selftest(s):
-    r = bound_thm34(s.a, s.p, s.q, _need(s, "p_prime"), s.tol)
+    r = _BOUND_CHECKS["thm3.4"](s)
     if not r.hypothesis_satisfied:
         return replace(r, theorem="selftest-bad-bound")
     bad_rhs = r.rhs / 1e6
@@ -392,7 +383,8 @@ def _check_selftest(s):
 
 # Each checker returns a report that knows its kind and verdict. The lambdas
 # look the checkers up by name at call time, so a wrapper installed on this
-# module's names (a profiler, a tracer) sees every call.
+# module's names (a profiler, a tracer) sees every call. The bound checkers
+# work on the scenario itself, so they start from its base inverse.
 CHECKS = {
     "thm2.4": lambda s: equivalence_thm24(s),
     "lemma2.6": lambda s: lemma26_f(s)[1],
@@ -402,15 +394,7 @@ CHECKS = {
     "lemma2.10": lambda s: gap_sufficient_lemma210(s),
     "lemas1": lambda s: cor_lemas1(s),
     "thm2.12": lambda s: equivalence_thm212(s),
-    "thm3.4": lambda s: bound_thm34(s.a, s.p, s.q, _need(s, "p_prime"), s.tol),
-    "thm3.6": lambda s: bound_thm36(s.a, s.p, s.q, _need(s, "q_prime"), s.tol),
-    "thm3.8": lambda s: bound_thm38(s.a, s.p, s.q, _need(s, "p_prime"), _need(s, "q_prime"), s.tol),
-    "thm3.9": lambda s: bound_thm39(s.a, s.delta_a, s.p, s.q, _need(s, "p_prime"), _need(s, "q_prime"), s.tol),
-    "cor3.11": lambda s: cor_12_variants(s.a, s.p, s.q, p_prime=_need(s, "p_prime"), tol=s.tol),
-    "cor3.12": lambda s: cor_12_variants(s.a, s.p, s.q, q_prime=_need(s, "q_prime"), tol=s.tol),
-    "cor3.13": lambda s: cor_12_variants(
-        s.a, s.p, s.q, p_prime=_need(s, "p_prime"), q_prime=_need(s, "q_prime"), tol=s.tol
-    ),
+    **_BOUND_CHECKS,
     "selftest-bad-bound": _check_selftest,
 }
 

@@ -8,6 +8,7 @@ to recover them from a noisy difference like 1 - q.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
@@ -20,6 +21,11 @@ from .randomstream import RandomStream
 from .subspaces import Subspace, _norm_range_kernel, orthocomplement, subspace_from_columns, zero_subspace
 
 _EPS = np.finfo(float).eps
+# The bracketing angles of perturb_idempotent: _THETA0 * 2^k for k up to
+# _GRID_STEPS, the first k whose angle exceeds _THETA_STOP.
+_THETA0 = 1e-4
+_THETA_STOP = 64.0
+_GRID_STEPS = math.floor(math.log2(_THETA_STOP / _THETA0)) + 1
 
 __all__ = [
     "Idempotent",
@@ -193,10 +199,11 @@ def perturb_idempotent(
     """A nearby idempotent p' with ||p - p'|| at most `magnitude`.
 
     The range and kernel bases are rotated by random unitary rotations
-    (Cayley form of a skew-hermitian direction). The angle is bracketed by
-    doubling from 1e-4 and then found by root-finding (Illinois false
-    position, with a midpoint step whenever the secant leaves the bracket or
-    the far end is not complementary), so the achieved distance lands close
+    (Cayley form of a skew-hermitian direction). The angle is bracketed on
+    the grid 1e-4 * 2^k (a first-order jump from 1e-4, then doubling) and
+    then found by root-finding (Illinois false position, with a midpoint
+    step whenever the secant leaves the bracket or the far end is not
+    complementary), so the achieved distance lands close
     to, and never above, the requested magnitude. p' is assembled by the
     formula of `oblique`, so it is exactly idempotent up to that
     construction's conditioning.
@@ -233,11 +240,19 @@ def perturb_idempotent(
         ker = Subspace(n, c.sb) if moves_s else p.kernel
         return Idempotent(c.m, rng, ker)
 
-    # Grow the angle until the requested distance is bracketed or the pair
-    # stops being complementary.
+    # Grow the angle along the grid _THETA0 * 2^k until the requested
+    # distance is bracketed or the pair stops being complementary. The
+    # distance is nearly linear in a small angle, so the first step jumps
+    # to the last grid point that this predicts below the request, but not
+    # past the end of the grid: a request out of reach then ends on the same
+    # point whatever its size.
     lo = _Candidate(0.0, None, None, None, 0.0)
-    hi = build(1e-4)
-    while hi.m is not None and hi.dist < magnitude and hi.theta <= 64.0:
+    hi = build(_THETA0)
+    if hi.m is not None and 0.0 < hi.dist < magnitude:
+        k = min(math.floor(math.log2(magnitude / hi.dist)), _GRID_STEPS)
+        if k >= 1:
+            lo, hi = hi, build(_THETA0 * 2.0**k)
+    while hi.m is not None and hi.dist < magnitude and hi.theta <= _THETA_STOP:
         lo, hi = hi, build(2.0 * hi.theta)
 
     if hi.m is not None and hi.dist <= magnitude:

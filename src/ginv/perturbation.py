@@ -32,7 +32,6 @@ from .errors import DimMismatch, InputError, NoGroupInverse, NotExists, Represen
 from .gen_inverse import (
     GInvResult,
     _as_idempotent,
-    _classify,
     _require_l,
     build_witness,
     compute_l,
@@ -76,8 +75,9 @@ NAN = float("nan")
 class Scenario:
     """One perturbation instance: a, its shift, and the prescribed idempotents.
 
-    base, the inverse for (a, p, q), is computed on first use unless the
-    generator that built the scenario has stored the one it already solved.
+    base, the inverse for (a, p, q), and the norms of a and of base.b are
+    computed on first use unless the generator that built the scenario has
+    stored the ones it already has.
     """
 
     a: np.ndarray
@@ -117,6 +117,19 @@ class Scenario:
     @cached_property
     def base(self) -> GInvResult:
         return compute_outer_pql(self.a, self.p, self.q, self.tol)
+
+    @cached_property
+    def norm_a(self) -> float:
+        return spectral_norm(self.a)
+
+    @cached_property
+    def norm_b(self) -> float:
+        """The spectral norm of the base inverse."""
+        return spectral_norm(self.base.b)
+
+    @property
+    def kappa(self) -> float:
+        return self.norm_a * self.norm_b
 
 
 @dataclass(frozen=True)
@@ -344,7 +357,7 @@ def equivalence_thm27(scenario: Scenario) -> EquivalenceReport:
     a_bar = s.a_bar
     na_bar, col_bar, _ = _norm_range_kernel(a_bar, s.tol)
     w = update_formula(b, s.delta_a, s.tol)
-    w_class = _classify(a_bar, s.p, s.q, w, s.tol, na_bar)
+    w_class = GInvResult(w, a_bar, s.p, s.q, s.tol, na_bar)
     cond1 = w_class.flags["outer_pql"] and w_class.flags["l_inverse"]
     resid1 = max(
         w_class.residuals["bab_b"],
@@ -353,7 +366,7 @@ def equivalence_thm27(scenario: Scenario) -> EquivalenceReport:
         w_class.residuals["gap_kernel"],
     )
     stable = intersection_trivial(col_bar, s.q.range, s.tol)
-    scale = _res_scale(na_bar, spectral_norm(b), s.tol)
+    scale = _res_scale(na_bar, s.norm_b, s.tol)
     inv_left = try_inverse(eye + b @ s.delta_a, s.tol)
     inv_right = try_inverse(eye + s.delta_a @ b, s.tol)
     if inv_left is None or inv_right is None:
@@ -557,10 +570,10 @@ def equivalence_thm212(scenario: Scenario) -> EquivalenceReport:
     if inv_left is None:
         raise NotExists("1 + b delta_a is singular")
     na_bar = spectral_norm(a_bar)
-    scale = _res_scale(na_bar, spectral_norm(b), s.tol)
+    scale = _res_scale(na_bar, s.norm_b, s.tol)
 
     w = update_formula(b, s.delta_a, s.tol)
-    w_class = _classify(a_bar, s.p, s.q, w, s.tol, na_bar)
+    w_class = GInvResult(w, a_bar, s.p, s.q, s.tol, na_bar)
     cond1 = w_class.flags["outer_pql"] and w_class.flags["strict_pq"]
     resid1 = max(
         w_class.residuals["bab_b"],
@@ -601,46 +614,49 @@ def _thresholds(kap: float, moves_p: bool, scale: float = 1.0):
     )
 
 
-def _bound(theorem, a, p, q, p_new, q_new, tol, delta_a=None, base=None, extra=None) -> BoundReport:
+def _need(s: Scenario, name: str):
+    v = getattr(s, name)
+    if v is None:
+        raise InputError(f"this check needs the scenario field {name}")
+    return v
+
+
+def _bound(theorem, s: Scenario, moves_p: bool, moves_q: bool, moves_a: bool = False, extra=None) -> BoundReport:
     """The skeleton every quantitative bound shares.
 
-    p_new and q_new are the moved idempotents (None for one that stays).
-    Without delta_a the bound is on the relative change of the inverse; with
-    delta_a the matrix moves too and it is on the absolute change. The norm
-    bound for the new inverse goes to aux. base is the inverse for (a, p, q)
-    when the caller has it already. When the new inverse exists,
-    extra(aux, a, b, p, q, q_new, new, tol) adds the theorem's own
+    moves_p and moves_q say which idempotents move to the scenario's p_prime
+    and q_prime. Unless moves_a, the bound is on the relative change of the
+    inverse; with moves_a the matrix moves by delta_a too and it is on the
+    absolute change. The norm bound for the new inverse goes to aux. When the
+    new inverse exists, extra(aux, s, q_new, new) adds the theorem's own
     diagnostics to aux and says whether its own part of the statement held.
     """
-    tol = tol or DEFAULT_TOL
-    a = as_matrix(a)
-    p, q, p_new, q_new = (None if x is None else _as_idempotent(x, tol) for x in (p, q, p_new, q_new))
-    if base is None:
-        base = compute_outer_pql(a, p, q, tol)
-    b = base.b
-    nb = spectral_norm(b)
-    kap = spectral_norm(a) * nb
-    n = a.shape[0]
-    thr_p, thr_q, thr_d = _thresholds(kap, p_new is not None)
+    p_new = _need(s, "p_prime") if moves_p else None
+    q_new = _need(s, "q_prime") if moves_q else None
+    tol = s.tol
+    b = s.base.b
+    nb = s.norm_b
+    kap = s.kappa
+    thr_p, thr_q, thr_d = _thresholds(kap, moves_p)
     aux = {}
     hyp = True
     dp = dq = 0.0
-    if p_new is not None:
-        dp = spectral_norm(p_new.m - p.m)
+    if moves_p:
+        dp = spectral_norm(p_new.m - s.p.m)
         aux.update(dp=dp, threshold_dp=thr_p)
         hyp = dp < thr_p - tol.tol_eq
-    if q_new is not None:
-        dq = spectral_norm(q_new.m - q.m)
+    if moves_q:
+        dq = spectral_norm(q_new.m - s.q.m)
         aux.update(dq=dq, threshold_dq=thr_q)
         hyp = hyp and dq < thr_q - tol.tol_eq
-    if delta_a is not None:
-        nd = spectral_norm(delta_a)
+    if moves_a:
+        nd = spectral_norm(s.delta_a)
         aux.update(b_norm_times_delta=nb * nd, threshold_delta=thr_d)
         hyp = hyp and nb * nd < thr_d - tol.tol_eq
     if not hyp:
-        return BoundReport(theorem, n, kap, False, NAN, NAN, NAN, True, aux)
+        return BoundReport(theorem, s.n, kap, False, NAN, NAN, NAN, True, aux)
     denom = 1.0 - (1.0 + kap) * dp - kap * dq
-    if delta_a is None:
+    if not moves_a:
         rhs = (1.0 + kap) * (dp + dq) / denom
         norm_rhs = (1.0 + dq) * nb / denom
     else:
@@ -650,28 +666,30 @@ def _bound(theorem, a, p, q, p_new, q_new, tol, delta_a=None, base=None, extra=N
         else:
             rhs = (nb / denom) * ((1.0 + kap) * (dp + dq) + (1.0 + dq) ** 2 * nd * nb / denom_full)
             norm_rhs = (1.0 + dq) * nb / denom_full
-    a_new = a if delta_a is None else a + delta_a
     try:
-        new = compute_outer_pql(a_new, p if p_new is None else p_new, q if q_new is None else q_new, tol)
+        new = compute_outer_pql(
+            s.a_bar if moves_a else s.a, s.p if p_new is None else p_new, s.q if q_new is None else q_new, tol
+        )
     except NotExists:
         aux["exists"] = 0.0
-        return BoundReport(theorem, n, kap, True, math.inf, rhs, -math.inf, False, aux)
+        return BoundReport(theorem, s.n, kap, True, math.inf, rhs, -math.inf, False, aux)
     aux["exists"] = 1.0
     lhs = spectral_norm(new.b - b)
-    if delta_a is None:  # the change relative to ||b||
+    if not moves_a:  # the change relative to ||b||
         lhs = lhs / nb if nb else (0.0 if lhs == 0.0 else math.inf)
     norm_lhs = spectral_norm(new.b)
     aux.update(norm_lhs=norm_lhs, norm_rhs=norm_rhs)
     holds = lhs <= rhs + tol.tol_eq and norm_lhs <= norm_rhs + tol.tol_eq
-    if extra is not None and not extra(aux, a, b, p, q, q_new, new, tol):
+    if extra is not None and not extra(aux, s, q_new, new):
         holds = False
-    return BoundReport(theorem, n, kap, True, lhs, rhs, rhs - lhs, holds, aux)
+    return BoundReport(theorem, s.n, kap, True, lhs, rhs, rhs - lhs, holds, aux)
 
 
-def _witness_representations(aux, a, b, p, q, q_prime, new, tol) -> bool:
+def _witness_representations(aux, s: Scenario, q_prime, new) -> bool:
     """The witness representations of the new inverse when the kernel side
     moves; their deviations go to aux and never gate the bound."""
-    eye = np.eye(a.shape[0], dtype=complex)
+    a, b, p, q, tol = s.a, s.base.b, s.p, s.q, s.tol
+    eye = np.eye(s.n, dtype=complex)
 
     def represent(v, w):
         return b + b @ one_five_inverse(a @ v, tol) @ a @ (v - w) @ (eye - a @ b)
@@ -684,7 +702,7 @@ def _witness_representations(aux, a, b, p, q, q_prime, new, tol) -> bool:
         aux["representation_deviation"] = math.inf
     # The literal reading of the alternative witness convention needs
     # rank q' + rank q = n, which generically fails; report, don't gate.
-    stmt_feasible = q_prime.rank + q.rank == a.shape[0]
+    stmt_feasible = q_prime.rank + q.rank == s.n
     aux["statement_witness_feasible"] = 1.0 if stmt_feasible else 0.0
     if stmt_feasible:
         try:
@@ -695,6 +713,60 @@ def _witness_representations(aux, a, b, p, q, q_prime, new, tol) -> bool:
     return True
 
 
+def _cor_12(s: Scenario, moves_p: bool, moves_q: bool) -> BoundReport:
+    """cor_12_variants on a scenario (see there)."""
+    a, tol = s.a, s.tol
+    sides = (
+        (moves_p, "p_prime", lambda m: a @ m - a, "a p' = a"),
+        (moves_q, "q_prime", lambda m: m @ a, "(1 - q') a = a"),
+    )
+    for moves, name, residual, rule in sides:
+        if moves:
+            moved = _need(s, name)
+            resid = spectral_norm(residual(moved.m))
+            if resid > tol.tol_eq * (1.0 + s.norm_a) * (1.0 + moved.norm):
+                raise SideConditionViolated(f"{rule} fails by {resid:.3e}")
+    if not s.base.flags["strict_12"]:
+        raise NotExists(
+            "the base inverse is not a strict two-sided inverse for (p, q); "
+            "these variants need b a = p and 1 - a b = q exactly"
+        )
+
+    def strict_new(aux, s, q_new, new):
+        strict_ok = new.flags["strict_12"]
+        aux["new_inverse_strict"] = 1.0 if strict_ok else 0.0
+        if not moves_p:
+            _witness_representations(aux, s, q_new, new)
+            b = s.base.b
+            try:
+                rep = b + b @ group_inverse(a @ new.b, tol) @ a @ (new.b - b) @ s.q.m
+                aux["group_rep_deviation"] = spectral_norm(rep - new.b)
+            except (NoGroupInverse, np.linalg.LinAlgError):
+                aux["group_rep_deviation"] = math.inf
+        return strict_ok
+
+    label = "cor3.11" if not moves_q else "cor3.12" if not moves_p else "cor3.13"
+    return _bound(label, s, moves_p, moves_q, extra=strict_new)
+
+
+# The bound checkers on a scenario, by check id; the public functions below
+# build a scenario from their arguments and call these.
+_BOUND_CHECKS = {
+    "thm3.4": lambda s: _bound("thm3.4", s, True, False),
+    "thm3.6": lambda s: _bound("thm3.6", s, False, True, extra=_witness_representations),
+    "thm3.8": lambda s: _bound("thm3.8", s, True, True),
+    "thm3.9": lambda s: _bound("thm3.9", s, True, True, moves_a=True),
+    "cor3.11": lambda s: _cor_12(s, True, False),
+    "cor3.12": lambda s: _cor_12(s, False, True),
+    "cor3.13": lambda s: _cor_12(s, True, True),
+}
+
+
+def _scenario(a, p, q, tol, delta_a=None, **moved) -> Scenario:
+    a = as_matrix(a)
+    return Scenario(a, np.zeros_like(a) if delta_a is None else delta_a, p, q, tol=tol or DEFAULT_TOL, **moved)
+
+
 def bound_thm34(a, p, q, p_prime, tol: Tolerances = DEFAULT_TOL) -> BoundReport:
     """Moving the range idempotent: certified relative-change bound.
 
@@ -703,7 +775,7 @@ def bound_thm34(a, p, q, p_prime, tol: Tolerances = DEFAULT_TOL) -> BoundReport:
     (1+kappa) d / (1 - (1+kappa) d), and its norm is at most
     ||b|| / (1 - (1+kappa) d).
     """
-    return _bound("thm3.4", a, p, q, p_prime, None, tol)
+    return _BOUND_CHECKS["thm3.4"](_scenario(a, p, q, tol, p_prime=p_prime))
 
 
 def bound_thm36(a, p, q, q_prime, tol: Tolerances = DEFAULT_TOL) -> BoundReport:
@@ -717,12 +789,12 @@ def bound_thm36(a, p, q, q_prime, tol: Tolerances = DEFAULT_TOL) -> BoundReport:
     on (q', q) is feasible only when rank q' + rank q = n and is reported
     as a separate diagnostic.
     """
-    return _bound("thm3.6", a, p, q, None, q_prime, tol, extra=_witness_representations)
+    return _BOUND_CHECKS["thm3.6"](_scenario(a, p, q, tol, q_prime=q_prime))
 
 
 def bound_thm38(a, p, q, p_prime, q_prime, tol: Tolerances = DEFAULT_TOL) -> BoundReport:
     """Moving both idempotents: combined certified bound."""
-    return _bound("thm3.8", a, p, q, p_prime, q_prime, tol)
+    return _BOUND_CHECKS["thm3.8"](_scenario(a, p, q, tol, p_prime=p_prime, q_prime=q_prime))
 
 
 def bound_thm39(a, delta_a, p, q, p_prime, q_prime, tol: Tolerances = DEFAULT_TOL) -> BoundReport:
@@ -733,11 +805,7 @@ def bound_thm39(a, delta_a, p, q, p_prime, q_prime, tol: Tolerances = DEFAULT_TO
     inequality is the absolute difference bound; the norm bound for the new
     inverse sits in aux.
     """
-    a = as_matrix(a)
-    delta_a = as_matrix(delta_a)
-    if delta_a.shape != a.shape:
-        raise DimMismatch("delta_a must match a")
-    return _bound("thm3.9", a, p, q, p_prime, q_prime, tol, delta_a=delta_a)
+    return _BOUND_CHECKS["thm3.9"](_scenario(a, p, q, tol, delta_a, p_prime=p_prime, q_prime=q_prime))
 
 
 def cor_12_variants(a, p, q, p_prime=None, q_prime=None, tol: Tolerances = DEFAULT_TOL) -> BoundReport:
@@ -750,35 +818,7 @@ def cor_12_variants(a, p, q, p_prime=None, q_prime=None, tol: Tolerances = DEFAU
     representation b + b (a v)^# a (v - b) q with v the new inverse is
     evaluated into aux.
     """
-    a = as_matrix(a)
     if p_prime is None and q_prime is None:
         raise InputError("one of p_prime, q_prime is required")
-    p, q, p_prime, q_prime = (None if x is None else _as_idempotent(x, tol) for x in (p, q, p_prime, q_prime))
-    na = spectral_norm(a)
-    sides = ((p_prime, lambda m: a @ m - a, "a p' = a"), (q_prime, lambda m: m @ a, "(1 - q') a = a"))
-    for moved, residual, rule in sides:
-        if moved is not None:
-            resid = spectral_norm(residual(moved.m))
-            if resid > tol.tol_eq * (1.0 + na) * (1.0 + moved.norm):
-                raise SideConditionViolated(f"{rule} fails by {resid:.3e}")
-    base = compute_outer_pql(a, p, q, tol)
-    if not base.flags["strict_12"]:
-        raise NotExists(
-            "the base inverse is not a strict two-sided inverse for (p, q); "
-            "these variants need b a = p and 1 - a b = q exactly"
-        )
-
-    def strict_new(aux, a, b, p, q, q_new, new, tol):
-        strict_ok = new.flags["strict_12"]
-        aux["new_inverse_strict"] = 1.0 if strict_ok else 0.0
-        if p_prime is None:
-            _witness_representations(aux, a, b, p, q, q_new, new, tol)
-            try:
-                rep = b + b @ group_inverse(a @ new.b, tol) @ a @ (new.b - b) @ q.m
-                aux["group_rep_deviation"] = spectral_norm(rep - new.b)
-            except (NoGroupInverse, np.linalg.LinAlgError):
-                aux["group_rep_deviation"] = math.inf
-        return strict_ok
-
-    label = "cor3.11" if q_prime is None else "cor3.12" if p_prime is None else "cor3.13"
-    return _bound(label, a, p, q, p_prime, q_prime, tol, base=base, extra=strict_new)
+    s = _scenario(a, p, q, tol, p_prime=p_prime, q_prime=q_prime)
+    return _cor_12(s, p_prime is not None, q_prime is not None)

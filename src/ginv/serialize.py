@@ -18,7 +18,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import InputError
+from .errors import DimMismatch, InputError
 from .exact import ExactMatrix, ExactScalar
 from .idempotents import Idempotent, idempotent_from_matrix
 from .linalg import DEFAULT_TOL, Tolerances, as_matrix
@@ -93,22 +93,35 @@ def _is_real_type(t) -> bool:
     return issubclass(t, numbers.Real) and not issubclass(t, (bool, np.bool_))
 
 
-def matrix_from_json(d: dict) -> np.ndarray:
-    """A complex matrix; each entry is a JSON number or an [re, im] pair of them."""
+def _matrix_fields(d) -> tuple:
+    """(rows, cols, data) of a matrix object, with rows and cols
+    non-negative integers and data a list of rows * cols entries."""
+    if not isinstance(d, dict):
+        raise InputError(f"a matrix must be a JSON object, got {type(d).__name__}")
     try:
-        r, c = int(d["rows"]), int(d["cols"])
-        data = d["data"]
-    except (KeyError, TypeError, ValueError) as e:
-        raise InputError(f"malformed matrix object: {e}") from e
-    if d.get("exact"):
-        return exact_matrix_from_json(d).to_complex()
+        r, c, data = d["rows"], d["cols"], d["data"]
+    except KeyError as e:
+        raise InputError(f"malformed matrix object: missing {e}") from e
+    if not all(isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in (r, c)):
+        raise InputError(f"matrix rows and cols must be non-negative integers, got {r!r} and {c!r}")
     if not isinstance(data, (list, tuple)) or len(data) != r * c:
         raise InputError(f"matrix data must be a list of {r}x{c} entries")
+    return r, c, data
+
+
+def matrix_from_json(d: dict) -> np.ndarray:
+    """A complex matrix; each entry is a JSON number or an [re, im] pair of them."""
+    r, c, data = _matrix_fields(d)
+    if d.get("exact"):
+        return exact_matrix_from_json(d).to_complex()
     pairs = [e if isinstance(e, (list, tuple)) else (e, 0.0) for e in data]
     # Checking the distinct types, not every entry, keeps large matrices cheap.
     if any(len(e) != 2 for e in pairs) or not all(map(_is_real_type, {type(x) for e in pairs for x in e})):
         raise InputError("matrix entries must be numbers or [re, im] pairs of numbers")
-    m = np.array(pairs, dtype=float).view(complex).reshape(r, c)
+    try:
+        m = np.array(pairs, dtype=float).view(complex).reshape(r, c)
+    except (ValueError, OverflowError) as e:  # a number beyond double range, or a shape numpy cannot hold
+        raise InputError(f"bad matrix: {e}") from e
     if not np.isfinite(m).all():
         raise InputError("matrix entries must be finite")
     return m
@@ -122,31 +135,32 @@ def exact_matrix_to_json(m: ExactMatrix) -> dict:
     return {"rows": m.rows, "cols": m.cols, "exact": True, "data": data}
 
 
-def _exact_part(x, text) -> str:
+def _exact_part(x) -> str:
+    """A rational string; a JSON number stands for its exact binary value."""
     if isinstance(x, str):
         return x
     if isinstance(x, (int, float)) and not isinstance(x, bool):
-        return text(x)
+        return str(Fraction(x))
     raise InputError(f"exact entries must be rational strings or numbers, got {x!r}")
 
 
 def exact_matrix_from_json(d: dict) -> ExactMatrix:
     """An exact matrix; each entry is a rational string such as "3/2", a JSON
-    number, or an [re, im] pair of those."""
-    try:
-        r, c = int(d["rows"]), int(d["cols"])
-        data = d["data"]
-    except (KeyError, TypeError, ValueError) as e:
-        raise InputError(f"malformed matrix object: {e}") from e
-    if not isinstance(data, (list, tuple)) or len(data) != r * c:
-        raise InputError(f"matrix data must be a list of {r}x{c} entries")
+    number, or an [re, im] pair of those. A number means the double it
+    parses to, so 0.1 is 3602879701896397/36028797018963968, bare or in a
+    pair; write "1/10" for one tenth."""
+    r, c, data = _matrix_fields(d)
+    if not data and r + c:
+        # ExactMatrix keeps no shape without entries, and an r x 0 list of
+        # rows would take memory in r.
+        raise InputError(f"an exact matrix with no entries must be 0x0, got {r}x{c}")
 
     def entry(e):
         if isinstance(e, (list, tuple)):
             if len(e) != 2:
                 raise InputError(f"an exact [re, im] pair needs two parts, got {e!r}")
-            return tuple(_exact_part(x, str) for x in e)
-        return _exact_part(e, lambda x: str(Fraction(x)))
+            return tuple(_exact_part(x) for x in e)
+        return _exact_part(e)
 
     try:
         return ExactMatrix.from_strings([[entry(data[i * c + j]) for j in range(c)] for i in range(r)])
@@ -181,6 +195,8 @@ def tolerances_to_json(t: Tolerances) -> dict:
 
 
 def tolerances_from_json(d: dict) -> Tolerances:
+    if not isinstance(d, dict):
+        raise InputError(f"tolerances must be a JSON object, got {type(d).__name__}")
     return Tolerances(
         tol_rank=float(d.get("tol_rank", DEFAULT_TOL.tol_rank)),
         tol_eq=float(d.get("tol_eq", DEFAULT_TOL.tol_eq)),
@@ -204,6 +220,8 @@ def scenario_to_json(s) -> dict:
 def scenario_from_json(d: dict, tol: Tolerances | None = None):
     from .perturbation import Scenario
 
+    if not isinstance(d, dict):
+        raise InputError(f"a scenario must be a JSON object, got {type(d).__name__}")
     try:
         t = tol or (tolerances_from_json(d["tolerances"]) if "tolerances" in d else DEFAULT_TOL)
         a = matrix_from_json(d["a"])
@@ -223,7 +241,7 @@ def scenario_from_json(d: dict, tol: Tolerances | None = None):
         )
     except KeyError as e:
         raise InputError(f"scenario object is missing field {e}") from e
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError, DimMismatch) as e:
         raise InputError(f"malformed scenario: {e}") from e
 
 

@@ -324,3 +324,13 @@ def test_report_to_json_encodes_every_kind():
     assert dumps(report_to_json(eq)) == dumps(equivalence_report_to_json(eq))
     assert dumps(report_to_json(imp)) == dumps(implication_report_to_json(imp))
     assert dumps(report_to_json(bnd)) == dumps(bound_report_to_json(bnd))
+
+
+def test_exact_numbers_read_by_one_rule_bare_or_paired():
+    # A number means the double it parses to, inside a pair as well as bare.
+    d = {"rows": 1, "cols": 4, "data": [0.1, [0.1, 0], [0.1, -2.5], "1/10"]}
+    m = exact_matrix_from_json(d)
+    bare, paired, complex_entry, text = (m.entry(0, j).as_strings() for j in range(4))
+    assert bare == paired == ("3602879701896397/36028797018963968", "0")
+    assert complex_entry == ("3602879701896397/36028797018963968", "-5/2")
+    assert text == ("1/10", "0")

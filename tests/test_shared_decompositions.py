@@ -1,6 +1,7 @@
 """Each matrix is decomposed once: the one-SVD summary, the Gram-check fast
-path, the SVD budget of the solver, and scenarios that carry their base
-inverse."""
+path, the SVD budget of the solver, scenarios that carry their base inverse,
+bound checks that start from the scenario, and a classification that is
+worked out only when it is read."""
 
 from dataclasses import replace
 
@@ -11,16 +12,25 @@ from ginv import (
     CHECKS,
     EnsembleConfig,
     RandomStream,
+    bound_thm34,
+    bound_thm36,
+    bound_thm38,
+    bound_thm39,
+    classify_strict,
+    compute_l,
     compute_outer_pql,
+    cor_12_variants,
     exists_outer_pql,
     gen_scenario,
     idempotent_from_matrix,
     random_idempotent,
     run_check,
 )
-from ginv.linalg import spectral_norm
+from ginv.linalg import DEFAULT_TOL, spectral_norm
 from ginv.serialize import dumps, report_to_json, scenario_from_json, scenario_to_json
 from ginv.subspaces import Subspace, _norm_range_kernel, gap, kernel_of, range_of
+
+from conftest import draw_solvable
 
 EPS = np.finfo(float).eps
 
@@ -148,3 +158,93 @@ def test_decoded_scenario_solves_its_base_on_first_use(theorem):
     again = scenario_from_json(scenario_to_json(decoded))
     assert _report_text(theorem, again) == text
     np.testing.assert_array_equal(decoded.base.b, compute_outer_pql(decoded.a, decoded.p, decoded.q, decoded.tol).b)
+
+
+def _eager_classification(a, p, q, b, tol):
+    """classify_strict as it was first written, all at once: the reference
+    for the classification that is worked out on first access."""
+    n = a.shape[0]
+    eye = np.eye(n, dtype=complex)
+    na = spectral_norm(a)
+    nb, col_b, ker_b = _norm_range_kernel(b, tol)
+    ab = a @ b
+    ba = b @ a
+    residuals = {
+        "bab_b": spectral_norm(ba @ b - b),
+        "aba_a": spectral_norm(ab @ a - a),
+        "ba_p": spectral_norm(ba - p.m),
+        "one_ab_q": spectral_norm(eye - ab - q.m),
+        "gap_range": gap(col_b, p.range).gap,
+        "gap_kernel": gap(ker_b, q.range).gap,
+    }
+    e = tol.tol_eq
+    outer = (
+        residuals["bab_b"] <= e * (1.0 + na * nb * nb)
+        and residuals["gap_range"] <= 10 * e
+        and residuals["gap_kernel"] <= 10 * e
+    )
+    l_inverse = residuals["aba_a"] <= e * (1.0 + na * na * nb)
+    strict_pq = residuals["ba_p"] <= e * (1.0 + na * nb + p.norm) and residuals["one_ab_q"] <= e * (
+        1.0 + na * nb + q.norm
+    )
+    flags = {"outer_pql": outer, "l_inverse": l_inverse, "strict_pq": strict_pq, "strict_12": strict_pq and l_inverse}
+    return flags, residuals
+
+
+@pytest.mark.parametrize("theorem", sorted(CHECKS))
+def test_lazy_classification_matches_the_eager_one(theorem):
+    config = EnsembleConfig(n_range=(2, 6), rank_range=(1, 5), count=4, seed=23, theorems=(theorem,))
+    for index in range(config.count):
+        s = gen_scenario(config, index, theorem)
+        run_check(theorem, s)  # may or may not read the base's flags
+        flags, residuals = _eager_classification(s.a, s.p, s.q, s.base.b, s.tol)
+        assert s.base.flags == flags
+        assert s.base.residuals == residuals  # exact float equality
+        fresh = classify_strict(s.a, s.p, s.q, s.base.b, s.tol)
+        assert "flags" not in vars(fresh) and "residuals" not in vars(fresh)
+        assert fresh.residuals == residuals and fresh.flags == flags
+        assert repr(fresh) == repr(s.base)
+
+
+def test_solving_does_not_classify_until_asked():
+    a, p, q = draw_solvable(4)
+    result = compute_outer_pql(a, p, q)
+    assert not {"flags", "residuals"} & set(vars(result))
+    assert result.flags == _eager_classification(a, p, q, result.b, DEFAULT_TOL)[0]
+    assert {"flags", "residuals"} <= set(vars(result))
+
+
+def _wrapper_report(theorem, s):
+    """The public bound function of a check id, called on the scenario's fields."""
+    calls = {
+        "thm3.4": lambda: bound_thm34(s.a, s.p, s.q, s.p_prime, s.tol),
+        "thm3.6": lambda: bound_thm36(s.a, s.p, s.q, s.q_prime, s.tol),
+        "thm3.8": lambda: bound_thm38(s.a, s.p, s.q, s.p_prime, s.q_prime, s.tol),
+        "thm3.9": lambda: bound_thm39(s.a, s.delta_a, s.p, s.q, s.p_prime, s.q_prime, s.tol),
+        "cor3.11": lambda: cor_12_variants(s.a, s.p, s.q, p_prime=s.p_prime, tol=s.tol),
+        "cor3.12": lambda: cor_12_variants(s.a, s.p, s.q, q_prime=s.q_prime, tol=s.tol),
+        "cor3.13": lambda: cor_12_variants(s.a, s.p, s.q, p_prime=s.p_prime, q_prime=s.q_prime, tol=s.tol),
+    }
+    return dumps(report_to_json(calls[theorem]()))
+
+
+@pytest.mark.parametrize("theorem", ["thm3.4", "thm3.6", "thm3.8", "thm3.9", "cor3.11", "cor3.12", "cor3.13"])
+def test_public_bound_functions_match_the_check_path(theorem):
+    config = EnsembleConfig(n_range=(2, 6), rank_range=(1, 5), count=6, seed=24, theorems=(theorem,))
+    for index in range(config.count):
+        s = gen_scenario(config, index, theorem)
+        assert _wrapper_report(theorem, s) == _report_text(theorem, s)
+
+
+@pytest.mark.parametrize("theorem", ["thm3.4", "thm3.8", "thm3.9"])
+def test_svd_budget_of_a_bound_check_at_n6(svd_counter, theorem):
+    config = EnsembleConfig(n_range=(6, 6), rank_range=(1, 5), count=10, seed=3, theorems=(theorem,))
+    for index in range(config.count):
+        s = gen_scenario(config, index, theorem)
+        assert svd_counter(lambda: run_check(theorem, s)) <= 20  # 35 when each check solved its base again
+
+
+def test_svd_budget_of_compute_l_at_n6(svd_counter):
+    theorem = "tm2.7"  # its scenarios have an inner-outer base inverse
+    s = gen_scenario(EnsembleConfig(n_range=(6, 6), count=1, seed=3, theorems=(theorem,)), 0, theorem)
+    assert svd_counter(lambda: compute_l(s.a, s.p, s.q, s.tol)) <= 10  # 20 with two existence evaluations
