@@ -27,7 +27,7 @@ from .errors import (
     RepresentationMismatch,
     SideConditionViolated,
 )
-from .exact import ExactMatrix, ExactScalar, exact_multiply_add, parse_rational
+from .exact import ExactMatrix, ExactScalar, parse_rational
 from .gen_inverse import (
     ExistenceReport,
     GInvResult,
@@ -67,14 +67,12 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerances,
     as_matrix,
-    complement_basis,
     identity,
     null_basis,
     orth_basis,
     rank,
     spectral_norm,
     try_inverse,
-    zero_matrix,
 )
 from .perturbation import (
     BoundReport,

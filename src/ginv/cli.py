@@ -33,7 +33,6 @@ from .gen_inverse import (
 )
 from .harness import run_campaign, run_check
 from .linalg import DEFAULT_TOL, Tolerances
-from .perturbation import update_formula
 from .serialize import (
     bound_reports_to_csv,
     campaign_report_to_json,
@@ -163,8 +162,7 @@ def _cmd_perturb(args) -> int:
     out = {}
     code = 0
     try:
-        upd = update_formula(s.base.b, s.delta_a, s.tol)
-        out["update"] = matrix_to_json(upd)
+        out["update"] = matrix_to_json(s._updated)  # update_formula(s.base.b, s.delta_a), shared with the checks
     except NotExists as e:
         out["update"] = None
         out["update_error"] = str(e)

@@ -19,7 +19,6 @@ from .errors import ExactSingular
 __all__ = [
     "ExactScalar",
     "ExactMatrix",
-    "exact_multiply_add",
     "parse_rational",
 ]
 
@@ -281,9 +280,3 @@ class ExactMatrix:
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols})"
-
-
-def exact_multiply_add(x: ExactMatrix, y: ExactMatrix, z: ExactMatrix = None) -> ExactMatrix:
-    """x @ y, plus z when given. Pure ring arithmetic with no rounding."""
-    prod = x @ y
-    return prod if z is None else prod + z

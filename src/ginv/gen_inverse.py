@@ -89,7 +89,11 @@ class GInvResult:
     Most callers read only b, so residuals and flags are worked out on first
     access, from the a, p and q that b was solved for (na is ||a|| when the
     caller has it); those inputs must not be changed in place before then.
+    A solver keeps in _evaluation the existence evaluation of (a, p, q) that
+    b was solved from.
     """
+
+    _evaluation: Optional[_Existence] = None
 
     def __init__(self, b: np.ndarray, a: np.ndarray, p: Idempotent, q: Idempotent, tol: Tolerances, na=None):
         self.b = b
@@ -205,6 +209,7 @@ class _Existence(NamedTuple):
     smin: float
     na: float
     col_a: Subspace
+    ker_a: Subspace
     u: np.ndarray
     m0: np.ndarray
     core: np.ndarray
@@ -223,14 +228,15 @@ def _checked(a, p, q, tol: Tolerances):
     return a, p, q
 
 
-def _existence(a, p: Idempotent, q: Idempotent, tol: Tolerances) -> _Existence:
+def _existence(a, p: Idempotent, q: Idempotent, tol: Tolerances, summary=None) -> _Existence:
+    """summary is _norm_range_kernel(a) when the caller has it."""
     n = a.shape[0]
-    na, col_a, ker_a = _norm_range_kernel(a, tol)
+    na, col_a, ker_a = _norm_range_kernel(a, tol) if summary is None else summary
     trivial = intersection_trivial(ker_a, p.range, tol)
     dims = p.rank + q.rank == n
     u, m0, core = _core_matrices(a, p, q)
     sv = _singular_values(core)
-    return _Existence(trivial, dims, _sigma_min(sv, core.shape), na, col_a, u, m0, core, sv)
+    return _Existence(trivial, dims, _sigma_min(sv, core.shape), na, col_a, ker_a, u, m0, core, sv)
 
 
 def _direct_sum(e: _Existence, a, p: Idempotent, q: Idempotent, tol: Tolerances, l_mode: bool) -> bool:
@@ -302,7 +308,21 @@ def _outer(a, p: Idempotent, q: Idempotent, tol: Tolerances, e: _Existence, basi
     if basis_seed is not None:
         u, m0, core = _core_matrices(a, p, q, basis_seed)
         sv = _singular_values(core)
-    return GInvResult(_solve(u, m0, core, sv, tol), a, p, q, tol, e.na)
+    result = GInvResult(_solve(u, m0, core, sv, tol), a, p, q, tol, e.na)
+    result._evaluation = e
+    return result
+
+
+def _solved(a, p: Idempotent, q: Idempotent, tol: Tolerances, l_mode: bool = False, summary=None):
+    """The outer inverse for checked (a, p, q), or None when it does not exist;
+    with l_mode, also None when the inner-outer existence test fails."""
+    e = _existence(a, p, q, tol, summary)
+    if l_mode and not _exists(e, _direct_sum(e, a, p, q, tol, l_mode=True), tol):
+        return None
+    try:
+        return _outer(a, p, q, tol, e)
+    except NotExists:
+        return None
 
 
 def exists_l(a, p, q, tol: Tolerances = DEFAULT_TOL) -> ExistenceReport:
@@ -317,16 +337,19 @@ def exists_l(a, p, q, tol: Tolerances = DEFAULT_TOL) -> ExistenceReport:
 def compute_l(a, p, q, tol: Tolerances = DEFAULT_TOL) -> GInvResult:
     """Compute the inverse and insist that a b a = a holds as well."""
     a, p, q = _checked(a, p, q, tol)
-    e = _existence(a, p, q, tol)
+    return _l(a, p, q, tol)
+
+
+def _l(a, p: Idempotent, q: Idempotent, tol: Tolerances, summary=None) -> GInvResult:
+    """compute_l on checked inputs; summary is _norm_range_kernel(a) when the caller has it."""
+    e = _existence(a, p, q, tol, summary)
     return _require_l(a, p, q, tol, lambda: _outer(a, p, q, tol, e), e)
 
 
-def _require_l(a, p, q, tol: Tolerances, outer, e: Optional[_Existence] = None) -> GInvResult:
-    """compute_l's two tests: the inner-outer existence test, then a b a = a
-    on the outer inverse that outer() returns (called only after the first).
-    e is the existence evaluation of (a, p, q) when the caller has it."""
-    if e is None:
-        e = _existence(a, p, q, tol)
+def _require_l(a, p, q, tol: Tolerances, outer, e: _Existence) -> GInvResult:
+    """compute_l's two tests: the inner-outer existence test on e, the
+    existence evaluation of (a, p, q), then a b a = a on the outer inverse
+    that outer() returns (called only after the first)."""
     dsum = _direct_sum(e, a, p, q, tol, l_mode=True)
     if not _exists(e, dsum, tol):
         raise NotExists(

@@ -14,16 +14,17 @@ violations.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .errors import GenerationFailed, GinvError, InputError, NotExists
-from .gen_inverse import classify_strict, compute_outer_pql, exists_l, exists_outer_pql
+from .errors import GenerationFailed, GinvError, InputError
+from .gen_inverse import _solved
 from .idempotents import idempotent_from_matrix, oblique, perturb_idempotent, random_idempotent
-from .linalg import DEFAULT_TOL, Tolerances, spectral_norm, try_inverse
+from .linalg import DEFAULT_TOL, Tolerances, spectral_norm
 from .perturbation import (
     Scenario,
     _BOUND_CHECKS,
@@ -83,8 +84,10 @@ class EnsembleConfig:
             raise InputError("count must be at least 1")
         if not self.perturbation_magnitudes:
             raise InputError("perturbation_magnitudes must be nonempty")
-        if any(m < 0 for m in self.perturbation_magnitudes):
-            raise InputError("perturbation magnitudes must be nonnegative")
+        if not all(math.isfinite(m) and m >= 0 for m in self.perturbation_magnitudes):
+            raise InputError("perturbation magnitudes must be nonnegative and finite")
+        if not math.isfinite(self.skew):
+            raise InputError(f"skew must be finite, got {self.skew}")
         for t in self.theorems:
             if t not in CHECKS:
                 raise InputError(f"unknown check id {t!r}; known: {sorted(CHECKS)}")
@@ -132,8 +135,8 @@ def _rank_r_matrix(stream: RandomStream, n: int, r: int) -> np.ndarray:
 
 
 # Each base family returns (a, p, q, base) or None for a rejected draw; base
-# is the inverse for (a, p, q) when the family has solved it already (the
-# outer families classify the certificate of exists_outer_pql), else None.
+# is the inverse for (a, p, q), which keeps the existence evaluation that it
+# was solved from.
 
 
 def _base_outer(stream, n, r, skew, tol):
@@ -141,10 +144,8 @@ def _base_outer(stream, n, r, skew, tol):
     a = stream.normal_matrix(n, n)
     p = random_idempotent(n, r, skew, stream)
     q = random_idempotent(n, n - r, skew, stream)
-    report = exists_outer_pql(a, p, q, tol)
-    if not report.exists:
-        return None
-    return a, p, q, classify_strict(a, p, q, report.certificates[0], tol)
+    base = _solved(a, p, q, tol)
+    return None if base is None else (a, p, q, base)
 
 
 def _base_outer_rank(stream, n, r, skew, tol):
@@ -152,26 +153,23 @@ def _base_outer_rank(stream, n, r, skew, tol):
     a = _rank_r_matrix(stream, n, r)
     p = random_idempotent(n, r, skew, stream)
     q = random_idempotent(n, n - r, skew, stream)
-    report = exists_outer_pql(a, p, q, tol)
-    if not report.exists:
+    base = _solved(a, p, q, tol)
+    if base is None or not direct_sum_is_all(base._evaluation.col_a, q.range, tol):
         return None
-    if not direct_sum_is_all(_norm_range_kernel(a, tol)[1], q.range, tol):
-        return None
-    return a, p, q, classify_strict(a, p, q, report.certificates[0], tol)
+    return a, p, q, base
 
 
 def _base_l_aligned(stream, n, r, skew, tol):
     """Rank-r a with the kernel of q pinned to col(a), so a col(p) = ker q."""
     a = _rank_r_matrix(stream, n, r)
-    col_a = _norm_range_kernel(a, tol)[1]
+    summary = _norm_range_kernel(a, tol)
     t = Subspace(n, orth_basis(stream.normal_matrix(n, n - r), tol))
-    if not direct_sum_is_all(t, col_a, tol):
+    if not direct_sum_is_all(t, summary[1], tol):
         return None
-    q = oblique(t, col_a, tol)
+    q = oblique(t, summary[1], tol)
     p = random_idempotent(n, r, skew, stream)
-    if not exists_l(a, p, q, tol).exists:
-        return None
-    return a, p, q, None
+    base = _solved(a, p, q, tol, l_mode=True, summary=summary)
+    return None if base is None else (a, p, q, base)
 
 
 def _base_strict(stream, n, r, skew, tol):
@@ -195,11 +193,8 @@ def _base_strict(stream, n, r, skew, tol):
         q = idempotent_from_matrix(q_m, tol)
     except GinvError:
         return None
-    try:
-        base = compute_outer_pql(a, p, q, tol)
-    except NotExists:
-        return None
-    if not base.flags["strict_12"]:
+    base = _solved(a, p, q, tol)
+    if base is None or not base.flags["strict_12"]:
         return None
     return a, p, q, base
 
@@ -286,20 +281,20 @@ _BOUND_IDS = frozenset(t for t, (_, _, moves_p, moves_q) in _PROFILES.items() if
 _NEEDS_INVERTIBLE = {"thm2.7", "cor2.8", "lemma2.6", "thm2.12"}
 
 
-def gen_scenario(config: EnsembleConfig, index: int, theorem: Optional[str] = None) -> Scenario:
+def gen_scenario(config: EnsembleConfig, index: int, theorem: str) -> Scenario:
     """The index-th scenario of the configured ensemble, tailored to a check id.
 
     Deterministic in (config.seed, index, theorem). Retries internal draws a
     bounded number of times and raises GenerationFailed when no admissible
     scenario can be built (for example when the rank range leaves no room).
     """
-    if theorem is not None and theorem not in _PROFILES:
+    if theorem not in _PROFILES:
         raise InputError(f"unknown check id {theorem!r}")
-    family, classes, want_p, want_q = _PROFILES.get(theorem, ("outer", ("generic",), True, True))
+    family, classes, want_p, want_q = _PROFILES[theorem]
     tol = config.tolerances
     root = RandomStream(config.seed).spawn(index)
     mag = config.perturbation_magnitudes[index % len(config.perturbation_magnitudes)]
-    cls = classes[index % len(classes)] if classes else "zero"
+    cls = classes[index % len(classes)]
     last = "no admissible draw"
     for attempt in range(_RETRIES):
         stream = root.spawn(attempt)
@@ -307,21 +302,11 @@ def gen_scenario(config: EnsembleConfig, index: int, theorem: Optional[str] = No
         if n < 2:
             last = "n must be at least 2 for a nontrivial split"
             continue
-        try:
-            r = _draw_rank(stream, config, n)
-        except GenerationFailed as e:
-            raise GenerationFailed(str(e)) from None
-        made = _BASES[family](stream, n, r, config.skew, tol)
+        made = _BASES[family](stream, n, _draw_rank(stream, config, n), config.skew, tol)
         if made is None:
             last = f"base family {family} rejected the draw (attempt {attempt})"
             continue
         a, p, q, base = made
-        if base is None:
-            try:
-                base = compute_outer_pql(a, p, q, tol)
-            except NotExists:
-                last = "base inverse vanished under tolerance"
-                continue
         b = base.b
         na = spectral_norm(a)
         nb = spectral_norm(b)
@@ -329,41 +314,32 @@ def gen_scenario(config: EnsembleConfig, index: int, theorem: Optional[str] = No
 
         p_prime = None
         q_prime = None
-        delta = np.zeros((n, n), dtype=complex)
-        try:
-            if theorem in _BOUND_IDS:
-                cap_p, cap_q, cap_d = _thresholds(kap, want_p, THRESHOLD_HEADROOM)
-                mode = "range" if family == "strict" else "both"
+        if theorem in _BOUND_IDS:
+            cap_p, cap_q, cap_d = _thresholds(kap, want_p, THRESHOLD_HEADROOM)
+            mode = "range" if family == "strict" else "both"
+            try:
                 if want_p:
                     p_prime = perturb_idempotent(p, min(mag, cap_p), stream, tol, mode=mode)
                 if want_q:
                     q_prime = perturb_idempotent(q, min(mag, cap_q), stream, tol, mode=mode)
-                if cls != "zero":
-                    d = _delta_direction(stream, cls, a, b, p, q)
-                    if d is None:
-                        last = "degenerate perturbation direction"
-                        continue
-                    delta = d * min(mag * max(na, 1.0), cap_d / max(nb, 1e-12))
-            else:
-                d = _make_delta(stream, cls, a, b, p, q, mag)
-                if d is None:
-                    last = "degenerate perturbation direction"
-                    continue
-                delta = d
-                if want_p:
-                    p_prime = perturb_idempotent(p, mag, stream, tol)
-                if want_q:
-                    q_prime = perturb_idempotent(q, mag, stream, tol)
-        except GinvError as e:
-            last = f"perturbation draw failed: {e}"
-            continue
-        if theorem in _NEEDS_INVERTIBLE:
-            if try_inverse(np.eye(n, dtype=complex) + b @ delta, tol) is None:
-                last = "shift made the update factor singular"
+            except GinvError as e:
+                last = f"perturbation draw failed: {e}"
                 continue
+            delta = np.zeros((n, n), dtype=complex)
+            if cls != "zero":
+                d = _delta_direction(stream, cls, a, b, p, q)
+                delta = None if d is None else d * min(mag * max(na, 1.0), cap_d / max(nb, 1e-12))
+        else:
+            delta = _make_delta(stream, cls, a, b, p, q, mag)
+        if delta is None:
+            last = "degenerate perturbation direction"
+            continue
         scenario = Scenario(a, delta, p, q, p_prime=p_prime, q_prime=q_prime, tol=tol)
         # prime the scenario's cached base inverse and norms with those above
-        scenario.__dict__.update(base=base, norm_a=na, norm_b=nb)
+        scenario.__dict__.update(base=base, _evaluation=base._evaluation, norm_a=na, norm_b=nb)
+        if theorem in _NEEDS_INVERTIBLE and not scenario._left_factor[0]:
+            last = "shift made the update factor singular"
+            continue
         return scenario
     raise GenerationFailed(f"no scenario after {_RETRIES} attempts: {last}")
 

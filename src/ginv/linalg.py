@@ -19,13 +19,11 @@ __all__ = [
     "DEFAULT_TOL",
     "as_matrix",
     "identity",
-    "zero_matrix",
     "spectral_norm",
     "rank",
     "try_inverse",
     "orth_basis",
     "null_basis",
-    "complement_basis",
 ]
 
 
@@ -69,10 +67,6 @@ def as_matrix(m) -> np.ndarray:
 
 def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=complex)
-
-
-def zero_matrix(rows: int, cols: Optional[int] = None) -> np.ndarray:
-    return np.zeros((rows, rows if cols is None else cols), dtype=complex)
 
 
 def spectral_norm(m) -> float:
@@ -148,13 +142,3 @@ def null_basis(m, tol: Tolerances = DEFAULT_TOL, scale: Optional[float] = None) 
     _, s, vh = np.linalg.svd(a)
     r = _rank_from_sv(s, a.shape, tol, scale)
     return vh[r:, :].conj().T
-
-
-def complement_basis(basis: np.ndarray, ambient_dim: int, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of span(basis) in C^n."""
-    b = as_matrix(basis)
-    if b.shape[0] not in (0, ambient_dim) and b.size:
-        raise ValueError("basis rows do not match the ambient dimension")
-    if b.shape[1] == 0:
-        return np.eye(ambient_dim, dtype=complex)
-    return null_basis(b.conj().T, tol)

@@ -32,17 +32,19 @@ from .errors import DimMismatch, InputError, NoGroupInverse, NotExists, Represen
 from .gen_inverse import (
     GInvResult,
     _as_idempotent,
+    _existence,
+    _l,
+    _outer,
     _require_l,
     build_witness,
-    compute_l,
     compute_outer_pql,
     exists_outer_pql,
     group_inverse,
     one_five_inverse,
 )
 from .idempotents import Idempotent
-from .linalg import DEFAULT_TOL, Tolerances, as_matrix, rank, spectral_norm, try_inverse
-from .subspaces import _norm_range_kernel, gap, intersection_trivial, map_subspace, subspaces_equal
+from .linalg import DEFAULT_TOL, Tolerances, _singular_values, as_matrix, identity, rank, spectral_norm
+from .subspaces import _gap_and_equal, _norm_range_kernel, gap, intersection_trivial, map_subspace, subspaces_equal
 
 __all__ = [
     "Scenario",
@@ -75,9 +77,10 @@ NAN = float("nan")
 class Scenario:
     """One perturbation instance: a, its shift, and the prescribed idempotents.
 
-    base, the inverse for (a, p, q), and the norms of a and of base.b are
-    computed on first use unless the generator that built the scenario has
-    stored the ones it already has.
+    base, the inverse for (a, p, q), the existence evaluation it is solved
+    from, and the norms of a and of base.b are computed on first use unless
+    the generator that built the scenario has stored the ones it already has.
+    The private cached properties are what the Section 2 checkers share.
     """
 
     a: np.ndarray
@@ -110,13 +113,48 @@ class Scenario:
     def n(self) -> int:
         return self.a.shape[0]
 
-    @property
+    @cached_property
     def a_bar(self) -> np.ndarray:
         return self.a + self.delta_a
 
     @cached_property
+    def _evaluation(self):
+        """The existence evaluation of (a, p, q)."""
+        return _existence(self.a, self.p, self.q, self.tol)
+
+    @cached_property
     def base(self) -> GInvResult:
-        return compute_outer_pql(self.a, self.p, self.q, self.tol)
+        return _outer(self.a, self.p, self.q, self.tol, self._evaluation)
+
+    @property
+    def _a_summary(self):
+        """(||a||, col a, ker a) from the one SVD of the existence evaluation."""
+        e = self._evaluation
+        return e.na, e.col_a, e.ker_a
+
+    @cached_property
+    def _bar_summary(self):
+        """(||a_bar||, col a_bar, ker a_bar) from one SVD."""
+        return _norm_range_kernel(self.a_bar, self.tol)
+
+    @cached_property
+    def _stable(self) -> bool:
+        return intersection_trivial(self._bar_summary[1], self.q.range, self.tol)
+
+    @cached_property
+    def _left_factor(self):
+        """_factor of 1 + b delta_a."""
+        return _factor(identity(self.n) + self.base.b @ self.delta_a, self.tol)
+
+    @cached_property
+    def _right_factor(self):
+        """_factor of 1 + delta_a b."""
+        return _factor(identity(self.n) + self.delta_a @ self.base.b, self.tol)
+
+    @cached_property
+    def _updated(self) -> np.ndarray:
+        """update_formula(base.b, delta_a), from the two cached factors."""
+        return _update(self.base.b, self.delta_a, self._right_factor, self._left_factor, self.tol)
 
     @cached_property
     def norm_a(self) -> float:
@@ -222,13 +260,24 @@ def _defect(m, n_sub, tol: Tolerances) -> float:
 
 def is_stable(scenario: Scenario) -> bool:
     """Does col(a + delta_a) still meet col(q) only at zero?"""
-    s = scenario
-    return intersection_trivial(_norm_range_kernel(s.a_bar, s.tol)[1], s.q.range, s.tol)
+    return scenario._stable
 
 
 def _l_base(s: Scenario) -> GInvResult:
     """compute_l(s.a, s.p, s.q) on the scenario's base inverse."""
-    return _require_l(s.a, s.p, s.q, s.tol, lambda: s.base)
+    return _require_l(s.a, s.p, s.q, s.tol, lambda: s.base, s._evaluation)
+
+
+def _factor(m, tol: Tolerances):
+    """(invertible, sigma_min, inverse or None) of a square m from one SVD,
+    with the singularity test of try_inverse."""
+    sv = _singular_values(m)
+    if not sv.size:
+        return True, math.inf, m.copy()
+    top, bottom = float(sv[0]), float(sv[-1])
+    if top == 0.0 or bottom <= tol.tol_inv * top:
+        return False, bottom, None
+    return True, bottom, np.linalg.solve(m, identity(m.shape[0]))
 
 
 def update_formula(b, delta_a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -243,16 +292,18 @@ def update_formula(b, delta_a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     d = as_matrix(delta_a)
     if b.shape != d.shape or b.shape[0] != b.shape[1]:
         raise DimMismatch("b and delta_a must be square of the same size")
-    n = b.shape[0]
-    eye = np.eye(n, dtype=complex)
-    inv_right = try_inverse(eye + d @ b, tol)
-    if inv_right is None:
+    eye = identity(b.shape[0])
+    return _update(b, d, _factor(eye + d @ b, tol), _factor(eye + b @ d, tol), tol)
+
+
+def _update(b, d, right, left, tol: Tolerances) -> np.ndarray:
+    """update_formula, given the _factor of 1 + d b (right) and of 1 + b d (left)."""
+    if not right[0]:
         raise NotExists("1 + delta_a b is singular; the perturbed inverse does not exist")
-    form1 = b @ inv_right
-    inv_left = try_inverse(eye + b @ d, tol)
-    if inv_left is None:
+    if not left[0]:
         raise NotExists("1 + b delta_a is singular; the perturbed inverse does not exist")
-    form2 = inv_left @ b
+    form1 = b @ right[2]
+    form2 = left[2] @ b
     dev = spectral_norm(form1 - form2)
     lim = 10.0 * tol.tol_eq * (1.0 + spectral_norm(form1)) * (1.0 + spectral_norm(b)) * (
         1.0 + spectral_norm(d)
@@ -260,16 +311,6 @@ def update_formula(b, delta_a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     if dev > lim:
         raise RepresentationMismatch(f"the two update forms disagree by {dev:.3e}")
     return form1
-
-
-def _invertible(m, tol: Tolerances):
-    """(bool, margin): is m invertible, with its relative smallest singular value."""
-    sv = np.linalg.svd(m, compute_uv=False)
-    top = float(sv[0]) if sv.size else 0.0
-    bottom = float(sv[-1]) if sv.size else 0.0
-    if top == 0.0:
-        return False, 0.0
-    return bottom > tol.tol_inv * top, bottom
 
 
 def equivalence_thm24(scenario: Scenario) -> EquivalenceReport:
@@ -281,19 +322,15 @@ def equivalence_thm24(scenario: Scenario) -> EquivalenceReport:
     the deviation is the third condition's residual.
     """
     s = scenario
-    b = s.base.b
-    n = s.n
-    eye = np.eye(n, dtype=complex)
-    ok_right, m_right = _invertible(eye + s.delta_a @ b, s.tol)
-    ok_left, m_left = _invertible(eye + b @ s.delta_a, s.tol)
+    ok_right, m_right, _ = s._right_factor
+    ok_left, m_left, _ = s._left_factor
     report = exists_outer_pql(s.a_bar, s.p, s.q, s.tol)
     aux = {"sigma_min_core": float(report.sigma_min_core)}
     dev = NAN
     identity_ok = True
     if ok_right and ok_left and report.exists:
-        updated = update_formula(b, s.delta_a, s.tol)
         direct = report.certificates[0]  # the perturbed inverse, as compute_outer_pql solves it
-        dev = spectral_norm(updated - direct)
+        dev = spectral_norm(s._updated - direct)
         identity_ok = dev <= _res_scale(spectral_norm(s.a_bar), spectral_norm(direct), s.tol)
         aux["update_vs_direct"] = dev
     conditions = (
@@ -316,29 +353,24 @@ def lemma26_f(scenario: Scenario):
     requires the two unconditional facts.
     """
     s = scenario
-    b = s.base.b
-    n = s.n
-    eye = np.eye(n, dtype=complex)
-    inv_left = try_inverse(eye + b @ s.delta_a, s.tol)
-    if inv_left is None:
+    ok_left, _, inv_left = s._left_factor
+    if not ok_left:
         raise NotExists("1 + b delta_a is singular")
-    f = inv_left @ (eye - b @ s.a)
+    f = inv_left @ (identity(s.n) - s.base.b @ s.a)
     # The rank of f can drop to 0 and the matrix is built from cancellation,
     # so its rank cutoff is anchored at max(||f||, 1), not at ||f|| alone.
     nf, col_f, _ = _norm_range_kernel(f, s.tol)
     idem_resid = spectral_norm(f @ f - f)
     idem_ok = idem_resid <= s.tol.tol_eq * (1.0 + nf * nf)
-    _, col_bar, ker_bar = _norm_range_kernel(s.a_bar, s.tol)
-    g = gap(ker_bar, col_f)
+    _, col_bar, ker_bar = s._bar_summary
+    g, equal = _gap_and_equal(ker_bar, col_f, s.tol)
     subset_gap = g.delta_mn
     subset_ok = subset_gap <= 10 * s.tol.tol_eq
-    equal = subspaces_equal(ker_bar, col_f, s.tol)
-    stable = intersection_trivial(col_bar, s.q.range, s.tol)
     conditions = (
         ("kernel_of_perturbed_equals_range_f", equal, g.gap),
-        ("stable", stable, _defect(col_bar, s.q.range, s.tol)),
+        ("stable", s._stable, _defect(col_bar, s.q.range, s.tol)),
     )
-    consistent = (equal == stable) and idem_ok and subset_ok
+    consistent = (equal == s._stable) and idem_ok and subset_ok
     aux = {"f_idempotent_residual": idem_resid, "kernel_subset_gap": subset_gap}
     return f, EquivalenceReport(conditions, consistent, aux)
 
@@ -352,12 +384,9 @@ def equivalence_thm27(scenario: Scenario) -> EquivalenceReport:
     """
     s = scenario
     b = s.base.b
-    n = s.n
-    eye = np.eye(n, dtype=complex)
     a_bar = s.a_bar
-    na_bar, col_bar, _ = _norm_range_kernel(a_bar, s.tol)
-    w = update_formula(b, s.delta_a, s.tol)
-    w_class = GInvResult(w, a_bar, s.p, s.q, s.tol, na_bar)
+    na_bar, col_bar, _ = s._bar_summary
+    w_class = GInvResult(s._updated, a_bar, s.p, s.q, s.tol, na_bar)
     cond1 = w_class.flags["outer_pql"] and w_class.flags["l_inverse"]
     resid1 = max(
         w_class.residuals["bab_b"],
@@ -365,17 +394,14 @@ def equivalence_thm27(scenario: Scenario) -> EquivalenceReport:
         w_class.residuals["gap_range"],
         w_class.residuals["gap_kernel"],
     )
-    stable = intersection_trivial(col_bar, s.q.range, s.tol)
     scale = _res_scale(na_bar, s.norm_b, s.tol)
-    inv_left = try_inverse(eye + b @ s.delta_a, s.tol)
-    inv_right = try_inverse(eye + s.delta_a @ b, s.tol)
-    if inv_left is None or inv_right is None:
-        raise NotExists("1 + b delta_a is singular")
-    resid3 = spectral_norm(a_bar @ inv_left @ (eye - b @ s.a))
-    resid4 = spectral_norm((eye - s.a @ b) @ inv_right @ a_bar)
+    # _updated has raised unless both factors are invertible
+    eye = identity(s.n)
+    resid3 = spectral_norm(a_bar @ s._left_factor[2] @ (eye - b @ s.a))
+    resid4 = spectral_norm((eye - s.a @ b) @ s._right_factor[2] @ a_bar)
     conditions = (
         ("update_is_inner_outer_for_perturbed", cond1, resid1),
-        ("stable", stable, _defect(col_bar, s.q.range, s.tol)),
+        ("stable", s._stable, _defect(col_bar, s.q.range, s.tol)),
         ("a_bar_annihilates_left_factor", resid3 <= scale, resid3),
         ("a_bar_annihilated_right_factor", resid4 <= scale, resid4),
     )
@@ -387,27 +413,27 @@ def equivalence_cor28(scenario: Scenario) -> EquivalenceReport:
     """Stability versus the two mapped-subspace identities of the update factors."""
     s = scenario
     b = s.base.b
-    n = s.n
-    eye = np.eye(n, dtype=complex)
-    inv_left = try_inverse(eye + b @ s.delta_a, s.tol)
-    inv_right = try_inverse(eye + s.delta_a @ b, s.tol)
-    if inv_left is None or inv_right is None:
+    ok_left, _, inv_left = s._left_factor
+    ok_right, _, inv_right = s._right_factor
+    if not (ok_left and ok_right):
         raise NotExists("update factor is singular")
-    _, col_bar, ker_bar = _norm_range_kernel(s.a_bar, s.tol)
-    stable = intersection_trivial(col_bar, s.q.range, s.tol)
+    _, col_bar, ker_bar = s._bar_summary
     ker_ba = _norm_range_kernel(b @ s.a, s.tol)[2]
-    mapped_kernel = map_subspace(inv_left, ker_ba, s.tol)
-    cond2 = subspaces_equal(mapped_kernel, ker_bar, s.tol)
+    kernel_gap, cond2 = _gap_and_equal(map_subspace(inv_left, ker_ba, s.tol), ker_bar, s.tol)
     col_ab = _norm_range_kernel(s.a @ b, s.tol)[1]
-    mapped_range = map_subspace(inv_right, col_bar, s.tol)
-    cond3 = subspaces_equal(mapped_range, col_ab, s.tol)
+    range_gap, cond3 = _gap_and_equal(map_subspace(inv_right, col_bar, s.tol), col_ab, s.tol)
     conditions = (
-        ("stable", stable, _defect(col_bar, s.q.range, s.tol)),
-        ("mapped_kernel_matches", cond2, gap(mapped_kernel, ker_bar).gap),
-        ("mapped_range_matches", cond3, gap(mapped_range, col_ab).gap),
+        ("stable", s._stable, _defect(col_bar, s.q.range, s.tol)),
+        ("mapped_kernel_matches", cond2, kernel_gap.gap),
+        ("mapped_range_matches", cond3, range_gap.gap),
     )
     flags = [c[1] for c in conditions]
     return EquivalenceReport(conditions, all(flags) == any(flags))
+
+
+def _direct_l(s: Scenario) -> GInvResult:
+    """compute_l(s.a_bar, s.p, s.q), from the scenario's summary of a_bar."""
+    return _l(s.a_bar, s.p, s.q, s.tol, s._bar_summary)
 
 
 def equivalence_thm_tm27(scenario: Scenario) -> EquivalenceReport:
@@ -421,42 +447,49 @@ def equivalence_thm_tm27(scenario: Scenario) -> EquivalenceReport:
     condition false.
     """
     s = scenario
-    b = _l_base(s).b
-    n = s.n
-    eye = np.eye(n, dtype=complex)
-    a_bar = s.a_bar
-    aux = {}
-
-    ok_left, margin_left = _invertible(eye + b @ s.delta_a, s.tol)
-    na_bar, col_bar, ker_bar = _norm_range_kernel(a_bar, s.tol)
-    range_matches = subspaces_equal(col_bar, s.q.kernel, s.tol)
+    _l_base(s)  # the base must be an inner-outer inverse
+    ok_left, margin_left, _ = s._left_factor
+    na_bar, col_bar, ker_bar = s._bar_summary
+    range_gap, range_matches = _gap_and_equal(col_bar, s.q.kernel, s.tol)
     formula_ok = False
     dev = NAN
     if ok_left:
-        updated = update_formula(b, s.delta_a, s.tol)
+        updated = s._updated
         try:
-            direct = compute_l(a_bar, s.p, s.q, s.tol)
+            direct = _direct_l(s)
             dev = spectral_norm(updated - direct.b)
             formula_ok = dev <= _res_scale(na_bar, spectral_norm(direct.b), s.tol)
         except NotExists:
             formula_ok = False
     cond1 = ok_left and range_matches and formula_ok
-    aux["update_factor_margin"] = margin_left
-    aux["range_vs_kernel_q_gap"] = range_gap = gap(col_bar, s.q.kernel).gap
-    aux["update_vs_direct"] = dev
+    aux = {"update_factor_margin": margin_left, "range_vs_kernel_q_gap": range_gap.gap, "update_vs_direct": dev}
 
-    stable = intersection_trivial(col_bar, s.q.range, s.tol)
     trivial_p = intersection_trivial(ker_bar, s.p.range, s.tol)
-    image = map_subspace(a_bar, s.p.range, s.tol)
-    image_matches = subspaces_equal(image, s.q.kernel, s.tol)
-    cond2 = stable and trivial_p and image_matches
-    aux["image_vs_kernel_q_gap"] = image_gap = gap(image, s.q.kernel).gap
+    image_gap, image_matches = _gap_and_equal(map_subspace(s.a_bar, s.p.range, s.tol), s.q.kernel, s.tol)
+    cond2 = s._stable and trivial_p and image_matches
+    aux["image_vs_kernel_q_gap"] = image_gap.gap
 
     conditions = (
-        ("update_valid_and_range_matches", cond1, range_gap),
-        ("stable_trivial_and_image_matches", cond2, image_gap),
+        ("update_valid_and_range_matches", cond1, range_gap.gap),
+        ("stable_trivial_and_image_matches", cond2, image_gap.gap),
     )
     return EquivalenceReport(conditions, cond1 == cond2, aux)
+
+
+def _gap_hypotheses(s: Scenario, b):
+    """The two gap hypotheses of Lemma 2.10 for the inner-outer base b, the
+    range side first, each as (satisfied, {"delta": ..., "threshold": ...})."""
+    _, col_a, ker_a = s._a_summary
+    _, col_bar, ker_bar = s._bar_summary
+    sides = (
+        (spectral_norm(identity(s.n) - s.a @ b), gap(col_bar, col_a).delta_mn),
+        (spectral_norm(b @ s.a), gap(ker_bar, ker_a).delta_mn),
+    )
+    out = []
+    for norm, delta in sides:
+        threshold = math.inf if norm == 0 else 1.0 / norm
+        out.append((delta < threshold - s.tol.tol_eq, {"delta": delta, "threshold": threshold}))
+    return out
 
 
 def gap_sufficient_lemma210(scenario: Scenario) -> ImplicationReport:
@@ -468,35 +501,11 @@ def gap_sufficient_lemma210(scenario: Scenario) -> ImplicationReport:
     conclusion-false instances must never occur.
     """
     s = scenario
-    b = _l_base(s).b
-    n = s.n
-    eye = np.eye(n, dtype=complex)
-    _, col_a, ker_a = _norm_range_kernel(s.a, s.tol)
-    _, col_bar, ker_bar = _norm_range_kernel(s.a_bar, s.tol)
-
-    norm_one_ab = spectral_norm(eye - s.a @ b)
-    thr_range = math.inf if norm_one_ab == 0 else 1.0 / norm_one_ab
-    delta_range = gap(col_bar, col_a).delta_mn
-    concl_range = intersection_trivial(col_bar, s.q.range, s.tol)
-
-    norm_ba = spectral_norm(b @ s.a)
-    thr_kernel = math.inf if norm_ba == 0 else 1.0 / norm_ba
-    delta_kernel = gap(ker_bar, ker_a).delta_mn
-    concl_kernel = intersection_trivial(ker_bar, s.p.range, s.tol)
-
+    (hyp_range, range_data), (hyp_kernel, kernel_data) = _gap_hypotheses(s, _l_base(s).b)
+    trivial_p = intersection_trivial(s._bar_summary[2], s.p.range, s.tol)
     items = (
-        ImplicationItem(
-            "range_gap_forces_stability",
-            delta_range < thr_range - s.tol.tol_eq,
-            concl_range,
-            {"delta": delta_range, "threshold": thr_range},
-        ),
-        ImplicationItem(
-            "kernel_gap_forces_trivial_meet",
-            delta_kernel < thr_kernel - s.tol.tol_eq,
-            concl_kernel,
-            {"delta": delta_kernel, "threshold": thr_kernel},
-        ),
+        ImplicationItem("range_gap_forces_stability", hyp_range, s._stable, range_data),
+        ImplicationItem("kernel_gap_forces_trivial_meet", hyp_kernel, trivial_p, kernel_data),
     )
     return ImplicationReport(items, not any(it.violated for it in items))
 
@@ -510,33 +519,19 @@ def cor_lemas1(scenario: Scenario) -> ImplicationReport:
     inverse exists and equals b (1 + delta_a b)^{-1}.
     """
     s = scenario
-    b = _l_base(s).b
-    n = s.n
-    eye = np.eye(n, dtype=complex)
-    a_bar = s.a_bar
-    _, col_a, ker_a = _norm_range_kernel(s.a, s.tol)
-    na_bar, col_bar, ker_bar = _norm_range_kernel(a_bar, s.tol)
-    norm_one_ab = spectral_norm(eye - s.a @ b)
-    norm_ba = spectral_norm(b @ s.a)
-    thr_range = math.inf if norm_one_ab == 0 else 1.0 / norm_one_ab
-    thr_kernel = math.inf if norm_ba == 0 else 1.0 / norm_ba
-    hyp_range = gap(col_bar, col_a).delta_mn < thr_range - s.tol.tol_eq
-    hyp_kernel = gap(ker_bar, ker_a).delta_mn < thr_kernel - s.tol.tol_eq
-    image = map_subspace(a_bar, s.p.range, s.tol)
-    image_matches = subspaces_equal(image, s.q.kernel, s.tol)
-    ok_left, _ = _invertible(eye + b @ s.delta_a, s.tol)
-
+    (hyp_range, _), (hyp_kernel, _) = _gap_hypotheses(s, _l_base(s).b)
+    image_matches = subspaces_equal(map_subspace(s.a_bar, s.p.range, s.tol), s.q.kernel, s.tol)
     hyp_i = hyp_range and hyp_kernel and image_matches
-    hyp_ii = ok_left and hyp_range
+    hyp_ii = s._left_factor[0] and hyp_range
 
     conclusion = False
     dev = NAN
     if hyp_i or hyp_ii:
         try:
-            updated = update_formula(b, s.delta_a, s.tol)
-            direct = compute_l(a_bar, s.p, s.q, s.tol)
+            updated = s._updated
+            direct = _direct_l(s)
             dev = spectral_norm(updated - direct.b)
-            conclusion = dev <= _res_scale(na_bar, spectral_norm(direct.b), s.tol)
+            conclusion = dev <= _res_scale(s._bar_summary[0], spectral_norm(direct.b), s.tol)
         except NotExists:
             conclusion = False
     data = {"update_vs_direct": dev}
@@ -562,18 +557,14 @@ def equivalence_thm212(scenario: Scenario) -> EquivalenceReport:
             "the base inverse is not strict for (p, q): "
             f"||ba - p|| = {base.residuals['ba_p']:.3e}, ||1-ab-q|| = {base.residuals['one_ab_q']:.3e}"
         )
-    b = base.b
-    n = s.n
-    eye = np.eye(n, dtype=complex)
-    a_bar = s.a_bar
-    inv_left = try_inverse(eye + b @ s.delta_a, s.tol)
-    if inv_left is None:
+    if not s._left_factor[0]:
         raise NotExists("1 + b delta_a is singular")
+    b = base.b
+    a_bar = s.a_bar
     na_bar = spectral_norm(a_bar)
     scale = _res_scale(na_bar, s.norm_b, s.tol)
 
-    w = update_formula(b, s.delta_a, s.tol)
-    w_class = GInvResult(w, a_bar, s.p, s.q, s.tol, na_bar)
+    w_class = GInvResult(s._updated, a_bar, s.p, s.q, s.tol, na_bar)
     cond1 = w_class.flags["outer_pql"] and w_class.flags["strict_pq"]
     resid1 = max(
         w_class.residuals["bab_b"],
@@ -581,7 +572,7 @@ def equivalence_thm212(scenario: Scenario) -> EquivalenceReport:
         w_class.residuals["one_ab_q"],
     )
 
-    one_minus_q = eye - s.q.m
+    one_minus_q = identity(s.n) - s.q.m
     resid2 = spectral_norm(a_bar @ s.p.m - one_minus_q @ a_bar)
     cond2 = resid2 <= scale
 

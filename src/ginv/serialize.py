@@ -3,9 +3,8 @@
 One file format: JSON. Complex entries are two-element arrays [re, im];
 matrices are {"rows": r, "cols": c, "data": row-major list of entries};
 exact rational matrices carry string fractions instead of floats and an
-"exact": true marker. Subspaces are serialized as the matrix of their basis
-columns. Doubles round-trip bit-exactly (shortest-repr encoding both ways);
-rationals round-trip entry-exactly.
+"exact": true marker. Doubles round-trip bit-exactly (shortest-repr encoding
+both ways); rationals round-trip entry-exactly.
 """
 
 from __future__ import annotations
@@ -22,15 +21,12 @@ from .errors import DimMismatch, InputError
 from .exact import ExactMatrix, ExactScalar
 from .idempotents import Idempotent, idempotent_from_matrix
 from .linalg import DEFAULT_TOL, Tolerances, as_matrix
-from .subspaces import Subspace
 
 __all__ = [
     "matrix_to_json",
     "matrix_from_json",
     "exact_matrix_to_json",
     "exact_matrix_from_json",
-    "subspace_to_json",
-    "subspace_from_json",
     "idempotent_to_json",
     "idempotent_from_json",
     "tolerances_to_json",
@@ -166,15 +162,6 @@ def exact_matrix_from_json(d: dict) -> ExactMatrix:
         return ExactMatrix.from_strings([[entry(data[i * c + j]) for j in range(c)] for i in range(r)])
     except (ValueError, ZeroDivisionError, OverflowError) as e:
         raise InputError(f"bad exact matrix entry: {e}") from e
-
-
-def subspace_to_json(s: Subspace) -> dict:
-    return matrix_to_json(s.basis)
-
-
-def subspace_from_json(d: dict) -> Subspace:
-    m = matrix_from_json(d)
-    return Subspace(m.shape[0], m)
 
 
 def idempotent_to_json(p: Idempotent) -> dict:

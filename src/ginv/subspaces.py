@@ -210,6 +210,10 @@ def map_subspace(m, s: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
 def subspaces_equal(m: Subspace, n: Subspace, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Basis-independent equality: the symmetric gap is below 10 * tol_eq."""
     _check_ambient(m, n)
-    if m.dim != n.dim:
-        return False
-    return gap(m, n).gap <= 10 * tol.tol_eq
+    return m.dim == n.dim and _gap_and_equal(m, n, tol)[1]
+
+
+def _gap_and_equal(m: Subspace, n: Subspace, tol: Tolerances = DEFAULT_TOL):
+    """(gap(m, n), subspaces_equal(m, n)) from one gap evaluation."""
+    g = gap(m, n)
+    return g, m.dim == n.dim and g.gap <= 10 * tol.tol_eq

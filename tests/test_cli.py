@@ -329,6 +329,8 @@ def test_verify_exit_code_follows_report_ok(tmp_path, capsys, theorem):
         (["compute"], "p-not-idempotent", None),
         (["compute"], "list", None),
         (["verify", "thm2.4"], "list", None),
+        (["ensemble"], "nan-magnitude", None),
+        (["ensemble"], "infinite-skew", None),
     ],
     ids=[
         "nan-compute",
@@ -338,6 +340,8 @@ def test_verify_exit_code_follows_report_ok(tmp_path, capsys, theorem):
         "p-not-idempotent",
         "list-instance",
         "list-scenario",
+        "nan-magnitude-config",
+        "infinite-skew-config",
     ],
 )
 def test_bad_input_exits_two_without_traceback(tmp_path, capsys, monkeypatch, argv, edit, env):
@@ -348,11 +352,18 @@ def test_bad_input_exits_two_without_traceback(tmp_path, capsys, monkeypatch, ar
         obj["p"] = matrix_to_json(np.diag([1.0, 0.5, 0.0]))
     elif edit == "list":
         obj = [obj]
+    elif edit in ("nan-magnitude", "infinite-skew"):
+        obj = {"n_range": [2, 3], "rank_range": [1, 2], "perturbation_magnitudes": [0.5], "count": 1, "seed": 1}
+        obj["theorems"] = ["thm2.4"]
+        if edit == "nan-magnitude":
+            obj["perturbation_magnitudes"] = [float("nan")]
+        else:
+            obj["skew"] = float("inf")
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))  # json.dumps writes NaN as the bare token NaN
     if env is not None:
         monkeypatch.setenv("GINV_DEFAULT_TOL", env)
-    code, out, err = run(capsys, argv + ["--in", str(path)])
+    code, out, err = run(capsys, argv + ["--config" if argv[0] == "ensemble" else "--in", str(path)])
     assert code == 2
     assert out == ""
     assert err.startswith("input error:")

@@ -7,7 +7,7 @@ import pytest
 
 from ginv import compute_outer_pql, idempotent_from_matrix, spectral_norm
 from ginv.errors import ExactSingular, NotExists
-from ginv.exact import ExactMatrix, ExactScalar, exact_multiply_add, parse_rational
+from ginv.exact import ExactMatrix, ExactScalar, parse_rational
 from ginv.gen_inverse import compute_outer_pql_exact
 
 
@@ -77,14 +77,6 @@ def test_null_basis_is_exactly_annihilated():
     nb = m.null_basis()
     assert nb.cols == 2
     assert (m @ nb).is_zero()
-
-
-def test_exact_multiply_add():
-    x = ExactMatrix.from_strings([["1", "2"], ["0", "1"]])
-    y = ExactMatrix.from_strings([["1/2", "0"], ["1", "1"]])
-    z = ExactMatrix.identity(2)
-    assert exact_multiply_add(x, y) == x @ y
-    assert exact_multiply_add(x, y, z) == x @ y + z
 
 
 def test_exact_prescribed_inverse_diagonal():

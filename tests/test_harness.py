@@ -41,6 +41,22 @@ def test_config_validation():
         small_config(perturbation_magnitudes=(-0.1,))
 
 
+@pytest.mark.parametrize(
+    "field",
+    [
+        {"perturbation_magnitudes": (float("nan"),)},
+        {"perturbation_magnitudes": (0.5, float("inf"))},
+        {"skew": float("inf")},
+        {"skew": float("nan")},
+    ],
+    ids=["nan-magnitude", "infinite-magnitude", "infinite-skew", "nan-skew"],
+)
+def test_config_rejects_non_finite_skew_and_magnitudes(field):
+    # they would reach the generator and end in a ValueError, not in InputError
+    with pytest.raises(InputError, match="finite"):
+        small_config(**field)
+
+
 def test_checks_registry_is_complete():
     assert set(CHECKS) == {
         "thm2.4",

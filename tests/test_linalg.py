@@ -8,14 +8,12 @@ from ginv.linalg import (
     DEFAULT_TOL,
     Tolerances,
     as_matrix,
-    complement_basis,
     identity,
     null_basis,
     orth_basis,
     rank,
     spectral_norm,
     try_inverse,
-    zero_matrix,
 )
 from ginv.randomstream import RandomStream
 
@@ -151,20 +149,6 @@ def test_null_basis_of_wide_zero_rows():
     assert nb.shape == (4, 4)
 
 
-def test_complement_basis_completes_the_space():
-    e1 = np.array([[1.0], [0.0], [0.0]], dtype=complex)
-    c = complement_basis(e1, 3)
-    assert c.shape == (3, 2)
-    assert spectral_norm(e1.conj().T @ c) <= 1e-14
-    stacked = np.hstack([e1, c])
-    assert rank(stacked) == 3
-
-
-def test_complement_of_empty_basis_is_identity():
-    c = complement_basis(np.zeros((3, 0)), 3)
-    assert spectral_norm(c - np.eye(3)) == 0.0
-
-
 def test_as_matrix_coerces_and_validates():
     m = as_matrix([[1, 2], [3, 4]])
     assert m.dtype == complex
@@ -176,8 +160,6 @@ def test_as_matrix_coerces_and_validates():
 
 def test_identity_and_zero_helpers():
     assert identity(2).dtype == complex
-    assert zero_matrix(2).shape == (2, 2)
-    assert zero_matrix(2, 3).shape == (2, 3)
 
 
 def test_tolerances_validation():

@@ -22,7 +22,6 @@ from ginv import (
     idempotent_from_matrix,
     perturb_idempotent,
     run_campaign,
-    subspace_from_columns,
 )
 from ginv.serialize import (
     CSV_HEADER,
@@ -47,8 +46,6 @@ from ginv.serialize import (
     matrix_to_json,
     scenario_from_json,
     scenario_to_json,
-    subspace_from_json,
-    subspace_to_json,
     tolerances_from_json,
     tolerances_to_json,
 )
@@ -132,11 +129,6 @@ def test_vacuous_bound_report_serializes(tmp_path):
 
 
 def test_subspace_and_idempotent_round_trips():
-    s = subspace_from_columns(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]]))
-    s2 = subspace_from_json(subspace_to_json(s))
-    assert s2.ambient_dim == 3 and s2.dim == 2
-    assert gap(s, s2).gap <= 1e-12
-
     p = idempotent_from_matrix(np.diag([1.0, 1.0, 0.0]))
     p2 = idempotent_from_json(idempotent_to_json(p))
     assert np.array_equal(p2.m, p.m)

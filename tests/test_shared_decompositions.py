@@ -1,7 +1,7 @@
 """Each matrix is decomposed once: the one-SVD summary, the Gram-check fast
-path, the SVD budget of the solver, scenarios that carry their base inverse,
-bound checks that start from the scenario, and a classification that is
-worked out only when it is read."""
+path, the SVD budget of the solver, scenarios that carry their base inverse
+and the quantities the checkers share, bound checks that start from the
+scenario, and a classification that is worked out only when it is read."""
 
 from dataclasses import replace
 
@@ -26,9 +26,10 @@ from ginv import (
     random_idempotent,
     run_check,
 )
-from ginv.linalg import DEFAULT_TOL, spectral_norm
+from ginv.linalg import DEFAULT_TOL, spectral_norm, try_inverse
+from ginv.perturbation import _factor
 from ginv.serialize import dumps, report_to_json, scenario_from_json, scenario_to_json
-from ginv.subspaces import Subspace, _norm_range_kernel, gap, kernel_of, range_of
+from ginv.subspaces import Subspace, _gap_and_equal, _norm_range_kernel, gap, kernel_of, range_of, subspaces_equal
 
 from conftest import draw_solvable
 
@@ -248,3 +249,79 @@ def test_svd_budget_of_compute_l_at_n6(svd_counter):
     theorem = "tm2.7"  # its scenarios have an inner-outer base inverse
     s = gen_scenario(EnsembleConfig(n_range=(6, 6), count=1, seed=3, theorems=(theorem,)), 0, theorem)
     assert svd_counter(lambda: compute_l(s.a, s.p, s.q, s.tol)) <= 10  # 20 with two existence evaluations
+
+
+def _factor_cases():
+    stream = RandomStream(13)
+    tol_inv = DEFAULT_TOL.tol_inv
+    return {
+        "invertible": stream.normal_matrix(5, 5),
+        "singular": stream.normal_matrix(5, 3) @ stream.normal_matrix(3, 5),
+        "zero": np.zeros((4, 4), dtype=complex),
+        "empty": np.zeros((0, 0), dtype=complex),
+        # sigma_max = 2, sigma_min 1% above and below tol_inv * sigma_max
+        "just-above": _with_singular_values(stream, 4, [2.0, 1.0, 0.5, 2.0 * tol_inv * 1.01]),
+        "just-below": _with_singular_values(stream, 4, [2.0, 1.0, 0.5, 2.0 * tol_inv * 0.99]),
+    }
+
+
+@pytest.mark.parametrize("name", list(_factor_cases()))
+def test_update_factor_helper_matches_try_inverse(name):
+    m = _factor_cases()[name]
+    invertible, sigma_min, inverse = _factor(m, DEFAULT_TOL)
+    reference = try_inverse(m, DEFAULT_TOL)
+    assert invertible == (reference is not None)
+    assert invertible == (name in ("invertible", "empty", "just-above"))
+    if invertible:
+        np.testing.assert_array_equal(inverse, reference)
+    else:
+        assert inverse is None
+    if m.size:
+        assert sigma_min == float(np.linalg.svd(m, compute_uv=False)[-1])
+    else:
+        assert sigma_min == float("inf")
+
+
+def _gap_cases():
+    stream = RandomStream(17)
+    m = range_of(stream.normal_matrix(5, 2))
+    rotated = Subspace(5, m.basis @ np.linalg.qr(stream.normal_matrix(2, 2))[0])
+    return {
+        "equal": (m, rotated),
+        "same-dimension": (m, range_of(stream.normal_matrix(5, 2))),
+        "different-dimension": (m, range_of(stream.normal_matrix(5, 3))),
+        "zero-and-line": (range_of(np.zeros((5, 1))), range_of(stream.normal_matrix(5, 1))),
+    }
+
+
+@pytest.mark.parametrize("name", list(_gap_cases()))
+def test_gap_helper_matches_gap_and_subspaces_equal(name):
+    m, n = _gap_cases()[name]
+    g, equal = _gap_and_equal(m, n, DEFAULT_TOL)
+    assert g == gap(m, n)
+    assert equal == subspaces_equal(m, n, DEFAULT_TOL)
+    assert equal == (name == "equal")
+
+
+def _n6_scenario(theorem):
+    return gen_scenario(EnsembleConfig(n_range=(6, 6), count=1, seed=3, theorems=(theorem,)), 0, theorem)
+
+
+@pytest.mark.parametrize("theorem, budget", [("tm2.7", 28), ("lemas1", 31), ("cor2.8", 13)])
+def test_svd_budget_of_a_section2_check_at_n6(svd_counter, theorem, budget):
+    s = _n6_scenario(theorem)
+    assert svd_counter(lambda: run_check(theorem, s)) <= budget  # 37, 36 and 17 with each checker's own prelude
+
+
+def test_svd_budget_of_l_aligned_generation_at_n6(svd_counter):
+    # 23 when the base's existence was evaluated a second time to solve it
+    assert svd_counter(lambda: _n6_scenario("tm2.7")) <= 19
+
+
+@pytest.mark.parametrize("theorem", ["tm2.7", "lemma2.10", "lemas1"])
+def test_generated_base_keeps_its_existence_evaluation(theorem):
+    s = _n6_scenario(theorem)
+    assert vars(s)["_evaluation"] is s.base._evaluation
+    fresh = replace(s)  # evaluates and solves again
+    assert fresh._evaluation.smin == s._evaluation.smin
+    np.testing.assert_array_equal(fresh.base.b, s.base.b)
