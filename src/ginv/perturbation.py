@@ -44,7 +44,14 @@ from .gen_inverse import (
 )
 from .idempotents import Idempotent
 from .linalg import DEFAULT_TOL, Tolerances, _singular_values, as_matrix, identity, rank, spectral_norm
-from .subspaces import _gap_and_equal, _norm_range_kernel, gap, intersection_trivial, map_subspace, subspaces_equal
+from .subspaces import (
+    _gap_and_equal,
+    _norm_range_kernel,
+    _one_sided_gap,
+    intersection_trivial,
+    map_subspace,
+    subspaces_equal,
+)
 
 __all__ = [
     "Scenario",
@@ -482,8 +489,8 @@ def _gap_hypotheses(s: Scenario, b):
     _, col_a, ker_a = s._a_summary
     _, col_bar, ker_bar = s._bar_summary
     sides = (
-        (spectral_norm(identity(s.n) - s.a @ b), gap(col_bar, col_a).delta_mn),
-        (spectral_norm(b @ s.a), gap(ker_bar, ker_a).delta_mn),
+        (spectral_norm(identity(s.n) - s.a @ b), _one_sided_gap(col_bar.projector(), col_a.projector(), col_bar.dim)),
+        (spectral_norm(b @ s.a), _one_sided_gap(ker_bar.projector(), ker_a.projector(), ker_bar.dim)),
     )
     out = []
     for norm, delta in sides:

@@ -13,6 +13,8 @@ import json
 import math
 import numbers
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
@@ -77,12 +79,7 @@ def _dec_float(v: Any) -> float:
 def matrix_to_json(m) -> dict:
     m = as_matrix(m)
     r, c = m.shape
-    data = []
-    for i in range(r):
-        for j in range(c):
-            z = complex(m[i, j])
-            data.append([z.real, z.imag])
-    return {"rows": r, "cols": c, "data": data}
+    return {"rows": r, "cols": c, "data": np.stack((m.real, m.imag), -1).reshape(-1, 2).tolist()}
 
 
 def _is_real_type(t) -> bool:
@@ -110,12 +107,18 @@ def matrix_from_json(d: dict) -> np.ndarray:
     r, c, data = _matrix_fields(d)
     if d.get("exact"):
         return exact_matrix_from_json(d).to_complex()
-    pairs = [e if isinstance(e, (list, tuple)) else (e, 0.0) for e in data]
-    # Checking the distinct types, not every entry, keeps large matrices cheap.
-    if any(len(e) != 2 for e in pairs) or not all(map(_is_real_type, {type(x) for e in pairs for x in e})):
+    # Type and length checks run over the distinct types and lengths, so a
+    # large matrix costs C-level passes and no Python step per entry.
+    kinds = set(map(type, data))
+    paired = {t for t in kinds if issubclass(t, (list, tuple))}
+    if paired and paired != kinds:  # bare numbers among the pairs
+        data = [e if isinstance(e, (list, tuple)) else (e, 0.0) for e in data]
+    parts = list(chain.from_iterable(data)) if paired else data
+    if (paired and set(map(len, data)) != {2}) or not all(map(_is_real_type, set(map(type, parts)))):
         raise InputError("matrix entries must be numbers or [re, im] pairs of numbers")
     try:
-        m = np.array(pairs, dtype=float).view(complex).reshape(r, c)
+        x = np.fromiter(parts, dtype=float, count=len(parts))
+        m = (x.view(complex) if paired else x.astype(complex)).reshape(r, c)
     except (ValueError, OverflowError) as e:  # a number beyond double range, or a shape numpy cannot hold
         raise InputError(f"bad matrix: {e}") from e
     if not np.isfinite(m).all():
@@ -181,13 +184,32 @@ def tolerances_to_json(t: Tolerances) -> dict:
     return {"tol_rank": t.tol_rank, "tol_eq": t.tol_eq, "tol_inv": t.tol_inv}
 
 
+def _number(x, name: str) -> float:
+    """A JSON number as a float; strings, booleans and other values are bad input."""
+    if not _is_real_type(type(x)):
+        raise InputError(f"{name} must be a number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError as e:
+        raise InputError(f"{name} is beyond double range") from e
+
+
+def _integer(x, name: str) -> int:
+    """A JSON integer; a float counts when its value is integral (6.0 is 6)."""
+    if type(x) is float and x.is_integer():
+        return int(x)
+    if not isinstance(x, numbers.Integral) or isinstance(x, (bool, np.bool_)):
+        raise InputError(f"{name} must be an integer, got {x!r}")
+    return int(x)
+
+
 def tolerances_from_json(d: dict) -> Tolerances:
     if not isinstance(d, dict):
         raise InputError(f"tolerances must be a JSON object, got {type(d).__name__}")
     return Tolerances(
-        tol_rank=float(d.get("tol_rank", DEFAULT_TOL.tol_rank)),
-        tol_eq=float(d.get("tol_eq", DEFAULT_TOL.tol_eq)),
-        tol_inv=float(d.get("tol_inv", DEFAULT_TOL.tol_inv)),
+        tol_rank=_number(d.get("tol_rank", DEFAULT_TOL.tol_rank), "tol_rank"),
+        tol_eq=_number(d.get("tol_eq", DEFAULT_TOL.tol_eq), "tol_eq"),
+        tol_inv=_number(d.get("tol_inv", DEFAULT_TOL.tol_inv), "tol_inv"),
     )
 
 
@@ -250,12 +272,12 @@ def config_from_json(d: dict):
 
     try:
         return EnsembleConfig(
-            n_range=tuple(int(x) for x in d["n_range"]),
-            rank_range=tuple(int(x) for x in d["rank_range"]),
-            skew=float(d.get("skew", 0.0)),
-            perturbation_magnitudes=tuple(float(x) for x in d["perturbation_magnitudes"]),
-            count=int(d["count"]),
-            seed=int(d["seed"]),
+            n_range=tuple(_integer(x, "n_range entry") for x in d["n_range"]),
+            rank_range=tuple(_integer(x, "rank_range entry") for x in d["rank_range"]),
+            skew=_number(d.get("skew", 0.0), "skew"),
+            perturbation_magnitudes=tuple(_number(x, "perturbation magnitude") for x in d["perturbation_magnitudes"]),
+            count=_integer(d["count"], "count"),
+            seed=_integer(d["seed"], "seed"),
             theorems=tuple(str(t) for t in d["theorems"]),
             tolerances=tolerances_from_json(d.get("tolerances", {})),
         )
@@ -380,8 +402,64 @@ def bound_reports_to_csv(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _Unhandled(Exception):
+    """A value the emitter leaves to json.dumps."""
+
+
+def _float_rows(rows: list, nl: str):
+    """A list of equal-length lists of finite floats (a matrix's data) in one
+    formatting step, or None for anything else."""
+    if set(map(type, rows)) != {list}:
+        return None
+    k = len(rows[0])
+    flat = list(chain.from_iterable(rows))
+    # A non-finite entry makes the sum non-finite; an overflowing sum only
+    # sends finite rows down the general path.
+    if not k or set(map(len, rows)) != {k} or set(map(type, flat)) != {float} or not math.isfinite(sum(flat)):
+        return None
+    inner = nl + "  "
+    row = "[" + inner + "  " + ("," + inner + "  ").join(("%r",) * k) + inner + "]"
+    text = "[" + inner + ("," + inner).join((row,) * len(rows)) + nl + "]"
+    return text % tuple(flat)  # %r is float.__repr__ for an exact float
+
+
+def _encode(o: Any, nl: str) -> str:
+    """o as json.dumps(o, indent=2, sort_keys=True, allow_nan=False) writes
+    it, with nl the newline and indent of o's own line."""
+    t = type(o)
+    if t is str:
+        return encode_basestring_ascii(o)
+    if t is float:
+        if not math.isfinite(o):
+            raise _Unhandled  # json.dumps raises its ValueError
+        return float.__repr__(o)
+    if t is int:
+        return int.__repr__(o)
+    if t is bool:
+        return "true" if o else "false"
+    if o is None:
+        return "null"
+    inner = nl + "  "
+    if t is list or t is tuple:
+        if not o:
+            return "[]"
+        return _float_rows(o, nl) or "[" + inner + ("," + inner).join([_encode(v, inner) for v in o]) + nl + "]"
+    if t is dict and set(map(type, o)) <= {str}:
+        if not o:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _encode(v, inner) for k, v in sorted(o.items())]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    raise _Unhandled
+
+
 def dumps(obj: Any) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    """obj as indented JSON (indent 2, sorted keys, ASCII, no NaN or
+    infinity), byte for byte what json.dumps writes with those options."""
+    try:
+        return _encode(obj, "\n")
+    except (_Unhandled, RecursionError):
+        # Other types, cycles and deep nesting: the stdlib encodes or raises.
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
 
 
 def load_file(path: str) -> Any:

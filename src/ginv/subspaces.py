@@ -166,18 +166,19 @@ def gap(m: Subspace, n: Subspace) -> GapResult:
     Both one-sided values and the symmetric gap lie in [0, 1].
     """
     _check_ambient(m, n)
-    eye = np.eye(m.ambient_dim)
     pm, pn = m.projector(), n.projector()
-
-    def one_sided(pa, pb, dim_a):
-        if dim_a == 0:
-            return 0.0
-        v = spectral_norm((eye - pb) @ pa)
-        return min(max(v, 0.0), 1.0)
-
-    d_mn = one_sided(pm, pn, m.dim)
-    d_nm = one_sided(pn, pm, n.dim)
+    d_mn = _one_sided_gap(pm, pn, m.dim)
+    d_nm = _one_sided_gap(pn, pm, n.dim)
     return GapResult(d_mn, d_nm, max(d_mn, d_nm))
+
+
+def _one_sided_gap(pa: np.ndarray, pb: np.ndarray, dim_a: int) -> float:
+    """delta(A, B) = ||(1 - P_B) P_A||_2 from the projectors onto A and B, 0
+    when A = {0}; for callers that need only one side of `gap`."""
+    if dim_a == 0:
+        return 0.0
+    v = spectral_norm((np.eye(len(pa)) - pb) @ pa)
+    return min(max(v, 0.0), 1.0)
 
 
 def intersection_trivial(m: Subspace, n: Subspace, tol: Tolerances = DEFAULT_TOL) -> bool:

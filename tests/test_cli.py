@@ -331,6 +331,13 @@ def test_verify_exit_code_follows_report_ok(tmp_path, capsys, theorem):
         (["verify", "thm2.4"], "list", None),
         (["ensemble"], "nan-magnitude", None),
         (["ensemble"], "infinite-skew", None),
+        (["ensemble"], "fractional-n-range", None),
+        (["ensemble"], "fractional-count", None),
+        (["ensemble"], "boolean-seed", None),
+        (["ensemble"], "string-count", None),
+        (["ensemble"], "string-tol", None),
+        (["ensemble"], "boolean-tol", None),
+        (["ensemble"], "string-skew", None),
     ],
     ids=[
         "nan-compute",
@@ -342,6 +349,13 @@ def test_verify_exit_code_follows_report_ok(tmp_path, capsys, theorem):
         "list-scenario",
         "nan-magnitude-config",
         "infinite-skew-config",
+        "fractional-n-range-config",
+        "fractional-count-config",
+        "boolean-seed-config",
+        "string-count-config",
+        "string-tol-config",
+        "boolean-tol-config",
+        "string-skew-config",
     ],
 )
 def test_bad_input_exits_two_without_traceback(tmp_path, capsys, monkeypatch, argv, edit, env):
@@ -352,13 +366,22 @@ def test_bad_input_exits_two_without_traceback(tmp_path, capsys, monkeypatch, ar
         obj["p"] = matrix_to_json(np.diag([1.0, 0.5, 0.0]))
     elif edit == "list":
         obj = [obj]
-    elif edit in ("nan-magnitude", "infinite-skew"):
+    elif edit is not None:  # a config with one bad field
         obj = {"n_range": [2, 3], "rank_range": [1, 2], "perturbation_magnitudes": [0.5], "count": 1, "seed": 1}
         obj["theorems"] = ["thm2.4"]
-        if edit == "nan-magnitude":
-            obj["perturbation_magnitudes"] = [float("nan")]
-        else:
-            obj["skew"] = float("inf")
+        obj.update(
+            {
+                "nan-magnitude": {"perturbation_magnitudes": [float("nan")]},
+                "infinite-skew": {"skew": float("inf")},
+                "fractional-n-range": {"n_range": [2.9, 3]},
+                "fractional-count": {"count": 1.5},
+                "boolean-seed": {"seed": True},
+                "string-count": {"count": "1"},
+                "string-tol": {"tolerances": {"tol_eq": "1e-3"}},
+                "boolean-tol": {"tolerances": {"tol_eq": True}},
+                "string-skew": {"skew": "0.3"},
+            }[edit]
+        )
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))  # json.dumps writes NaN as the bare token NaN
     if env is not None:

@@ -144,3 +144,31 @@ def test_scenario_round_trip_keeps_every_matrix(seed, theorem):
             np.testing.assert_array_equal(theirs.m, mine.m)
             assert theirs.rank == mine.rank
     assert back.tol == s.tol
+
+
+# Lists of float lists, equal-length or ragged, are what a matrix's data
+# looks like and what the encoder renders in one step.
+FLOAT_ROWS = st.integers(0, 3).flatmap(
+    lambda k: st.lists(st.lists(st.floats(), min_size=k, max_size=k), max_size=4)
+) | st.lists(st.lists(FINITE, max_size=3), max_size=3)
+TREE = st.recursive(
+    SCALARS | FLOAT_ROWS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+def _encoded(encode, obj):
+    try:
+        return encode(obj)
+    except ValueError as e:  # a NaN or an infinity
+        return f"ValueError: {e}"
+
+
+@FUZZ
+@given(TREE)
+def test_dumps_is_json_dumps_byte_for_byte(obj):
+    expected = _encoded(lambda o: json.dumps(o, indent=2, sort_keys=True, allow_nan=False), obj)
+    assert _encoded(dumps, obj) == expected

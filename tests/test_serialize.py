@@ -326,3 +326,24 @@ def test_exact_numbers_read_by_one_rule_bare_or_paired():
     assert bare == paired == ("3602879701896397/36028797018963968", "0")
     assert complex_entry == ("3602879701896397/36028797018963968", "-5/2")
     assert text == ("1/10", "0")
+
+
+def test_config_numbers_are_read_strictly():
+    good = config_to_json(EnsembleConfig(n_range=(2, 4), rank_range=(1, 3), count=3, seed=0, theorems=("thm3.4",)))
+    integral = dict(good, n_range=[2.0, 4], count=3.0, seed=10**30)
+    assert config_from_json(integral) == config_from_json(dict(good, seed=10**30))
+    bad = [
+        ("n_range", [2.9, 4], "n_range entry"),
+        ("rank_range", [1, True], "rank_range entry"),
+        ("count", 1.5, "count"),
+        ("seed", False, "seed"),
+        ("skew", "0.3", "skew"),
+        ("perturbation_magnitudes", [None], "perturbation magnitude"),
+        ("tolerances", {"tol_eq": "1e-3"}, "tol_eq"),
+    ]
+    for field, value, named in bad:
+        with pytest.raises(InputError, match=named):
+            config_from_json(dict(good, **{field: value}))
+    for value in ("1e-3", True, None, 10**400):
+        with pytest.raises(InputError, match="tol_inv"):
+            tolerances_from_json({"tol_inv": value})
