@@ -13,9 +13,9 @@ Exit codes: 0 all checks passed (or the requested object was produced),
 could not be made included), or the requested inverse does not exist,
 2 malformed input or unknown ids.
 
-The environment variable GINV_DEFAULT_TOL overrides the default equality
-tolerance; --tol-rank/--tol-eq/--tol-inv override individual fields and win
-over the environment.
+Tolerances start from the "tolerances" of the config or scenario file; the
+environment variable GINV_DEFAULT_TOL overrides the equality tolerance, and
+--tol-rank/--tol-eq/--tol-inv override single fields and win over both.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .serialize import (
     matrix_to_json,
     report_to_json,
     scenario_from_json,
+    tolerances_from_json,
 )
 from .subspaces import Subspace, gap, orth_basis
 
@@ -57,31 +58,26 @@ __all__ = ["cli", "main"]
 
 
 def _resolve_tol(args, base: Tolerances = DEFAULT_TOL) -> Tolerances:
-    tol_eq = base.tol_eq
+    """base, then GINV_DEFAULT_TOL for tol_eq, then the --tol-* flags."""
+    over = {}
     env = os.environ.get("GINV_DEFAULT_TOL")
     if env is not None:
         try:
-            tol_eq = float(env)
+            over["tol_eq"] = float(env)
         except ValueError as e:
             raise InputError(f"GINV_DEFAULT_TOL is not a number: {env!r}") from e
+    over.update((k, v) for k, v in vars(args).items() if k.startswith("tol_") and v is not None)
     try:
-        return Tolerances(
-            tol_rank=args.tol_rank if args.tol_rank is not None else base.tol_rank,
-            tol_eq=args.tol_eq if args.tol_eq is not None else tol_eq,
-            tol_inv=args.tol_inv if args.tol_inv is not None else base.tol_inv,
-        )
+        return replace(base, **over)
     except ValueError as e:
         raise InputError(f"bad tolerance: {e}") from e
 
 
 def _emit(obj, out_path):
-    text = dumps(obj)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write("\n")
+        dump_file(obj, out_path)
     else:
-        print(text)
+        print(dumps(obj))
 
 
 def _add_tol_flags(sp):
@@ -156,9 +152,15 @@ def _cmd_gap(args) -> int:
     return 0
 
 
+def _load_scenario(args):
+    """The scenario file, decoded with its own tolerances as the base."""
+    d = load_file(args.infile)
+    base = tolerances_from_json(d["tolerances"]) if isinstance(d, dict) and "tolerances" in d else DEFAULT_TOL
+    return scenario_from_json(d, _resolve_tol(args, base))
+
+
 def _cmd_perturb(args) -> int:
-    tol = _resolve_tol(args)
-    s = scenario_from_json(load_file(args.infile), tol)
+    s = _load_scenario(args)
     out = {}
     code = 0
     try:
@@ -208,8 +210,7 @@ def _cmd_verify(args) -> int:
     if not theorem:
         raise InputError("verify needs a check id (positional or --theorem)")
     if args.infile:
-        tol = _resolve_tol(args)
-        s = scenario_from_json(load_file(args.infile), tol)
+        s = _load_scenario(args)
         kind, report = run_check(theorem, s)
         _emit({"kind": kind, "report": report_to_json(report)}, args.out)
         if args.csv and kind == "bound":

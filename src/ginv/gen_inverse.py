@@ -449,9 +449,7 @@ def representation_15(a, p, q, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     raises RepresentationMismatch: it signals a bug or a tolerance breach,
     not a property of the input.
     """
-    a = as_matrix(a)
-    p = _as_idempotent(p, tol)
-    q = _as_idempotent(q, tol)
+    a, p, q = _checked(a, p, q, tol)
     direct = compute_outer_pql(a, p, q, tol)
     w = build_witness(p, q, tol).w
     wa = w @ a

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import GenerationFailed, GinvError, InputError
 from .gen_inverse import _solved
 from .idempotents import idempotent_from_matrix, oblique, perturb_idempotent, random_idempotent
-from .linalg import DEFAULT_TOL, Tolerances, spectral_norm
+from .linalg import DEFAULT_TOL, Tolerances, _integer, _number, spectral_norm
 from .perturbation import (
     Scenario,
     _BOUND_CHECKS,
@@ -70,12 +70,23 @@ class EnsembleConfig:
     tolerances: Tolerances = DEFAULT_TOL
 
     def __post_init__(self):
-        object.__setattr__(self, "n_range", tuple(int(x) for x in self.n_range))
-        object.__setattr__(self, "rank_range", tuple(int(x) for x in self.rank_range))
-        object.__setattr__(
-            self, "perturbation_magnitudes", tuple(float(x) for x in self.perturbation_magnitudes)
-        )
-        object.__setattr__(self, "theorems", tuple(str(t) for t in self.theorems))
+        """The one check of every field, for a config built in Python or read from JSON."""
+
+        def entries(name, read, what):
+            v = getattr(self, name)
+            if not isinstance(v, (list, tuple)):
+                raise InputError(f"{name} must be a list, got {v!r}")
+            object.__setattr__(self, name, tuple(read(x, what) for x in v))
+
+        entries("n_range", _integer, "n_range entry")
+        entries("rank_range", _integer, "rank_range entry")
+        entries("perturbation_magnitudes", _number, "perturbation magnitude")
+        entries("theorems", lambda t, _: t, "check id")
+        object.__setattr__(self, "skew", _number(self.skew, "skew"))
+        object.__setattr__(self, "count", _integer(self.count, "count"))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        if not isinstance(self.tolerances, Tolerances):
+            raise InputError(f"tolerances must be a Tolerances, got {self.tolerances!r}")
         if len(self.n_range) != 2 or self.n_range[0] > self.n_range[1] or self.n_range[0] < 1:
             raise InputError(f"bad n_range {self.n_range}")
         if len(self.rank_range) != 2 or self.rank_range[0] > self.rank_range[1] or self.rank_range[0] < 0:
@@ -89,7 +100,7 @@ class EnsembleConfig:
         if not math.isfinite(self.skew):
             raise InputError(f"skew must be finite, got {self.skew}")
         for t in self.theorems:
-            if t not in CHECKS:
+            if not isinstance(t, str) or t not in CHECKS:
                 raise InputError(f"unknown check id {t!r}; known: {sorted(CHECKS)}")
 
 

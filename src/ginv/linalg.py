@@ -9,10 +9,13 @@ the projector formula for the subspace gap exact.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+from .errors import InputError
 
 __all__ = [
     "Tolerances",
@@ -25,6 +28,30 @@ __all__ = [
     "orth_basis",
     "null_basis",
 ]
+
+
+def _is_real_type(t) -> bool:
+    """The rule for every number read from input: a real, never a bool."""
+    return issubclass(t, numbers.Real) and not issubclass(t, (bool, np.bool_))
+
+
+def _number(x, name: str, error=InputError) -> float:
+    """x as a float; a bool, string or value beyond double range raises error."""
+    if not _is_real_type(type(x)):
+        raise error(f"{name} must be a number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError as e:
+        raise error(f"{name} is beyond double range") from e
+
+
+def _integer(x, name: str) -> int:
+    """x as an int; a float counts when its value is integral (6.0 is 6)."""
+    if type(x) is float and x.is_integer():
+        return int(x)
+    if not isinstance(x, numbers.Integral) or isinstance(x, (bool, np.bool_)):
+        raise InputError(f"{name} must be an integer, got {x!r}")
+    return int(x)
 
 
 @dataclass(frozen=True)
@@ -42,9 +69,10 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("tol_rank", "tol_eq", "tol_inv"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            v = _number(getattr(self, name), name, ValueError)
+            if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be a positive finite number, got {v!r}")
+            object.__setattr__(self, name, v)
         if self.tol_rank >= 1:
             raise ValueError("tol_rank must be below 1")
 

@@ -32,6 +32,7 @@ from .errors import DimMismatch, InputError, NoGroupInverse, NotExists, Represen
 from .gen_inverse import (
     GInvResult,
     _as_idempotent,
+    _checked,
     _existence,
     _l,
     _outer,
@@ -99,22 +100,19 @@ class Scenario:
     tol: Tolerances = DEFAULT_TOL
 
     def __post_init__(self):
-        a = as_matrix(self.a)
+        a, p, q = _checked(self.a, self.p, self.q, self.tol)
         d = as_matrix(self.delta_a)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "delta_a", d)
-        if a.shape[0] != a.shape[1]:
-            raise DimMismatch("a must be square")
+        for name, val in (("a", a), ("delta_a", d), ("p", p), ("q", q)):
+            object.__setattr__(self, name, val)
         if d.shape != a.shape:
             raise DimMismatch("delta_a must have the same shape as a")
-        for name in ("p", "q", "p_prime", "q_prime"):
+        for name in ("p_prime", "q_prime"):
             val = getattr(self, name)
-            if val is None:
-                continue
-            val = _as_idempotent(val, self.tol)
-            object.__setattr__(self, name, val)
-            if val.n != a.shape[0]:
-                raise DimMismatch(f"{name} does not match the size of a")
+            if val is not None:
+                val = _as_idempotent(val, self.tol)
+                object.__setattr__(self, name, val)
+                if val.n != a.shape[0]:
+                    raise DimMismatch(f"{name} does not match the size of a")
 
     @property
     def n(self) -> int:

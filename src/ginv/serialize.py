@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -20,9 +19,9 @@ from typing import Any
 import numpy as np
 
 from .errors import DimMismatch, InputError
-from .exact import ExactMatrix, ExactScalar
+from .exact import ExactMatrix
 from .idempotents import Idempotent, idempotent_from_matrix
-from .linalg import DEFAULT_TOL, Tolerances, as_matrix
+from .linalg import DEFAULT_TOL, Tolerances, _is_real_type, as_matrix
 
 __all__ = [
     "matrix_to_json",
@@ -80,10 +79,6 @@ def matrix_to_json(m) -> dict:
     m = as_matrix(m)
     r, c = m.shape
     return {"rows": r, "cols": c, "data": np.stack((m.real, m.imag), -1).reshape(-1, 2).tolist()}
-
-
-def _is_real_type(t) -> bool:
-    return issubclass(t, numbers.Real) and not issubclass(t, (bool, np.bool_))
 
 
 def _matrix_fields(d) -> tuple:
@@ -184,33 +179,14 @@ def tolerances_to_json(t: Tolerances) -> dict:
     return {"tol_rank": t.tol_rank, "tol_eq": t.tol_eq, "tol_inv": t.tol_inv}
 
 
-def _number(x, name: str) -> float:
-    """A JSON number as a float; strings, booleans and other values are bad input."""
-    if not _is_real_type(type(x)):
-        raise InputError(f"{name} must be a number, got {x!r}")
-    try:
-        return float(x)
-    except OverflowError as e:
-        raise InputError(f"{name} is beyond double range") from e
-
-
-def _integer(x, name: str) -> int:
-    """A JSON integer; a float counts when its value is integral (6.0 is 6)."""
-    if type(x) is float and x.is_integer():
-        return int(x)
-    if not isinstance(x, numbers.Integral) or isinstance(x, (bool, np.bool_)):
-        raise InputError(f"{name} must be an integer, got {x!r}")
-    return int(x)
-
-
 def tolerances_from_json(d: dict) -> Tolerances:
+    """Tolerances from the fields present; Tolerances checks their values."""
     if not isinstance(d, dict):
         raise InputError(f"tolerances must be a JSON object, got {type(d).__name__}")
-    return Tolerances(
-        tol_rank=_number(d.get("tol_rank", DEFAULT_TOL.tol_rank), "tol_rank"),
-        tol_eq=_number(d.get("tol_eq", DEFAULT_TOL.tol_eq), "tol_eq"),
-        tol_inv=_number(d.get("tol_inv", DEFAULT_TOL.tol_inv), "tol_inv"),
-    )
+    try:
+        return Tolerances(**{k: d[k] for k in ("tol_rank", "tol_eq", "tol_inv") if k in d})
+    except ValueError as e:
+        raise InputError(f"bad tolerance: {e}") from e
 
 
 def scenario_to_json(s) -> dict:
@@ -234,20 +210,10 @@ def scenario_from_json(d: dict, tol: Tolerances | None = None):
     try:
         t = tol or (tolerances_from_json(d["tolerances"]) if "tolerances" in d else DEFAULT_TOL)
         a = matrix_from_json(d["a"])
-        n = a.shape[0]
-        delta = matrix_from_json(d["delta_a"]) if d.get("delta_a") is not None else np.zeros((n, n), dtype=complex)
-        kw = {}
-        for name in ("p_prime", "q_prime"):
-            v = d.get(name)
-            kw[name] = idempotent_from_json(v, t) if v is not None else None
-        return Scenario(
-            a,
-            delta,
-            idempotent_from_json(d["p"], t),
-            idempotent_from_json(d["q"], t),
-            tol=t,
-            **kw,
-        )
+        delta = matrix_from_json(d["delta_a"]) if d.get("delta_a") is not None else np.zeros_like(a)
+        p, q = (idempotent_from_json(d[k], t) for k in ("p", "q"))
+        moved = {k: idempotent_from_json(d[k], t) for k in ("p_prime", "q_prime") if d.get(k) is not None}
+        return Scenario(a, delta, p, q, tol=t, **moved)
     except KeyError as e:
         raise InputError(f"scenario object is missing field {e}") from e
     except (TypeError, ValueError, OverflowError, DimMismatch) as e:
@@ -268,17 +234,14 @@ def config_to_json(c) -> dict:
 
 
 def config_from_json(d: dict):
+    """The config's fields as they stand in the file; EnsembleConfig checks them."""
     from .harness import EnsembleConfig
 
+    required = ("n_range", "rank_range", "perturbation_magnitudes", "count", "seed", "theorems")
     try:
         return EnsembleConfig(
-            n_range=tuple(_integer(x, "n_range entry") for x in d["n_range"]),
-            rank_range=tuple(_integer(x, "rank_range entry") for x in d["rank_range"]),
-            skew=_number(d.get("skew", 0.0), "skew"),
-            perturbation_magnitudes=tuple(_number(x, "perturbation magnitude") for x in d["perturbation_magnitudes"]),
-            count=_integer(d["count"], "count"),
-            seed=_integer(d["seed"], "seed"),
-            theorems=tuple(str(t) for t in d["theorems"]),
+            **{k: d[k] for k in required},
+            skew=d.get("skew", 0.0),
             tolerances=tolerances_from_json(d.get("tolerances", {})),
         )
     except KeyError as e:

@@ -319,6 +319,34 @@ def test_verify_exit_code_follows_report_ok(tmp_path, capsys, theorem):
     assert result["report"] == json.loads(dumps(report_to_json(report)))
 
 
+def test_verify_scenario_keeps_its_tolerances(tmp_path, capsys, monkeypatch):
+    """A scenario file's tolerances are the base; GINV_DEFAULT_TOL, then
+    --tol-eq, override its tol_eq, the same rule as for a config file."""
+    from ginv import EnsembleConfig, Tolerances, gen_scenario, run_check
+    from ginv.serialize import load_file, report_to_json, scenario_from_json, scenario_to_json
+
+    theorem = "selftest-bad-bound"
+    config = EnsembleConfig(n_range=(3, 4), rank_range=(1, 2), count=1, seed=3, theorems=(theorem,))
+    obj = scenario_to_json(gen_scenario(config, 0, theorem))
+    obj["tolerances"] = {"tol_rank": 1e-9, "tol_eq": 1e-2, "tol_inv": 1e-12}
+    path = write(tmp_path, "scenario.json", obj)
+
+    def expected(s):
+        kind, report = run_check(theorem, s)
+        return (0 if report.ok else 1), dumps({"kind": kind, "report": report_to_json(report)}) + "\n"
+
+    # with tol_eq = 1e-2 the moved idempotent fails the guarded hypothesis, so
+    # the shrunk bound is not tested and the report passes; at 1e-9 it fails
+    own = expected(scenario_from_json(load_file(path)))
+    strict = expected(scenario_from_json(load_file(path), Tolerances(tol_rank=1e-9, tol_eq=1e-9, tol_inv=1e-12)))
+    assert own[0] == 0 and strict[0] == 1
+    assert run(capsys, ["verify", theorem, "--in", path])[:2] == own
+    assert run(capsys, ["verify", theorem, "--in", path, "--tol-eq", "1e-9"])[:2] == strict
+    monkeypatch.setenv("GINV_DEFAULT_TOL", "1e-9")
+    assert run(capsys, ["verify", theorem, "--in", path])[:2] == strict
+    assert run(capsys, ["verify", theorem, "--in", path, "--tol-eq", "1e-2"])[:2] == own
+
+
 @pytest.mark.parametrize(
     "argv, edit, env",
     [

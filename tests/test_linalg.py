@@ -171,4 +171,11 @@ def test_tolerances_validation():
         Tolerances(tol_eq=float("nan"))
     with pytest.raises(ValueError):
         Tolerances(tol_rank=2.0)
+    # a real number only: no bool, no string, nothing beyond double range
+    for bad in (True, "1e-3", 10**400):
+        with pytest.raises(ValueError, match="tol_eq"):
+            Tolerances(tol_eq=bad)
+    t = Tolerances(tol_eq=np.float32(1e-6), tol_inv=1)
+    assert type(t.tol_eq) is float and t.tol_eq == float(np.float32(1e-6))
+    assert type(t.tol_inv) is float and t.tol_inv == 1.0
     assert DEFAULT_TOL.tol_rank == 1e-10

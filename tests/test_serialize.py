@@ -337,13 +337,23 @@ def test_config_numbers_are_read_strictly():
         ("rank_range", [1, True], "rank_range entry"),
         ("count", 1.5, "count"),
         ("seed", False, "seed"),
+        ("seed", 1.5, "seed"),
         ("skew", "0.3", "skew"),
         ("perturbation_magnitudes", [None], "perturbation magnitude"),
+        ("n_range", "26", "n_range"),
+        ("theorems", "thm3.4", "theorems"),
         ("tolerances", {"tol_eq": "1e-3"}, "tol_eq"),
     ]
+    python_kwargs = dict(n_range=(2, 4), rank_range=(1, 3), count=3, seed=0, theorems=("thm3.4",))
+    assert EnsembleConfig(**python_kwargs) == config_from_json(good)
     for field, value, named in bad:
         with pytest.raises(InputError, match=named):
             config_from_json(dict(good, **{field: value}))
+        # the same rule binds a config built in Python: no truncation, no TypeError
+        with pytest.raises(InputError, match=named):
+            EnsembleConfig(**dict(python_kwargs, **{field: value}))
+    with pytest.raises(InputError, match="must be a Tolerances"):
+        EnsembleConfig(**python_kwargs, tolerances={"tol_eq": 1e-3})
     for value in ("1e-3", True, None, 10**400):
         with pytest.raises(InputError, match="tol_inv"):
             tolerances_from_json({"tol_inv": value})
