@@ -192,16 +192,17 @@ def _campaign(config, args) -> int:
         config = replace(config, seed=args.seed)
     tol = _resolve_tol(args, config.tolerances)
     config = replace(config, tolerances=tol)
-    csv_rows = []
+    # run_campaign reports index-major; the CSV lists each id's rows in turn
+    rows = {theorem: [] for theorem in config.theorems}
 
     def collect(theorem, index, kind, report):
         if kind == "bound":
-            csv_rows.append(report)
+            rows[theorem].append(report)
 
     report = run_campaign(config, on_report=collect if args.csv else None)
     _emit(campaign_report_to_json(report), args.out)
     if args.csv:
-        _write_csv(csv_rows, args.csv)
+        _write_csv([r for theorem in config.theorems for r in rows[theorem]], args.csv)
     return 0 if report.ok else 1
 
 

@@ -292,12 +292,30 @@ _BOUND_IDS = frozenset(t for t, (_, _, moves_p, moves_q) in _PROFILES.items() if
 _NEEDS_INVERTIBLE = {"thm2.7", "cor2.8", "lemma2.6", "thm2.12"}
 
 
-def gen_scenario(config: EnsembleConfig, index: int, theorem: str) -> Scenario:
+def _once(memo, key, stream, draw):
+    """draw() the first time key comes up in memo; a later hit returns the
+    same result and leaves stream where that first draw left it. A draw that
+    raises stores nothing, so the next caller runs it again."""
+    if memo is None:
+        return draw()
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = (draw(), stream._state, stream._spare_normal)
+    stream._state, stream._spare_normal = hit[1], hit[2]
+    return hit[0]
+
+
+def gen_scenario(config: EnsembleConfig, index: int, theorem: str, *, _memo=None) -> Scenario:
     """The index-th scenario of the configured ensemble, tailored to a check id.
 
     Deterministic in (config.seed, index, theorem). Retries internal draws a
     bounded number of times and raises GenerationFailed when no admissible
     scenario can be built (for example when the rank range leaves no room).
+
+    The stream of an index does not depend on the check id, so ids that share
+    a base family draw the same base, and often the same moved idempotents.
+    `run_campaign` passes one dict per index as `_memo`, in which those draws
+    are made once and shared; the objects are never mutated.
     """
     if theorem not in _PROFILES:
         raise InputError(f"unknown check id {theorem!r}")
@@ -306,6 +324,16 @@ def gen_scenario(config: EnsembleConfig, index: int, theorem: str) -> Scenario:
     root = RandomStream(config.seed).spawn(index)
     mag = config.perturbation_magnitudes[index % len(config.perturbation_magnitudes)]
     cls = classes[index % len(classes)]
+    mode = "range" if family == "strict" else "both"
+
+    def base_draw():
+        made = _BASES[family](stream, n, _draw_rank(stream, config, n), config.skew, tol)
+        return None if made is None else (made, spectral_norm(made[0]), spectral_norm(made[3].b))
+
+    def perturbed(e, magnitude):
+        key = (e, magnitude, mode, stream._state, stream._spare_normal)
+        return _once(_memo, key, stream, lambda: perturb_idempotent(e, magnitude, stream, tol, mode=mode))
+
     last = "no admissible draw"
     for attempt in range(_RETRIES):
         stream = root.spawn(attempt)
@@ -313,26 +341,23 @@ def gen_scenario(config: EnsembleConfig, index: int, theorem: str) -> Scenario:
         if n < 2:
             last = "n must be at least 2 for a nontrivial split"
             continue
-        made = _BASES[family](stream, n, _draw_rank(stream, config, n), config.skew, tol)
-        if made is None:
+        drawn = _once(_memo, (family, attempt), stream, base_draw)
+        if drawn is None:
             last = f"base family {family} rejected the draw (attempt {attempt})"
             continue
-        a, p, q, base = made
+        (a, p, q, base), na, nb = drawn
         b = base.b
-        na = spectral_norm(a)
-        nb = spectral_norm(b)
         kap = na * nb
 
         p_prime = None
         q_prime = None
         if theorem in _BOUND_IDS:
             cap_p, cap_q, cap_d = _thresholds(kap, want_p, THRESHOLD_HEADROOM)
-            mode = "range" if family == "strict" else "both"
             try:
                 if want_p:
-                    p_prime = perturb_idempotent(p, min(mag, cap_p), stream, tol, mode=mode)
+                    p_prime = perturbed(p, min(mag, cap_p))
                 if want_q:
-                    q_prime = perturb_idempotent(q, min(mag, cap_q), stream, tol, mode=mode)
+                    q_prime = perturbed(q, min(mag, cap_q))
             except GinvError as e:
                 last = f"perturbation draw failed: {e}"
                 continue
@@ -402,18 +427,21 @@ def run_campaign(config: EnsembleConfig, on_report=None) -> CampaignReport:
     or of a draw that failed (without one). The report is identical for
     identical (config, seed) apart from wall time. `on_report(theorem,
     index, kind, report)` is called for every evaluated instance when given
-    (for CSV export and the like).
+    (for CSV export and the like), index-major: for index 0 every configured
+    id in config order (a repeated id once), then index 1, and so on.
+
+    The ids of one index share one memo, so the draws they have in common
+    (base, moved idempotents) are made once.
     """
     t0 = time.perf_counter()
-    stats = {}
-    for theorem in config.theorems:
-        st = TheoremStats()
-        stats[theorem] = st
-        for index in range(config.count):
+    stats = {theorem: TheoremStats() for theorem in config.theorems}
+    for index in range(config.count):
+        memo = {}
+        for theorem, st in stats.items():
             st.instances += 1
             scenario = None
             try:
-                scenario = gen_scenario(config, index, theorem)
+                scenario = gen_scenario(config, index, theorem, _memo=memo)
                 kind, report = run_check(theorem, scenario)
             except GinvError as e:
                 failure = {"index": index, "seed": config.seed, "error": f"{type(e).__name__}: {e}"}

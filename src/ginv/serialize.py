@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import DimMismatch, InputError
 from .exact import ExactMatrix
 from .idempotents import Idempotent, idempotent_from_matrix
-from .linalg import DEFAULT_TOL, Tolerances, _is_real_type, as_matrix
+from .linalg import DEFAULT_TOL, Tolerances, _integer, _is_real_type, _number, as_matrix
 
 __all__ = [
     "matrix_to_json",
@@ -90,7 +91,8 @@ def _matrix_fields(d) -> tuple:
         r, c, data = d["rows"], d["cols"], d["data"]
     except KeyError as e:
         raise InputError(f"malformed matrix object: missing {e}") from e
-    if not all(isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in (r, c)):
+    r, c = _integer(r, "matrix rows"), _integer(c, "matrix cols")
+    if r < 0 or c < 0:
         raise InputError(f"matrix rows and cols must be non-negative integers, got {r!r} and {c!r}")
     if not isinstance(data, (list, tuple)) or len(data) != r * c:
         raise InputError(f"matrix data must be a list of {r}x{c} entries")
@@ -130,11 +132,12 @@ def exact_matrix_to_json(m: ExactMatrix) -> dict:
 
 
 def _exact_part(x) -> str:
-    """A rational string; a JSON number stands for its exact binary value."""
+    """A rational string; an integral number stands for its exact integer, any
+    other real for the exact value of its double."""
     if isinstance(x, str):
         return x
-    if isinstance(x, (int, float)) and not isinstance(x, bool):
-        return str(Fraction(x))
+    if _is_real_type(type(x)):
+        return str(int(x) if isinstance(x, numbers.Integral) else Fraction(_number(x, "exact entry")))
     raise InputError(f"exact entries must be rational strings or numbers, got {x!r}")
 
 
@@ -238,10 +241,11 @@ def config_from_json(d: dict):
     from .harness import EnsembleConfig
 
     required = ("n_range", "rank_range", "perturbation_magnitudes", "count", "seed", "theorems")
+    optional = ("skew",)  # a missing one takes EnsembleConfig's default
     try:
         return EnsembleConfig(
             **{k: d[k] for k in required},
-            skew=d.get("skew", 0.0),
+            **{k: d[k] for k in optional if k in d},
             tolerances=tolerances_from_json(d.get("tolerances", {})),
         )
     except KeyError as e:

@@ -225,6 +225,24 @@ def test_verify_config_with_csv(tmp_path, capsys):
     assert campaign["stats"]["thm3.4"]["holds"] == 3
 
 
+def test_ensemble_csv_lists_each_id_in_config_order(tmp_path, capsys):
+    # the campaign reports index-major; the CSV still holds one id's rows after another
+    ids = ("thm3.4", "thm3.8", "cor3.11")
+    csv_path = tmp_path / "rows.csv"
+    config = config_file(tmp_path, theorems=ids)
+    assert cli(["ensemble", "--config", config, "--csv", str(csv_path)]) == 0
+    together = csv_path.read_text()
+    header = together.split("\n", 1)[0] + "\n"
+    singles = []
+    for theorem in ids:
+        config = config_file(tmp_path, theorems=(theorem,))
+        assert cli(["ensemble", "--config", config, "--csv", str(csv_path)]) == 0
+        singles.append(csv_path.read_text().removeprefix(header))
+    capsys.readouterr()
+    assert together == header + "".join(singles)
+    assert [line.split(",", 1)[0] for line in together.strip().split("\n")[1:]] == [t for t in ids for _ in range(3)]
+
+
 def test_verify_seed_override(tmp_path, capsys):
     config = config_file(tmp_path)
     code, out, _ = run(capsys, ["verify", "thm3.4", "--config", config, "--seed", "42"])

@@ -233,3 +233,30 @@ def test_dumps_rejects_what_json_rejects():
     cycle.append(cycle)
     with pytest.raises(ValueError, match="Circular reference"):
         dumps(cycle)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_matrix_shape_is_read_by_the_config_integer_rule(exact):
+    # rows and cols are integers as config integers are: an integral 1.0 counts
+    extra = {"exact": True} if exact else {}
+    got = matrix_from_json({"rows": 1.0, "cols": 1, "data": [1], **extra})
+    assert got.shape == (1, 1) and got[0, 0] == 1
+    for bad in (2.7, True, "1", -1, -1.0, None):
+        with pytest.raises(InputError, match="matrix rows"):
+            matrix_from_json({"rows": bad, "cols": 1, "data": [1], **extra})
+
+
+@pytest.mark.parametrize("rows", [2.7, True, "1"], ids=["fraction", "boolean", "string"])
+def test_cli_rejects_a_matrix_shape_that_is_not_an_integer(tmp_path, capsys, rows):
+    from ginv.cli import cli
+
+    obj = {k: matrix_to_json(np.eye(2)) for k in ("a", "p", "q")}
+    obj["q"] = matrix_to_json(np.zeros((2, 2)))
+    obj["a"]["rows"] = rows
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(obj))
+    code = cli(["compute", "--in", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("input error:")

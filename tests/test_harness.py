@@ -1,8 +1,12 @@
 """Ensemble generation and campaign behavior."""
 
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import ginv.harness as harness
 from ginv import (
     CHECKS,
     EnsembleConfig,
@@ -12,10 +16,12 @@ from ginv import (
     exists_outer_pql,
     gen_scenario,
     is_stable,
+    PerturbationTooLarge,
+    RandomStream,
     run_campaign,
     run_check,
 )
-from ginv.serialize import campaign_report_to_json
+from ginv.serialize import campaign_report_to_json, dumps, report_to_json
 
 
 def small_config(**kw):
@@ -177,10 +183,13 @@ def test_campaign_is_deterministic_apart_from_wall_time():
 
 
 def test_campaign_on_report_callback():
-    config = small_config(count=3, seed=4)
+    # index-major: every id at index 0, then at index 1; a repeated id runs once
+    config = small_config(count=2, seed=4, theorems=("thm3.4", "thm2.4", "thm3.4"))
     seen = []
-    run_campaign(config, on_report=lambda th, i, kind, rep: seen.append((th, i, kind)))
-    assert seen == [("thm3.4", 0, "bound"), ("thm3.4", 1, "bound"), ("thm3.4", 2, "bound")]
+    report = run_campaign(config, on_report=lambda th, i, kind, rep: seen.append((th, i, kind)))
+    assert seen == [("thm3.4", 0, "bound"), ("thm2.4", 0, "equiv"), ("thm3.4", 1, "bound"), ("thm2.4", 1, "equiv")]
+    assert list(report.stats) == ["thm3.4", "thm2.4"]
+    assert report.stats["thm3.4"].instances == 2
 
 
 def test_selftest_check_is_caught():
@@ -223,3 +232,88 @@ def test_reports_carry_their_kind_and_verdict(theorem):
     for kind, rep in seen:
         assert kind == rep.kind
         assert rep.ok == getattr(rep, _VERDICT[kind])
+
+
+BOUND_IDS = ("thm3.4", "thm3.6", "thm3.8", "thm3.9", "cor3.11", "cor3.12", "cor3.13")
+
+
+def _per_id_outputs(config):
+    """Each id's encoded stats (failures and their scenarios included) and
+    its encoded reports in index order, from one campaign."""
+    reports = {theorem: [] for theorem in config.theorems}
+    report = run_campaign(config, on_report=lambda th, i, kind, rep: reports[th].append((i, dumps(report_to_json(rep)))))
+    stats = campaign_report_to_json(report)["stats"]
+    return {theorem: (dumps(stats[theorem]), reports[theorem]) for theorem in config.theorems}
+
+
+def assert_shared_draws_change_nothing(config):
+    together = _per_id_outputs(config)
+    for theorem in config.theorems:
+        assert together[theorem] == _per_id_outputs(replace(config, theorems=(theorem,)))[theorem], theorem
+
+
+@pytest.mark.parametrize("seed", [3, 12])
+def test_ids_of_one_campaign_get_what_they_get_alone(seed):
+    # a small magnitude leaves the caps slack, so thm3.6 and thm3.8 ask for q'
+    # with one magnitude from different stream states
+    config = EnsembleConfig(count=4, seed=seed, perturbation_magnitudes=(0.5, 1e-3), theorems=tuple(sorted(CHECKS)))
+    assert_shared_draws_change_nothing(config)
+    assert not run_campaign(replace(config, theorems=("selftest-bad-bound",))).ok  # failures are compared too
+
+
+def test_bound_ids_draw_each_base_and_moved_idempotent_once(monkeypatch):
+    bases = Counter()  # base draws per (family, attempt stream)
+    for family, draw in harness._BASES.items():
+
+        def counted(stream, *args, _family=family, _draw=draw):
+            bases[_family, stream._seed] += 1
+            return _draw(stream, *args)
+
+        monkeypatch.setitem(harness._BASES, family, counted)
+    moved = []
+    perturb = harness.perturb_idempotent
+    monkeypatch.setattr(harness, "perturb_idempotent", lambda *a, **k: moved.append(a[1]) or perturb(*a, **k))
+
+    config = EnsembleConfig(count=5, seed=2, theorems=BOUND_IDS)
+    run_campaign(config)
+    assert set(bases.values()) == {1}
+    # thm3.4, thm3.8 and thm3.9 share p'; thm3.8 and thm3.9 share q';
+    # cor3.11 and cor3.13 share p'
+    assert len(moved) == 6 * config.count
+
+    bases.clear()
+    moved.clear()
+    for theorem in BOUND_IDS:
+        run_campaign(replace(config, theorems=(theorem,)))
+    assert {bases[k] for k in bases if k[0] == "outer"} == {4}
+    assert {bases[k] for k in bases if k[0] == "strict"} == {3}
+    assert len(moved) == 10 * config.count
+
+
+def test_ids_that_retry_after_the_base_draw_still_get_what_they_get_alone(monkeypatch):
+    # Attempt 0 of every index fails after its base draw: a moved idempotent
+    # cannot be drawn, and the shift of a is made singular, which the ids
+    # that need 1 + b delta_a invertible reject. Attempt 1 then succeeds.
+    config = EnsembleConfig(count=3, seed=5, theorems=tuple(sorted(CHECKS)))
+    attempt = [[RandomStream(config.seed).spawn(i).spawn(k)._seed for k in (0, 1)] for i in range(config.count)]
+    first = {seeds[0] for seeds in attempt}
+    perturb, make_delta = harness.perturb_idempotent, harness._make_delta
+    failed, shifted = [], set()
+
+    def perturb_or_fail(p, magnitude, stream, *args, **kw):
+        if stream._seed in first:
+            failed.append(stream._seed)
+            raise PerturbationTooLarge("attempt 0 fails")
+        return perturb(p, magnitude, stream, *args, **kw)
+
+    def singular_first(stream, cls, *args):
+        shifted.add(stream._seed)
+        return make_delta(stream, "singular" if stream._seed in first else cls, *args)
+
+    monkeypatch.setattr(harness, "perturb_idempotent", perturb_or_fail)
+    monkeypatch.setattr(harness, "_make_delta", singular_first)
+    assert_shared_draws_change_nothing(config)
+    assert failed
+    assert any(set(seeds) <= shifted for seeds in attempt)  # a shift was drawn at attempt 0 and again at 1
+    report = run_campaign(config)
+    assert all(not st.failures for theorem, st in report.stats.items() if theorem != "selftest-bad-bound")

@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -183,6 +184,13 @@ def test_config_round_trip():
     assert c2 == c
 
 
+def test_config_file_without_skew_takes_the_config_default():
+    fields = {"n_range": [2, 3], "rank_range": [1, 2], "perturbation_magnitudes": [0.5], "count": 1, "seed": 0}
+    c = config_from_json(dict(fields, theorems=["thm3.4"]))
+    assert c.skew == EnsembleConfig().skew
+    assert c == EnsembleConfig(n_range=(2, 3), rank_range=(1, 2), count=1, seed=0, theorems=("thm3.4",))
+
+
 def test_config_rejects_bad_objects():
     good = config_to_json(
         EnsembleConfig(n_range=(2, 4), rank_range=(1, 3), count=3, seed=0, theorems=("thm3.4",))
@@ -326,6 +334,19 @@ def test_exact_numbers_read_by_one_rule_bare_or_paired():
     assert bare == paired == ("3602879701896397/36028797018963968", "0")
     assert complex_entry == ("3602879701896397/36028797018963968", "-5/2")
     assert text == ("1/10", "0")
+
+
+def test_exact_numbers_from_python_follow_the_float_rule():
+    # a numpy integer is its exact integer, any other real the exact value of its double
+    d = {"rows": 1, "cols": 4, "data": [np.int64(1), [np.uint8(3), np.float32(0.1)], Fraction(1, 3), 10**30]}
+    m = exact_matrix_from_json(d)
+    assert m.entry(0, 0).as_strings() == ("1", "0")
+    assert m.entry(0, 1).as_strings() == ("3", str(Fraction(float(np.float32(0.1)))))
+    assert m.entry(0, 2).as_strings() == (str(Fraction(1 / 3)), "0")
+    assert m.entry(0, 3).as_strings() == (str(10**30), "0")
+    for bad in (np.bool_(True), True, None, Fraction(10**400, 3)):
+        with pytest.raises(InputError):
+            exact_matrix_from_json({"rows": 1, "cols": 1, "data": [bad]})
 
 
 def test_config_numbers_are_read_strictly():
