@@ -16,11 +16,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import MismatchedAmbient, NotComplementary, PerturbationTooLarge
-from .linalg import DEFAULT_TOL, Tolerances, as_matrix, rank, spectral_norm
+from .linalg import DEFAULT_TOL, Tolerances, _number, as_matrix, rank, spectral_norm
 from .randomstream import RandomStream
 from .subspaces import Subspace, _norm_range_kernel, orthocomplement, subspace_from_columns, zero_subspace
 
-_EPS = np.finfo(float).eps
 # The bracketing angles of perturb_idempotent: _THETA0 * 2^k for k up to
 # _GRID_STEPS, the first k whose angle exceeds _THETA_STOP.
 _THETA0 = 1e-4
@@ -75,8 +74,13 @@ def _oblique_matrix(tb: np.ndarray, sb: np.ndarray, tol: Tolerances):
     """[tb sb] diag(I, 0) [tb sb]^{-1} for orthonormal bases tb and sb.
 
     None when the spans do not split C^n: the dimensions must add up to n and
-    [tb sb] must have full numerical rank, which is the rule of
-    `direct_sum_is_all`.
+    x = [tb sb] must have full numerical rank (the rule of `direct_sum_is_all`).
+    The solve runs first: sigma_max(x) <= sqrt(2) and sigma_min(x) >=
+    1/(sqrt(2) ||m||_2) >= 1/(sqrt(2) ||m||_F), as ||m||_2 = 1/sin of the least
+    angle between the spans (Szyld, Numer. Algorithms 42, 2006), so
+    4 n tol_rank ||m||_F <= 1 certifies that rank with a margin of 2. Any other
+    m, or a failed solve, takes the rank SVD; a failed solve on an x of full
+    numerical rank re-raises its LinAlgError.
     """
     n, r = tb.shape
     k = sb.shape[1]
@@ -87,12 +91,18 @@ def _oblique_matrix(tb: np.ndarray, sb: np.ndarray, tol: Tolerances):
     if k == 0:
         return np.eye(n, dtype=complex)
     x = np.hstack([tb, sb])
-    if rank(x, tol) != n:
-        return None
     d = np.zeros((n, n), dtype=complex)
     d[:r, :r] = np.eye(r)
-    # m = (x d) x^{-1}, computed by a solve against x^T on the right.
-    return np.linalg.solve(x.T, (x @ d).T).T
+    try:
+        # m = (x d) x^{-1}, computed by a solve against x^T on the right.
+        m = np.linalg.solve(x.T, (x @ d).T).T
+    except np.linalg.LinAlgError:
+        if rank(x, tol) != n:
+            return None
+        raise
+    if not 4 * n * tol.tol_rank * np.linalg.norm(m) <= 1 and rank(x, tol) != n:
+        return None
+    return m
 
 
 def oblique(t: Subspace, s: Subspace, tol: Tolerances = DEFAULT_TOL) -> Idempotent:
@@ -175,21 +185,19 @@ class _Candidate(NamedTuple):
 
 def _skew_direction(stream: RandomStream, n: int) -> np.ndarray:
     g = stream.normal_matrix(n, n)
-    k = g - g.conj().T
-    nk = spectral_norm(k)
-    return k / nk if nk > 0 else k
+    return g - g.conj().T
 
 
 def _rotation(k: np.ndarray, basis: np.ndarray):
-    """theta -> Cayley rotation (1 - theta k/2)^{-1}(1 + theta k/2) applied to basis.
+    """theta -> Cayley rotation (1 - theta u/2)^{-1}(1 + theta u/2) of basis, u = k/||k||.
 
-    k is skew-hermitian, so 1j k = V diag(w) V^H is hermitian and
-    k = V diag(lam) V^H with lam = -1j w purely imaginary. The rotation is
-    V diag(f) V^H with |f| = 1, so each angle costs one scaling and one
-    product in place of a solve, and the rotated basis stays orthonormal.
+    1j k = V diag(w) V^H is hermitian with max |w| = ||k||_2, so the rotation is
+    V diag(f) V^H with |f| = 1: each angle costs one scaling and one product in
+    place of a solve, and the rotated basis stays orthonormal.
     """
     w, v = np.linalg.eigh(1j * k)
-    half = -0.5j * w
+    nk = max(-w[0], w[-1])
+    half = -0.5j * (w / nk if nk > 0 else w)
     c = v.conj().T @ basis
     return lambda theta: v @ (((1 + theta * half) / (1 - theta * half))[:, None] * c)
 
@@ -203,22 +211,25 @@ def perturb_idempotent(
 ) -> Idempotent:
     """A nearby idempotent p' with ||p - p'|| at most `magnitude`.
 
-    The range and kernel bases are rotated by random unitary rotations
-    (Cayley form of a skew-hermitian direction). The angle is bracketed on
+    magnitude is a finite nonnegative real; a bool, a string, NaN or an
+    infinity raises ValueError. The range and kernel bases turn by random
+    Cayley rotations of skew-hermitian directions. The angle is bracketed on
     the grid 1e-4 * 2^k (a first-order jump from 1e-4, then doubling) and
-    then found by root-finding (Illinois false position, with a midpoint
-    step whenever the secant leaves the bracket or the far end is not
-    complementary), so the achieved distance lands close
-    to, and never above, the requested magnitude. p' is assembled by the
-    formula of `oblique`, so it is exactly idempotent up to that
-    construction's conditioning.
+    then found by Illinois false position, with a midpoint step whenever the
+    secant leaves the bracket or the far end is not complementary. The search
+    stops once the distance lies within 1e-12 * magnitude below the request.
+    It ends short of that only when the rotation family saturates, or when
+    roundoff in the distance (about eps ||p||) exceeds that band and the
+    angle bracket runs out. p' is assembled by the formula of `oblique`, so
+    it is exactly idempotent up to that construction's conditioning.
 
     mode selects which subspace moves: "both", "range" (kernel pinned), or
     "kernel" (range pinned). Rank 0 and rank n idempotents admit no motion
     and are returned unchanged.
     """
-    if magnitude < 0:
-        raise ValueError("magnitude must be nonnegative")
+    magnitude = _number(magnitude, "magnitude", ValueError)
+    if not (math.isfinite(magnitude) and magnitude >= 0):
+        raise ValueError(f"magnitude must be a nonnegative finite number, got {magnitude!r}")
     n = p.n
     if magnitude == 0 or p.rank in (0, n):
         return p
@@ -273,7 +284,7 @@ def perturb_idempotent(
     f_hi = None if hi.m is None else hi.dist - magnitude
     kept = None
     for _ in range(70):
-        if magnitude - lo.dist <= 4 * _EPS * magnitude:
+        if magnitude - lo.dist <= 1e-12 * magnitude:
             break
         theta = 0.5 * (lo.theta + hi.theta)
         if f_hi is not None:

@@ -63,19 +63,6 @@ def _enc_float(x: float) -> Any:
     return {"$f": "inf" if x > 0 else "-inf"}
 
 
-def _dec_float(v: Any) -> float:
-    if isinstance(v, dict):
-        tag = v.get("$f")
-        if tag == "nan":
-            return float("nan")
-        if tag == "inf":
-            return float("inf")
-        if tag == "-inf":
-            return float("-inf")
-        raise InputError(f"bad float tag: {v!r}")
-    return float(v)
-
-
 def matrix_to_json(m) -> dict:
     m = as_matrix(m)
     r, c = m.shape

@@ -5,16 +5,20 @@ import math
 import numpy as np
 import pytest
 
+import ginv.idempotents as idempotents
 from ginv.errors import NotComplementary
 from ginv.idempotents import (
     Idempotent,
+    _oblique_matrix,
+    _rotation,
+    _skew_direction,
     idempotent_from_matrix,
     oblique,
     perturb_idempotent,
     projector,
     random_idempotent,
 )
-from ginv.linalg import spectral_norm
+from ginv.linalg import DEFAULT_TOL, rank, spectral_norm
 from ginv.randomstream import RandomStream
 from ginv.subspaces import gap, kernel_of, range_of, subspace_from_columns
 
@@ -203,6 +207,13 @@ def test_perturb_input_validation():
         perturb_idempotent(p, 0.1, mode="sideways")
     full = random_idempotent(3, 3)
     assert perturb_idempotent(full, 0.5) is full
+    skewed = random_idempotent(4, 2, skew=0.3, seed=1)
+    for bad in (float("nan"), float("inf"), "0.1", True, np.bool_(True), 10**400):
+        with pytest.raises(ValueError):
+            perturb_idempotent(skewed, bad)
+    moved = perturb_idempotent(skewed, np.float64(0.1), seed=2)
+    assert np.array_equal(moved.m, perturb_idempotent(skewed, 0.1, seed=2).m)
+    assert perturb_idempotent(skewed, 0, seed=2) is skewed
 
 
 SATURATING = 1e6
@@ -225,6 +236,12 @@ def test_perturb_contract_on_seeded_grid(mode):
                 assert d <= mag, (n, r, mag)
                 if d < mag * (1 - 1e-8):
                     assert np.array_equal(moved.m, far.m), (n, r, mag)
+                # A result short of the request lands within 1e-12 * mag of it.
+                # At mag 1e-6 the distance, a difference of matrices of norm
+                # about 1, carries roundoff near 1e-10 * mag, so the search
+                # there ends when its angle bracket runs out instead.
+                if mag >= 1e-3 and not np.array_equal(moved.m, far.m):
+                    assert mag - d <= 1e-12 * mag, (n, r, mag)
                 nm = spectral_norm(moved.m)
                 assert spectral_norm(moved.m @ moved.m - moved.m) <= 1e-10 * (1.0 + nm * nm)
                 assert moved.rank == r
@@ -236,3 +253,88 @@ def test_perturb_contract_on_seeded_grid(mode):
                     assert spectral_norm(moved.m @ p.range.basis - p.range.basis) <= 1e-10 * nm
                 again = perturb_idempotent(p, mag, seed=seed, mode=mode)
                 assert np.array_equal(again.m, moved.m)
+
+
+def _oblique_matrix_rank_first(tb, sb, tol):
+    """The construction with the rank test of [tb sb] run before the solve,
+    as it was before the norm certificate."""
+    n, r = tb.shape
+    k = sb.shape[1]
+    if r + k != n:
+        return None
+    if r == 0:
+        return np.zeros((n, n), dtype=complex)
+    if k == 0:
+        return np.eye(n, dtype=complex)
+    x = np.hstack([tb, sb])
+    if rank(x, tol) != n:
+        return None
+    d = np.zeros((n, n), dtype=complex)
+    d[:r, :r] = np.eye(r)
+    return np.linalg.solve(x.T, (x @ d).T).T
+
+
+def _same_verdict_and_matrix(tb, sb):
+    got = _oblique_matrix(tb, sb, DEFAULT_TOL)
+    want = _oblique_matrix_rank_first(tb, sb, DEFAULT_TOL)
+    assert (got is None) == (want is None)
+    assert got is None or np.array_equal(got, want)
+    return want
+
+
+def test_oblique_matrix_matches_the_rank_first_rule_on_a_seeded_grid():
+    stream = RandomStream(17)
+    for n in range(2, 7):
+        for r in range(n + 1):
+            for skew in (0.0, 0.3):
+                p = random_idempotent(n, r, skew=skew, seed=10 * n + r)
+                rot_t = _rotation(_skew_direction(stream, n), p.range.basis)
+                rot_s = _rotation(_skew_direction(stream, n), p.kernel.basis)
+                for theta in (0.0, 1e-3, 0.1, 0.5, 2.0, 8.0):
+                    assert _same_verdict_and_matrix(rot_t(theta), rot_s(theta)) is not None
+
+
+def _tilted_pair(n, r, phi, stream):
+    """Orthonormal bases of a rank-r range and a kernel whose least angle to it is phi."""
+    q, _ = np.linalg.qr(stream.normal_matrix(n, n))
+    sb = q[:, r:].copy()
+    sb[:, 0] = math.cos(phi) * q[:, 0] + math.sin(phi) * q[:, r]
+    return q[:, :r], sb
+
+
+def test_oblique_matrix_matches_the_rank_first_rule_at_the_cutoff():
+    # The rank cutoff sits near phi = 2e-10 n and the certificate near
+    # phi = 6e-10 n, so the pairs below both fail the certificate, and the
+    # rank test then decides, both ways.
+    stream = RandomStream(23)
+    outcomes = set()
+    for n in range(2, 7):
+        for r in range(1, n):
+            for phi in [0.0] + list(n * np.geomspace(1e-11, 1e-7, 41)):
+                tb, sb = _tilted_pair(n, r, phi, stream)
+                m = _same_verdict_and_matrix(tb, sb)
+                certified = m is not None and 4 * n * DEFAULT_TOL.tol_rank * np.linalg.norm(m) <= 1
+                outcomes.add("singular" if m is None else "certified" if certified else "rank test")
+    assert outcomes == {"singular", "certified", "rank test"}
+
+
+def test_a_certified_search_makes_one_svd_per_build(monkeypatch):
+    p = random_idempotent(6, 3, skew=0.3, seed=4)
+    counts = {"svd": 0, "build": 0}
+    svd, oblique_matrix = np.linalg.svd, idempotents._oblique_matrix
+
+    def counting_svd(*args, **kwargs):
+        counts["svd"] += 1
+        return svd(*args, **kwargs)
+
+    def counting_build(*args):
+        counts["build"] += 1
+        return oblique_matrix(*args)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(idempotents, "_oblique_matrix", counting_build)
+    for mode in ("both", "range", "kernel"):
+        counts.update(svd=0, build=0)
+        perturb_idempotent(p, 0.5, seed=7, mode=mode)
+        assert counts["build"] >= 3
+        assert counts["svd"] == counts["build"], mode
