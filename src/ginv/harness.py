@@ -313,9 +313,10 @@ def gen_scenario(config: EnsembleConfig, index: int, theorem: str, *, _memo=None
     scenario can be built (for example when the rank range leaves no room).
 
     The stream of an index does not depend on the check id, so ids that share
-    a base family draw the same base, and often the same moved idempotents.
-    `run_campaign` passes one dict per index as `_memo`, in which those draws
-    are made once and shared; the objects are never mutated.
+    a base family draw the same base, and often the same moved idempotents
+    and shift. `run_campaign` passes one dict per index as `_memo`, in which
+    those draws are made once and shared, so ids with the same shift get the
+    same Scenario and share what it caches; nothing else is ever mutated.
     """
     if theorem not in _PROFILES:
         raise InputError(f"unknown check id {theorem!r}")
@@ -361,18 +362,27 @@ def gen_scenario(config: EnsembleConfig, index: int, theorem: str, *, _memo=None
             except GinvError as e:
                 last = f"perturbation draw failed: {e}"
                 continue
-            delta = np.zeros((n, n), dtype=complex)
-            if cls != "zero":
+
+        def shifted():
+            if theorem not in _BOUND_IDS:
+                delta = _make_delta(stream, cls, a, b, p, q, mag)
+            elif cls == "zero":
+                delta = np.zeros((n, n), dtype=complex)
+            else:
                 d = _delta_direction(stream, cls, a, b, p, q)
                 delta = None if d is None else d * min(mag * max(na, 1.0), cap_d / max(nb, 1e-12))
-        else:
-            delta = _make_delta(stream, cls, a, b, p, q, mag)
-        if delta is None:
+            if delta is None:
+                return None
+            scenario = Scenario(a, delta, p, q, p_prime=p_prime, q_prime=q_prime, tol=tol)
+            # prime the scenario's cached base inverse and norms with those above
+            scenario.__dict__.update(base=base, _evaluation=base._evaluation, norm_a=na, norm_b=nb)
+            return scenario
+
+        key = (family, attempt, cls, mag, theorem in _BOUND_IDS, want_p, want_q, p_prime, q_prime)
+        scenario = _once(_memo, key + (stream._state, stream._spare_normal), stream, shifted)
+        if scenario is None:
             last = "degenerate perturbation direction"
             continue
-        scenario = Scenario(a, delta, p, q, p_prime=p_prime, q_prime=q_prime, tol=tol)
-        # prime the scenario's cached base inverse and norms with those above
-        scenario.__dict__.update(base=base, _evaluation=base._evaluation, norm_a=na, norm_b=nb)
         if theorem in _NEEDS_INVERTIBLE and not scenario._left_factor[0]:
             last = "shift made the update factor singular"
             continue

@@ -44,14 +44,13 @@ from .gen_inverse import (
     one_five_inverse,
 )
 from .idempotents import Idempotent
-from .linalg import DEFAULT_TOL, Tolerances, _singular_values, as_matrix, identity, rank, spectral_norm
+from .linalg import DEFAULT_TOL, Tolerances, _rank_from_sv, _singular_values, as_matrix, identity, spectral_norm
 from .subspaces import (
     _gap_and_equal,
     _norm_range_kernel,
     _one_sided_gap,
     intersection_trivial,
     map_subspace,
-    subspaces_equal,
 )
 
 __all__ = [
@@ -88,7 +87,8 @@ class Scenario:
     base, the inverse for (a, p, q), the existence evaluation it is solved
     from, and the norms of a and of base.b are computed on first use unless
     the generator that built the scenario has stored the ones it already has.
-    The private cached properties are what the Section 2 checkers share.
+    The private cached properties are what the Section 2 checkers share; a
+    checker copies any cached dict it puts into its report.
     """
 
     a: np.ndarray
@@ -143,8 +143,57 @@ class Scenario:
         return _norm_range_kernel(self.a_bar, self.tol)
 
     @cached_property
-    def _stable(self) -> bool:
-        return intersection_trivial(self._bar_summary[1], self.q.range, self.tol)
+    def _stability(self):
+        """(does col a_bar meet col q only at zero, how many dimensions they
+        share), from one SVD of their stacked bases with both rank cutoffs."""
+        m, k = self._bar_summary[1], self.q.range
+        if m.dim == 0 or k.dim == 0:
+            return True, 0.0
+        stacked = np.hstack([m.basis, k.basis])
+        sv = _singular_values(stacked)
+        dims = m.dim + k.dim
+        trivial = dims <= self.n and _rank_from_sv(sv, stacked.shape, self.tol) == dims
+        return trivial, float(dims - _rank_from_sv(sv, stacked.shape, self.tol, 1.0))
+
+    @cached_property
+    def _trivial_p(self) -> bool:
+        """Does ker a_bar meet col p only at zero?"""
+        return intersection_trivial(self._bar_summary[2], self.p.range, self.tol)
+
+    @cached_property
+    def _image_p(self):
+        """(gap, equal) of a_bar col(p) against ker q."""
+        return _gap_and_equal(map_subspace(self.a_bar, self.p.range, self.tol), self.q.kernel, self.tol)
+
+    @cached_property
+    def _l_base(self) -> GInvResult:
+        """compute_l(a, p, q) on the base inverse; raises NotExists unless it is inner-outer."""
+        return _require_l(self.a, self.p, self.q, self.tol, lambda: self.base, self._evaluation)
+
+    @cached_property
+    def _gap_hypotheses(self):
+        """The two gap hypotheses of Lemma 2.10 for the inner-outer base, the
+        range side first, each as (satisfied, {"delta": ..., "threshold": ...})."""
+        b = self._l_base.b
+        _, col_a, ker_a = self._a_summary
+        _, col_bar, ker_bar = self._bar_summary
+        sides = (
+            (spectral_norm(identity(self.n) - self.a @ b), _one_sided_gap(col_bar.projector(), col_a.projector(), col_bar.dim)),
+            (spectral_norm(b @ self.a), _one_sided_gap(ker_bar.projector(), ker_a.projector(), ker_bar.dim)),
+        )
+        out = []
+        for norm, delta in sides:
+            threshold = math.inf if norm == 0 else 1.0 / norm
+            out.append((delta < threshold - self.tol.tol_eq, {"delta": delta, "threshold": threshold}))
+        return tuple(out)
+
+    @cached_property
+    def _update_vs_direct_l(self):
+        """(||_updated - compute_l(a_bar, p, q)||, whether it is within the residual scale)."""
+        updated = self._updated
+        direct = _l(self.a_bar, self.p, self.q, self.tol, self._bar_summary).b
+        dev = spectral_norm(updated - direct)
+        return dev, dev <= _res_scale(self._bar_summary[0], spectral_norm(direct), self.tol)
 
     @cached_property
     def _left_factor(self):
@@ -159,7 +208,7 @@ class Scenario:
     @cached_property
     def _updated(self) -> np.ndarray:
         """update_formula(base.b, delta_a), from the two cached factors."""
-        return _update(self.base.b, self.delta_a, self._right_factor, self._left_factor, self.tol)
+        return _update(self.base.b, self.delta_a, self._right_factor, self._left_factor, self.tol, self.norm_b)
 
     @cached_property
     def norm_a(self) -> float:
@@ -255,22 +304,9 @@ def _res_scale(a_bar_norm: float, b_norm: float, tol: Tolerances) -> float:
     return tol.tol_eq * (1.0 + a_bar_norm) * (1.0 + b_norm) ** 2
 
 
-def _defect(m, n_sub, tol: Tolerances) -> float:
-    """How many dimensions two subspaces share (0.0 means trivial meet)."""
-    if m.dim == 0 or n_sub.dim == 0:
-        return 0.0
-    stacked = np.hstack([m.basis, n_sub.basis])
-    return float(m.dim + n_sub.dim - rank(stacked, tol, scale=1.0))
-
-
 def is_stable(scenario: Scenario) -> bool:
     """Does col(a + delta_a) still meet col(q) only at zero?"""
-    return scenario._stable
-
-
-def _l_base(s: Scenario) -> GInvResult:
-    """compute_l(s.a, s.p, s.q) on the scenario's base inverse."""
-    return _require_l(s.a, s.p, s.q, s.tol, lambda: s.base, s._evaluation)
+    return scenario._stability[0]
 
 
 def _factor(m, tol: Tolerances):
@@ -298,11 +334,11 @@ def update_formula(b, delta_a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     if b.shape != d.shape or b.shape[0] != b.shape[1]:
         raise DimMismatch("b and delta_a must be square of the same size")
     eye = identity(b.shape[0])
-    return _update(b, d, _factor(eye + d @ b, tol), _factor(eye + b @ d, tol), tol)
+    return _update(b, d, _factor(eye + d @ b, tol), _factor(eye + b @ d, tol), tol, spectral_norm(b))
 
 
-def _update(b, d, right, left, tol: Tolerances) -> np.ndarray:
-    """update_formula, given the _factor of 1 + d b (right) and of 1 + b d (left)."""
+def _update(b, d, right, left, tol: Tolerances, norm_b: float) -> np.ndarray:
+    """update_formula, given the _factor of 1 + d b (right) and of 1 + b d (left) and ||b||."""
     if not right[0]:
         raise NotExists("1 + delta_a b is singular; the perturbed inverse does not exist")
     if not left[0]:
@@ -310,7 +346,7 @@ def _update(b, d, right, left, tol: Tolerances) -> np.ndarray:
     form1 = b @ right[2]
     form2 = left[2] @ b
     dev = spectral_norm(form1 - form2)
-    lim = 10.0 * tol.tol_eq * (1.0 + spectral_norm(form1)) * (1.0 + spectral_norm(b)) * (
+    lim = 10.0 * tol.tol_eq * (1.0 + spectral_norm(form1)) * (1.0 + norm_b) * (
         1.0 + spectral_norm(d)
     )
     if dev > lim:
@@ -367,15 +403,14 @@ def lemma26_f(scenario: Scenario):
     nf, col_f, _ = _norm_range_kernel(f, s.tol)
     idem_resid = spectral_norm(f @ f - f)
     idem_ok = idem_resid <= s.tol.tol_eq * (1.0 + nf * nf)
-    _, col_bar, ker_bar = s._bar_summary
-    g, equal = _gap_and_equal(ker_bar, col_f, s.tol)
+    g, equal = _gap_and_equal(s._bar_summary[2], col_f, s.tol)
     subset_gap = g.delta_mn
     subset_ok = subset_gap <= 10 * s.tol.tol_eq
     conditions = (
         ("kernel_of_perturbed_equals_range_f", equal, g.gap),
-        ("stable", s._stable, _defect(col_bar, s.q.range, s.tol)),
+        ("stable", *s._stability),
     )
-    consistent = (equal == s._stable) and idem_ok and subset_ok
+    consistent = (equal == s._stability[0]) and idem_ok and subset_ok
     aux = {"f_idempotent_residual": idem_resid, "kernel_subset_gap": subset_gap}
     return f, EquivalenceReport(conditions, consistent, aux)
 
@@ -390,7 +425,7 @@ def equivalence_thm27(scenario: Scenario) -> EquivalenceReport:
     s = scenario
     b = s.base.b
     a_bar = s.a_bar
-    na_bar, col_bar, _ = s._bar_summary
+    na_bar = s._bar_summary[0]
     w_class = GInvResult(s._updated, a_bar, s.p, s.q, s.tol, na_bar)
     cond1 = w_class.flags["outer_pql"] and w_class.flags["l_inverse"]
     resid1 = max(
@@ -406,7 +441,7 @@ def equivalence_thm27(scenario: Scenario) -> EquivalenceReport:
     resid4 = spectral_norm((eye - s.a @ b) @ s._right_factor[2] @ a_bar)
     conditions = (
         ("update_is_inner_outer_for_perturbed", cond1, resid1),
-        ("stable", s._stable, _defect(col_bar, s.q.range, s.tol)),
+        ("stable", *s._stability),
         ("a_bar_annihilates_left_factor", resid3 <= scale, resid3),
         ("a_bar_annihilated_right_factor", resid4 <= scale, resid4),
     )
@@ -428,17 +463,12 @@ def equivalence_cor28(scenario: Scenario) -> EquivalenceReport:
     col_ab = _norm_range_kernel(s.a @ b, s.tol)[1]
     range_gap, cond3 = _gap_and_equal(map_subspace(inv_right, col_bar, s.tol), col_ab, s.tol)
     conditions = (
-        ("stable", s._stable, _defect(col_bar, s.q.range, s.tol)),
+        ("stable", *s._stability),
         ("mapped_kernel_matches", cond2, kernel_gap.gap),
         ("mapped_range_matches", cond3, range_gap.gap),
     )
     flags = [c[1] for c in conditions]
     return EquivalenceReport(conditions, all(flags) == any(flags))
-
-
-def _direct_l(s: Scenario) -> GInvResult:
-    """compute_l(s.a_bar, s.p, s.q), from the scenario's summary of a_bar."""
-    return _l(s.a_bar, s.p, s.q, s.tol, s._bar_summary)
 
 
 def equivalence_thm_tm27(scenario: Scenario) -> EquivalenceReport:
@@ -452,26 +482,22 @@ def equivalence_thm_tm27(scenario: Scenario) -> EquivalenceReport:
     condition false.
     """
     s = scenario
-    _l_base(s)  # the base must be an inner-outer inverse
+    s._l_base  # the base must be an inner-outer inverse
     ok_left, margin_left, _ = s._left_factor
-    na_bar, col_bar, ker_bar = s._bar_summary
-    range_gap, range_matches = _gap_and_equal(col_bar, s.q.kernel, s.tol)
+    range_gap, range_matches = _gap_and_equal(s._bar_summary[1], s.q.kernel, s.tol)
     formula_ok = False
     dev = NAN
     if ok_left:
-        updated = s._updated
+        s._updated  # a singular right factor raises here, outside the try
         try:
-            direct = _direct_l(s)
-            dev = spectral_norm(updated - direct.b)
-            formula_ok = dev <= _res_scale(na_bar, spectral_norm(direct.b), s.tol)
+            dev, formula_ok = s._update_vs_direct_l
         except NotExists:
             formula_ok = False
     cond1 = ok_left and range_matches and formula_ok
     aux = {"update_factor_margin": margin_left, "range_vs_kernel_q_gap": range_gap.gap, "update_vs_direct": dev}
 
-    trivial_p = intersection_trivial(ker_bar, s.p.range, s.tol)
-    image_gap, image_matches = _gap_and_equal(map_subspace(s.a_bar, s.p.range, s.tol), s.q.kernel, s.tol)
-    cond2 = s._stable and trivial_p and image_matches
+    image_gap, image_matches = s._image_p
+    cond2 = s._stability[0] and s._trivial_p and image_matches
     aux["image_vs_kernel_q_gap"] = image_gap.gap
 
     conditions = (
@@ -479,22 +505,6 @@ def equivalence_thm_tm27(scenario: Scenario) -> EquivalenceReport:
         ("stable_trivial_and_image_matches", cond2, image_gap.gap),
     )
     return EquivalenceReport(conditions, cond1 == cond2, aux)
-
-
-def _gap_hypotheses(s: Scenario, b):
-    """The two gap hypotheses of Lemma 2.10 for the inner-outer base b, the
-    range side first, each as (satisfied, {"delta": ..., "threshold": ...})."""
-    _, col_a, ker_a = s._a_summary
-    _, col_bar, ker_bar = s._bar_summary
-    sides = (
-        (spectral_norm(identity(s.n) - s.a @ b), _one_sided_gap(col_bar.projector(), col_a.projector(), col_bar.dim)),
-        (spectral_norm(b @ s.a), _one_sided_gap(ker_bar.projector(), ker_a.projector(), ker_bar.dim)),
-    )
-    out = []
-    for norm, delta in sides:
-        threshold = math.inf if norm == 0 else 1.0 / norm
-        out.append((delta < threshold - s.tol.tol_eq, {"delta": delta, "threshold": threshold}))
-    return out
 
 
 def gap_sufficient_lemma210(scenario: Scenario) -> ImplicationReport:
@@ -506,11 +516,11 @@ def gap_sufficient_lemma210(scenario: Scenario) -> ImplicationReport:
     conclusion-false instances must never occur.
     """
     s = scenario
-    (hyp_range, range_data), (hyp_kernel, kernel_data) = _gap_hypotheses(s, _l_base(s).b)
-    trivial_p = intersection_trivial(s._bar_summary[2], s.p.range, s.tol)
+    (hyp_range, range_data), (hyp_kernel, kernel_data) = s._gap_hypotheses
+    # the data dicts are the scenario's cache, so each report gets copies
     items = (
-        ImplicationItem("range_gap_forces_stability", hyp_range, s._stable, range_data),
-        ImplicationItem("kernel_gap_forces_trivial_meet", hyp_kernel, trivial_p, kernel_data),
+        ImplicationItem("range_gap_forces_stability", hyp_range, s._stability[0], dict(range_data)),
+        ImplicationItem("kernel_gap_forces_trivial_meet", hyp_kernel, s._trivial_p, dict(kernel_data)),
     )
     return ImplicationReport(items, not any(it.violated for it in items))
 
@@ -524,19 +534,15 @@ def cor_lemas1(scenario: Scenario) -> ImplicationReport:
     inverse exists and equals b (1 + delta_a b)^{-1}.
     """
     s = scenario
-    (hyp_range, _), (hyp_kernel, _) = _gap_hypotheses(s, _l_base(s).b)
-    image_matches = subspaces_equal(map_subspace(s.a_bar, s.p.range, s.tol), s.q.kernel, s.tol)
-    hyp_i = hyp_range and hyp_kernel and image_matches
+    (hyp_range, _), (hyp_kernel, _) = s._gap_hypotheses
+    hyp_i = hyp_range and hyp_kernel and s._image_p[1]
     hyp_ii = s._left_factor[0] and hyp_range
 
     conclusion = False
     dev = NAN
     if hyp_i or hyp_ii:
         try:
-            updated = s._updated
-            direct = _direct_l(s)
-            dev = spectral_norm(updated - direct.b)
-            conclusion = dev <= _res_scale(s._bar_summary[0], spectral_norm(direct.b), s.tol)
+            dev, conclusion = s._update_vs_direct_l
         except NotExists:
             conclusion = False
     data = {"update_vs_direct": dev}

@@ -1,12 +1,14 @@
 """Ensemble generation and campaign behavior."""
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
 
 import ginv.harness as harness
+import ginv.perturbation as perturbation
 from ginv import (
     CHECKS,
     EnsembleConfig,
@@ -288,6 +290,91 @@ def test_bound_ids_draw_each_base_and_moved_idempotent_once(monkeypatch):
     assert {bases[k] for k in bases if k[0] == "outer"} == {4}
     assert {bases[k] for k in bases if k[0] == "strict"} == {3}
     assert len(moved) == 10 * config.count
+
+
+SECTION2_IDS = ("thm2.4", "lemma2.6", "thm2.7", "cor2.8", "tm2.7", "lemma2.10", "lemas1", "thm2.12")
+
+
+def _record_scenarios(monkeypatch):
+    """Every Scenario that generation builds, and the one each (index, id) gets."""
+    built, got = [], {}
+    scenario, gen = harness.Scenario, harness.gen_scenario
+
+    def building(*args, **kw):
+        built.append(scenario(*args, **kw))
+        return built[-1]
+
+    def generating(config, index, theorem, **kw):
+        got[index, theorem] = gen(config, index, theorem, **kw)
+        return got[index, theorem]
+
+    monkeypatch.setattr(harness, "Scenario", building)
+    monkeypatch.setattr(harness, "gen_scenario", generating)
+    return built, got
+
+
+def test_section2_ids_build_one_scenario_per_shared_draw(monkeypatch):
+    built, got = _record_scenarios(monkeypatch)
+    solves, hypotheses = [], []  # the a of each inner-outer solve on a + delta_a; the scenario of each gap evaluation
+    l_solve = perturbation._l
+    monkeypatch.setattr(perturbation, "_l", lambda a, *args: solves.append(a) or l_solve(a, *args))
+    gaps = Scenario.__dict__["_gap_hypotheses"].func
+    counted = cached_property(lambda s: hypotheses.append(s) or gaps(s))
+    counted.__set_name__(Scenario, "_gap_hypotheses")
+    monkeypatch.setattr(Scenario, "_gap_hypotheses", counted)
+
+    # count 6 brings every class of every cycle (lengths 2 and 3) against every other
+    config = EnsembleConfig(count=6, seed=2, theorems=SECTION2_IDS)
+    run_campaign(config)
+    distinct = 0
+    for index in range(config.count):
+        draws = defaultdict(set)  # (family, class) -> the scenarios its ids got
+        for theorem in SECTION2_IDS:
+            family, classes, _, _ = harness._PROFILES[theorem]
+            draws[family, classes[index % len(classes)]].add(id(got[index, theorem]))
+        assert all(len(ids) == 1 for ids in draws.values()), index
+        assert len(set.union(*draws.values())) == len(draws), index
+        distinct += len(draws)
+    # six draws per index (thm2.7 with cor2.8, lemma2.10 with lemas1), one
+    # fewer where lemma2.6 joins the first pair (index 4, 5) or tm2.7 the
+    # second (index 0, 5)
+    assert len(built) == distinct == 6 * config.count - 4
+    assert solves and hypotheses
+    assert len({id(a) for a in solves}) == len(solves)
+    assert all(any(a is s.__dict__.get("a_bar") for s in built) for a in solves)
+    assert len({id(s) for s in hypotheses}) == len(hypotheses)
+
+    built.clear()
+    for theorem in SECTION2_IDS:
+        run_campaign(replace(config, theorems=(theorem,)))
+    assert len(built) == len(SECTION2_IDS) * config.count  # alone, each id builds its own
+
+
+def _report_dicts(report):
+    """The mutable dicts a report holds."""
+    return [report.aux] if hasattr(report, "aux") else [item.data for item in report.items]
+
+
+def test_no_report_owns_data_another_report_can_reach(monkeypatch):
+    config = EnsembleConfig(count=6, seed=4, theorems=tuple(sorted(CHECKS)))
+    plain = []
+    run_campaign(config, on_report=lambda th, i, kind, rep: plain.append(dumps(report_to_json(rep))))
+
+    _, got = _record_scenarios(monkeypatch)
+    encoded, owners = {}, {}  # (index, id) -> encoding; id of each dict -> the (index, id) whose report holds it
+
+    def encode_then_spoil(theorem, index, kind, report):
+        encoded[index, theorem] = dumps(report_to_json(report))
+        for d in _report_dicts(report):
+            assert owners.setdefault(id(d), (index, theorem)) == (index, theorem)
+            d.update(dict.fromkeys(d, -1.0))
+
+    run_campaign(config, on_report=encode_then_spoil)
+    assert list(encoded.values()) == plain  # spoiling a report leaves the later ones as they were
+    shared = [key for key, s in got.items() if sum(t is s for t in got.values()) > 1 and key in encoded]
+    assert {theorem for _, theorem in shared} >= {"thm2.7", "cor2.8", "lemma2.10", "lemas1", "tm2.7"}
+    for index, theorem in encoded:  # a check run again on its shared scenario reports what it did the first time
+        assert dumps(report_to_json(run_check(theorem, got[index, theorem])[1])) == encoded[index, theorem], theorem
 
 
 def test_ids_that_retry_after_the_base_draw_still_get_what_they_get_alone(monkeypatch):

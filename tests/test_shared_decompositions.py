@@ -24,6 +24,7 @@ from ginv import (
     gen_scenario,
     idempotent_from_matrix,
     random_idempotent,
+    run_campaign,
     run_check,
 )
 from ginv.linalg import DEFAULT_TOL, spectral_norm, try_inverse
@@ -327,6 +328,14 @@ def test_svd_budget_of_a_section2_check_at_n6(svd_counter, theorem, budget):
     # 37, 36 and 17 with each checker's own prelude; lemas1 and lemma2.10
     # made 29 and 12 while their gap hypotheses computed both one-sided gaps.
     assert svd_counter(lambda: run_check(theorem, s)) <= budget
+
+
+def test_svd_budget_of_a_section2_campaign(svd_counter):
+    theorems = ("thm2.4", "lemma2.6", "thm2.7", "cor2.8", "tm2.7", "lemma2.10", "lemas1", "thm2.12")
+    config = EnsembleConfig(n_range=(2, 6), count=12, seed=1, theorems=theorems)
+    instances = config.count * len(theorems)
+    # 24.20 per instance when every id built its own scenario and decompositions
+    assert svd_counter(lambda: run_campaign(config)) / instances <= 20.67
 
 
 def test_svd_budget_of_l_aligned_generation_at_n6(svd_counter):
