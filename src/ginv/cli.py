@@ -52,7 +52,7 @@ from .serialize import (
     scenario_from_json,
     tolerances_from_json,
 )
-from .subspaces import Subspace, gap, orth_basis
+from .subspaces import gap, range_of
 
 __all__ = ["cli", "main"]
 
@@ -146,9 +146,7 @@ def _cmd_gap(args) -> int:
     n = matrix_from_json(load_file(args.n))
     if m.shape[0] != n.shape[0]:
         raise InputError("the two subspaces live in different ambient dimensions")
-    sm = Subspace(m.shape[0], orth_basis(m, tol))
-    sn = Subspace(n.shape[0], orth_basis(n, tol))
-    _emit(gap_result_to_json(gap(sm, sn)), args.out)
+    _emit(gap_result_to_json(gap(range_of(m, tol), range_of(n, tol))), args.out)
     return 0
 
 

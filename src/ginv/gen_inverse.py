@@ -6,7 +6,10 @@ space equals col(q). When it exists it is unique, and it is computed here
 by one small dense solve: with U an orthonormal basis of col(p) and M0 the
 adjoint basis of col(q)'s orthogonal complement, b = U (M0 a U)^{-1} M0.
 The invertibility of the core M0 a U is exactly the existence condition,
-and its smallest singular value is reported as the margin.
+and its smallest singular value is reported as the margin. One existence
+evaluation of (a, p, q), the private _Evaluation, holds what the outer test
+and the inner-outer test (a b a = a as well) share, and answers and solves
+both.
 
 The module also provides group, inner, and commuting inner inverses, plus
 witness-based representation formulas that rebuild the same b through
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -32,7 +35,7 @@ from .errors import (
 )
 from .exact import ExactMatrix
 from .idempotents import Idempotent, idempotent_from_matrix
-from .linalg import DEFAULT_TOL, Tolerances, _singular_values, as_matrix, identity, rank, spectral_norm, try_inverse
+from .linalg import DEFAULT_TOL, Tolerances, _inverse_from_sv, _singular_values, as_matrix, rank, spectral_norm, try_inverse
 from .randomstream import RandomStream
 from .subspaces import (
     Subspace,
@@ -93,7 +96,7 @@ class GInvResult:
     b was solved from.
     """
 
-    _evaluation: Optional[_Existence] = None
+    _evaluation: Optional[_Evaluation] = None
 
     def __init__(self, b: np.ndarray, a: np.ndarray, p: Idempotent, q: Idempotent, tol: Tolerances, na=None):
         self.b = b
@@ -200,22 +203,6 @@ def _core_matrices(a, p: Idempotent, q: Idempotent, basis_seed=None):
     return u, m0, m0 @ a @ u
 
 
-class _Existence(NamedTuple):
-    """What the outer and the inner-outer existence tests share, plus what
-    solving for b needs; only their direct-sum tests differ (_direct_sum)."""
-
-    trivial: bool
-    dims: bool
-    smin: float
-    na: float
-    col_a: Subspace
-    ker_a: Subspace
-    u: np.ndarray
-    m0: np.ndarray
-    core: np.ndarray
-    sv: np.ndarray  # singular values of core
-
-
 def _checked(a, p, q, tol: Tolerances):
     """(a, p, q) coerced to a matrix and two idempotents of its size."""
     a = as_matrix(a)
@@ -228,46 +215,94 @@ def _checked(a, p, q, tol: Tolerances):
     return a, p, q
 
 
-def _existence(a, p: Idempotent, q: Idempotent, tol: Tolerances, summary=None) -> _Existence:
-    """summary is _norm_range_kernel(a) when the caller has it."""
-    n = a.shape[0]
-    na, col_a, ker_a = _norm_range_kernel(a, tol) if summary is None else summary
-    trivial = intersection_trivial(ker_a, p.range, tol)
-    dims = p.rank + q.rank == n
-    u, m0, core = _core_matrices(a, p, q)
-    sv = _singular_values(core)
-    return _Existence(trivial, dims, _sigma_min(sv, core.shape), na, col_a, ker_a, u, m0, core, sv)
-
-
-def _direct_sum(e: _Existence, a, p: Idempotent, q: Idempotent, tol: Tolerances, l_mode: bool) -> bool:
-    """col(a) + col(q) = C^n for the inner-outer variant, a col(p) + col(q)
-    = C^n for the outer one."""
-    return direct_sum_is_all(e.col_a if l_mode else map_subspace(a, p.range, tol), q.range, tol)
-
-
-def _exists(e: _Existence, dsum: bool, tol: Tolerances) -> bool:
-    return e.trivial and dsum and e.dims and e.smin > tol.tol_inv * e.na
-
-
 def _solve(u, m0, core, sv, tol: Tolerances) -> np.ndarray:
-    """b = U core^{-1} M0, with try_inverse's singularity test on the
-    singular values sv of core."""
-    k = core.shape[0]
-    if k and (sv[0] == 0.0 or sv[-1] <= tol.tol_inv * sv[0]):
+    """b = U core^{-1} M0, given the singular values sv of core."""
+    inverse = _inverse_from_sv(core, sv, tol)
+    if inverse is None:
         raise IllConditioned(f"core matrix is numerically singular (sigma_min = {sv[-1]:.3e})")
-    return u @ np.linalg.solve(core, identity(k)) @ m0
+    return u @ inverse @ m0
 
 
-def _existence_report(a, p, q, tol: Tolerances, l_mode: bool) -> ExistenceReport:
-    a, p, q = _checked(a, p, q, tol)
-    e = _existence(a, p, q, tol)
-    dsum = _direct_sum(e, a, p, q, tol, l_mode)
-    exists = _exists(e, dsum, tol)
-    certs = None
-    if exists:
-        b = _solve(e.u, e.m0, e.core, e.sv, tol)
-        certs = (b, b)
-    return ExistenceReport(e.trivial, dsum, e.dims, e.smin, exists, certs)
+class _Evaluation:
+    """The existence evaluation of checked (a, p, q).
+
+    The constructor computes what the outer and the inner-outer tests share:
+    ||a||, col a and ker a (summary is _norm_range_kernel(a) when the caller
+    has it), the trivial meet of ker a and col p, the dims, and the core
+    M0 a U with its singular values. The tests differ only in their direct
+    sum. Both inverses are solved from the core; a property that raises
+    caches nothing.
+    """
+
+    def __init__(self, a, p: Idempotent, q: Idempotent, tol: Tolerances, summary=None):
+        self.a, self.p, self.q, self.tol = a, p, q, tol
+        self.na, self.col_a, self.ker_a = _norm_range_kernel(a, tol) if summary is None else summary
+        self.trivial = intersection_trivial(self.ker_a, p.range, tol)
+        self.dims = p.rank + q.rank == a.shape[0]
+        self.u, self.m0, self.core = _core_matrices(a, p, q)
+        self.sv = _singular_values(self.core)
+        self.smin = _sigma_min(self.sv, self.core.shape)
+
+    @cached_property
+    def direct_sum(self) -> bool:
+        """The outer test's direct sum: a col(p) + col(q) = C^n."""
+        return direct_sum_is_all(map_subspace(self.a, self.p.range, self.tol), self.q.range, self.tol)
+
+    @cached_property
+    def direct_sum_l(self) -> bool:
+        """The inner-outer test's direct sum: col(a) + col(q) = C^n."""
+        return direct_sum_is_all(self.col_a, self.q.range, self.tol)
+
+    def exists(self, l_mode: bool) -> bool:
+        dsum = self.direct_sum_l if l_mode else self.direct_sum
+        return self.trivial and dsum and self.dims and self.smin > self.tol.tol_inv * self.na
+
+    def report(self, l_mode: bool) -> ExistenceReport:
+        """The existence report; its certificate is solved from the core directly."""
+        exists = self.exists(l_mode)
+        certs = None
+        if exists:
+            b = _solve(self.u, self.m0, self.core, self.sv, self.tol)
+            certs = (b, b)
+        dsum = self.direct_sum_l if l_mode else self.direct_sum
+        return ExistenceReport(self.trivial, dsum, self.dims, self.smin, exists, certs)
+
+    def solve(self, basis_seed=None) -> GInvResult:
+        """compute_outer_pql(a, p, q, basis_seed=basis_seed)."""
+        if not (self.trivial and self.direct_sum and self.dims):
+            raise NotExists(
+                "no outer inverse with the prescribed range and kernel: "
+                f"trivial_kernel_intersection={self.trivial}, direct_sum={self.direct_sum}, dims_compatible={self.dims}"
+            )
+        if not self.exists(l_mode=False):
+            raise IllConditioned(f"core margin too small (sigma_min = {self.smin:.3e})")
+        u, m0, core, sv = self.u, self.m0, self.core, self.sv
+        if basis_seed is not None:
+            u, m0, core = _core_matrices(self.a, self.p, self.q, basis_seed)
+            sv = _singular_values(core)
+        result = GInvResult(_solve(u, m0, core, sv, self.tol), self.a, self.p, self.q, self.tol, self.na)
+        result._evaluation = self
+        return result
+
+    @cached_property
+    def outer(self) -> GInvResult:
+        """compute_outer_pql(a, p, q)."""
+        return self.solve()
+
+    @cached_property
+    def inner_outer(self) -> GInvResult:
+        """compute_l(a, p, q): the inner-outer test, then a b a = a on outer."""
+        if not self.exists(l_mode=True):
+            raise NotExists(
+                "no inner-outer inverse for these idempotents: "
+                f"trivial_kernel_intersection={self.trivial}, "
+                f"direct_sum={self.direct_sum_l}, dims_compatible={self.dims}, "
+                f"sigma_min_core={self.smin:.3e}"
+            )
+        result = self.outer
+        if not result._l_inverse:
+            raise NotExists(f"a b a = a fails: residual {result.residuals['aba_a']:.3e}")
+        return result
 
 
 def exists_outer_pql(a, p, q, tol: Tolerances = DEFAULT_TOL) -> ExistenceReport:
@@ -280,7 +315,7 @@ def exists_outer_pql(a, p, q, tol: Tolerances = DEFAULT_TOL) -> ExistenceReport:
     with t = s = b is attached; this b is bit for bit the b of
     compute_outer_pql.
     """
-    return _existence_report(a, p, q, tol, l_mode=False)
+    return _Evaluation(*_checked(a, p, q, tol), tol).report(l_mode=False)
 
 
 def compute_outer_pql(a, p, q, tol: Tolerances = DEFAULT_TOL, *, basis_seed=None) -> GInvResult:
@@ -290,37 +325,18 @@ def compute_outer_pql(a, p, q, tol: Tolerances = DEFAULT_TOL, *, basis_seed=None
     they pass but the core is numerically singular. basis_seed rotates the
     internal orthonormal bases; the result must agree (b is unique).
     """
-    a, p, q = _checked(a, p, q, tol)
-    return _outer(a, p, q, tol, _existence(a, p, q, tol), basis_seed)
-
-
-def _outer(a, p: Idempotent, q: Idempotent, tol: Tolerances, e: _Existence, basis_seed=None) -> GInvResult:
-    """compute_outer_pql on checked inputs, given their existence evaluation e."""
-    dsum = _direct_sum(e, a, p, q, tol, l_mode=False)
-    if not (e.trivial and dsum and e.dims):
-        raise NotExists(
-            "no outer inverse with the prescribed range and kernel: "
-            f"trivial_kernel_intersection={e.trivial}, direct_sum={dsum}, dims_compatible={e.dims}"
-        )
-    if not _exists(e, dsum, tol):
-        raise IllConditioned(f"core margin too small (sigma_min = {e.smin:.3e})")
-    u, m0, core, sv = e.u, e.m0, e.core, e.sv
-    if basis_seed is not None:
-        u, m0, core = _core_matrices(a, p, q, basis_seed)
-        sv = _singular_values(core)
-    result = GInvResult(_solve(u, m0, core, sv, tol), a, p, q, tol, e.na)
-    result._evaluation = e
-    return result
+    e = _Evaluation(*_checked(a, p, q, tol), tol)
+    return e.outer if basis_seed is None else e.solve(basis_seed)
 
 
 def _solved(a, p: Idempotent, q: Idempotent, tol: Tolerances, l_mode: bool = False, summary=None):
     """The outer inverse for checked (a, p, q), or None when it does not exist;
     with l_mode, also None when the inner-outer existence test fails."""
-    e = _existence(a, p, q, tol, summary)
-    if l_mode and not _exists(e, _direct_sum(e, a, p, q, tol, l_mode=True), tol):
+    e = _Evaluation(a, p, q, tol, summary)
+    if l_mode and not e.exists(l_mode=True):
         return None
     try:
-        return _outer(a, p, q, tol, e)
+        return e.outer
     except NotExists:
         return None
 
@@ -331,37 +347,12 @@ def exists_l(a, p, q, tol: Tolerances = DEFAULT_TOL) -> ExistenceReport:
     Requires col(a) and col(q) to split the space and null(a) and col(p) to
     split the space. The report reuses the same fields: direct_sum here
     refers to col(a) + col(q)."""
-    return _existence_report(a, p, q, tol, l_mode=True)
+    return _Evaluation(*_checked(a, p, q, tol), tol).report(l_mode=True)
 
 
 def compute_l(a, p, q, tol: Tolerances = DEFAULT_TOL) -> GInvResult:
     """Compute the inverse and insist that a b a = a holds as well."""
-    a, p, q = _checked(a, p, q, tol)
-    return _l(a, p, q, tol)
-
-
-def _l(a, p: Idempotent, q: Idempotent, tol: Tolerances, summary=None) -> GInvResult:
-    """compute_l on checked inputs; summary is _norm_range_kernel(a) when the caller has it."""
-    e = _existence(a, p, q, tol, summary)
-    return _require_l(a, p, q, tol, lambda: _outer(a, p, q, tol, e), e)
-
-
-def _require_l(a, p, q, tol: Tolerances, outer, e: _Existence) -> GInvResult:
-    """compute_l's two tests: the inner-outer existence test on e, the
-    existence evaluation of (a, p, q), then a b a = a on the outer inverse
-    that outer() returns (called only after the first)."""
-    dsum = _direct_sum(e, a, p, q, tol, l_mode=True)
-    if not _exists(e, dsum, tol):
-        raise NotExists(
-            "no inner-outer inverse for these idempotents: "
-            f"trivial_kernel_intersection={e.trivial}, "
-            f"direct_sum={dsum}, dims_compatible={e.dims}, "
-            f"sigma_min_core={e.smin:.3e}"
-        )
-    result = outer()
-    if not result._l_inverse:
-        raise NotExists(f"a b a = a fails: residual {result.residuals['aba_a']:.3e}")
-    return result
+    return _Evaluation(*_checked(a, p, q, tol), tol).inner_outer
 
 
 def classify_strict(a, p, q, b, tol: Tolerances = DEFAULT_TOL) -> GInvResult:

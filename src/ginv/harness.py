@@ -165,7 +165,7 @@ def _base_outer_rank(stream, n, r, skew, tol):
     p = random_idempotent(n, r, skew, stream)
     q = random_idempotent(n, n - r, skew, stream)
     base = _solved(a, p, q, tol)
-    if base is None or not direct_sum_is_all(base._evaluation.col_a, q.range, tol):
+    if base is None or not base._evaluation.direct_sum_l:
         return None
     return a, p, q, base
 

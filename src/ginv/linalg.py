@@ -133,6 +133,13 @@ def rank(m, tol: Tolerances = DEFAULT_TOL, scale: Optional[float] = None) -> int
     return _rank_from_sv(_singular_values(a), a.shape, tol, scale)
 
 
+def _inverse_from_sv(m: np.ndarray, sv: np.ndarray, tol: Tolerances) -> Optional[np.ndarray]:
+    """try_inverse of the square m, given its singular values sv."""
+    if sv.size and (sv[0] == 0.0 or sv[-1] <= tol.tol_inv * sv[0]):
+        return None
+    return np.linalg.solve(m, identity(m.shape[0]))
+
+
 def try_inverse(m, tol: Tolerances = DEFAULT_TOL) -> Optional[np.ndarray]:
     """Inverse of a square matrix, or None when it is numerically singular.
 
@@ -142,13 +149,7 @@ def try_inverse(m, tol: Tolerances = DEFAULT_TOL) -> Optional[np.ndarray]:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    n = a.shape[0]
-    if n == 0:
-        return a.copy()
-    s = _singular_values(a)
-    if s[0] == 0.0 or s[-1] <= tol.tol_inv * s[0]:
-        return None
-    return np.linalg.solve(a, identity(n))
+    return _inverse_from_sv(a, _singular_values(a), tol)
 
 
 def orth_basis(m, tol: Tolerances = DEFAULT_TOL, scale: Optional[float] = None) -> np.ndarray:

@@ -33,10 +33,7 @@ from .gen_inverse import (
     GInvResult,
     _as_idempotent,
     _checked,
-    _existence,
-    _l,
-    _outer,
-    _require_l,
+    _Evaluation,
     build_witness,
     compute_outer_pql,
     exists_outer_pql,
@@ -44,7 +41,7 @@ from .gen_inverse import (
     one_five_inverse,
 )
 from .idempotents import Idempotent
-from .linalg import DEFAULT_TOL, Tolerances, _rank_from_sv, _singular_values, as_matrix, identity, spectral_norm
+from .linalg import DEFAULT_TOL, Tolerances, _inverse_from_sv, _rank_from_sv, _singular_values, as_matrix, identity, spectral_norm
 from .subspaces import (
     _gap_and_equal,
     _norm_range_kernel,
@@ -125,17 +122,11 @@ class Scenario:
     @cached_property
     def _evaluation(self):
         """The existence evaluation of (a, p, q)."""
-        return _existence(self.a, self.p, self.q, self.tol)
+        return _Evaluation(self.a, self.p, self.q, self.tol)
 
     @cached_property
     def base(self) -> GInvResult:
-        return _outer(self.a, self.p, self.q, self.tol, self._evaluation)
-
-    @property
-    def _a_summary(self):
-        """(||a||, col a, ker a) from the one SVD of the existence evaluation."""
-        e = self._evaluation
-        return e.na, e.col_a, e.ker_a
+        return self._evaluation.outer
 
     @cached_property
     def _bar_summary(self):
@@ -166,16 +157,11 @@ class Scenario:
         return _gap_and_equal(map_subspace(self.a_bar, self.p.range, self.tol), self.q.kernel, self.tol)
 
     @cached_property
-    def _l_base(self) -> GInvResult:
-        """compute_l(a, p, q) on the base inverse; raises NotExists unless it is inner-outer."""
-        return _require_l(self.a, self.p, self.q, self.tol, lambda: self.base, self._evaluation)
-
-    @cached_property
     def _gap_hypotheses(self):
         """The two gap hypotheses of Lemma 2.10 for the inner-outer base, the
         range side first, each as (satisfied, {"delta": ..., "threshold": ...})."""
-        b = self._l_base.b
-        _, col_a, ker_a = self._a_summary
+        e = self._evaluation
+        b, col_a, ker_a = e.inner_outer.b, e.col_a, e.ker_a
         _, col_bar, ker_bar = self._bar_summary
         sides = (
             (spectral_norm(identity(self.n) - self.a @ b), _one_sided_gap(col_bar.projector(), col_a.projector(), col_bar.dim)),
@@ -191,7 +177,7 @@ class Scenario:
     def _update_vs_direct_l(self):
         """(||_updated - compute_l(a_bar, p, q)||, whether it is within the residual scale)."""
         updated = self._updated
-        direct = _l(self.a_bar, self.p, self.q, self.tol, self._bar_summary).b
+        direct = _Evaluation(self.a_bar, self.p, self.q, self.tol, self._bar_summary).inner_outer.b
         dev = spectral_norm(updated - direct)
         return dev, dev <= _res_scale(self._bar_summary[0], spectral_norm(direct), self.tol)
 
@@ -313,12 +299,8 @@ def _factor(m, tol: Tolerances):
     """(invertible, sigma_min, inverse or None) of a square m from one SVD,
     with the singularity test of try_inverse."""
     sv = _singular_values(m)
-    if not sv.size:
-        return True, math.inf, m.copy()
-    top, bottom = float(sv[0]), float(sv[-1])
-    if top == 0.0 or bottom <= tol.tol_inv * top:
-        return False, bottom, None
-    return True, bottom, np.linalg.solve(m, identity(m.shape[0]))
+    inverse = _inverse_from_sv(m, sv, tol)
+    return inverse is not None, float(sv[-1]) if sv.size else math.inf, inverse
 
 
 def update_formula(b, delta_a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -482,7 +464,7 @@ def equivalence_thm_tm27(scenario: Scenario) -> EquivalenceReport:
     condition false.
     """
     s = scenario
-    s._l_base  # the base must be an inner-outer inverse
+    s._evaluation.inner_outer  # the base must be an inner-outer inverse
     ok_left, margin_left, _ = s._left_factor
     range_gap, range_matches = _gap_and_equal(s._bar_summary[1], s.q.kernel, s.tol)
     formula_ok = False

@@ -87,8 +87,7 @@ def full_subspace(n: int) -> Subspace:
 
 def subspace_from_columns(cols, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Span of the given columns (need not be independent or orthonormal)."""
-    m = as_matrix(cols)
-    return Subspace(m.shape[0], orth_basis(m, tol))
+    return range_of(cols, tol)
 
 
 def range_of(m, tol: Tolerances = DEFAULT_TOL, scale=None) -> Subspace:

@@ -1,10 +1,12 @@
 """Prescribed-subspace inverses: existence, computation, representations."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from conftest import draw_solvable
-from ginv.errors import BadWitness, DimMismatch, NoGroupInverse, NotExists
+from ginv.errors import BadWitness, DimMismatch, IllConditioned, NoGroupInverse, NotExists
 from ginv.gen_inverse import (
     build_witness,
     classify_strict,
@@ -20,7 +22,7 @@ from ginv.gen_inverse import (
     representation_group_12,
 )
 from ginv.idempotents import idempotent_from_matrix, oblique, random_idempotent
-from ginv.linalg import spectral_norm
+from ginv.linalg import DEFAULT_TOL, Tolerances, spectral_norm
 from ginv.randomstream import RandomStream
 from ginv.subspaces import subspace_from_columns
 
@@ -114,6 +116,76 @@ def test_singular_core_raises(diag_instance):
     a = np.diag([1.0, 1e-14, 0.0])
     with pytest.raises(NotExists):
         compute_outer_pql(a, p, q)
+
+
+def _solver_grid():
+    """Seeded (a, p, q, tol) for n = 2-6: a of full rank, of rank r = rank p
+    and of rank below r; q of rank n - r and, on every fourth draw, one less;
+    every other draw with a tol_inv loose enough that some cores are too
+    ill-conditioned."""
+    loose = Tolerances(tol_inv=0.3)
+    for n in range(2, 7):
+        for k in range(12):
+            stream = RandomStream(100 * n + k)
+            r = stream.randint(1, n - 1)
+            ra = (n, r, max(r - 1, 1))[k % 3]
+            a = stream.normal_matrix(n, ra) @ stream.normal_matrix(ra, n)
+            p = random_idempotent(n, r, 0.3, stream)
+            q = random_idempotent(n, n - r - (k % 4 == 3), 0.3, stream)
+            yield a, p, q, (DEFAULT_TOL, loose)[k % 2]
+
+
+def _outcome(solve):
+    """(result, None), or (None, (type, message)) when solve raises."""
+    try:
+        return solve(), None
+    except (NotExists, IllConditioned) as e:
+        return None, (type(e), str(e))
+
+
+def test_public_solvers_agree_bit_for_bit_on_a_seeded_grid():
+    seen = Counter()
+    for a, p, q, tol in _solver_grid():
+        rep = exists_outer_pql(a, p, q, tol)
+        outer, outer_err = _outcome(lambda: compute_outer_pql(a, p, q, tol))
+        if rep.exists:
+            assert outer.b.tobytes() == rep.certificates[0].tobytes()
+            seen["outer"] += 1
+        elif rep.trivial_kernel_intersection and rep.direct_sum and rep.dims_compatible:
+            assert outer_err == (IllConditioned, f"core margin too small (sigma_min = {rep.sigma_min_core:.3e})")
+            seen["ill-conditioned"] += 1
+        else:
+            assert outer_err == (
+                NotExists,
+                "no outer inverse with the prescribed range and kernel: "
+                f"trivial_kernel_intersection={rep.trivial_kernel_intersection}, "
+                f"direct_sum={rep.direct_sum}, dims_compatible={rep.dims_compatible}",
+            )
+            seen["no outer"] += 1
+        assert _outcome(lambda: compute_outer_pql(a, p, q, tol, basis_seed=7))[1] == outer_err
+
+        rep_l = exists_l(a, p, q, tol)
+        shared = ("trivial_kernel_intersection", "dims_compatible", "sigma_min_core")
+        assert [getattr(rep_l, f) for f in shared] == [getattr(rep, f) for f in shared]
+        inner, inner_err = _outcome(lambda: compute_l(a, p, q, tol))
+        if not rep_l.exists:
+            assert rep_l.certificates is None
+            assert inner_err == (
+                NotExists,
+                "no inner-outer inverse for these idempotents: "
+                f"trivial_kernel_intersection={rep_l.trivial_kernel_intersection}, "
+                f"direct_sum={rep_l.direct_sum}, dims_compatible={rep_l.dims_compatible}, "
+                f"sigma_min_core={rep_l.sigma_min_core:.3e}",
+            )
+            seen["no inner-outer"] += 1
+        elif outer is None:
+            assert inner_err == outer_err
+        elif inner is None:
+            assert inner_err[0] is NotExists and inner_err[1].startswith("a b a = a fails: residual ")
+        else:
+            assert inner.b.tobytes() == rep_l.certificates[0].tobytes() == outer.b.tobytes()
+            seen["inner-outer"] += 1
+    assert set(seen) == {"outer", "ill-conditioned", "no outer", "inner-outer", "no inner-outer"}, seen
 
 
 def test_dim_mismatch_rejected(diag_instance):

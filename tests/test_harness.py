@@ -315,9 +315,11 @@ def _record_scenarios(monkeypatch):
 
 def test_section2_ids_build_one_scenario_per_shared_draw(monkeypatch):
     built, got = _record_scenarios(monkeypatch)
-    solves, hypotheses = [], []  # the a of each inner-outer solve on a + delta_a; the scenario of each gap evaluation
-    l_solve = perturbation._l
-    monkeypatch.setattr(perturbation, "_l", lambda a, *args: solves.append(a) or l_solve(a, *args))
+    # the a of each existence evaluation the checkers build (each for an
+    # inner-outer solve on a + delta_a); the scenario of each gap evaluation
+    solves, hypotheses = [], []
+    evaluation = perturbation._Evaluation
+    monkeypatch.setattr(perturbation, "_Evaluation", lambda a, *args: solves.append(a) or evaluation(a, *args))
     gaps = Scenario.__dict__["_gap_hypotheses"].func
     counted = cached_property(lambda s: hypotheses.append(s) or gaps(s))
     counted.__set_name__(Scenario, "_gap_hypotheses")
@@ -362,8 +364,10 @@ def test_no_report_owns_data_another_report_can_reach(monkeypatch):
 
     _, got = _record_scenarios(monkeypatch)
     encoded, owners = {}, {}  # (index, id) -> encoding; id of each dict -> the (index, id) whose report holds it
+    kept = []  # every report stays alive, so no id() in owners is reused by a later dict
 
     def encode_then_spoil(theorem, index, kind, report):
+        kept.append(report)
         encoded[index, theorem] = dumps(report_to_json(report))
         for d in _report_dicts(report):
             assert owners.setdefault(id(d), (index, theorem)) == (index, theorem)

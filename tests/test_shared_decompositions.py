@@ -322,11 +322,13 @@ def _n6_scenario(theorem):
     return gen_scenario(EnsembleConfig(n_range=(6, 6), count=1, seed=3, theorems=(theorem,)), 0, theorem)
 
 
-@pytest.mark.parametrize("theorem, budget", [("tm2.7", 28), ("lemas1", 29), ("cor2.8", 13), ("lemma2.10", 11)])
+@pytest.mark.parametrize("theorem, budget", [("tm2.7", 25), ("lemas1", 22), ("cor2.8", 13), ("lemma2.10", 9)])
 def test_svd_budget_of_a_section2_check_at_n6(svd_counter, theorem, budget):
     s = _n6_scenario(theorem)
     # 37, 36 and 17 with each checker's own prelude; lemas1 and lemma2.10
-    # made 29 and 12 while their gap hypotheses computed both one-sided gaps.
+    # made 29 and 12 while their gap hypotheses computed both one-sided gaps,
+    # and tm2.7, lemas1 and lemma2.10 made 26, 23 and 10 while the
+    # inner-outer direct sum of the base was tested twice.
     assert svd_counter(lambda: run_check(theorem, s)) <= budget
 
 
@@ -334,8 +336,9 @@ def test_svd_budget_of_a_section2_campaign(svd_counter):
     theorems = ("thm2.4", "lemma2.6", "thm2.7", "cor2.8", "tm2.7", "lemma2.10", "lemas1", "thm2.12")
     config = EnsembleConfig(n_range=(2, 6), count=12, seed=1, theorems=theorems)
     instances = config.count * len(theorems)
-    # 24.20 per instance when every id built its own scenario and decompositions
-    assert svd_counter(lambda: run_campaign(config)) / instances <= 20.67
+    # 24.20 per instance when every id built its own scenario and decompositions,
+    # 20.67 while the inner-outer direct sum of an l-aligned base was tested twice
+    assert svd_counter(lambda: run_campaign(config)) / instances <= 20.46
 
 
 def test_svd_budget_of_l_aligned_generation_at_n6(svd_counter):
