@@ -322,13 +322,21 @@ def _n6_scenario(theorem):
     return gen_scenario(EnsembleConfig(n_range=(6, 6), count=1, seed=3, theorems=(theorem,)), 0, theorem)
 
 
-@pytest.mark.parametrize("theorem, budget", [("tm2.7", 25), ("lemas1", 22), ("cor2.8", 13), ("lemma2.10", 9)])
-def test_svd_budget_of_a_section2_check_at_n6(svd_counter, theorem, budget):
+_N6_CHECK_BUDGET = {"tm2.7": 25, "lemas1": 22, "cor2.8": 13, "lemma2.10": 9}
+
+
+# The second parameter is the budget in force before the base's inner-outer
+# direct sum was tested once; it keeps the case ids stable, and each current
+# budget in _N6_CHECK_BUDGET must stay at or below it.
+@pytest.mark.parametrize("theorem, former_budget", [("tm2.7", 28), ("lemas1", 29), ("cor2.8", 13), ("lemma2.10", 11)])
+def test_svd_budget_of_a_section2_check_at_n6(svd_counter, theorem, former_budget):
     s = _n6_scenario(theorem)
     # 37, 36 and 17 with each checker's own prelude; lemas1 and lemma2.10
     # made 29 and 12 while their gap hypotheses computed both one-sided gaps,
     # and tm2.7, lemas1 and lemma2.10 made 26, 23 and 10 while the
     # inner-outer direct sum of the base was tested twice.
+    budget = _N6_CHECK_BUDGET[theorem]
+    assert budget <= former_budget
     assert svd_counter(lambda: run_check(theorem, s)) <= budget
 
 
