@@ -35,7 +35,7 @@ from .errors import (
 )
 from .exact import ExactMatrix
 from .idempotents import Idempotent, idempotent_from_matrix
-from .linalg import DEFAULT_TOL, Tolerances, _inverse_from_sv, _singular_values, as_matrix, rank, spectral_norm, try_inverse
+from .linalg import DEFAULT_TOL, Tolerances, _inverse_from_sv, _rank_from_sv, _singular_values, as_matrix, spectral_norm, try_inverse
 from .randomstream import RandomStream
 from .subspaces import (
     Subspace,
@@ -89,11 +89,13 @@ class GInvResult:
     """The inverse b, with its defining residuals and the flags derived
     from them (see classify_strict).
 
-    Most callers read only b, so residuals and flags are worked out on first
+    Most callers read only b, so each residual is worked out on first
     access, from the a, p and q that b was solved for (na is ||a|| when the
     caller has it); those inputs must not be changed in place before then.
-    A solver keeps in _evaluation the existence evaluation of (a, p, q) that
-    b was solved from.
+    Each flag works out only the residuals it needs: _l_inverse reads aba_a,
+    _strict_pq reads ba_p and one_ab_q, _strict_12 both. Reading flags
+    fills residuals as well. A solver keeps in _evaluation the existence
+    evaluation of (a, p, q) that b was solved from.
     """
 
     _evaluation: Optional[_Evaluation] = None
@@ -114,43 +116,67 @@ class GInvResult:
         return _norm_range_kernel(self.b, self._tol)
 
     @cached_property
+    def _bab_b(self) -> float:
+        return spectral_norm(self.b @ self._a @ self.b - self.b)
+
+    @cached_property
     def _aba_a(self) -> float:
         return spectral_norm(self._a @ self.b @ self._a - self._a)
 
+    @cached_property
+    def _ba_p(self) -> float:
+        return spectral_norm(self.b @ self._a - self._p.m)
+
+    @cached_property
+    def _one_ab_q(self) -> float:
+        return spectral_norm(np.eye(self._a.shape[0], dtype=complex) - self._a @ self.b - self._q.m)
+
+    @cached_property
+    def _gap_range(self) -> float:
+        return gap(self._b_summary[1], self._p.range).gap
+
+    @cached_property
+    def _gap_kernel(self) -> float:
+        return gap(self._b_summary[2], self._q.range).gap
+
+    @property
+    def _outer_pql(self) -> bool:
+        na, nb, e = self._na, self._b_summary[0], self._tol.tol_eq
+        return self._bab_b <= e * (1.0 + na * nb * nb) and self._gap_range <= 10 * e and self._gap_kernel <= 10 * e
+
     @property
     def _l_inverse(self) -> bool:
-        """flags["l_inverse"], without working out the other residuals."""
         na, nb = self._na, self._b_summary[0]
         return self._aba_a <= self._tol.tol_eq * (1.0 + na * na * nb)
 
+    @property
+    def _strict_pq(self) -> bool:
+        na, nb, e = self._na, self._b_summary[0], self._tol.tol_eq
+        return self._ba_p <= e * (1.0 + na * nb + self._p.norm) and self._one_ab_q <= e * (1.0 + na * nb + self._q.norm)
+
+    @property
+    def _strict_12(self) -> bool:
+        return self._strict_pq and self._l_inverse
+
     @cached_property
     def residuals(self) -> dict:
-        a, b, p, q = self._a, self.b, self._p, self._q
-        _, col_b, ker_b = self._b_summary
-        ba = b @ a
         return {
-            "bab_b": spectral_norm(ba @ b - b),
+            "bab_b": self._bab_b,
             "aba_a": self._aba_a,
-            "ba_p": spectral_norm(ba - p.m),
-            "one_ab_q": spectral_norm(np.eye(a.shape[0], dtype=complex) - a @ b - q.m),
-            "gap_range": gap(col_b, p.range).gap,
-            "gap_kernel": gap(ker_b, q.range).gap,
+            "ba_p": self._ba_p,
+            "one_ab_q": self._one_ab_q,
+            "gap_range": self._gap_range,
+            "gap_kernel": self._gap_kernel,
         }
 
     @cached_property
     def flags(self) -> dict:
-        res = self.residuals
-        na, nb, e = self._na, self._b_summary[0], self._tol.tol_eq
-        outer = res["bab_b"] <= e * (1.0 + na * nb * nb) and res["gap_range"] <= 10 * e and res["gap_kernel"] <= 10 * e
-        strict_pq = res["ba_p"] <= e * (1.0 + na * nb + self._p.norm) and res["one_ab_q"] <= e * (
-            1.0 + na * nb + self._q.norm
-        )
-        l_inverse = self._l_inverse
+        self.residuals  # the classification works out every residual
         return {
-            "outer_pql": outer,
-            "l_inverse": l_inverse,
-            "strict_pq": strict_pq,
-            "strict_12": strict_pq and l_inverse,
+            "outer_pql": self._outer_pql,
+            "l_inverse": self._l_inverse,
+            "strict_pq": self._strict_pq,
+            "strict_12": self._strict_12,
         }
 
     def __repr__(self):
@@ -226,27 +252,54 @@ def _solve(u, m0, core, sv, tol: Tolerances) -> np.ndarray:
 class _Evaluation:
     """The existence evaluation of checked (a, p, q).
 
-    The constructor computes what the outer and the inner-outer tests share:
-    ||a||, col a and ker a (summary is _norm_range_kernel(a) when the caller
-    has it), the trivial meet of ker a and col p, the dims, and the core
-    M0 a U with its singular values. The tests differ only in their direct
-    sum. Both inverses are solved from the core; a property that raises
-    caches nothing.
+    The constructor computes ||a||, col a and ker a (summary is
+    _norm_range_kernel(a) when the caller has it), the dims, and the core
+    M0 a U with its singular values. The trivial meet of ker a and col p,
+    which both tests share, and each test's direct sum are worked out on
+    first use. Both inverses are solved from the core; a property that
+    raises caches nothing.
     """
 
     def __init__(self, a, p: Idempotent, q: Idempotent, tol: Tolerances, summary=None):
         self.a, self.p, self.q, self.tol = a, p, q, tol
         self.na, self.col_a, self.ker_a = _norm_range_kernel(a, tol) if summary is None else summary
-        self.trivial = intersection_trivial(self.ker_a, p.range, tol)
         self.dims = p.rank + q.rank == a.shape[0]
         self.u, self.m0, self.core = _core_matrices(a, p, q)
         self.sv = _singular_values(self.core)
         self.smin = _sigma_min(self.sv, self.core.shape)
 
+    def moved(self, p: Idempotent, q: Idempotent) -> _Evaluation:
+        """The evaluation of (a, p, q) for other idempotents of the same size.
+
+        It shares ||a||, col a and ker a with this one, and the trivial meet
+        and a col(p) with the first evaluation moved from here to the same p
+        (with this one when p is its own).
+        """
+        e = _Evaluation(self.a, p, q, self.tol, (self.na, self.col_a, self.ker_a))
+        first = self._by_p.setdefault(p, e)
+        if first is not e:
+            e.__dict__.update(trivial=first.trivial, _image=first._image)
+        return e
+
+    @cached_property
+    def _by_p(self) -> dict:
+        """The first evaluation per p among this one and those moved from it."""
+        return {self.p: self}
+
+    @cached_property
+    def trivial(self) -> bool:
+        """Does ker a meet col p only at zero?"""
+        return intersection_trivial(self.ker_a, self.p.range, self.tol)
+
+    @cached_property
+    def _image(self) -> Subspace:
+        """a col(p)."""
+        return map_subspace(self.a, self.p.range, self.tol)
+
     @cached_property
     def direct_sum(self) -> bool:
         """The outer test's direct sum: a col(p) + col(q) = C^n."""
-        return direct_sum_is_all(map_subspace(self.a, self.p.range, self.tol), self.q.range, self.tol)
+        return direct_sum_is_all(self._image, self.q.range, self.tol)
 
     @cached_property
     def direct_sum_l(self) -> bool:
@@ -301,7 +354,7 @@ class _Evaluation:
             )
         result = self.outer
         if not result._l_inverse:
-            raise NotExists(f"a b a = a fails: residual {result.residuals['aba_a']:.3e}")
+            raise NotExists(f"a b a = a fails: residual {result._aba_a:.3e}")
         return result
 
 
@@ -383,7 +436,7 @@ def group_inverse(x, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     if n == 0:
         return x.copy()
     um, s, vh = np.linalg.svd(x)
-    r = rank(x, tol)
+    r = _rank_from_sv(s, x.shape, tol)
     if r == 0:
         return np.zeros_like(x)
     f = um[:, :r] * s[:r]

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import GenerationFailed, GinvError, InputError
 from .gen_inverse import _solved
-from .idempotents import idempotent_from_matrix, oblique, perturb_idempotent, random_idempotent
+from .idempotents import _perturb_idempotent, idempotent_from_matrix, oblique, random_idempotent
 from .linalg import DEFAULT_TOL, Tolerances, _integer, _number, spectral_norm
 from .perturbation import (
     Scenario,
@@ -205,7 +205,7 @@ def _base_strict(stream, n, r, skew, tol):
     except GinvError:
         return None
     base = _solved(a, p, q, tol)
-    if base is None or not base.flags["strict_12"]:
+    if base is None or not base._strict_12:
         return None
     return a, p, q, base
 
@@ -231,7 +231,8 @@ def _delta_direction(stream, cls, a, b, p, q):
     return d / norm
 
 
-def _make_delta(stream, cls, a, b, p, q, mag):
+def _make_delta(stream, cls, a, b, p, q, mag, na):
+    """The shift of a for a Section 2 check; na is ||a||."""
     n = a.shape[0]
     if cls == "zero":
         return np.zeros((n, n), dtype=complex)
@@ -248,10 +249,10 @@ def _make_delta(stream, cls, a, b, p, q, mag):
     d = _delta_direction(stream, cls, a, b, p, q)
     if d is None:
         return None
-    scale = mag * max(spectral_norm(a), 1.0)
+    scale = mag * max(na, 1.0)
     if cls == "destabilizing":
         # the shift must visibly push the column space into col(q)
-        scale = max(scale, 0.1 * max(spectral_norm(a), 1.0))
+        scale = max(scale, 0.1 * max(na, 1.0))
     return scale * d
 
 
@@ -332,8 +333,9 @@ def gen_scenario(config: EnsembleConfig, index: int, theorem: str, *, _memo=None
         return None if made is None else (made, spectral_norm(made[0]), spectral_norm(made[3].b))
 
     def perturbed(e, magnitude):
+        """(e', ||e' - e||) from the perturb_idempotent search."""
         key = (e, magnitude, mode, stream._state, stream._spare_normal)
-        return _once(_memo, key, stream, lambda: perturb_idempotent(e, magnitude, stream, tol, mode=mode))
+        return _once(_memo, key, stream, lambda: _perturb_idempotent(e, magnitude, stream, tol, mode))
 
     last = "no admissible draw"
     for attempt in range(_RETRIES):
@@ -350,22 +352,22 @@ def gen_scenario(config: EnsembleConfig, index: int, theorem: str, *, _memo=None
         b = base.b
         kap = na * nb
 
-        p_prime = None
-        q_prime = None
+        p_prime = q_prime = None
+        dists = {}  # the distances of the moved idempotents, as Scenario caches them
         if theorem in _BOUND_IDS:
             cap_p, cap_q, cap_d = _thresholds(kap, want_p, THRESHOLD_HEADROOM)
             try:
                 if want_p:
-                    p_prime = perturbed(p, min(mag, cap_p))
+                    p_prime, dists["_dp"] = perturbed(p, min(mag, cap_p))
                 if want_q:
-                    q_prime = perturbed(q, min(mag, cap_q))
+                    q_prime, dists["_dq"] = perturbed(q, min(mag, cap_q))
             except GinvError as e:
                 last = f"perturbation draw failed: {e}"
                 continue
 
         def shifted():
             if theorem not in _BOUND_IDS:
-                delta = _make_delta(stream, cls, a, b, p, q, mag)
+                delta = _make_delta(stream, cls, a, b, p, q, mag, na)
             elif cls == "zero":
                 delta = np.zeros((n, n), dtype=complex)
             else:
@@ -374,8 +376,8 @@ def gen_scenario(config: EnsembleConfig, index: int, theorem: str, *, _memo=None
             if delta is None:
                 return None
             scenario = Scenario(a, delta, p, q, p_prime=p_prime, q_prime=q_prime, tol=tol)
-            # prime the scenario's cached base inverse and norms with those above
-            scenario.__dict__.update(base=base, _evaluation=base._evaluation, norm_a=na, norm_b=nb)
+            # prime the scenario's cached base inverse, norms and distances with those above
+            scenario.__dict__.update(base=base, _evaluation=base._evaluation, norm_a=na, norm_b=nb, **dists)
             return scenario
 
         key = (family, attempt, cls, mag, theorem in _BOUND_IDS, want_p, want_q, p_prime, q_prime)

@@ -227,12 +227,18 @@ def perturb_idempotent(
     "kernel" (range pinned). Rank 0 and rank n idempotents admit no motion
     and are returned unchanged.
     """
+    return _perturb_idempotent(p, magnitude, seed, tol, mode)[0]
+
+
+def _perturb_idempotent(p: Idempotent, magnitude, seed, tol: Tolerances, mode: str):
+    """perturb_idempotent, as (p', ||p' - p||) with the distance the search
+    measured for the accepted candidate (0.0 when p' is p)."""
     magnitude = _number(magnitude, "magnitude", ValueError)
     if not (math.isfinite(magnitude) and magnitude >= 0):
         raise ValueError(f"magnitude must be a nonnegative finite number, got {magnitude!r}")
     n = p.n
     if magnitude == 0 or p.rank in (0, n):
-        return p
+        return p, 0.0
     if mode not in ("both", "range", "kernel"):
         raise ValueError(f"unknown mode {mode!r}")
     stream = _as_stream(seed)
@@ -250,11 +256,11 @@ def perturb_idempotent(
         m = _oblique_matrix(tb, sb, tol)
         return _Candidate(theta, tb, sb, m, None if m is None else spectral_norm(m - p.m))
 
-    def accept(c: _Candidate) -> Idempotent:
+    def accept(c: _Candidate):
         # Only the accepted bases are Gram-checked; a pinned one is p's own.
         rng = Subspace(n, c.tb) if moves_t else p.range
         ker = Subspace(n, c.sb) if moves_s else p.kernel
-        return Idempotent(c.m, rng, ker)
+        return Idempotent(c.m, rng, ker), c.dist
 
     # Grow the angle along the grid _THETA0 * 2^k until the requested
     # distance is bracketed or the pair stops being complementary. The

@@ -82,8 +82,9 @@ class Scenario:
     """One perturbation instance: a, its shift, and the prescribed idempotents.
 
     base, the inverse for (a, p, q), the existence evaluation it is solved
-    from, and the norms of a and of base.b are computed on first use unless
-    the generator that built the scenario has stored the ones it already has.
+    from, the norms of a and of base.b, and the distances _dp and _dq of the
+    moved idempotents are computed on first use unless the generator that
+    built the scenario has stored the ones it already has.
     The private cached properties are what the Section 2 checkers share; a
     checker copies any cached dict it puts into its report.
     """
@@ -134,17 +135,33 @@ class Scenario:
         return _norm_range_kernel(self.a_bar, self.tol)
 
     @cached_property
+    def _stacked_sv(self):
+        """(shape, singular values) of the stacked bases [col a_bar, col q]."""
+        stacked = np.hstack([self._bar_summary[1].basis, self.q.range.basis])
+        return stacked.shape, _singular_values(stacked)
+
+    @cached_property
+    def _stable(self) -> bool:
+        """Does col a_bar meet col q only at zero? Dimensions above n decide
+        alone; otherwise the stacked SVD does."""
+        m, k = self._bar_summary[1], self.q.range
+        dims = m.dim + k.dim
+        if m.dim == 0 or k.dim == 0:
+            return True
+        if dims > self.n:
+            return False
+        shape, sv = self._stacked_sv
+        return _rank_from_sv(sv, shape, self.tol) == dims
+
+    @cached_property
     def _stability(self):
-        """(does col a_bar meet col q only at zero, how many dimensions they
-        share), from one SVD of their stacked bases with both rank cutoffs."""
+        """(_stable, how many dimensions col a_bar and col q share); the rank
+        defect has its own cutoff on the same stacked SVD."""
         m, k = self._bar_summary[1], self.q.range
         if m.dim == 0 or k.dim == 0:
             return True, 0.0
-        stacked = np.hstack([m.basis, k.basis])
-        sv = _singular_values(stacked)
-        dims = m.dim + k.dim
-        trivial = dims <= self.n and _rank_from_sv(sv, stacked.shape, self.tol) == dims
-        return trivial, float(dims - _rank_from_sv(sv, stacked.shape, self.tol, 1.0))
+        shape, sv = self._stacked_sv
+        return self._stable, float(m.dim + k.dim - _rank_from_sv(sv, shape, self.tol, 1.0))
 
     @cached_property
     def _trivial_p(self) -> bool:
@@ -195,6 +212,16 @@ class Scenario:
     def _updated(self) -> np.ndarray:
         """update_formula(base.b, delta_a), from the two cached factors."""
         return _update(self.base.b, self.delta_a, self._right_factor, self._left_factor, self.tol, self.norm_b)
+
+    @cached_property
+    def _dp(self) -> float:
+        """||p_prime - p||."""
+        return spectral_norm(self.p_prime.m - self.p.m)
+
+    @cached_property
+    def _dq(self) -> float:
+        """||q_prime - q||."""
+        return spectral_norm(self.q_prime.m - self.q.m)
 
     @cached_property
     def norm_a(self) -> float:
@@ -292,7 +319,7 @@ def _res_scale(a_bar_norm: float, b_norm: float, tol: Tolerances) -> float:
 
 def is_stable(scenario: Scenario) -> bool:
     """Does col(a + delta_a) still meet col(q) only at zero?"""
-    return scenario._stability[0]
+    return scenario._stable
 
 
 def _factor(m, tol: Tolerances):
@@ -392,7 +419,7 @@ def lemma26_f(scenario: Scenario):
         ("kernel_of_perturbed_equals_range_f", equal, g.gap),
         ("stable", *s._stability),
     )
-    consistent = (equal == s._stability[0]) and idem_ok and subset_ok
+    consistent = (equal == s._stable) and idem_ok and subset_ok
     aux = {"f_idempotent_residual": idem_resid, "kernel_subset_gap": subset_gap}
     return f, EquivalenceReport(conditions, consistent, aux)
 
@@ -409,13 +436,8 @@ def equivalence_thm27(scenario: Scenario) -> EquivalenceReport:
     a_bar = s.a_bar
     na_bar = s._bar_summary[0]
     w_class = GInvResult(s._updated, a_bar, s.p, s.q, s.tol, na_bar)
-    cond1 = w_class.flags["outer_pql"] and w_class.flags["l_inverse"]
-    resid1 = max(
-        w_class.residuals["bab_b"],
-        w_class.residuals["aba_a"],
-        w_class.residuals["gap_range"],
-        w_class.residuals["gap_kernel"],
-    )
+    cond1 = w_class._outer_pql and w_class._l_inverse
+    resid1 = max(w_class._bab_b, w_class._aba_a, w_class._gap_range, w_class._gap_kernel)
     scale = _res_scale(na_bar, s.norm_b, s.tol)
     # _updated has raised unless both factors are invertible
     eye = identity(s.n)
@@ -479,7 +501,7 @@ def equivalence_thm_tm27(scenario: Scenario) -> EquivalenceReport:
     aux = {"update_factor_margin": margin_left, "range_vs_kernel_q_gap": range_gap.gap, "update_vs_direct": dev}
 
     image_gap, image_matches = s._image_p
-    cond2 = s._stability[0] and s._trivial_p and image_matches
+    cond2 = s._stable and s._trivial_p and image_matches
     aux["image_vs_kernel_q_gap"] = image_gap.gap
 
     conditions = (
@@ -501,7 +523,7 @@ def gap_sufficient_lemma210(scenario: Scenario) -> ImplicationReport:
     (hyp_range, range_data), (hyp_kernel, kernel_data) = s._gap_hypotheses
     # the data dicts are the scenario's cache, so each report gets copies
     items = (
-        ImplicationItem("range_gap_forces_stability", hyp_range, s._stability[0], dict(range_data)),
+        ImplicationItem("range_gap_forces_stability", hyp_range, s._stable, dict(range_data)),
         ImplicationItem("kernel_gap_forces_trivial_meet", hyp_kernel, s._trivial_p, dict(kernel_data)),
     )
     return ImplicationReport(items, not any(it.violated for it in items))
@@ -545,10 +567,10 @@ def equivalence_thm212(scenario: Scenario) -> EquivalenceReport:
     """
     s = scenario
     base = s.base
-    if not base.flags["strict_pq"]:
+    if not base._strict_pq:
         raise NotExists(
             "the base inverse is not strict for (p, q): "
-            f"||ba - p|| = {base.residuals['ba_p']:.3e}, ||1-ab-q|| = {base.residuals['one_ab_q']:.3e}"
+            f"||ba - p|| = {base._ba_p:.3e}, ||1-ab-q|| = {base._one_ab_q:.3e}"
         )
     if not s._left_factor[0]:
         raise NotExists("1 + b delta_a is singular")
@@ -558,12 +580,8 @@ def equivalence_thm212(scenario: Scenario) -> EquivalenceReport:
     scale = _res_scale(na_bar, s.norm_b, s.tol)
 
     w_class = GInvResult(s._updated, a_bar, s.p, s.q, s.tol, na_bar)
-    cond1 = w_class.flags["outer_pql"] and w_class.flags["strict_pq"]
-    resid1 = max(
-        w_class.residuals["bab_b"],
-        w_class.residuals["ba_p"],
-        w_class.residuals["one_ab_q"],
-    )
+    cond1 = w_class._outer_pql and w_class._strict_pq
+    resid1 = max(w_class._bab_b, w_class._ba_p, w_class._one_ab_q)
 
     one_minus_q = identity(s.n) - s.q.m
     resid2 = spectral_norm(a_bar @ s.p.m - one_minus_q @ a_bar)
@@ -626,11 +644,11 @@ def _bound(theorem, s: Scenario, moves_p: bool, moves_q: bool, moves_a: bool = F
     hyp = True
     dp = dq = 0.0
     if moves_p:
-        dp = spectral_norm(p_new.m - s.p.m)
+        dp = s._dp
         aux.update(dp=dp, threshold_dp=thr_p)
         hyp = dp < thr_p - tol.tol_eq
     if moves_q:
-        dq = spectral_norm(q_new.m - s.q.m)
+        dq = s._dq
         aux.update(dq=dq, threshold_dq=thr_q)
         hyp = hyp and dq < thr_q - tol.tol_eq
     if moves_a:
@@ -650,10 +668,11 @@ def _bound(theorem, s: Scenario, moves_p: bool, moves_q: bool, moves_a: bool = F
         else:
             rhs = (nb / denom) * ((1.0 + kap) * (dp + dq) + (1.0 + dq) ** 2 * nd * nb / denom_full)
             norm_rhs = (1.0 + dq) * nb / denom_full
+    p2 = s.p if p_new is None else p_new
+    q2 = s.q if q_new is None else q_new
     try:
-        new = compute_outer_pql(
-            s.a_bar if moves_a else s.a, s.p if p_new is None else p_new, s.q if q_new is None else q_new, tol
-        )
+        # a kept: the new inverse starts from the base's decomposition of a
+        new = compute_outer_pql(s.a_bar, p2, q2, tol) if moves_a else s._evaluation.moved(p2, q2).outer
     except NotExists:
         aux["exists"] = 0.0
         return BoundReport(theorem, s.n, kap, True, math.inf, rhs, -math.inf, False, aux)
@@ -710,14 +729,14 @@ def _cor_12(s: Scenario, moves_p: bool, moves_q: bool) -> BoundReport:
             resid = spectral_norm(residual(moved.m))
             if resid > tol.tol_eq * (1.0 + s.norm_a) * (1.0 + moved.norm):
                 raise SideConditionViolated(f"{rule} fails by {resid:.3e}")
-    if not s.base.flags["strict_12"]:
+    if not s.base._strict_12:
         raise NotExists(
             "the base inverse is not a strict two-sided inverse for (p, q); "
             "these variants need b a = p and 1 - a b = q exactly"
         )
 
     def strict_new(aux, s, q_new, new):
-        strict_ok = new.flags["strict_12"]
+        strict_ok = new._strict_12
         aux["new_inverse_strict"] = 1.0 if strict_ok else 0.0
         if not moves_p:
             _witness_representations(aux, s, q_new, new)

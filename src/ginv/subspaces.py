@@ -120,9 +120,12 @@ def _norm_range_kernel(m, tol: Tolerances = DEFAULT_TOL):
 
 
 def orthocomplement(s: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    if s.dim == 0:
-        return full_subspace(s.ambient_dim)
-    return Subspace(s.ambient_dim, null_basis(s.basis.conj().T, tol))
+    """The orthogonal complement of s, computed once per (s, tol) and kept on s."""
+    memo = s.__dict__.setdefault("_complements", {})
+    if tol not in memo:
+        n = s.ambient_dim
+        memo[tol] = full_subspace(n) if s.dim == 0 else Subspace(n, null_basis(s.basis.conj().T, tol))
+    return memo[tol]
 
 
 def canonical_basis(s: Subspace) -> np.ndarray:

@@ -8,6 +8,8 @@ import pytest
 from conftest import draw_solvable
 from ginv.errors import BadWitness, DimMismatch, IllConditioned, NoGroupInverse, NotExists
 from ginv.gen_inverse import (
+    _checked,
+    _Evaluation,
     build_witness,
     classify_strict,
     compute_l,
@@ -21,8 +23,8 @@ from ginv.gen_inverse import (
     representation_15,
     representation_group_12,
 )
-from ginv.idempotents import idempotent_from_matrix, oblique, random_idempotent
-from ginv.linalg import DEFAULT_TOL, Tolerances, spectral_norm
+from ginv.idempotents import idempotent_from_matrix, oblique, perturb_idempotent, random_idempotent
+from ginv.linalg import DEFAULT_TOL, Tolerances, _rank_from_sv, rank, spectral_norm, try_inverse
 from ginv.randomstream import RandomStream
 from ginv.subspaces import subspace_from_columns
 
@@ -186,6 +188,84 @@ def test_public_solvers_agree_bit_for_bit_on_a_seeded_grid():
             assert inner.b.tobytes() == rep_l.certificates[0].tobytes() == outer.b.tobytes()
             seen["inner-outer"] += 1
     assert set(seen) == {"outer", "ill-conditioned", "no outer", "inner-outer", "no inner-outer"}, seen
+
+
+@pytest.mark.parametrize("mode", ["both", "range", "kernel"])
+def test_moved_evaluation_solves_bit_for_bit_like_compute_outer_pql(mode):
+    seen = Counter()
+    for k, (a, p, q, tol) in enumerate(_solver_grid()):
+        base = _Evaluation(*_checked(a, p, q, tol), tol)
+        p2 = perturb_idempotent(p, 0.05, seed=k, tol=tol, mode=mode)
+        q2 = perturb_idempotent(q, 0.05, seed=k + 1000, tol=tol, mode=mode)
+        # (p2, q) first, so (p2, q2) shares its trivial meet and a col(p2)
+        for pm, qm in ((p2, q), (p2, q2), (p, q2)):
+            moved, moved_err = _outcome(lambda: base.moved(pm, qm).outer)
+            direct, direct_err = _outcome(lambda: compute_outer_pql(a, pm, qm, tol))
+            assert moved_err == direct_err
+            if direct is None:
+                seen[direct_err[0].__name__] += 1
+            else:
+                assert moved.b.tobytes() == direct.b.tobytes()
+                assert moved._na == direct._na
+                seen["solved"] += 1
+    assert set(seen) == {"solved", "NotExists", "IllConditioned"}, seen
+
+
+def _group_inverse_with_a_second_rank_svd(x, tol):
+    """group_inverse as it was before it read the rank from its own SVD."""
+    x = np.asarray(x, dtype=complex)
+    um, s, vh = np.linalg.svd(x)
+    r = rank(x, tol)
+    if r == 0:
+        return np.zeros_like(x)
+    f = um[:, :r] * s[:r]
+    g = vh[:r, :]
+    inv = try_inverse(g @ f, tol)
+    if inv is None:
+        raise NoGroupInverse("index exceeds 1 (rank-factor product is singular)")
+    return f @ inv @ inv @ g
+
+
+def _rank_grid():
+    """Seeded square x for n = 2-6: full rank, rank-deficient, nilpotent, and
+    with a smallest nonzero singular value 1% above or below the rank cutoff."""
+    cutoff = DEFAULT_TOL.tol_rank
+    for n in range(2, 7):
+        stream = RandomStream(700 + n)
+        for r in range(n + 1):
+            yield stream.normal_matrix(n, r) @ stream.normal_matrix(r, n)
+            u = np.linalg.qr(stream.normal_matrix(n, n))[0]
+            v = np.linalg.qr(stream.normal_matrix(n, n))[0]
+            for factor in (1.01, 0.99):
+                s = np.zeros(n)
+                s[:r] = np.linspace(2.0, 1.0, r)
+                if r:
+                    s[r - 1] = factor * cutoff * 2.0 * n
+                yield (u * s) @ v.conj().T
+            yield (u * s) @ u.conj().T  # hermitian, so of index 1
+        yield np.diag(np.ones(n - 1), 1)  # nilpotent: no group inverse
+
+
+def _outcome_of(fn):
+    """(result, None), or (None, (type, message)) when fn raises NoGroupInverse."""
+    try:
+        return fn(), None
+    except NoGroupInverse as e:
+        return None, (type(e), str(e))
+
+
+def test_group_inverse_reads_the_rank_of_rank_x_from_its_own_svd():
+    outcomes = Counter()
+    for x in _rank_grid():
+        full = np.linalg.svd(x)[1]
+        assert _rank_from_sv(full, x.shape, DEFAULT_TOL) == rank(x, DEFAULT_TOL)
+        got, err = _outcome_of(lambda: group_inverse(x))
+        ref, ref_err = _outcome_of(lambda: _group_inverse_with_a_second_rank_svd(x, DEFAULT_TOL))
+        assert err == ref_err
+        if got is not None:
+            assert got.tobytes() == ref.tobytes()
+        outcomes["raised" if err else rank(x, DEFAULT_TOL) < x.shape[0]] += 1
+    assert set(outcomes) == {"raised", True, False}, outcomes
 
 
 def test_dim_mismatch_rejected(diag_instance):

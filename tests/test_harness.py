@@ -273,8 +273,8 @@ def test_bound_ids_draw_each_base_and_moved_idempotent_once(monkeypatch):
 
         monkeypatch.setitem(harness._BASES, family, counted)
     moved = []
-    perturb = harness.perturb_idempotent
-    monkeypatch.setattr(harness, "perturb_idempotent", lambda *a, **k: moved.append(a[1]) or perturb(*a, **k))
+    perturb = harness._perturb_idempotent  # the search core, which also returns the distance
+    monkeypatch.setattr(harness, "_perturb_idempotent", lambda *a, **k: moved.append(a[1]) or perturb(*a, **k))
 
     config = EnsembleConfig(count=5, seed=2, theorems=BOUND_IDS)
     run_campaign(config)
@@ -388,7 +388,7 @@ def test_ids_that_retry_after_the_base_draw_still_get_what_they_get_alone(monkey
     config = EnsembleConfig(count=3, seed=5, theorems=tuple(sorted(CHECKS)))
     attempt = [[RandomStream(config.seed).spawn(i).spawn(k)._seed for k in (0, 1)] for i in range(config.count)]
     first = {seeds[0] for seeds in attempt}
-    perturb, make_delta = harness.perturb_idempotent, harness._make_delta
+    perturb, make_delta = harness._perturb_idempotent, harness._make_delta
     failed, shifted = [], set()
 
     def perturb_or_fail(p, magnitude, stream, *args, **kw):
@@ -401,7 +401,7 @@ def test_ids_that_retry_after_the_base_draw_still_get_what_they_get_alone(monkey
         shifted.add(stream._seed)
         return make_delta(stream, "singular" if stream._seed in first else cls, *args)
 
-    monkeypatch.setattr(harness, "perturb_idempotent", perturb_or_fail)
+    monkeypatch.setattr(harness, "_perturb_idempotent", perturb_or_fail)
     monkeypatch.setattr(harness, "_make_delta", singular_first)
     assert_shared_draws_change_nothing(config)
     assert failed

@@ -10,6 +10,7 @@ from ginv.errors import NotComplementary
 from ginv.idempotents import (
     Idempotent,
     _oblique_matrix,
+    _perturb_idempotent,
     _rotation,
     _skew_direction,
     idempotent_from_matrix,
@@ -253,6 +254,19 @@ def test_perturb_contract_on_seeded_grid(mode):
                     assert spectral_norm(moved.m @ p.range.basis - p.range.basis) <= 1e-10 * nm
                 again = perturb_idempotent(p, mag, seed=seed, mode=mode)
                 assert np.array_equal(again.m, moved.m)
+
+
+@pytest.mark.parametrize("mode", ["both", "range", "kernel"])
+def test_perturb_core_hands_back_the_distance_it_measured(mode):
+    for n in range(2, 7):
+        for r in range(n + 1):
+            p = random_idempotent(n, r, skew=0.3, seed=200 * n + r)
+            for mag in (0.0, 0.5, 0.05, 1e-6, SATURATING):
+                moved, dist = _perturb_idempotent(p, mag, 3000 * n + r, DEFAULT_TOL, mode)
+                public = perturb_idempotent(p, mag, seed=3000 * n + r, mode=mode)
+                assert moved.m.tobytes() == public.m.tobytes()
+                assert dist == spectral_norm(moved.m - p.m)  # exact float equality
+                assert (moved is p) == (mag == 0.0 or r in (0, n))
 
 
 def _oblique_matrix_rank_first(tb, sb, tol):
