@@ -267,6 +267,7 @@ class _Evaluation:
         self.u, self.m0, self.core = _core_matrices(a, p, q)
         self.sv = _singular_values(self.core)
         self.smin = _sigma_min(self.sv, self.core.shape)
+        self._pinned = {}  # pinned_residual, per moved idempotent
 
     def moved(self, p: Idempotent, q: Idempotent) -> _Evaluation:
         """The evaluation of (a, p, q) for other idempotents of the same size.
@@ -285,6 +286,14 @@ class _Evaluation:
     def _by_p(self) -> dict:
         """The first evaluation per p among this one and those moved from it."""
         return {self.p: self}
+
+    def pinned_residual(self, moved: Idempotent, kernel_side: bool) -> float:
+        """||a p' - a|| for a moved range idempotent p', ||q' a|| for a moved
+        kernel idempotent q' (kernel_side), worked out once per idempotent."""
+        key = (moved, kernel_side)
+        if key not in self._pinned:
+            self._pinned[key] = spectral_norm(moved.m @ self.a if kernel_side else self.a @ moved.m - self.a)
+        return self._pinned[key]
 
     @cached_property
     def trivial(self) -> bool:

@@ -25,6 +25,7 @@ from .subspaces import Subspace, _norm_range_kernel, orthocomplement, subspace_f
 _THETA0 = 1e-4
 _THETA_STOP = 64.0
 _GRID_STEPS = math.floor(math.log2(_THETA_STOP / _THETA0)) + 1
+_EPS = float(np.finfo(float).eps)
 
 __all__ = [
     "Idempotent",
@@ -202,6 +203,23 @@ def _rotation(k: np.ndarray, basis: np.ndarray):
     return lambda theta: v @ (((1 + theta * half) / (1 - theta * half))[:, None] * c)
 
 
+def _inverse_interpolate(samples, aim: float) -> float:
+    """The angle at distance aim on the polynomial, in the distance, through
+    the (distance, angle) samples with distinct distances nearest aim, at
+    most four (Neville's scheme)."""
+    ds, ts = [], []
+    for d, t in sorted(samples, key=lambda s: abs(s[0] - aim)):
+        if d not in ds:
+            ds.append(d)
+            ts.append(t)
+            if len(ds) == 4:
+                break
+    for k in range(1, len(ds)):
+        for i in range(len(ds) - k):
+            ts[i] = ((aim - ds[i + k]) * ts[i] + (ds[i] - aim) * ts[i + 1]) / (ds[i] - ds[i + k])
+    return ts[0]
+
+
 def perturb_idempotent(
     p: Idempotent,
     magnitude: float,
@@ -215,13 +233,17 @@ def perturb_idempotent(
     infinity raises ValueError. The range and kernel bases turn by random
     Cayley rotations of skew-hermitian directions. The angle is bracketed on
     the grid 1e-4 * 2^k (a first-order jump from 1e-4, then doubling) and
-    then found by Illinois false position, with a midpoint step whenever the
-    secant leaves the bracket or the far end is not complementary. The search
-    stops once the distance lies within 1e-12 * magnitude below the request.
-    It ends short of that only when the rotation family saturates, or when
-    roundoff in the distance (about eps ||p||) exceeds that band and the
-    angle bracket runs out. p' is assembled by the formula of `oblique`, so
-    it is exactly idempotent up to that construction's conditioning.
+    then found by safeguarded inverse interpolation: the angle, fitted as a
+    polynomial in the distance through the nearest samples (at most four,
+    (0, 0) included), is aimed half a stop band below the request, with a
+    midpoint step whenever the fit leaves the bracket. The search stops once
+    the distance lies within 1e-12 * magnitude below the request. It ends
+    short of that only when the rotation family saturates, or when roundoff
+    in the distance (about eps ||p||^2, more than that band below a request
+    near 1e-4) makes the sampled distances stop rising with the angle; the
+    result then falls short by about that roundoff. p' is assembled by the
+    formula of `oblique`, so it is exactly idempotent up to that
+    construction's conditioning.
 
     mode selects which subspace moves: "both", "range" (kernel pinned), or
     "kernel" (range pinned). Rank 0 and rank n idempotents admit no motion
@@ -250,11 +272,17 @@ def _perturb_idempotent(p: Idempotent, magnitude, seed, tol: Tolerances, mode: s
     rot_t = _rotation(kt, p.range.basis) if moves_t else None
     rot_s = _rotation(ks, p.kernel.basis) if moves_s else None
 
+    samples = [(0.0, 0.0)]  # (distance, angle) of every complementary point
+
     def build(theta: float) -> _Candidate:
         tb = rot_t(theta) if moves_t else p.range.basis
         sb = rot_s(theta) if moves_s else p.kernel.basis
         m = _oblique_matrix(tb, sb, tol)
-        return _Candidate(theta, tb, sb, m, None if m is None else spectral_norm(m - p.m))
+        if m is None:
+            return _Candidate(theta, tb, sb, None, None)
+        dist = spectral_norm(m - p.m)
+        samples.append((dist, theta))
+        return _Candidate(theta, tb, sb, m, dist)
 
     def accept(c: _Candidate):
         # Only the accepted bases are Gram-checked; a pinned one is p's own.
@@ -282,34 +310,43 @@ def _perturb_idempotent(p: Idempotent, magnitude, seed, tol: Tolerances, mode: s
         # sampled point still honors the distance bound.
         return accept(hi)
 
-    # Illinois false position on f = dist - magnitude between lo (f <= 0) and
-    # hi (f > 0, or not complementary): the secant through the two ends, with
-    # the f of an end kept twice in a row halved, and the midpoint whenever
-    # the secant is unusable.
-    f_lo = lo.dist - magnitude
-    f_hi = None if hi.m is None else hi.dist - magnitude
-    kept = None
+    # Safeguarded inverse interpolation (Brent 1973) between lo (distance at
+    # most the request) and hi (above it, or not complementary). The next
+    # angle is where the polynomial, in the distance, through the samples
+    # nearest the aim meets the aim, which sits half the stop band below the
+    # request so that the accepted point lands inside the band rather than on
+    # either side; the midpoint replaces an angle outside the open bracket.
+    # Below a request near 1e-4, roundoff in the distance exceeds the band,
+    # and a sample can read out of order with the bracket's end on its side
+    # by up to that roundoff (measured below 7 eps ||p||_F^2; `noise` allows
+    # 16). Such a sample below the request ends the search. One above it
+    # sends the next steps along the secant of the bracket's ends, aimed
+    # below the request by twice its overshoot and by twice as much again at
+    # each further such sample, until one lands below. A bracket that can no
+    # longer be split ends the search too.
+    aim = magnitude * (1.0 - 0.5e-12)
+    noise = 16.0 * _EPS * float(np.linalg.norm(p.m)) ** 2
+    gap = 0.0  # how far below the request the secant aims; 0.0 to interpolate
     for _ in range(70):
         if magnitude - lo.dist <= 1e-12 * magnitude:
             break
-        theta = 0.5 * (lo.theta + hi.theta)
-        if f_hi is not None:
-            secant = hi.theta - f_hi * (hi.theta - lo.theta) / (f_hi - f_lo)
-            if lo.theta < secant < hi.theta:
-                theta = secant
+        if gap:
+            theta = lo.theta + (magnitude - gap - lo.dist) * (hi.theta - lo.theta) / (hi.dist - lo.dist)
+        else:
+            theta = _inverse_interpolate(samples, aim)
         if not lo.theta < theta < hi.theta:
-            break
+            theta = 0.5 * (lo.theta + hi.theta)
+            if not lo.theta < theta < hi.theta:
+                break
         c = build(theta)
         if c.m is not None and c.dist <= magnitude:
-            lo, f_lo = c, c.dist - magnitude
-            if kept == "hi" and f_hi is not None:
-                f_hi *= 0.5
-            kept = "hi"
+            if lo.dist - noise <= c.dist <= lo.dist:
+                break
+            lo, gap = c, 0.0
         else:
-            hi, f_hi = c, None if c.m is None else c.dist - magnitude
-            if kept == "lo":
-                f_lo *= 0.5
-            kept = "lo"
+            if c.m is not None and hi.m is not None and hi.dist <= c.dist <= hi.dist + noise:
+                gap = 2.0 * max(gap, c.dist - magnitude)
+            hi = c
     if lo.m is None or lo.dist == 0.0:
         raise PerturbationTooLarge("no usable rotation below the requested magnitude")
     return accept(lo)

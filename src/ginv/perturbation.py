@@ -719,14 +719,12 @@ def _witness_representations(aux, s: Scenario, q_prime, new) -> bool:
 def _cor_12(s: Scenario, moves_p: bool, moves_q: bool) -> BoundReport:
     """cor_12_variants on a scenario (see there)."""
     a, tol = s.a, s.tol
-    sides = (
-        (moves_p, "p_prime", lambda m: a @ m - a, "a p' = a"),
-        (moves_q, "q_prime", lambda m: m @ a, "(1 - q') a = a"),
-    )
-    for moves, name, residual, rule in sides:
+    sides = ((moves_p, "p_prime", False, "a p' = a"), (moves_q, "q_prime", True, "(1 - q') a = a"))
+    for moves, name, kernel_side, rule in sides:
         if moves:
             moved = _need(s, name)
-            resid = spectral_norm(residual(moved.m))
+            # cor3.11 and cor3.13 share the base and p' at a campaign index
+            resid = s._evaluation.pinned_residual(moved, kernel_side)
             if resid > tol.tol_eq * (1.0 + s.norm_a) * (1.0 + moved.norm):
                 raise SideConditionViolated(f"{rule} fails by {resid:.3e}")
     if not s.base._strict_12:

@@ -240,7 +240,8 @@ def test_perturb_contract_on_seeded_grid(mode):
                 # A result short of the request lands within 1e-12 * mag of it.
                 # At mag 1e-6 the distance, a difference of matrices of norm
                 # about 1, carries roundoff near 1e-10 * mag, so the search
-                # there ends when its angle bracket runs out instead.
+                # there ends once the sampled distances stop rising with the
+                # angle instead.
                 if mag >= 1e-3 and not np.array_equal(moved.m, far.m):
                     assert mag - d <= 1e-12 * mag, (n, r, mag)
                 nm = spectral_norm(moved.m)
@@ -352,3 +353,35 @@ def test_a_certified_search_makes_one_svd_per_build(monkeypatch):
         perturb_idempotent(p, 0.5, seed=7, mode=mode)
         assert counts["build"] >= 3
         assert counts["svd"] == counts["build"], mode
+
+
+# The mean builds per search over the grid of test_perturb_contract_on_seeded_grid
+# (n 2-6, every rank from 1 to n - 1, all three modes), per magnitude. The
+# inverse-interpolation endgame takes 6.356, 5.333, 4.911 and 7.800; Illinois
+# false position took 9.11, 7.71, 7.60 and 27.4. At 1e-6 roundoff in the
+# distance exceeds the stop band, so that count depends on the last bits of
+# the distances and its ceiling leaves room.
+_BUILDS_PER_SEARCH = {0.5: 6.36, 0.05: 5.34, 1e-3: 4.92, 1e-6: 12.0}
+
+
+def test_builds_per_search_on_the_seeded_grid(monkeypatch):
+    count = [0]
+    oblique_matrix = idempotents._oblique_matrix
+
+    def counting_build(*args):
+        count[0] += 1
+        return oblique_matrix(*args)
+
+    monkeypatch.setattr(idempotents, "_oblique_matrix", counting_build)
+    builds = {mag: [] for mag in _BUILDS_PER_SEARCH}
+    for mode in ("both", "range", "kernel"):
+        for n in range(2, 7):
+            for r in range(1, n):
+                p = random_idempotent(n, r, skew=0.3, seed=100 * n + r)
+                for mag in builds:
+                    count[0] = 0
+                    perturb_idempotent(p, mag, seed=1000 * n + r, mode=mode)
+                    builds[mag].append(count[0])
+    for mag, ceiling in _BUILDS_PER_SEARCH.items():
+        assert len(builds[mag]) == 45
+        assert sum(builds[mag]) / 45 <= ceiling, mag
