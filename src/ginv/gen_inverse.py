@@ -197,12 +197,6 @@ def _as_idempotent(x, tol: Tolerances) -> Idempotent:
     return x if isinstance(x, Idempotent) else idempotent_from_matrix(x, tol)
 
 
-def _sigma_min(sv: np.ndarray, shape) -> float:
-    if shape[0] == 0 and shape[1] == 0:
-        return float("inf")
-    return float(sv[-1]) if sv.size else 0.0
-
-
 def _random_unitary(stream: RandomStream, k: int) -> np.ndarray:
     g = stream.normal_matrix(k, k)
     qm, r = np.linalg.qr(g)
@@ -253,9 +247,9 @@ class _Evaluation:
     """The existence evaluation of checked (a, p, q).
 
     The constructor computes ||a||, col a and ker a (summary is
-    _norm_range_kernel(a) when the caller has it), the dims, and the core
-    M0 a U with its singular values. The trivial meet of ker a and col p,
-    which both tests share, and each test's direct sum are worked out on
+    _norm_range_kernel(a) when the caller has it) and the dims. The core
+    M0 a U with its singular values, the trivial meets of ker a with col p
+    and of col a with col q, and each test's direct sum are worked out on
     first use. Both inverses are solved from the core; a property that
     raises caches nothing.
     """
@@ -264,9 +258,6 @@ class _Evaluation:
         self.a, self.p, self.q, self.tol = a, p, q, tol
         self.na, self.col_a, self.ker_a = _norm_range_kernel(a, tol) if summary is None else summary
         self.dims = p.rank + q.rank == a.shape[0]
-        self.u, self.m0, self.core = _core_matrices(a, p, q)
-        self.sv = _singular_values(self.core)
-        self.smin = _sigma_min(self.sv, self.core.shape)
         self._pinned = {}  # pinned_residual, per moved idempotent
 
     def moved(self, p: Idempotent, q: Idempotent) -> _Evaluation:
@@ -296,6 +287,20 @@ class _Evaluation:
         return self._pinned[key]
 
     @cached_property
+    def _core(self):
+        """(U, M0, the core M0 a U, its singular values)."""
+        u, m0, core = _core_matrices(self.a, self.p, self.q)
+        return u, m0, core, _singular_values(core)
+
+    @cached_property
+    def smin(self) -> float:
+        """The core margin: sigma_min(M0 a U), inf for a 0 x 0 core."""
+        _, _, core, sv = self._core
+        if core.shape == (0, 0):
+            return float("inf")
+        return float(sv[-1]) if sv.size else 0.0
+
+    @cached_property
     def trivial(self) -> bool:
         """Does ker a meet col p only at zero?"""
         return intersection_trivial(self.ker_a, self.p.range, self.tol)
@@ -311,9 +316,27 @@ class _Evaluation:
         return direct_sum_is_all(self._image, self.q.range, self.tol)
 
     @cached_property
+    def _stacked_sv(self):
+        """(shape, singular values) of the stacked bases [col a, col q]."""
+        stacked = np.hstack([self.col_a.basis, self.q.range.basis])
+        return stacked.shape, _singular_values(stacked)
+
+    @cached_property
+    def trivial_q(self) -> bool:
+        """Does col a meet col q only at zero? Dimensions above n decide
+        alone; otherwise the stacked SVD does."""
+        dims = self.col_a.dim + self.q.rank
+        if self.col_a.dim == 0 or self.q.rank == 0:
+            return True
+        if dims > self.a.shape[0]:
+            return False
+        shape, sv = self._stacked_sv
+        return _rank_from_sv(sv, shape, self.tol) == dims
+
+    @cached_property
     def direct_sum_l(self) -> bool:
         """The inner-outer test's direct sum: col(a) + col(q) = C^n."""
-        return direct_sum_is_all(self.col_a, self.q.range, self.tol)
+        return self.col_a.dim + self.q.rank == self.a.shape[0] and self.trivial_q
 
     def exists(self, l_mode: bool) -> bool:
         dsum = self.direct_sum_l if l_mode else self.direct_sum
@@ -324,7 +347,7 @@ class _Evaluation:
         exists = self.exists(l_mode)
         certs = None
         if exists:
-            b = _solve(self.u, self.m0, self.core, self.sv, self.tol)
+            b = _solve(*self._core, self.tol)
             certs = (b, b)
         dsum = self.direct_sum_l if l_mode else self.direct_sum
         return ExistenceReport(self.trivial, dsum, self.dims, self.smin, exists, certs)
@@ -338,7 +361,7 @@ class _Evaluation:
             )
         if not self.exists(l_mode=False):
             raise IllConditioned(f"core margin too small (sigma_min = {self.smin:.3e})")
-        u, m0, core, sv = self.u, self.m0, self.core, self.sv
+        u, m0, core, sv = self._core
         if basis_seed is not None:
             u, m0, core = _core_matrices(self.a, self.p, self.q, basis_seed)
             sv = _singular_values(core)

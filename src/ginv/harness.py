@@ -374,16 +374,19 @@ def gen_scenario(config: EnsembleConfig, index: int, theorem: str, *, _memo=None
                 d = _delta_direction(stream, cls, a, b, p, q)
                 delta = None if d is None else d * min(mag * max(na, 1.0), cap_d / max(nb, 1e-12))
             if delta is None:
-                return None
-            scenario = Scenario(a, delta, p, q, p_prime=p_prime, q_prime=q_prime, tol=tol)
+                return "degenerate perturbation direction"
+            try:
+                scenario = Scenario(a, delta, p, q, p_prime=p_prime, q_prime=q_prime, tol=tol)
+            except ValueError as e:  # the shift, or a plus the shift, overflowed
+                return f"shift rejected: {e}"
             # prime the scenario's cached base inverse, norms and distances with those above
             scenario.__dict__.update(base=base, _evaluation=base._evaluation, norm_a=na, norm_b=nb, **dists)
             return scenario
 
         key = (family, attempt, cls, mag, theorem in _BOUND_IDS, want_p, want_q, p_prime, q_prime)
         scenario = _once(_memo, key + (stream._state, stream._spare_normal), stream, shifted)
-        if scenario is None:
-            last = "degenerate perturbation direction"
+        if isinstance(scenario, str):  # the reason the shift was rejected
+            last = scenario
             continue
         if theorem in _NEEDS_INVERTIBLE and not scenario._left_factor[0]:
             last = "shift made the update factor singular"
@@ -455,7 +458,7 @@ def run_campaign(config: EnsembleConfig, on_report=None) -> CampaignReport:
             try:
                 scenario = gen_scenario(config, index, theorem, _memo=memo)
                 kind, report = run_check(theorem, scenario)
-            except GinvError as e:
+            except (GinvError, np.linalg.LinAlgError) as e:
                 failure = {"index": index, "seed": config.seed, "error": f"{type(e).__name__}: {e}"}
                 if scenario is not None:  # a draw that failed has no scenario to keep
                     failure["scenario"] = scenario_to_json(scenario)

@@ -35,20 +35,12 @@ from .gen_inverse import (
     _checked,
     _Evaluation,
     build_witness,
-    compute_outer_pql,
-    exists_outer_pql,
     group_inverse,
     one_five_inverse,
 )
 from .idempotents import Idempotent
 from .linalg import DEFAULT_TOL, Tolerances, _inverse_from_sv, _rank_from_sv, _singular_values, as_matrix, identity, spectral_norm
-from .subspaces import (
-    _gap_and_equal,
-    _norm_range_kernel,
-    _one_sided_gap,
-    intersection_trivial,
-    map_subspace,
-)
+from .subspaces import _gap_and_equal, _norm_range_kernel, _one_sided_gap, map_subspace
 
 __all__ = [
     "Scenario",
@@ -84,9 +76,12 @@ class Scenario:
     base, the inverse for (a, p, q), the existence evaluation it is solved
     from, the norms of a and of base.b, and the distances _dp and _dq of the
     moved idempotents are computed on first use unless the generator that
-    built the scenario has stored the ones it already has.
+    built the scenario has stored the ones it already has. a + delta_a must
+    be finite, as a and delta_a must.
     The private cached properties are what the Section 2 checkers share; a
-    checker copies any cached dict it puts into its report.
+    checker copies any cached dict it puts into its report. What they read
+    of a_bar comes from _bar, the one existence evaluation of (a_bar, p, q),
+    which is the base's own when delta_a is zero.
     """
 
     a: np.ndarray
@@ -104,6 +99,10 @@ class Scenario:
             object.__setattr__(self, name, val)
         if d.shape != a.shape:
             raise DimMismatch("delta_a must have the same shape as a")
+        with np.errstate(over="ignore"):  # an overflowing sum is rejected below
+            finite = np.isfinite(self.a_bar).all()
+        if not finite:
+            raise ValueError("a + delta_a has NaN or infinite entries")
         for name in ("p_prime", "q_prime"):
             val = getattr(self, name)
             if val is not None:
@@ -130,48 +129,27 @@ class Scenario:
         return self._evaluation.outer
 
     @cached_property
-    def _bar_summary(self):
-        """(||a_bar||, col a_bar, ker a_bar) from one SVD."""
-        return _norm_range_kernel(self.a_bar, self.tol)
-
-    @cached_property
-    def _stacked_sv(self):
-        """(shape, singular values) of the stacked bases [col a_bar, col q]."""
-        stacked = np.hstack([self._bar_summary[1].basis, self.q.range.basis])
-        return stacked.shape, _singular_values(stacked)
-
-    @cached_property
-    def _stable(self) -> bool:
-        """Does col a_bar meet col q only at zero? Dimensions above n decide
-        alone; otherwise the stacked SVD does."""
-        m, k = self._bar_summary[1], self.q.range
-        dims = m.dim + k.dim
-        if m.dim == 0 or k.dim == 0:
-            return True
-        if dims > self.n:
-            return False
-        shape, sv = self._stacked_sv
-        return _rank_from_sv(sv, shape, self.tol) == dims
+    def _bar(self) -> _Evaluation:
+        """The existence evaluation of (a_bar, p, q)."""
+        if not self.delta_a.any():
+            return self._evaluation
+        return _Evaluation(self.a_bar, self.p, self.q, self.tol)
 
     @cached_property
     def _stability(self):
-        """(_stable, how many dimensions col a_bar and col q share); the rank
-        defect has its own cutoff on the same stacked SVD."""
-        m, k = self._bar_summary[1], self.q.range
+        """(is_stable, how many dimensions col a_bar and col q share); the
+        rank defect has its own cutoff on _bar's stacked SVD."""
+        e = self._bar
+        m, k = e.col_a, self.q.range
         if m.dim == 0 or k.dim == 0:
             return True, 0.0
-        shape, sv = self._stacked_sv
-        return self._stable, float(m.dim + k.dim - _rank_from_sv(sv, shape, self.tol, 1.0))
-
-    @cached_property
-    def _trivial_p(self) -> bool:
-        """Does ker a_bar meet col p only at zero?"""
-        return intersection_trivial(self._bar_summary[2], self.p.range, self.tol)
+        shape, sv = e._stacked_sv
+        return e.trivial_q, float(m.dim + k.dim - _rank_from_sv(sv, shape, self.tol, 1.0))
 
     @cached_property
     def _image_p(self):
         """(gap, equal) of a_bar col(p) against ker q."""
-        return _gap_and_equal(map_subspace(self.a_bar, self.p.range, self.tol), self.q.kernel, self.tol)
+        return _gap_and_equal(self._bar._image, self.q.kernel, self.tol)
 
     @cached_property
     def _gap_hypotheses(self):
@@ -179,7 +157,7 @@ class Scenario:
         range side first, each as (satisfied, {"delta": ..., "threshold": ...})."""
         e = self._evaluation
         b, col_a, ker_a = e.inner_outer.b, e.col_a, e.ker_a
-        _, col_bar, ker_bar = self._bar_summary
+        col_bar, ker_bar = self._bar.col_a, self._bar.ker_a
         sides = (
             (spectral_norm(identity(self.n) - self.a @ b), _one_sided_gap(col_bar.projector(), col_a.projector(), col_bar.dim)),
             (spectral_norm(b @ self.a), _one_sided_gap(ker_bar.projector(), ker_a.projector(), ker_bar.dim)),
@@ -194,9 +172,9 @@ class Scenario:
     def _update_vs_direct_l(self):
         """(||_updated - compute_l(a_bar, p, q)||, whether it is within the residual scale)."""
         updated = self._updated
-        direct = _Evaluation(self.a_bar, self.p, self.q, self.tol, self._bar_summary).inner_outer.b
+        direct = self._bar.inner_outer.b
         dev = spectral_norm(updated - direct)
-        return dev, dev <= _res_scale(self._bar_summary[0], spectral_norm(direct), self.tol)
+        return dev, dev <= _res_scale(self._bar.na, spectral_norm(direct), self.tol)
 
     @cached_property
     def _left_factor(self):
@@ -319,7 +297,7 @@ def _res_scale(a_bar_norm: float, b_norm: float, tol: Tolerances) -> float:
 
 def is_stable(scenario: Scenario) -> bool:
     """Does col(a + delta_a) still meet col(q) only at zero?"""
-    return scenario._stable
+    return scenario._bar.trivial_q
 
 
 def _factor(m, tol: Tolerances):
@@ -374,14 +352,14 @@ def equivalence_thm24(scenario: Scenario) -> EquivalenceReport:
     s = scenario
     ok_right, m_right, _ = s._right_factor
     ok_left, m_left, _ = s._left_factor
-    report = exists_outer_pql(s.a_bar, s.p, s.q, s.tol)
+    report = s._bar.report(l_mode=False)
     aux = {"sigma_min_core": float(report.sigma_min_core)}
     dev = NAN
     identity_ok = True
     if ok_right and ok_left and report.exists:
         direct = report.certificates[0]  # the perturbed inverse, as compute_outer_pql solves it
         dev = spectral_norm(s._updated - direct)
-        identity_ok = dev <= _res_scale(spectral_norm(s.a_bar), spectral_norm(direct), s.tol)
+        identity_ok = dev <= _res_scale(s._bar.na, spectral_norm(direct), s.tol)
         aux["update_vs_direct"] = dev
     conditions = (
         ("one_plus_delta_b_invertible", ok_right, m_right),
@@ -412,14 +390,14 @@ def lemma26_f(scenario: Scenario):
     nf, col_f, _ = _norm_range_kernel(f, s.tol)
     idem_resid = spectral_norm(f @ f - f)
     idem_ok = idem_resid <= s.tol.tol_eq * (1.0 + nf * nf)
-    g, equal = _gap_and_equal(s._bar_summary[2], col_f, s.tol)
+    g, equal = _gap_and_equal(s._bar.ker_a, col_f, s.tol)
     subset_gap = g.delta_mn
     subset_ok = subset_gap <= 10 * s.tol.tol_eq
     conditions = (
         ("kernel_of_perturbed_equals_range_f", equal, g.gap),
         ("stable", *s._stability),
     )
-    consistent = (equal == s._stable) and idem_ok and subset_ok
+    consistent = (equal == s._bar.trivial_q) and idem_ok and subset_ok
     aux = {"f_idempotent_residual": idem_resid, "kernel_subset_gap": subset_gap}
     return f, EquivalenceReport(conditions, consistent, aux)
 
@@ -434,7 +412,7 @@ def equivalence_thm27(scenario: Scenario) -> EquivalenceReport:
     s = scenario
     b = s.base.b
     a_bar = s.a_bar
-    na_bar = s._bar_summary[0]
+    na_bar = s._bar.na
     w_class = GInvResult(s._updated, a_bar, s.p, s.q, s.tol, na_bar)
     cond1 = w_class._outer_pql and w_class._l_inverse
     resid1 = max(w_class._bab_b, w_class._aba_a, w_class._gap_range, w_class._gap_kernel)
@@ -461,7 +439,7 @@ def equivalence_cor28(scenario: Scenario) -> EquivalenceReport:
     ok_right, _, inv_right = s._right_factor
     if not (ok_left and ok_right):
         raise NotExists("update factor is singular")
-    _, col_bar, ker_bar = s._bar_summary
+    col_bar, ker_bar = s._bar.col_a, s._bar.ker_a
     ker_ba = _norm_range_kernel(b @ s.a, s.tol)[2]
     kernel_gap, cond2 = _gap_and_equal(map_subspace(inv_left, ker_ba, s.tol), ker_bar, s.tol)
     col_ab = _norm_range_kernel(s.a @ b, s.tol)[1]
@@ -488,7 +466,7 @@ def equivalence_thm_tm27(scenario: Scenario) -> EquivalenceReport:
     s = scenario
     s._evaluation.inner_outer  # the base must be an inner-outer inverse
     ok_left, margin_left, _ = s._left_factor
-    range_gap, range_matches = _gap_and_equal(s._bar_summary[1], s.q.kernel, s.tol)
+    range_gap, range_matches = _gap_and_equal(s._bar.col_a, s.q.kernel, s.tol)
     formula_ok = False
     dev = NAN
     if ok_left:
@@ -501,7 +479,7 @@ def equivalence_thm_tm27(scenario: Scenario) -> EquivalenceReport:
     aux = {"update_factor_margin": margin_left, "range_vs_kernel_q_gap": range_gap.gap, "update_vs_direct": dev}
 
     image_gap, image_matches = s._image_p
-    cond2 = s._stable and s._trivial_p and image_matches
+    cond2 = s._bar.trivial_q and s._bar.trivial and image_matches
     aux["image_vs_kernel_q_gap"] = image_gap.gap
 
     conditions = (
@@ -523,8 +501,8 @@ def gap_sufficient_lemma210(scenario: Scenario) -> ImplicationReport:
     (hyp_range, range_data), (hyp_kernel, kernel_data) = s._gap_hypotheses
     # the data dicts are the scenario's cache, so each report gets copies
     items = (
-        ImplicationItem("range_gap_forces_stability", hyp_range, s._stable, dict(range_data)),
-        ImplicationItem("kernel_gap_forces_trivial_meet", hyp_kernel, s._trivial_p, dict(kernel_data)),
+        ImplicationItem("range_gap_forces_stability", hyp_range, s._bar.trivial_q, dict(range_data)),
+        ImplicationItem("kernel_gap_forces_trivial_meet", hyp_kernel, s._bar.trivial, dict(kernel_data)),
     )
     return ImplicationReport(items, not any(it.violated for it in items))
 
@@ -576,7 +554,7 @@ def equivalence_thm212(scenario: Scenario) -> EquivalenceReport:
         raise NotExists("1 + b delta_a is singular")
     b = base.b
     a_bar = s.a_bar
-    na_bar = spectral_norm(a_bar)
+    na_bar = s._bar.na
     scale = _res_scale(na_bar, s.norm_b, s.tol)
 
     w_class = GInvResult(s._updated, a_bar, s.p, s.q, s.tol, na_bar)
@@ -671,8 +649,8 @@ def _bound(theorem, s: Scenario, moves_p: bool, moves_q: bool, moves_a: bool = F
     p2 = s.p if p_new is None else p_new
     q2 = s.q if q_new is None else q_new
     try:
-        # a kept: the new inverse starts from the base's decomposition of a
-        new = compute_outer_pql(s.a_bar, p2, q2, tol) if moves_a else s._evaluation.moved(p2, q2).outer
+        # the new inverse starts from the decomposition of a_bar, the base's when a is kept
+        new = (s._bar if moves_a else s._evaluation).moved(p2, q2).outer
     except NotExists:
         aux["exists"] = 0.0
         return BoundReport(theorem, s.n, kap, True, math.inf, rhs, -math.inf, False, aux)

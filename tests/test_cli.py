@@ -207,6 +207,15 @@ def test_verify_failing_bound_exits_one(tmp_path, capsys):
     assert json.loads(out)["report"]["holds"] is False
 
 
+@pytest.mark.parametrize("command", [["verify", "thm2.4"], ["perturb"]])
+def test_a_scenario_whose_shifted_matrix_overflows_is_bad_input(tmp_path, capsys, command):
+    a = np.diag([1e308, 1.5e308, 0.0]).astype(complex)  # finite, and so is delta_a = a
+    obj = {"a": matrix_to_json(a), "delta_a": matrix_to_json(a), "p": matrix_to_json(E1_P), "q": matrix_to_json(E1_Q)}
+    code, out, err = run(capsys, command + ["--in", write(tmp_path, "scenario.json", obj)])
+    assert code == 2 and out == ""
+    assert "a + delta_a has NaN or infinite entries" in err and "Traceback" not in err
+
+
 def test_verify_config_with_csv(tmp_path, capsys):
     config = config_file(tmp_path)
     csv_path = tmp_path / "rows.csv"

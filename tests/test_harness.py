@@ -222,6 +222,20 @@ def test_campaign_records_draws_that_cannot_be_made():
         assert f["seed"] == 1
 
 
+# A shift of magnitude 1e308 overflows the products of the checks; numpy
+# warns of that, and the campaign must record what raised and return.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning")
+def test_a_campaign_with_an_overflowing_shift_records_failures_and_returns():
+    config = EnsembleConfig(n_range=(2, 4), count=6, seed=1, theorems=("thm2.7", "thm2.4"), perturbation_magnitudes=(1e308,))
+    report = run_campaign(config)
+    failures = [f for st in report.stats.values() for f in st.failures]
+    assert not report.ok and all(st.instances == 6 for st in report.stats.values())
+    # a shift beyond double range is a rejected draw
+    assert any("shift rejected: " in f["error"] for f in failures if f["error"].startswith("GenerationFailed"))
+    # a check that raised LinAlgError is a failure with its scenario
+    assert any(f["error"].startswith("LinAlgError") and "scenario" in f for f in failures)
+
+
 _VERDICT = {"bound": "holds", "equiv": "consistent", "impl": "ok"}
 
 

@@ -138,6 +138,8 @@ def test_scenario_validation(diag_instance):
         Scenario(a=a, delta_a=np.zeros((2, 2)), p=p, q=q)
     with pytest.raises(DimMismatch):
         Scenario(a=np.eye(2), delta_a=np.zeros((2, 2)), p=p, q=q)
+    with pytest.raises(ValueError, match="a \\+ delta_a"):  # each finite, the sum not
+        Scenario(a=8e307 * a, delta_a=8e307 * a, p=p, q=q)
 
 
 def test_thm24_stable_shift_all_true(diag_instance):
