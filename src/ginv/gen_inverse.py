@@ -35,7 +35,7 @@ from .errors import (
 )
 from .exact import ExactMatrix
 from .idempotents import Idempotent, idempotent_from_matrix
-from .linalg import DEFAULT_TOL, Tolerances, _inverse_from_sv, _rank_from_sv, _singular_values, as_matrix, spectral_norm, try_inverse
+from .linalg import _EPS, DEFAULT_TOL, Tolerances, _inverse_from_sv, _norm_low, _norm_within, _rank_from_sv, _singular_values, as_matrix, spectral_norm, try_inverse
 from .randomstream import RandomStream
 from .subspaces import (
     Subspace,
@@ -92,13 +92,27 @@ class GInvResult:
     Most callers read only b, so each residual is worked out on first
     access, from the a, p and q that b was solved for (na is ||a|| when the
     caller has it); those inputs must not be changed in place before then.
-    Each flag works out only the residuals it needs: _l_inverse reads aba_a,
-    _strict_pq reads ba_p and one_ab_q, _strict_12 both. Reading flags
-    fills residuals as well. A solver keeps in _evaluation the existence
-    evaluation of (a, p, q) that b was solved from.
+    A private flag reads only the residuals it needs (_outer_pql: bab_b and
+    the gaps, _l_inverse: aba_a, _strict_pq: ba_p and one_ab_q, _strict_12
+    both), and it settles an algebraic residual's threshold test without
+    working the residual out when the Frobenius norm of its matrix can
+    (_residual_within): each threshold grows with ||b||, ||p|| and ||q||,
+    so it is evaluated at lower bounds of these, and _norm_within proves
+    that such a verdict is the exact one. The public flags work out every
+    residual first, so they and residuals report exact values. A solver
+    keeps in _evaluation the existence evaluation of (a, p, q) that b was
+    solved from.
     """
 
     _evaluation: Optional[_Evaluation] = None
+
+    # The matrices whose spectral norms are the algebraic residuals.
+    _MATRICES = {
+        "_bab_b": lambda r: r.b @ r._a @ r.b - r.b,
+        "_aba_a": lambda r: r._a @ r.b @ r._a - r._a,
+        "_ba_p": lambda r: r.b @ r._a - r._p.m,
+        "_one_ab_q": lambda r: np.eye(r._a.shape[0], dtype=complex) - r._a @ r.b - r._q.m,
+    }
 
     def __init__(self, b: np.ndarray, a: np.ndarray, p: Idempotent, q: Idempotent, tol: Tolerances, na=None):
         self.b = b
@@ -117,19 +131,19 @@ class GInvResult:
 
     @cached_property
     def _bab_b(self) -> float:
-        return spectral_norm(self.b @ self._a @ self.b - self.b)
+        return spectral_norm(self._MATRICES["_bab_b"](self))
 
     @cached_property
     def _aba_a(self) -> float:
-        return spectral_norm(self._a @ self.b @ self._a - self._a)
+        return spectral_norm(self._MATRICES["_aba_a"](self))
 
     @cached_property
     def _ba_p(self) -> float:
-        return spectral_norm(self.b @ self._a - self._p.m)
+        return spectral_norm(self._MATRICES["_ba_p"](self))
 
     @cached_property
     def _one_ab_q(self) -> float:
-        return spectral_norm(np.eye(self._a.shape[0], dtype=complex) - self._a @ self.b - self._q.m)
+        return spectral_norm(self._MATRICES["_one_ab_q"](self))
 
     @cached_property
     def _gap_range(self) -> float:
@@ -139,20 +153,48 @@ class GInvResult:
     def _gap_kernel(self) -> float:
         return gap(self._b_summary[2], self._q.range).gap
 
+    def _residual_within(self, name: str, threshold, idem: Optional[Idempotent] = None) -> bool:
+        """Is the residual `name` at most threshold(||b||, ||idem||) (0.0 for
+        the second norm without idem)? threshold must not decrease in either.
+
+        A residual worked out already is compared exactly. Otherwise the
+        Frobenius test compares its matrix with the threshold at ||b||_F /
+        sqrt(n) until _b_summary holds ||b||, and at idem's norm if that is
+        cached, else 0.0; the residual is worked out only when that test
+        cannot decide.
+        """
+
+        def exact():
+            return getattr(self, name) <= threshold(self._b_summary[0], 0.0 if idem is None else idem.norm)
+
+        if name in self.__dict__:
+            return exact()
+        nb = self._b_summary[0] if "_b_summary" in self.__dict__ else _norm_low(self.b)
+        low = threshold(nb, 0.0 if idem is None else idem.__dict__.get("norm", 0.0))
+        return _norm_within(self._MATRICES[name](self), low, exact)
+
     @property
     def _outer_pql(self) -> bool:
-        na, nb, e = self._na, self._b_summary[0], self._tol.tol_eq
-        return self._bab_b <= e * (1.0 + na * nb * nb) and self._gap_range <= 10 * e and self._gap_kernel <= 10 * e
+        na, e = self._na, self._tol.tol_eq
+        return (
+            self._residual_within("_bab_b", lambda nb, _: e * (1.0 + na * nb * nb))
+            and self._gap_range <= 10 * e
+            and self._gap_kernel <= 10 * e
+        )
 
     @property
     def _l_inverse(self) -> bool:
-        na, nb = self._na, self._b_summary[0]
-        return self._aba_a <= self._tol.tol_eq * (1.0 + na * na * nb)
+        na = self._na
+        return self._residual_within("_aba_a", lambda nb, _: self._tol.tol_eq * (1.0 + na * na * nb))
 
     @property
     def _strict_pq(self) -> bool:
-        na, nb, e = self._na, self._b_summary[0], self._tol.tol_eq
-        return self._ba_p <= e * (1.0 + na * nb + self._p.norm) and self._one_ab_q <= e * (1.0 + na * nb + self._q.norm)
+        na, e = self._na, self._tol.tol_eq
+
+        def threshold(nb, n_idem):
+            return e * (1.0 + na * nb + n_idem)
+
+        return self._residual_within("_ba_p", threshold, self._p) and self._residual_within("_one_ab_q", threshold, self._q)
 
     @property
     def _strict_12(self) -> bool:
@@ -243,6 +285,10 @@ def _solve(u, m0, core, sv, tol: Tolerances) -> np.ndarray:
     return u @ inverse @ m0
 
 
+# K of the core-margin certificate of _Evaluation (see _certified).
+_CORE_K = 1e4
+
+
 class _Evaluation:
     """The existence evaluation of checked (a, p, q).
 
@@ -252,25 +298,54 @@ class _Evaluation:
     and of col a with col q, and each test's direct sum are worked out on
     first use. Both inverses are solved from the core; a property that
     raises caches nothing.
+
+    The core margin s = sigma_min(M0 a U) settles the outer test's two
+    subspace conditions, trivial and direct_sum, without their stacked SVDs
+    once the core is decomposed, the dims hold and s >= K n max(tol_rank,
+    eps) max(||a||, 1) with K = _CORE_K = 1e4 (_certified). Both are then
+    True, as their SVDs would find. Write t = tol_rank and c = n t max(||a||,
+    1): _norm_range_kernel drops the singular values of a up to c, so the
+    basis K_a of ker a has ||a K_a|| <= c. The singular values of stacked
+    orthonormal bases of two subspaces are sqrt(1 +- cos theta_i) over their
+    principal angles theta_i, and 1 beyond (Bjorck & Golub, Math. Comp. 27,
+    1973), so the stacked rank that intersection_trivial takes is full
+    when sin theta_1 / sqrt(2) exceeds its cutoff t sigma_max n <= sqrt(2) n t,
+    that is when sin theta_1 > 2 n t.
+    trivial: a unit x = U y in col p at the least angle theta_1 to ker a is
+    k + w with k in ker a, ||k|| = cos theta_1 and ||w|| = sin theta_1, so
+    s <= ||M0 a x|| <= ||a x|| <= c + ||a|| sin theta_1. s > c therefore rules
+    out a common vector (and with it dim ker a + rank p > n), and
+    s > c + 2 n t ||a|| gives sin theta_1 > 2 n t.
+    direct_sum: sigma_min(a U) >= s > n t ||a U||, so a col(p) keeps the
+    dimension rank p and, with the dims, fills C^n together with col q. Its
+    orthonormal basis X has a U = X R with ||R|| <= ||a||, and the singular
+    values of M0 X are the sines of the principal angles between col X and
+    col q (Bjorck & Golub), so sin theta_1 >= s / ||a||; s > 2 n t ||a||
+    gives the full rank.
+    In exact arithmetic K = 3 suffices, as c + 2 n t ||a|| <= 3 n t max(||a||,
+    1); the rest of K leaves (K - 3) n eps max(||a||, 1) of s for the
+    rounding of the bases, products and singular values, which is of order
+    p(n) eps max(||a||, 1). The margin scales with max(||a||, 1) because the
+    kernel cutoff c does: for ||a|| < 1 a margin in ||a|| alone falls below
+    c. It floors tol_rank at eps because below eps the cutoffs sit under
+    that rounding.
     """
 
     def __init__(self, a, p: Idempotent, q: Idempotent, tol: Tolerances, summary=None):
         self.a, self.p, self.q, self.tol = a, p, q, tol
         self.na, self.col_a, self.ker_a = _norm_range_kernel(a, tol) if summary is None else summary
         self.dims = p.rank + q.rank == a.shape[0]
-        self._pinned = {}  # pinned_residual, per moved idempotent
 
     def moved(self, p: Idempotent, q: Idempotent) -> _Evaluation:
         """The evaluation of (a, p, q) for other idempotents of the same size.
 
         It shares ||a||, col a and ker a with this one, and the trivial meet
         and a col(p) with the first evaluation moved from here to the same p
-        (with this one when p is its own).
+        (with this one when p is its own), each once that one has it.
         """
         e = _Evaluation(self.a, p, q, self.tol, (self.na, self.col_a, self.ker_a))
         first = self._by_p.setdefault(p, e)
-        if first is not e:
-            e.__dict__.update(trivial=first.trivial, _image=first._image)
+        e.__dict__.update((k, first.__dict__[k]) for k in ("trivial", "_image") if k in first.__dict__)
         return e
 
     @cached_property
@@ -278,19 +353,22 @@ class _Evaluation:
         """The first evaluation per p among this one and those moved from it."""
         return {self.p: self}
 
-    def pinned_residual(self, moved: Idempotent, kernel_side: bool) -> float:
-        """||a p' - a|| for a moved range idempotent p', ||q' a|| for a moved
-        kernel idempotent q' (kernel_side), worked out once per idempotent."""
-        key = (moved, kernel_side)
-        if key not in self._pinned:
-            self._pinned[key] = spectral_norm(moved.m @ self.a if kernel_side else self.a @ moved.m - self.a)
-        return self._pinned[key]
-
     @cached_property
     def _core(self):
         """(U, M0, the core M0 a U, its singular values)."""
         u, m0, core = _core_matrices(self.a, self.p, self.q)
         return u, m0, core, _singular_values(core)
+
+    def _core_first(self) -> None:
+        """Decompose the core ahead of the subspace tests, so that its margin
+        can settle them. A core that does not decompose (one that overflowed)
+        is left for later, so that the subspace tests raise their own error
+        first."""
+        if self.dims:
+            try:
+                self._core
+            except np.linalg.LinAlgError:
+                pass
 
     @cached_property
     def smin(self) -> float:
@@ -300,10 +378,18 @@ class _Evaluation:
             return float("inf")
         return float(sv[-1]) if sv.size else 0.0
 
+    @property
+    def _certified(self) -> bool:
+        """Does the core margin prove trivial and direct_sum (see the class
+        docstring)? Only a core that is decomposed already is read."""
+        if not (self.dims and "_core" in self.__dict__):
+            return False
+        return self.smin >= _CORE_K * self.a.shape[0] * max(self.tol.tol_rank, _EPS) * max(self.na, 1.0)
+
     @cached_property
     def trivial(self) -> bool:
         """Does ker a meet col p only at zero?"""
-        return intersection_trivial(self.ker_a, self.p.range, self.tol)
+        return self._certified or intersection_trivial(self.ker_a, self.p.range, self.tol)
 
     @cached_property
     def _image(self) -> Subspace:
@@ -313,7 +399,7 @@ class _Evaluation:
     @cached_property
     def direct_sum(self) -> bool:
         """The outer test's direct sum: a col(p) + col(q) = C^n."""
-        return direct_sum_is_all(self._image, self.q.range, self.tol)
+        return self._certified or direct_sum_is_all(self._image, self.q.range, self.tol)
 
     @cached_property
     def _stacked_sv(self):
@@ -339,6 +425,7 @@ class _Evaluation:
         return self.col_a.dim + self.q.rank == self.a.shape[0] and self.trivial_q
 
     def exists(self, l_mode: bool) -> bool:
+        self._core_first()
         dsum = self.direct_sum_l if l_mode else self.direct_sum
         return self.trivial and dsum and self.dims and self.smin > self.tol.tol_inv * self.na
 
@@ -353,7 +440,9 @@ class _Evaluation:
         return ExistenceReport(self.trivial, dsum, self.dims, self.smin, exists, certs)
 
     def solve(self, basis_seed=None) -> GInvResult:
-        """compute_outer_pql(a, p, q, basis_seed=basis_seed)."""
+        """compute_outer_pql(a, p, q, basis_seed=basis_seed). The subspace
+        tests run before the core is decomposed, so that a request whose
+        inverse does not exist pays no core SVD."""
         if not (self.trivial and self.direct_sum and self.dims):
             raise NotExists(
                 "no outer inverse with the prescribed range and kernel: "
@@ -371,7 +460,10 @@ class _Evaluation:
 
     @cached_property
     def outer(self) -> GInvResult:
-        """compute_outer_pql(a, p, q)."""
+        """compute_outer_pql(a, p, q), for callers that expect it to exist:
+        the core comes first, so that its margin can settle the subspace
+        tests."""
+        self._core_first()
         return self.solve()
 
     @cached_property
@@ -410,8 +502,7 @@ def compute_outer_pql(a, p, q, tol: Tolerances = DEFAULT_TOL, *, basis_seed=None
     they pass but the core is numerically singular. basis_seed rotates the
     internal orthonormal bases; the result must agree (b is unique).
     """
-    e = _Evaluation(*_checked(a, p, q, tol), tol)
-    return e.outer if basis_seed is None else e.solve(basis_seed)
+    return _Evaluation(*_checked(a, p, q, tol), tol).solve(basis_seed)
 
 
 def _solved(a, p: Idempotent, q: Idempotent, tol: Tolerances, l_mode: bool = False, summary=None):

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import MismatchedAmbient, NotComplementary, PerturbationTooLarge
-from .linalg import DEFAULT_TOL, Tolerances, _number, as_matrix, rank, spectral_norm
+from .linalg import _EPS, DEFAULT_TOL, Tolerances, _norm_within, _number, as_matrix, rank, spectral_norm
 from .randomstream import RandomStream
 from .subspaces import Subspace, _norm_range_kernel, orthocomplement, subspace_from_columns, zero_subspace
 
@@ -25,7 +25,6 @@ from .subspaces import Subspace, _norm_range_kernel, orthocomplement, subspace_f
 _THETA0 = 1e-4
 _THETA_STOP = 64.0
 _GRID_STEPS = math.floor(math.log2(_THETA_STOP / _THETA0)) + 1
-_EPS = float(np.finfo(float).eps)
 
 __all__ = [
     "Idempotent",
@@ -77,11 +76,12 @@ def _oblique_matrix(tb: np.ndarray, sb: np.ndarray, tol: Tolerances):
     None when the spans do not split C^n: the dimensions must add up to n and
     x = [tb sb] must have full numerical rank (the rule of `direct_sum_is_all`).
     The solve runs first: sigma_max(x) <= sqrt(2) and sigma_min(x) >=
-    1/(sqrt(2) ||m||_2) >= 1/(sqrt(2) ||m||_F), as ||m||_2 = 1/sin of the least
-    angle between the spans (Szyld, Numer. Algorithms 42, 2006), so
-    4 n tol_rank ||m||_F <= 1 certifies that rank with a margin of 2. Any other
-    m, or a failed solve, takes the rank SVD; a failed solve on an x of full
-    numerical rank re-raises its LinAlgError.
+    1/(sqrt(2) ||m||_2), as ||m||_2 = 1/sin of the least angle between the
+    spans (Szyld, Numer. Algorithms 42, 2006), so ||m||_2 <= 1/(4 n tol_rank)
+    certifies that rank with a margin of 2; _norm_within settles that bound
+    from ||m||_F when it can. Any other m, or a failed solve, takes the rank
+    SVD; a failed solve on an x of full numerical rank re-raises its
+    LinAlgError.
     """
     n, r = tb.shape
     k = sb.shape[1]
@@ -101,7 +101,7 @@ def _oblique_matrix(tb: np.ndarray, sb: np.ndarray, tol: Tolerances):
         if rank(x, tol) != n:
             return None
         raise
-    if not 4 * n * tol.tol_rank * np.linalg.norm(m) <= 1 and rank(x, tol) != n:
+    if not _norm_within(m, 1.0 / (4 * n * tol.tol_rank), lambda: rank(x, tol) == n):
         return None
     return m
 
@@ -129,12 +129,9 @@ def idempotent_from_matrix(m, tol: Tolerances = DEFAULT_TOL) -> Idempotent:
     nm, rng, ker = _norm_range_kernel(a, tol)
     d = a @ a - a
     bound = tol.tol_eq * (1.0 + nm * nm)
-    # The Frobenius norm bounds the spectral norm, so the SVD runs only for
-    # a residual that the cheap test cannot clear.
-    if not np.linalg.norm(d) <= bound:
-        resid = spectral_norm(d)
-        if resid > bound:
-            raise ValueError(f"matrix is not idempotent: ||m^2 - m|| = {resid:.3e}")
+    # The SVD runs only for a residual that the Frobenius test cannot clear.
+    if not _norm_within(d, bound, lambda: not spectral_norm(d) > bound):
+        raise ValueError(f"matrix is not idempotent: ||m^2 - m|| = {spectral_norm(d):.3e}")
     p = Idempotent(a, rng, ker)
     p.__dict__["norm"] = nm  # prime the cached norm with the one just computed
     return p

@@ -105,6 +105,47 @@ def spectral_norm(m) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
+_EPS = float(np.finfo(float).eps)
+
+# How far a Frobenius norm must stay below a threshold before _norm_within
+# lets it decide; derived in its docstring.
+_FROBENIUS_SAFETY = 1.0 + 1e-6
+
+
+def _frobenius(x) -> float:
+    """||x||_F; a sum of squares beyond double range reads inf, without a warning."""
+    return math.sqrt(np.vdot(x, x).real)
+
+
+def _norm_low(x) -> float:
+    """||x||_F / sqrt(min(rows, cols)), a lower bound of ||x||_2 that takes no SVD."""
+    return _frobenius(x) / math.sqrt(max(min(x.shape), 1))
+
+
+def _norm_within(x, low: float, exact) -> bool:
+    """Is ||x||_2 at most a threshold t? low is t, or a lower bound of t
+    built by t's own expression from lower bounds of its norms (such as
+    _norm_low); exact() is the exact test, with the SVD.
+
+    ||x||_2 <= ||x||_F, so a finite ||x||_F with ||x||_F * _FROBENIUS_SAFETY
+    <= low settles the question as True, and exact() is called only
+    otherwise. That answer is the one exact() would give: the computed
+    spectral norm exceeds ||x||_2 by at most p(m, n) eps ||x||_2 (the SVD is
+    backward stable, with p a modest multiple of the size), the computed
+    Frobenius norm falls short of ||x||_F by at most about m n eps ||x||_F,
+    and low exceeds the computed t by at most about 3 m n eps t (each lower
+    bound of a norm is at most the computed norm up to that rounding, at
+    most three norms enter a threshold, and rounding is monotone). A safety
+    factor of 1 + 1e-6 covers the three together for matrices of up to 10^8
+    entries. A NaN or an infinity in x, or a NaN low, takes exact(), so
+    such inputs fall back or raise as they did without the Frobenius test.
+    """
+    f = _frobenius(x)
+    if math.isfinite(f) and f * _FROBENIUS_SAFETY <= low:
+        return True
+    return exact()
+
+
 def _singular_values(m: np.ndarray) -> np.ndarray:
     if m.size == 0:
         return np.zeros(0)

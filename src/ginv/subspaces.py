@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MismatchedAmbient
-from .linalg import DEFAULT_TOL, Tolerances, _rank_from_sv, as_matrix, null_basis, orth_basis, rank, spectral_norm
+from .linalg import DEFAULT_TOL, Tolerances, _norm_within, _rank_from_sv, as_matrix, null_basis, orth_basis, rank, spectral_norm
 
 __all__ = [
     "Subspace",
@@ -51,9 +51,8 @@ class Subspace:
             raise ValueError("more basis vectors than ambient dimension")
         if k:
             d = b.conj().T @ b - np.eye(k)
-            # The Frobenius norm bounds the spectral norm, so the SVD runs
-            # only for a basis that the cheap test cannot clear.
-            if np.linalg.norm(d) > 1e-8 and spectral_norm(d) > 1e-8:
+            # The SVD runs only for a basis that the Frobenius test cannot clear.
+            if not _norm_within(d, 1e-8, lambda: bool(np.isfinite(d).all()) and spectral_norm(d) <= 1e-8):
                 raise ValueError("basis columns are not orthonormal")
 
     @property
@@ -135,8 +134,19 @@ def canonical_basis(s: Subspace) -> np.ndarray:
     SVD happens to use. This one does not: it orthonormalizes the columns of
     the hermitian projector greedily, always taking the column with the
     largest remaining component (first such column on ties). On coordinate
-    subspaces it returns the coordinate vectors in index order.
+    subspaces it returns the coordinate vectors in index order. It is worked
+    out once per subspace and kept on it, as orthocomplement is, so the
+    array returned is read-only; copy it to change it.
     """
+    memo = s.__dict__
+    if "_canonical" not in memo:
+        basis = _canonical_basis(s)
+        basis.flags.writeable = False
+        memo["_canonical"] = basis
+    return memo["_canonical"]
+
+
+def _canonical_basis(s: Subspace) -> np.ndarray:
     n, r = s.ambient_dim, s.dim
     if r == 0:
         return np.zeros((n, 0), dtype=complex)
