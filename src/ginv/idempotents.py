@@ -70,7 +70,7 @@ def projector(t: Subspace) -> Idempotent:
     return Idempotent(t.projector(), t, orthocomplement(t))
 
 
-def _oblique_matrix(tb: np.ndarray, sb: np.ndarray, tol: Tolerances):
+def _oblique_matrix(tb: np.ndarray, sb: np.ndarray, tol: Tolerances, d: Optional[np.ndarray] = None):
     """[tb sb] diag(I, 0) [tb sb]^{-1} for orthonormal bases tb and sb.
 
     None when the spans do not split C^n: the dimensions must add up to n and
@@ -81,7 +81,7 @@ def _oblique_matrix(tb: np.ndarray, sb: np.ndarray, tol: Tolerances):
     certifies that rank with a margin of 2; _norm_within settles that bound
     from ||m||_F when it can. Any other m, or a failed solve, takes the rank
     SVD; a failed solve on an x of full numerical rank re-raises its
-    LinAlgError.
+    LinAlgError. The selector d = diag(I, 0) is built here unless passed in.
     """
     n, r = tb.shape
     k = sb.shape[1]
@@ -91,9 +91,9 @@ def _oblique_matrix(tb: np.ndarray, sb: np.ndarray, tol: Tolerances):
         return np.zeros((n, n), dtype=complex)
     if k == 0:
         return np.eye(n, dtype=complex)
-    x = np.hstack([tb, sb])
-    d = np.zeros((n, n), dtype=complex)
-    d[:r, :r] = np.eye(r)
+    x = np.concatenate([tb, sb], axis=1)
+    if d is None:
+        d = _selector(n, r)
     try:
         # m = (x d) x^{-1}, computed by a solve against x^T on the right.
         m = np.linalg.solve(x.T, (x @ d).T).T
@@ -104,6 +104,13 @@ def _oblique_matrix(tb: np.ndarray, sb: np.ndarray, tol: Tolerances):
     if not _norm_within(m, 1.0 / (4 * n * tol.tol_rank), lambda: rank(x, tol) == n):
         return None
     return m
+
+
+def _selector(n: int, r: int) -> np.ndarray:
+    """diag(I_r, 0), n x n."""
+    d = np.zeros((n, n), dtype=complex)
+    d[:r, :r] = np.eye(r)
+    return d
 
 
 def oblique(t: Subspace, s: Subspace, tol: Tolerances = DEFAULT_TOL) -> Idempotent:
@@ -138,7 +145,7 @@ def idempotent_from_matrix(m, tol: Tolerances = DEFAULT_TOL) -> Idempotent:
 
 
 def _as_stream(seed) -> RandomStream:
-    return seed if isinstance(seed, RandomStream) else RandomStream(int(seed))
+    return seed if isinstance(seed, RandomStream) else RandomStream(seed)
 
 
 def random_idempotent(n: int, r: int, skew: float = 0.0, seed=0) -> Idempotent:
@@ -181,23 +188,34 @@ class _Candidate(NamedTuple):
     dist: Optional[float]
 
 
-def _skew_direction(stream: RandomStream, n: int) -> np.ndarray:
-    g = stream.normal_matrix(n, n)
-    return g - g.conj().T
+def _cayley(stream: RandomStream, bases, moves):
+    """theta -> the bases, each that moves turned by the Cayley rotation
+    (1 - theta u/2)^{-1}(1 + theta u/2), u = k/||k||.
 
-
-def _rotation(k: np.ndarray, basis: np.ndarray):
-    """theta -> Cayley rotation (1 - theta u/2)^{-1}(1 + theta u/2) of basis, u = k/||k||.
-
-    1j k = V diag(w) V^H is hermitian with max |w| = ||k||_2, so the rotation is
-    V diag(f) V^H with |f| = 1: each angle costs one scaling and one product in
-    place of a solve, and the rotated basis stays orthonormal.
+    Both skew-hermitian directions k = g - g^H, of the first basis and then
+    of the second, come from one 2n x n draw, so a shared stream advances the
+    same way whichever basis moves. 1j k = V diag(w) V^H is hermitian with
+    max |w| = ||k||_2, diagonalized for every moving basis by one stacked
+    eigh, so a rotation is V diag(f) V^H with |f| = 1: each angle costs one
+    scaling for all moving bases and one product per basis in place of a
+    solve, and a rotated basis stays orthonormal.
     """
-    w, v = np.linalg.eigh(1j * k)
-    nk = max(-w[0], w[-1])
-    half = -0.5j * (w / nk if nk > 0 else w)
-    c = v.conj().T @ basis
-    return lambda theta: v @ (((1 + theta * half) / (1 - theta * half))[:, None] * c)
+    n = bases[0].shape[0]
+    turn = np.flatnonzero(moves)
+    g = stream.normal_matrix(2 * n, n).reshape(2, n, n)[turn]
+    w, v = np.linalg.eigh(1j * (g - g.conj().transpose(0, 2, 1)))
+    nk = np.maximum(-w[:, 0], w[:, -1])
+    half = -0.5j * (w / np.where(nk > 0, nk, 1.0)[:, None])
+    turns = [(i, v[j], v[j].conj().T @ bases[i]) for j, i in enumerate(turn)]
+
+    def rotate(theta: float):
+        f = (1 + theta * half) / (1 - theta * half)
+        out = list(bases)
+        for j, (i, vj, c) in enumerate(turns):
+            out[i] = vj @ (f[j][:, None] * c)
+        return out
+
+    return rotate
 
 
 def _inverse_interpolate(samples, aim: float) -> float:
@@ -260,21 +278,15 @@ def _perturb_idempotent(p: Idempotent, magnitude, seed, tol: Tolerances, mode: s
         return p, 0.0
     if mode not in ("both", "range", "kernel"):
         raise ValueError(f"unknown mode {mode!r}")
-    stream = _as_stream(seed)
-    # Both directions are drawn in every mode, so a shared stream advances
-    # the same way whichever subspace is pinned.
-    kt = _skew_direction(stream, n)
-    ks = _skew_direction(stream, n)
-    moves_t, moves_s = mode in ("both", "range"), mode in ("both", "kernel")
-    rot_t = _rotation(kt, p.range.basis) if moves_t else None
-    rot_s = _rotation(ks, p.kernel.basis) if moves_s else None
+    moves = (mode in ("both", "range"), mode in ("both", "kernel"))
+    rotate = _cayley(_as_stream(seed), (p.range.basis, p.kernel.basis), moves)
+    d = _selector(n, p.rank)
 
     samples = [(0.0, 0.0)]  # (distance, angle) of every complementary point
 
     def build(theta: float) -> _Candidate:
-        tb = rot_t(theta) if moves_t else p.range.basis
-        sb = rot_s(theta) if moves_s else p.kernel.basis
-        m = _oblique_matrix(tb, sb, tol)
+        tb, sb = rotate(theta)
+        m = _oblique_matrix(tb, sb, tol, d)
         if m is None:
             return _Candidate(theta, tb, sb, None, None)
         dist = spectral_norm(m - p.m)
@@ -283,8 +295,8 @@ def _perturb_idempotent(p: Idempotent, magnitude, seed, tol: Tolerances, mode: s
 
     def accept(c: _Candidate):
         # Only the accepted bases are Gram-checked; a pinned one is p's own.
-        rng = Subspace(n, c.tb) if moves_t else p.range
-        ker = Subspace(n, c.sb) if moves_s else p.kernel
+        rng = Subspace(n, c.tb) if moves[0] else p.range
+        ker = Subspace(n, c.sb) if moves[1] else p.kernel
         return Idempotent(c.m, rng, ker), c.dist
 
     # Grow the angle along the grid _THETA0 * 2^k until the requested

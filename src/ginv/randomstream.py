@@ -5,13 +5,21 @@ The integer stream is SplitMix64: state advances by the golden-ratio constant
 rounds. Uniform doubles take the top 53 bits of one output. Standard normals
 use the Box-Muller transform on two uniforms (the second value of each pair
 is cached). The integer stream is bit-exact on every platform; the float
-transforms go through libm, so the last bits of normals may differ across C
-libraries, which is far below every tolerance used in this package.
+transforms run in numpy's elementwise kernels (SIMD code picked for the CPU
+at run time), so the last bits of normals may differ across numpy builds and
+CPUs, which is far below every tolerance used in this package.
+
+A normal depends only on its position in the stream, (state, pending spare),
+not on how many values one call asks for: each kernel works elementwise. So
+normal draws are served from a block made ahead from the current position,
+which gives the same values as drawing them one call at a time.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .linalg import _integer
 
 __all__ = ["RandomStream"]
 
@@ -19,6 +27,8 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+# Normals made ahead per block; a longer draw is made on its own and not kept.
+_BLOCK = 256
 
 
 def _mix(z: int) -> int:
@@ -38,9 +48,14 @@ class RandomStream:
     """Deterministic stream of uniforms, normals, and complex Gaussian matrices."""
 
     def __init__(self, seed: int):
-        self._seed = seed & _MASK64
+        self._seed = _integer(seed, "seed") & _MASK64
         self._state = self._seed
         self._spare_normal = None
+        # Normals made ahead: _block[_block_at:] continue the stream from the
+        # position _block_end, a (state, spare) pair; None before the first.
+        self._block = None
+        self._block_at = 0
+        self._block_end = None
 
     def next_u64(self) -> int:
         self._state = (self._state + _GOLDEN) & _MASK64
@@ -60,39 +75,48 @@ class RandomStream:
         span = hi - lo + 1
         return lo + int(self.random() * span)
 
-    def _randoms(self, count: int) -> np.ndarray:
-        """The next count values of random(), as one array."""
-        steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
-        z = _mix_array(np.uint64(self._state) + steps)
-        self._state = (self._state + count * _GOLDEN) & _MASK64
-        return (z >> np.uint64(11)).astype(float) * (2.0 ** -53)
+    def _ahead(self, count: int) -> np.ndarray:
+        """At least count values of the normal stream from the current
+        position, without moving it.
+
+        A pending spare comes first; each further pair of uniforms gives a
+        Box-Muller pair (cosine value, then sine value).
+        """
+        head = self._spare_normal is not None
+        pairs = (count - head + 1) // 2
+        steps = np.arange(1, 2 * pairs + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+        u = (_mix_array(np.uint64(self._state) + steps) >> np.uint64(11)).astype(float) * (2.0 ** -53)
+        # Box-Muller; u1 is kept away from 0 so the log is finite.
+        r = np.sqrt(-2.0 * np.log(1.0 - u[0::2]))
+        theta = 2.0 * np.pi * u[1::2]
+        z = np.empty(head + 2 * pairs)
+        if head:
+            z[0] = self._spare_normal
+        z[head::2] = r * np.cos(theta)
+        z[head + 1 :: 2] = r * np.sin(theta)
+        return z
 
     def _normals(self, count: int) -> np.ndarray:
         """The next count values of the normal stream.
 
-        A pending spare comes first; each further pair of uniforms gives a
-        Box-Muller pair (cosine value, then sine value), and the sine value
-        of a pair that is only half used becomes the new spare.
+        They come from the block while the stream sits where the block
+        continues and the block holds them; otherwise from a fresh block
+        made at the current position, or, past _BLOCK values, from a draw of
+        their own. The state moves past the uniforms of every pair begun,
+        and the sine value of a pair that is only half used becomes the new
+        spare.
         """
-        out = np.empty(count)
-        head = 0
-        if count and self._spare_normal is not None:
-            out[0] = self._spare_normal
-            self._spare_normal = None
-            head = 1
-        pairs = (count - head + 1) // 2
-        if pairs:
-            u = self._randoms(2 * pairs)
-            # Box-Muller; u1 is kept away from 0 so the log is finite.
-            r = np.sqrt(-2.0 * np.log(1.0 - u[0::2]))
-            theta = 2.0 * np.pi * u[1::2]
-            z = np.empty(2 * pairs)
-            z[0::2] = r * np.cos(theta)
-            z[1::2] = r * np.sin(theta)
-            out[head:] = z[: count - head]
-            if (count - head) % 2:
-                self._spare_normal = float(z[-1])
-        return out
+        block, at = self._block, self._block_at
+        if (self._state, self._spare_normal) != self._block_end or at + count > len(block):
+            block, at = self._ahead(max(count, _BLOCK)), 0
+            if count <= _BLOCK:
+                self._block = block
+        rest = count - (self._spare_normal is not None)
+        self._state = (self._state + (rest + 1) // 2 * 2 * _GOLDEN) & _MASK64
+        self._spare_normal = float(block[at + count]) if rest % 2 else None
+        self._block_at = at + count
+        self._block_end = (self._state, self._spare_normal) if block is self._block else None
+        return block[at : at + count].copy()
 
     def normal(self) -> float:
         return float(self._normals(1)[0])

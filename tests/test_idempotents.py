@@ -9,10 +9,9 @@ import ginv.idempotents as idempotents
 from ginv.errors import NotComplementary
 from ginv.idempotents import (
     Idempotent,
+    _cayley,
     _oblique_matrix,
     _perturb_idempotent,
-    _rotation,
-    _skew_direction,
     idempotent_from_matrix,
     oblique,
     perturb_idempotent,
@@ -303,10 +302,77 @@ def test_oblique_matrix_matches_the_rank_first_rule_on_a_seeded_grid():
         for r in range(n + 1):
             for skew in (0.0, 0.3):
                 p = random_idempotent(n, r, skew=skew, seed=10 * n + r)
-                rot_t = _rotation(_skew_direction(stream, n), p.range.basis)
-                rot_s = _rotation(_skew_direction(stream, n), p.kernel.basis)
+                rotate = _cayley(stream, (p.range.basis, p.kernel.basis), (True, True))
                 for theta in (0.0, 1e-3, 0.1, 0.5, 2.0, 8.0):
-                    assert _same_verdict_and_matrix(rot_t(theta), rot_s(theta)) is not None
+                    assert _same_verdict_and_matrix(*rotate(theta)) is not None
+
+
+def _cayley_one_side_at_a_time(stream, bases, moves):
+    """The rotations of a search as first built, the reference for `_cayley`:
+    one n x n draw per side, one eigh per moving side and a Cayley factor
+    worked out per side at every angle."""
+    n = bases[0].shape[0]
+    rotations = []
+    for basis, moves_it in zip(bases, moves):
+        g = stream.normal_matrix(n, n)
+        if not moves_it:
+            rotations.append(lambda theta, basis=basis: basis)
+            continue
+        w, v = np.linalg.eigh(1j * (g - g.conj().T))
+        nk = max(-w[0], w[-1])
+        half = -0.5j * (w / nk if nk > 0 else w)
+        c = v.conj().T @ basis
+        rotations.append(lambda theta, v=v, half=half, c=c: v @ (((1 + theta * half) / (1 - theta * half))[:, None] * c))
+    return lambda theta: [rotate(theta) for rotate in rotations]
+
+
+_MOVES = {"both": (True, True), "range": (True, False), "kernel": (False, True)}
+
+
+def _same_bytes(x, y):
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("mode", list(_MOVES))
+def test_one_pass_rotations_match_the_one_side_at_a_time_construction(mode):
+    for n in range(2, 7):
+        for r in range(1, n):
+            p = random_idempotent(n, r, skew=0.3, seed=40 * n + r)
+            bases = (p.range.basis, p.kernel.basis)
+            fast, ref = RandomStream(500 * n + r), RandomStream(500 * n + r)
+            if r % 2:  # start from a position with a pending spare normal
+                assert fast.normal() == ref.normal()
+            rotate = _cayley(fast, bases, _MOVES[mode])
+            rotate_ref = _cayley_one_side_at_a_time(ref, bases, _MOVES[mode])
+            assert (fast._state, fast._spare_normal) == (ref._state, ref._spare_normal)
+            for theta in (0.0, 1e-6, 1e-4, 3e-3, 0.1, 0.7, 2.0, 16.0):
+                got, want = rotate(theta), rotate_ref(theta)
+                assert all(_same_bytes(x, y) for x, y in zip(got, want)), (n, r, theta)
+                for x, basis, moves_it in zip(got, bases, _MOVES[mode]):
+                    assert (x is basis) == (not moves_it)
+
+
+@pytest.mark.parametrize("mode", list(_MOVES))
+def test_one_pass_search_matches_the_one_side_at_a_time_construction(mode, monkeypatch):
+    searches = {}
+    for reference in (False, True):
+        if reference:
+            oblique_matrix = idempotents._oblique_matrix
+            monkeypatch.setattr(idempotents, "_cayley", _cayley_one_side_at_a_time)
+            # the selector built by _oblique_matrix itself at every build
+            monkeypatch.setattr(idempotents, "_oblique_matrix", lambda tb, sb, tol, d=None: oblique_matrix(tb, sb, tol))
+        for n in range(2, 7):
+            for r in range(1, n):
+                p = random_idempotent(n, r, skew=0.3, seed=60 * n + r)
+                for mag in (1e-6, 1e-4, 1e-2, 0.3, 1.0):
+                    stream = RandomStream(700 * n + r)
+                    moved, dist = _perturb_idempotent(p, mag, stream, DEFAULT_TOL, mode)
+                    searches.setdefault((n, r, mag), []).append((moved, dist, stream._state, stream._spare_normal))
+    for key, ((got, dist, *end), (want, want_dist, *want_end)) in searches.items():
+        assert _same_bytes(got.m, want.m), key
+        assert _same_bytes(got.range.basis, want.range.basis), key
+        assert _same_bytes(got.kernel.basis, want.kernel.basis), key
+        assert dist == want_dist and end == want_end, key
 
 
 def _tilted_pair(n, r, phi, stream):

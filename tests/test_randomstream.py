@@ -1,9 +1,14 @@
-"""The vectorized normal draws against the scalar loop they replace."""
+"""The vectorized normal draws, served from blocks made ahead, against the
+scalar loop they replace; and the one rule for seeds."""
+
+import random
 
 import numpy as np
 import pytest
 
-from ginv import RandomStream
+import ginv.randomstream as randomstream
+from ginv import RandomStream, compute_outer_pql, perturb_idempotent, random_idempotent
+from ginv.errors import InputError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -23,6 +28,9 @@ class ScalarStream:
         z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
         z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
         return ((z ^ (z >> 31)) >> 11) * (2.0 ** -53)
+
+    def randint(self, lo, hi):
+        return lo + int(self.random() * (hi - lo + 1))
 
     def normal(self):
         if self._spare_normal is not None:
@@ -82,3 +90,62 @@ def test_wide_draws_match_bit_for_bit():
     got, want = fast.normal_matrix(3, 2001), ref.normal_matrix(3, 2001)
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
     _same_state(fast, ref)
+
+
+def test_block_serving_matches_the_scalar_loop(monkeypatch):
+    made = []
+    ahead = RandomStream._ahead
+    monkeypatch.setattr(RandomStream, "_ahead", lambda self, count: made.append(count) or ahead(self, count))
+    fast, ref = RandomStream(1761), ScalarStream(1761)
+    plan = random.Random(4)
+    saved = [(ref._state, ref._spare_normal)]
+    wide = (1, randomstream._BLOCK)  # twice a block's values: made on its own
+    draws = 0
+    for step in range(600):
+        op = plan.choice(["matrix"] * 4 + ["normal", "random", "randint", "save", "restore", "wide"])
+        if op in ("matrix", "wide"):
+            rows, cols = wide if op == "wide" else (plan.randint(0, 12), plan.randint(1, 6))
+            got, want = fast.normal_matrix(rows, cols), ref.normal_matrix(rows, cols)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+            draws += 1
+            if op == "wide":
+                assert fast._block is None or fast._block.size <= randomstream._BLOCK + 1
+                assert fast._block_end is None
+        elif op == "normal":
+            assert fast.normal() == ref.normal()
+            draws += 1
+        elif op == "random":
+            assert fast.random() == ref.random()
+        elif op == "randint":
+            assert fast.randint(2, 6) == ref.randint(2, 6)
+        elif op == "save":
+            saved.append((ref._state, ref._spare_normal))
+        else:  # back or ahead to a saved position, as harness._once restores one
+            fast._state, fast._spare_normal = ref._state, ref._spare_normal = plan.choice(saved)
+        _same_state(fast, ref)
+    assert 2 * randomstream._BLOCK in made
+    assert len(made) < 0.6 * draws  # the rest were served from a block made for an earlier draw
+
+
+@pytest.mark.parametrize("seed", [2.5, 2.9, "2", True, np.bool_(False), [2], 1j])
+def test_every_seed_takes_the_integer_rule(seed):
+    p = random_idempotent(3, 1, 0.3, seed=1)
+    a = RandomStream(2).normal_matrix(3, 3)
+    for draw in (
+        lambda: RandomStream(seed),
+        lambda: random_idempotent(3, 1, 0.3, seed=seed),
+        lambda: perturb_idempotent(p, 0.1, seed=seed),
+        lambda: compute_outer_pql(a, p, p.complement(), basis_seed=seed),
+    ):
+        with pytest.raises(InputError, match="seed must be an integer"):
+            draw()
+
+
+def test_an_integral_float_seed_is_its_integer():
+    p = random_idempotent(3, 1, 0.3, seed=1)
+    a = RandomStream(2).normal_matrix(3, 3)
+    assert RandomStream(2.0).normal_matrix(2, 2).tobytes() == RandomStream(2).normal_matrix(2, 2).tobytes()
+    assert random_idempotent(4, 2, 0.3, seed=7.0).m.tobytes() == random_idempotent(4, 2, 0.3, seed=7).m.tobytes()
+    assert perturb_idempotent(p, 0.1, seed=3.0).m.tobytes() == perturb_idempotent(p, 0.1, seed=3).m.tobytes()
+    got = compute_outer_pql(a, p, p.complement(), basis_seed=2.0).b
+    assert got.tobytes() == compute_outer_pql(a, p, p.complement(), basis_seed=2).b.tobytes()

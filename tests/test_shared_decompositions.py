@@ -125,6 +125,21 @@ def svd_counter(monkeypatch):
     return count
 
 
+@pytest.fixture
+def block_counter(monkeypatch):
+    """Counts the blocks of normals a stream makes (RandomStream._ahead)."""
+    made = []
+    ahead = RandomStream._ahead
+    monkeypatch.setattr(RandomStream, "_ahead", lambda self, count: made.append(count) or ahead(self, count))
+
+    def count(fn):
+        made.clear()
+        fn()
+        return len(made)
+
+    return count
+
+
 def test_svd_budget_on_a_fixed_n6_instance(svd_counter):
     stream = RandomStream(5)
     a = stream.normal_matrix(6, 6)
@@ -293,6 +308,13 @@ def test_svd_budget_of_a_bound_campaign(svd_counter):
     assert svd_counter(campaign) / instances <= 13.09
 
 
+def test_normal_blocks_of_a_bound_campaign(block_counter):
+    instances, campaign = _bound_campaign()
+    # 2.14 per instance while each normal draw made its own; most streams
+    # now make one block, a fresh one after each draw shared through _once
+    assert block_counter(campaign) / instances <= 146 / 140
+
+
 def _svd_key(a, full_matrices=True, compute_uv=True, hermitian=False):
     """What makes two SVD calls the same decomposition: the input bytes,
     shape and type, and the flags."""
@@ -445,6 +467,12 @@ def test_svd_budget_of_a_section2_campaign(svd_counter):
     # while the core margin did not settle the subspace tests and each
     # threshold test on a residual took its SVD
     assert svd_counter(campaign) / instances <= 13.375
+
+
+def test_normal_blocks_of_a_section2_campaign(block_counter):
+    instances, campaign = _section2_campaign()
+    # 3.27 per instance while each normal draw made its own
+    assert block_counter(campaign) / instances <= 64 / 96
 
 
 def test_repeated_decompositions_of_a_section2_campaign(monkeypatch):
