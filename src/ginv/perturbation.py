@@ -28,14 +28,12 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
-from .errors import DimMismatch, InputError, NoGroupInverse, NotExists, RepresentationMismatch, SideConditionViolated
+from .errors import DimMismatch, InputError, NotExists, RepresentationMismatch, SideConditionViolated
 from .gen_inverse import (
     GInvResult,
     _as_idempotent,
     _checked,
     _Evaluation,
-    build_witness,
-    group_inverse,
     one_five_inverse,
 )
 from .idempotents import Idempotent
@@ -674,30 +672,44 @@ def _bound(theorem, s: Scenario, moves_p: bool, moves_q: bool, moves_a: bool = F
     return BoundReport(theorem, s.n, kap, True, lhs, rhs, rhs - lhs, holds, aux)
 
 
+def _factored_group(f, g, gf) -> np.ndarray:
+    """(f g)^# = f (g f)^-2 g for full-rank factors f and g with gf = g f
+    invertible: two solves, no SVD and no rank decision."""
+    return f @ np.linalg.solve(gf, np.linalg.solve(gf, g))
+
+
 def _witness_representations(aux, s: Scenario, q_prime, new) -> bool:
     """The witness representations of the new inverse when the kernel side
-    moves; their deviations go to aux and never gate the bound."""
-    a, b, p, q, tol = s.a, s.base.b, s.p, s.q, s.tol
+    moves; their deviations go to aux and never gate the bound.
+
+    p does not move, so U = p.range.basis is the basis of both cores, and the
+    witnesses come from them: w = U M0 for (p, q) and v = U M0' for (p, q'),
+    with M0 and M0' the rows of the base and the new core. (a v)^# is
+    F (G F)^-2 G for F = a U and G = M0', and G F is the new core, which is
+    invertible because the new inverse exists. The representation does not
+    depend on the choice of these bases.
+    """
+    a, b, q, tol = s.a, s.base.b, s.q, s.tol
+    u, m0 = s._evaluation._core[:2]
+    _, m0_new, core_new = new._evaluation._core[:3]
+    w = u @ m0
     eye = np.eye(s.n, dtype=complex)
 
-    def represent(v, w):
-        return b + b @ one_five_inverse(a @ v, tol) @ a @ (v - w) @ (eye - a @ b)
+    def represent(v, group):
+        return b + b @ group @ a @ (v - w) @ (eye - a @ b)
 
-    try:
-        w = build_witness(p, q, tol).w
-        rep = represent(build_witness(p, q_prime, tol).w, w)
-        aux["representation_deviation"] = spectral_norm(rep - new.b)
-    except (NotExists, DimMismatch):
-        aux["representation_deviation"] = math.inf
-    # The literal reading of the alternative witness convention needs
-    # rank q' + rank q = n, which generically fails; report, don't gate.
+    rep = represent(u @ m0_new, _factored_group(a @ u, m0_new, core_new))
+    aux["representation_deviation"] = spectral_norm(rep - new.b)
+    # The literal reading of the alternative witness convention, v = Q' M0
+    # with Q' a basis of col q', needs rank q' + rank q = n, which generically
+    # fails; report, don't gate.
     stmt_feasible = q_prime.rank + q.rank == s.n
     aux["statement_witness_feasible"] = 1.0 if stmt_feasible else 0.0
     if stmt_feasible:
+        v = q_prime.range.basis @ m0
         try:
-            rep2 = represent(build_witness(q_prime, q, tol).w, w)
-            aux["statement_rep_deviation"] = spectral_norm(rep2 - new.b)
-        except (NotExists, DimMismatch):
+            aux["statement_rep_deviation"] = spectral_norm(represent(v, one_five_inverse(a @ v, tol)) - new.b)
+        except NotExists:
             aux["statement_rep_deviation"] = math.inf
     return True
 
@@ -730,11 +742,11 @@ def _cor_12(s: Scenario, moves_p: bool, moves_q: bool) -> BoundReport:
         if not moves_p:
             _witness_representations(aux, s, q_new, new)
             b = s.base.b
-            try:
-                rep = b + b @ group_inverse(a @ new.b, tol) @ a @ (new.b - b) @ s.q.m
-                aux["group_rep_deviation"] = spectral_norm(rep - new.b)
-            except (NoGroupInverse, np.linalg.LinAlgError):
-                aux["group_rep_deviation"] = math.inf
+            # a new.b = F G with F = a U and G = core'^-1 M0' of the new core
+            u, m0_new, core_new = new._evaluation._core[:3]
+            f, g = a @ u, np.linalg.solve(core_new, m0_new)
+            rep = b + b @ _factored_group(f, g, g @ f) @ a @ (new.b - b) @ s.q.m
+            aux["group_rep_deviation"] = spectral_norm(rep - new.b)
         return strict_ok
 
     label = "cor3.11" if not moves_q else "cor3.12" if not moves_p else "cor3.13"
@@ -776,10 +788,13 @@ def bound_thm36(a, p, q, q_prime, tol: Tolerances = DEFAULT_TOL) -> BoundReport:
     Hypothesis ||q - q'|| < 1/(2+kappa). Then the inverse for (p, q')
     exists, with relative change at most (1+kappa) d / (1 - kappa d) and
     norm at most (1+d)/(1 - kappa d) ||b||. The witness representation
-    b + b (a v)^(1,5) a (v - w)(1 - a b) is evaluated with v built for
-    (p, q') and its deviation reported in aux; an alternative witness built
-    on (q', q) is feasible only when rank q' + rank q = n and is reported
-    as a separate diagnostic.
+    b + b (a v)^# a (v - w)(1 - a b) is evaluated with w = U M0 and v = U M0'
+    from the cores of b and of the new inverse (U a basis of col p, the rows
+    of M0 and M0' bases of the complements of col q and col q'), and its
+    deviation is reported in aux without gating the bound. The literal
+    reading v = Q' M0, with Q' a basis of col q' and an SVD-based (1,5)-
+    inverse, is feasible only when rank q' + rank q = n and is reported as a
+    separate diagnostic.
     """
     return _BOUND_CHECKS["thm3.6"](_scenario(a, p, q, tol, q_prime=q_prime))
 
@@ -806,9 +821,11 @@ def cor_12_variants(a, p, q, p_prime=None, q_prime=None, tol: Tolerances = DEFAU
     Side conditions keep a pinned to the moved idempotents: a p' = a when
     the range side moves, (1 - q') a = a when the kernel side moves; the
     bounds then match the corresponding general theorems, and the perturbed
-    inverse must itself be strict. For the kernel-side variant the group
-    representation b + b (a v)^# a (v - b) q with v the new inverse is
-    evaluated into aux.
+    inverse must itself be strict. For the kernel-side variant the witness
+    representations of bound_thm36 and the group representation
+    b + b (a b')^# a (b' - b) q, with b' the new inverse and (a b')^# from
+    the rank factorization a b' = (a U)(core'^-1 M0') of its core, are
+    evaluated into aux; their deviations do not gate the bound.
     """
     if p_prime is None and q_prime is None:
         raise InputError("one of p_prime, q_prime is required")
