@@ -25,8 +25,9 @@ import os
 import sys
 from dataclasses import replace
 
-from .errors import GenerationFailed, GinvError, InputError, NotExists
+from .errors import DimMismatch, GenerationFailed, GinvError, InputError, NotExists
 from .gen_inverse import (
+    _checked,
     compute_outer_pql,
     compute_outer_pql_exact,
     exists_outer_pql,
@@ -98,8 +99,12 @@ def _instance_fields(path):
 
 
 def _load_instance(path, tol):
+    """a, p and q of an instance file, checked by the library's rule (_checked)."""
     a, p, q = _instance_fields(path)
-    return matrix_from_json(a), idempotent_from_json(p, tol), idempotent_from_json(q, tol)
+    try:
+        return _checked(matrix_from_json(a), idempotent_from_json(p, tol), idempotent_from_json(q, tol), tol)
+    except ValueError as e:
+        raise InputError(f"malformed instance: {e}") from e
 
 
 def _cmd_compute(args) -> int:
@@ -205,10 +210,13 @@ def _campaign(config, args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    theorem = args.theorem_pos or args.theorem
-    if not theorem:
-        raise InputError("verify needs a check id (positional or --theorem)")
+    ids = {args.theorem_pos, args.theorem} - {None}
+    if len(ids) != 1:
+        raise InputError(f"verify needs one check id (positional or --theorem), got {sorted(ids)}")
+    (theorem,) = ids
     if args.infile:
+        if args.config or args.seed is not None:
+            raise InputError("--in runs one scenario; --config and --seed belong to a campaign")
         s = _load_scenario(args)
         kind, report = run_check(theorem, s)
         _emit({"kind": kind, "report": report_to_json(report)}, args.out)
@@ -293,7 +301,7 @@ def cli(argv=None) -> int:
         return int(e.code) if e.code else 0
     try:
         return args.fn(args)
-    except (InputError, GenerationFailed) as e:
+    except (InputError, GenerationFailed, DimMismatch) as e:  # a shape mismatch is in the input
         print(f"input error: {e}", file=sys.stderr)
         return 2
     except GinvError as e:

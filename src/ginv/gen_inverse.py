@@ -266,7 +266,9 @@ def _core_matrices(a, p: Idempotent, q: Idempotent, basis_seed=None):
 
 
 def _checked(a, p, q, tol: Tolerances):
-    """(a, p, q) coerced to a matrix and two idempotents of its size."""
+    """(a, p, q) coerced to a matrix and two idempotents of its size. Like a
+    NaN entry, an ||a|| beyond double range raises ValueError; the SVD runs
+    only when n max |a_ij|, a bound on ||a||_F >= ||a||, overflows."""
     a = as_matrix(a)
     p = _as_idempotent(p, tol)
     q = _as_idempotent(q, tol)
@@ -274,6 +276,9 @@ def _checked(a, p, q, tol: Tolerances):
         raise DimMismatch("a must be square")
     if p.n != a.shape[0] or q.n != a.shape[0]:
         raise DimMismatch("idempotents must match the size of a")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not (np.isfinite(a.shape[0] * np.abs(a).max(initial=0.0)) or np.isfinite(spectral_norm(a))):
+            raise ValueError("the spectral norm of a is beyond double range")
     return a, p, q
 
 

@@ -261,8 +261,8 @@ def perturb_idempotent(
     construction's conditioning.
 
     mode selects which subspace moves: "both", "range" (kernel pinned), or
-    "kernel" (range pinned). Rank 0 and rank n idempotents admit no motion
-    and are returned unchanged.
+    "kernel" (range pinned); any other mode raises ValueError. Rank 0 and
+    rank n idempotents admit no motion and are returned unchanged.
     """
     return _perturb_idempotent(p, magnitude, seed, tol, mode)[0]
 
@@ -273,11 +273,11 @@ def _perturb_idempotent(p: Idempotent, magnitude, seed, tol: Tolerances, mode: s
     magnitude = _number(magnitude, "magnitude", ValueError)
     if not (math.isfinite(magnitude) and magnitude >= 0):
         raise ValueError(f"magnitude must be a nonnegative finite number, got {magnitude!r}")
+    if mode not in ("both", "range", "kernel"):
+        raise ValueError(f"unknown mode {mode!r}")
     n = p.n
     if magnitude == 0 or p.rank in (0, n):
         return p, 0.0
-    if mode not in ("both", "range", "kernel"):
-        raise ValueError(f"unknown mode {mode!r}")
     moves = (mode in ("both", "range"), mode in ("both", "kernel"))
     rotate = _cayley(_as_stream(seed), (p.range.basis, p.kernel.basis), moves)
     d = _selector(n, p.rank)

@@ -34,7 +34,6 @@ from .gen_inverse import (
     _as_idempotent,
     _checked,
     _Evaluation,
-    one_five_inverse,
 )
 from .idempotents import Idempotent
 from .linalg import DEFAULT_TOL, Tolerances, _inverse_from_sv, _norm_low, _norm_within, _rank_from_sv, _singular_values, as_matrix, identity, spectral_norm
@@ -262,7 +261,8 @@ class BoundReport:
 
     When the hypothesis fails, lhs/rhs/margin are NaN and holds is vacuously
     true. When it is satisfied, holds requires the asserted existence and
-    every inequality of the statement (relative error; norm bound in aux).
+    every inequality of the statement (relative error; norm bound in aux),
+    and for thm3.6 and cor3.12 the representations of the new inverse.
     """
 
     theorem: str
@@ -614,8 +614,10 @@ def _bound(theorem, s: Scenario, moves_p: bool, moves_q: bool, moves_a: bool = F
     and q_prime. Unless moves_a, the bound is on the relative change of the
     inverse; with moves_a the matrix moves by delta_a too and it is on the
     absolute change. The norm bound for the new inverse goes to aux. When the
-    new inverse exists, extra(aux, s, q_new, new) adds the theorem's own
-    diagnostics to aux and says whether its own part of the statement held.
+    new inverse exists, extra(aux, s, new, scale) adds the theorem's own
+    diagnostics to aux and says whether its own part of the statement held;
+    scale is the residual scale of its identities, _res_scale at ||a|| and
+    the larger of ||b|| and ||b'||, b' the new inverse.
     """
     p_new = _need(s, "p_prime") if moves_p else None
     q_new = _need(s, "q_prime") if moves_q else None
@@ -667,7 +669,7 @@ def _bound(theorem, s: Scenario, moves_p: bool, moves_q: bool, moves_a: bool = F
     norm_lhs = spectral_norm(new.b)
     aux.update(norm_lhs=norm_lhs, norm_rhs=norm_rhs)
     holds = lhs <= rhs + tol.tol_eq and norm_lhs <= norm_rhs + tol.tol_eq
-    if extra is not None and not extra(aux, s, q_new, new):
+    if extra is not None and not extra(aux, s, new, _res_scale(s.norm_a, max(nb, norm_lhs), tol)):
         holds = False
     return BoundReport(theorem, s.n, kap, True, lhs, rhs, rhs - lhs, holds, aux)
 
@@ -678,9 +680,9 @@ def _factored_group(f, g, gf) -> np.ndarray:
     return f @ np.linalg.solve(gf, np.linalg.solve(gf, g))
 
 
-def _witness_representations(aux, s: Scenario, q_prime, new) -> bool:
-    """The witness representations of the new inverse when the kernel side
-    moves; their deviations go to aux and never gate the bound.
+def _witness_representations(aux, s: Scenario, new, scale: float) -> bool:
+    """The witness representation of the new inverse when the kernel side
+    moves; its deviation goes to aux, and the result says if it is in scale.
 
     p does not move, so U = p.range.basis is the basis of both cores, and the
     witnesses come from them: w = U M0 for (p, q) and v = U M0' for (p, q'),
@@ -689,29 +691,12 @@ def _witness_representations(aux, s: Scenario, q_prime, new) -> bool:
     invertible because the new inverse exists. The representation does not
     depend on the choice of these bases.
     """
-    a, b, q, tol = s.a, s.base.b, s.q, s.tol
+    a, b = s.a, s.base.b
     u, m0 = s._evaluation._core[:2]
     _, m0_new, core_new = new._evaluation._core[:3]
-    w = u @ m0
-    eye = np.eye(s.n, dtype=complex)
-
-    def represent(v, group):
-        return b + b @ group @ a @ (v - w) @ (eye - a @ b)
-
-    rep = represent(u @ m0_new, _factored_group(a @ u, m0_new, core_new))
+    rep = b + b @ _factored_group(a @ u, m0_new, core_new) @ a @ (u @ m0_new - u @ m0) @ (identity(s.n) - a @ b)
     aux["representation_deviation"] = spectral_norm(rep - new.b)
-    # The literal reading of the alternative witness convention, v = Q' M0
-    # with Q' a basis of col q', needs rank q' + rank q = n, which generically
-    # fails; report, don't gate.
-    stmt_feasible = q_prime.rank + q.rank == s.n
-    aux["statement_witness_feasible"] = 1.0 if stmt_feasible else 0.0
-    if stmt_feasible:
-        v = q_prime.range.basis @ m0
-        try:
-            aux["statement_rep_deviation"] = spectral_norm(represent(v, one_five_inverse(a @ v, tol)) - new.b)
-        except NotExists:
-            aux["statement_rep_deviation"] = math.inf
-    return True
+    return aux["representation_deviation"] <= scale
 
 
 def _cor_12(s: Scenario, moves_p: bool, moves_q: bool) -> BoundReport:
@@ -736,18 +721,19 @@ def _cor_12(s: Scenario, moves_p: bool, moves_q: bool) -> BoundReport:
             "these variants need b a = p and 1 - a b = q exactly"
         )
 
-    def strict_new(aux, s, q_new, new):
+    def strict_new(aux, s, new, scale):
         strict_ok = new._strict_12
         aux["new_inverse_strict"] = 1.0 if strict_ok else 0.0
-        if not moves_p:
-            _witness_representations(aux, s, q_new, new)
-            b = s.base.b
-            # a new.b = F G with F = a U and G = core'^-1 M0' of the new core
-            u, m0_new, core_new = new._evaluation._core[:3]
-            f, g = a @ u, np.linalg.solve(core_new, m0_new)
-            rep = b + b @ _factored_group(f, g, g @ f) @ a @ (new.b - b) @ s.q.m
-            aux["group_rep_deviation"] = spectral_norm(rep - new.b)
-        return strict_ok
+        if moves_p:
+            return strict_ok
+        rep_ok = _witness_representations(aux, s, new, scale)
+        b = s.base.b
+        # a new.b = F G with F = a U and G = core'^-1 M0' of the new core
+        u, m0_new, core_new = new._evaluation._core[:3]
+        f, g = a @ u, np.linalg.solve(core_new, m0_new)
+        rep = b + b @ _factored_group(f, g, g @ f) @ a @ (new.b - b) @ s.q.m
+        aux["group_rep_deviation"] = spectral_norm(rep - new.b)
+        return strict_ok and rep_ok and aux["group_rep_deviation"] <= scale
 
     label = "cor3.11" if not moves_q else "cor3.12" if not moves_p else "cor3.13"
     return _bound(label, s, moves_p, moves_q, extra=strict_new)
@@ -790,11 +776,9 @@ def bound_thm36(a, p, q, q_prime, tol: Tolerances = DEFAULT_TOL) -> BoundReport:
     norm at most (1+d)/(1 - kappa d) ||b||. The witness representation
     b + b (a v)^# a (v - w)(1 - a b) is evaluated with w = U M0 and v = U M0'
     from the cores of b and of the new inverse (U a basis of col p, the rows
-    of M0 and M0' bases of the complements of col q and col q'), and its
-    deviation is reported in aux without gating the bound. The literal
-    reading v = Q' M0, with Q' a basis of col q' and an SVD-based (1,5)-
-    inverse, is feasible only when rank q' + rank q = n and is reported as a
-    separate diagnostic.
+    of M0 and M0' bases of the complements of col q and col q'). Its
+    deviation goes to aux, and holds requires it to be at most
+    tol_eq (1 + ||a||)(1 + max(||b||, ||b'||))^2, b' the new inverse.
     """
     return _BOUND_CHECKS["thm3.6"](_scenario(a, p, q, tol, q_prime=q_prime))
 
@@ -822,10 +806,11 @@ def cor_12_variants(a, p, q, p_prime=None, q_prime=None, tol: Tolerances = DEFAU
     the range side moves, (1 - q') a = a when the kernel side moves; the
     bounds then match the corresponding general theorems, and the perturbed
     inverse must itself be strict. For the kernel-side variant the witness
-    representations of bound_thm36 and the group representation
+    representation of bound_thm36 and the group representation
     b + b (a b')^# a (b' - b) q, with b' the new inverse and (a b')^# from
     the rank factorization a b' = (a U)(core'^-1 M0') of its core, are
-    evaluated into aux; their deviations do not gate the bound.
+    evaluated into aux, and holds requires both deviations to be within the
+    residual scale of bound_thm36.
     """
     if p_prime is None and q_prime is None:
         raise InputError("one of p_prime, q_prime is required")

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ginv import idempotent_from_matrix, perturb_idempotent
+from ginv import RandomStream, idempotent_from_matrix, perturb_idempotent, random_idempotent
 from ginv.cli import cli
 from ginv.serialize import (
     config_to_json,
@@ -467,3 +467,55 @@ def test_compute_exact_rejects_bad_entries(tmp_path, capsys, entry):
     assert out == ""
     assert err.startswith("input error:")
     assert "Traceback" not in err
+
+
+S_OVERFLOW = np.array([[1, 1, 1, 1], [-1, 1, 1, -1], [-1, 1, 1, -1], [1, 1, 1, -1]], dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "command", [["compute"], ["exists"], ["compute", "--exact"], ["verify", "thm2.4"]], ids=["compute", "exists", "exact", "verify"]
+)
+@pytest.mark.parametrize("shapes", ["a-not-square", "p-of-another-size"])
+def test_an_instance_of_mismatched_sizes_is_bad_input(tmp_path, capsys, command, shapes):
+    a, p = (E1_A[:, :2], E1_P) if shapes == "a-not-square" else (E1_A, E1_P[:2, :2])
+    obj = {"a": matrix_to_json(a), "p": matrix_to_json(p), "q": matrix_to_json(E1_Q)}
+    if "--exact" in command:
+        obj = {k: {"rows": m.shape[0], "cols": m.shape[1], "exact": True, "data": [str(int(x.real)) for x in m.ravel()]} for k, m in (("a", a), ("p", p), ("q", E1_Q))}
+    code, out, err = run(capsys, command + ["--in", write(tmp_path, "instance.json", obj)])
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
+def _overflow_instances():
+    """(p, q) pairs for a = 1.7e308 S: diagonal ones, for which the inverse
+    exists at the scales 1 and 1e300, and skewed ones."""
+    stream = RandomStream(9)
+    skewed = tuple(random_idempotent(4, 2, 0.3, stream).m for _ in range(2))
+    return (np.diag([1.0, 1.0, 0.0, 0.0]), np.diag([0.0, 0.0, 1.0, 1.0])), skewed
+
+
+@pytest.mark.parametrize("command", ["compute", "exists"])
+def test_an_instance_whose_spectral_norm_overflows_is_bad_input(tmp_path, capsys, command):
+    (p, q), skewed = _overflow_instances()
+    for scale in (1.0, 1e300):
+        code, out, _ = run(capsys, [command, "--in", instance_file(tmp_path, scale * S_OVERFLOW, p, q)])
+        assert code == 0 and (command == "compute" or json.loads(out)["exists"] is True)
+    for p, q in ((p, q), skewed):
+        code, out, err = run(capsys, [command, "--in", instance_file(tmp_path, 1.7e308 * S_OVERFLOW, p, q)])
+        assert (code, out) == (2, "")
+        assert "spectral norm of a is beyond double range" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--theorem", "thm3.4"], ["--config", "CONFIG"], ["--seed", "3"]],
+    ids=["other-theorem", "config", "seed"],
+)
+def test_verify_rejects_conflicting_inputs(tmp_path, capsys, extra):
+    path = scenario_file(tmp_path, delta=np.diag([0.1, 0.0, 0.0]).astype(complex))
+    extra = [config_file(tmp_path) if x == "CONFIG" else x for x in extra]
+    code, out, err = run(capsys, ["verify", "thm2.4", "--in", path] + extra)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:")
+    # the same id in both spellings is no conflict
+    assert run(capsys, ["verify", "thm2.4", "--theorem", "thm2.4", "--in", path])[0] == 0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import draw_solvable
+from ginv import gen_inverse
 from ginv.errors import BadWitness, DimMismatch, IllConditioned, NoGroupInverse, NotExists
 from ginv.gen_inverse import (
     _checked,
@@ -462,3 +463,20 @@ def test_dual_existence_agrees_on_random_draws():
         p = random_idempotent(n, r, skew=0.4, seed=stream.spawn(2 * i))
         q = random_idempotent(n, stream.randint(0, n), skew=0.4, seed=stream.spawn(2 * i + 1))
         assert exists_outer_pql(a, p, q).exists == exists_dual_check(a, p, q)
+
+
+def test_an_a_whose_spectral_norm_overflows_is_rejected_as_a_nan_entry_is(monkeypatch):
+    s = np.array([[1, 1, 1, 1], [-1, 1, 1, -1], [-1, 1, 1, -1], [1, 1, 1, -1]], dtype=complex)
+    p = idempotent_from_matrix(np.diag([1.0, 1.0, 0.0, 0.0]))
+    q = idempotent_from_matrix(np.diag([0.0, 0.0, 1.0, 1.0]))
+    for scale in (1.0, 1e300):
+        assert exists_outer_pql(scale * s, p, q).exists
+    for check in (exists_outer_pql, compute_outer_pql):
+        with pytest.raises(ValueError, match="spectral norm of a is beyond double range"):
+            check(1.7e308 * s, p, q)
+    # 4 max |a_ij| overflows, but the spectral norm of diag(1e308, ...) is 1e308
+    big = np.diag([1e308] * 4).astype(complex)
+    assert _checked(big, p, q, DEFAULT_TOL)[0] is not None
+    # a finite bound settles the test without an SVD
+    monkeypatch.setattr(gen_inverse, "spectral_norm", None)
+    assert _checked(1e300 * s, p, q, DEFAULT_TOL)[0] is not None

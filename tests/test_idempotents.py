@@ -216,6 +216,15 @@ def test_perturb_input_validation():
     assert perturb_idempotent(skewed, 0, seed=2) is skewed
 
 
+def test_an_unknown_mode_is_rejected_before_any_early_return():
+    skewed = random_idempotent(4, 2, skew=0.3, seed=1)
+    # a zero magnitude, and rank 0 and rank n, return p unchanged for a known mode
+    for p, magnitude in ((skewed, 0.0), (random_idempotent(3, 0), 0.1), (random_idempotent(3, 3), 0.1)):
+        assert perturb_idempotent(p, magnitude, mode="range") is p
+        with pytest.raises(ValueError, match="unknown mode"):
+            perturb_idempotent(p, magnitude, mode="bogus")
+
+
 SATURATING = 1e6
 
 

@@ -272,16 +272,17 @@ def test_public_bound_functions_match_the_check_path(theorem):
         assert _wrapper_report(theorem, s) == _report_text(theorem, s)
 
 
-# The most SVDs one check of a generated n = 6 scenario makes. thm3.6 made 10
-# and cor3.12 13 while their witness representations took canonical bases
-# and SVD-based group inverses. They were 5, 11, 6, 8, 12, 20 and 15 while
+# The most SVDs one check of a generated n = 6 scenario makes. thm3.6 made 8
+# and cor3.12 9 while they also evaluated the literal reading of the
+# alternative witness convention, and 10 and 13 while their witness
+# representations took canonical bases and SVD-based group inverses. They were 5, 11, 6, 8, 12, 20 and 15 while
 # the core margin did not settle the subspace tests of the new inverse and
 # each threshold test on a residual took its SVD. Before the bound checks reused the base's decompositions of a, its
 # complement of col(q), the distances measured by the perturbation search,
 # and computed only the residuals they read, these were 8, 19, 9, 10, 20, 35
 # and 23, under a budget of 20 for thm3.4, thm3.8 and thm3.9; they were 35
 # when each check solved its base again.
-_N6_BOUND_BUDGET = {"thm3.4": 3, "thm3.6": 8, "thm3.8": 4, "thm3.9": 6, "cor3.11": 3, "cor3.12": 9, "cor3.13": 4}
+_N6_BOUND_BUDGET = {"thm3.4": 3, "thm3.6": 5, "thm3.8": 4, "thm3.9": 6, "cor3.11": 3, "cor3.12": 6, "cor3.13": 4}
 
 
 @pytest.mark.parametrize("theorem", list(_N6_BOUND_BUDGET))
@@ -302,14 +303,16 @@ def _bound_campaign():
 
 def test_svd_budget_of_a_bound_campaign(svd_counter):
     instances, campaign = _bound_campaign()
-    # 13.09 per instance while the witness representations of thm3.6 and
-    # cor3.12 took canonical bases and SVD-based group inverses; 18.52 while
+    # 12.23 per instance while thm3.6 and cor3.12 also evaluated the literal
+    # reading of the alternative witness convention; 13.09 while their
+    # witness representations took canonical bases and SVD-based group
+    # inverses; 18.52 while
     # the core margin did not settle the subspace tests and each threshold
     # test on a residual took its SVD; 20.48 before
     # the perturb_idempotent endgame interpolated and cor3.11 and cor3.13
     # shared ||a p' - a||; 28.21 before the bound checks reused the base's
     # decompositions
-    assert svd_counter(campaign) / instances <= 12.23
+    assert svd_counter(campaign) / instances <= 11.98
 
 
 def test_a_bound_campaign_takes_no_canonical_basis(monkeypatch):
