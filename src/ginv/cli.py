@@ -116,6 +116,8 @@ def _cmd_compute(args) -> int:
         except NotExists as e:
             print(f"does not exist: {e}", file=sys.stderr)
             return 1
+        except ValueError as e:
+            raise InputError(f"bad idempotent: {e}") from e
         out = {
             "exact": True,
             "b": exact_matrix_to_json(b),

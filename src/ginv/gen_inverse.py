@@ -700,11 +700,15 @@ def compute_outer_pql_exact(a: ExactMatrix, p: ExactMatrix, q: ExactMatrix) -> E
 
     Bases need not be orthonormal here: U holds the pivot columns of p and
     the rows of M0 are an exact basis of the annihilator of col(q). The
-    result satisfies its defining equations with exact equality.
+    result satisfies its defining equations with exact equality. As on the
+    float path, p and q must be idempotent (here exactly), or ValueError.
     """
     n = a.rows
     if a.cols != n or p.rows != n or p.cols != n or q.rows != n or q.cols != n:
         raise DimMismatch("exact inputs must be square matrices of one size")
+    for name, e in (("p", p), ("q", q)):
+        if not (e @ e - e).is_zero():
+            raise ValueError(f"{name} is not idempotent: {name}^2 != {name}")
     u = p.column_basis()
     nq = q.conj_transpose().null_basis()
     m0 = nq.conj_transpose()

@@ -21,9 +21,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import GenerationFailed, GinvError, InputError
+from .errors import GenerationFailed, GinvError, InputError, NotComplementary
 from .gen_inverse import _solved
-from .idempotents import _perturb_idempotent, idempotent_from_matrix, oblique, random_idempotent
+from .idempotents import _perturb_idempotent, _random_idempotent, idempotent_from_matrix, oblique
 from .linalg import DEFAULT_TOL, Tolerances, _integer, _number, spectral_norm
 from .perturbation import (
     Scenario,
@@ -40,7 +40,7 @@ from .perturbation import (
 )
 from .randomstream import RandomStream
 from .serialize import report_to_json, scenario_to_json
-from .subspaces import Subspace, _norm_range_kernel, direct_sum_is_all, orth_basis
+from .subspaces import Subspace, _norm_range_kernel, orth_basis
 
 __all__ = [
     "EnsembleConfig",
@@ -147,14 +147,16 @@ def _rank_r_matrix(stream: RandomStream, n: int, r: int) -> np.ndarray:
 
 # Each base family returns (a, p, q, base) or None for a rejected draw; base
 # is the inverse for (a, p, q), which keeps the existence evaluation that it
-# was solved from.
+# was solved from. Every idempotent is made by idempotent_from_matrix of its
+# matrix, the rule by which scenario_from_json decodes it, so a dumped
+# scenario replays bit for bit.
 
 
 def _base_outer(stream, n, r, skew, tol):
     """Full-rank a with random compatible idempotents."""
     a = stream.normal_matrix(n, n)
-    p = random_idempotent(n, r, skew, stream)
-    q = random_idempotent(n, n - r, skew, stream)
+    p = _random_idempotent(n, r, skew, stream, tol)
+    q = _random_idempotent(n, n - r, skew, stream, tol)
     base = _solved(a, p, q, tol)
     return None if base is None else (a, p, q, base)
 
@@ -162,8 +164,8 @@ def _base_outer(stream, n, r, skew, tol):
 def _base_outer_rank(stream, n, r, skew, tol):
     """Rank-r a whose column space avoids col(q): stable-capable base."""
     a = _rank_r_matrix(stream, n, r)
-    p = random_idempotent(n, r, skew, stream)
-    q = random_idempotent(n, n - r, skew, stream)
+    p = _random_idempotent(n, r, skew, stream, tol)
+    q = _random_idempotent(n, n - r, skew, stream, tol)
     base = _solved(a, p, q, tol)
     if base is None or not base._evaluation.direct_sum_l:
         return None
@@ -175,10 +177,11 @@ def _base_l_aligned(stream, n, r, skew, tol):
     a = _rank_r_matrix(stream, n, r)
     summary = _norm_range_kernel(a, tol)
     t = Subspace(n, orth_basis(stream.normal_matrix(n, n - r), tol))
-    if not direct_sum_is_all(t, summary[1], tol):
+    try:  # oblique applies the rule of direct_sum_is_all
+        q = idempotent_from_matrix(oblique(t, summary[1], tol).m, tol)
+    except NotComplementary:
         return None
-    q = oblique(t, summary[1], tol)
-    p = random_idempotent(n, r, skew, stream)
+    p = _random_idempotent(n, r, skew, stream, tol)
     base = _solved(a, p, q, tol, l_mode=True, summary=summary)
     return None if base is None else (a, p, q, base)
 

@@ -3,7 +3,9 @@
 An idempotent here is an oblique projector: it acts as the identity on its
 range and kills its kernel, and the two subspaces split C^n. The range and
 kernel are carried alongside the matrix so that later predicates never have
-to recover them from a noisy difference like 1 - q.
+to recover them from a noisy difference like 1 - q. The random draws and the
+moves build only the matrix and take its range and kernel from
+`idempotent_from_matrix`, the rule by which a matrix read from JSON gets them.
 """
 
 from __future__ import annotations
@@ -11,20 +13,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import MismatchedAmbient, NotComplementary, PerturbationTooLarge
-from .linalg import _EPS, DEFAULT_TOL, Tolerances, _norm_within, _number, as_matrix, rank, spectral_norm
+from .linalg import _EPS, DEFAULT_TOL, Tolerances, _frobenius, _norm_within, _number, as_matrix, identity, rank, spectral_norm
 from .randomstream import RandomStream
-from .subspaces import Subspace, _norm_range_kernel, orthocomplement, subspace_from_columns, zero_subspace
+from .subspaces import Subspace, _norm_range_kernel, orthocomplement
 
-# The bracketing angles of perturb_idempotent: _THETA0 * 2^k for k up to
-# _GRID_STEPS, the first k whose angle exceeds _THETA_STOP.
-_THETA0 = 1e-4
-_THETA_STOP = 64.0
-_GRID_STEPS = math.floor(math.log2(_THETA_STOP / _THETA0)) + 1
+# The bracketing parameters of a "both" move: _T0 * 2^k. The first step jumps
+# at most _JUMP doublings, to about 0.8, where the chart is still close to
+# its first-order part.
+_T0 = 1e-4
+_JUMP = 13
 
 __all__ = [
     "Idempotent",
@@ -70,7 +72,7 @@ def projector(t: Subspace) -> Idempotent:
     return Idempotent(t.projector(), t, orthocomplement(t))
 
 
-def _oblique_matrix(tb: np.ndarray, sb: np.ndarray, tol: Tolerances, d: Optional[np.ndarray] = None):
+def _oblique_matrix(tb: np.ndarray, sb: np.ndarray, tol: Tolerances):
     """[tb sb] diag(I, 0) [tb sb]^{-1} for orthonormal bases tb and sb.
 
     None when the spans do not split C^n: the dimensions must add up to n and
@@ -81,7 +83,7 @@ def _oblique_matrix(tb: np.ndarray, sb: np.ndarray, tol: Tolerances, d: Optional
     certifies that rank with a margin of 2; _norm_within settles that bound
     from ||m||_F when it can. Any other m, or a failed solve, takes the rank
     SVD; a failed solve on an x of full numerical rank re-raises its
-    LinAlgError. The selector d = diag(I, 0) is built here unless passed in.
+    LinAlgError.
     """
     n, r = tb.shape
     k = sb.shape[1]
@@ -92,11 +94,9 @@ def _oblique_matrix(tb: np.ndarray, sb: np.ndarray, tol: Tolerances, d: Optional
     if k == 0:
         return np.eye(n, dtype=complex)
     x = np.concatenate([tb, sb], axis=1)
-    if d is None:
-        d = _selector(n, r)
     try:
-        # m = (x d) x^{-1}, computed by a solve against x^T on the right.
-        m = np.linalg.solve(x.T, (x @ d).T).T
+        # m = [tb 0] x^{-1}, computed by a solve against x^T on the right.
+        m = np.linalg.solve(x.T, np.concatenate([tb, np.zeros_like(sb)], axis=1).T).T
     except np.linalg.LinAlgError:
         if rank(x, tol) != n:
             return None
@@ -104,13 +104,6 @@ def _oblique_matrix(tb: np.ndarray, sb: np.ndarray, tol: Tolerances, d: Optional
     if not _norm_within(m, 1.0 / (4 * n * tol.tol_rank), lambda: rank(x, tol) == n):
         return None
     return m
-
-
-def _selector(n: int, r: int) -> np.ndarray:
-    """diag(I_r, 0), n x n."""
-    d = np.zeros((n, n), dtype=complex)
-    d[:r, :r] = np.eye(r)
-    return d
 
 
 def oblique(t: Subspace, s: Subspace, tol: Tolerances = DEFAULT_TOL) -> Idempotent:
@@ -154,74 +147,48 @@ def random_idempotent(n: int, r: int, skew: float = 0.0, seed=0) -> Idempotent:
     skew = 0 gives a hermitian projector; larger skew tilts the kernel toward
     the range, which drives the norm of the idempotent up.
     """
+    return _random_idempotent(n, r, skew, _as_stream(seed), DEFAULT_TOL)
+
+
+def _random_idempotent(n: int, r: int, skew: float, stream: RandomStream, tol: Tolerances) -> Idempotent:
+    """random_idempotent, validated at tol.
+
+    One complete QR of an n x r normal draw gives orthonormal bases T of the
+    range and C of its orthogonal complement, and with Z a normal r x (n - r)
+    draw, p = T T^H - skew T Z C^H. Then p T = T and p (C + skew T Z) = 0, so
+    the range is the span of the draw and the kernel the span of C + skew T Z,
+    the complement tilted toward the range. The rank that p reads is r while
+    n tol_rank ||p|| < 1 (see perturb_idempotent); a skew for which
+    n tol_rank ||p||_F reaches 1 raises PerturbationTooLarge.
+    """
     if not 0 <= r <= n:
         raise ValueError("rank out of range")
-    stream = _as_stream(seed)
-    if r == 0:
-        return Idempotent(np.zeros((n, n), dtype=complex), zero_subspace(n), Subspace(n, np.eye(n, dtype=complex)))
-    if r == n:
-        return Idempotent(np.eye(n, dtype=complex), Subspace(n, np.eye(n, dtype=complex)), zero_subspace(n))
-    for _ in range(32):
-        t = subspace_from_columns(stream.normal_matrix(n, r))
-        if t.dim != r:
-            continue
-        comp = orthocomplement(t)
-        tilt = t.basis @ stream.normal_matrix(r, n - r) if skew else 0.0
-        s = subspace_from_columns(comp.basis + skew * tilt if skew else comp.basis)
-        if s.dim != n - r:
-            continue
-        try:
-            return oblique(t, s)
-        except NotComplementary:
-            continue
-    raise PerturbationTooLarge("could not draw a complementary pair; skew too extreme")
+    if r in (0, n):
+        m = np.zeros((n, n), dtype=complex) if r == 0 else np.eye(n, dtype=complex)
+    else:
+        basis = np.linalg.qr(stream.normal_matrix(n, r), mode="complete")[0]
+        t, c = basis[:, :r], basis[:, r:]
+        m = t @ t.conj().T
+        if skew:
+            m = m - skew * (t @ stream.normal_matrix(r, n - r)) @ c.conj().T
+        if not _frobenius(m) * n * tol.tol_rank < 1:  # NaN when the sum of squares overflows
+            raise PerturbationTooLarge(f"skew {skew!r} is too extreme for p to keep rank {r}")
+    return idempotent_from_matrix(m, tol)
 
 
 class _Candidate(NamedTuple):
-    """One angle of the search: rotated bases, the idempotent (None when the
-    bases are not complementary) and its distance to the start."""
+    """One point of the search: the chart parameter, the matrix and its
+    distance to the start."""
 
-    theta: float
-    tb: Optional[np.ndarray]
-    sb: Optional[np.ndarray]
-    m: Optional[np.ndarray]
-    dist: Optional[float]
-
-
-def _cayley(stream: RandomStream, bases, moves):
-    """theta -> the bases, each that moves turned by the Cayley rotation
-    (1 - theta u/2)^{-1}(1 + theta u/2), u = k/||k||.
-
-    Both skew-hermitian directions k = g - g^H, of the first basis and then
-    of the second, come from one 2n x n draw, so a shared stream advances the
-    same way whichever basis moves. 1j k = V diag(w) V^H is hermitian with
-    max |w| = ||k||_2, diagonalized for every moving basis by one stacked
-    eigh, so a rotation is V diag(f) V^H with |f| = 1: each angle costs one
-    scaling for all moving bases and one product per basis in place of a
-    solve, and a rotated basis stays orthonormal.
-    """
-    n = bases[0].shape[0]
-    turn = np.flatnonzero(moves)
-    g = stream.normal_matrix(2 * n, n).reshape(2, n, n)[turn]
-    w, v = np.linalg.eigh(1j * (g - g.conj().transpose(0, 2, 1)))
-    nk = np.maximum(-w[:, 0], w[:, -1])
-    half = -0.5j * (w / np.where(nk > 0, nk, 1.0)[:, None])
-    turns = [(i, v[j], v[j].conj().T @ bases[i]) for j, i in enumerate(turn)]
-
-    def rotate(theta: float):
-        f = (1 + theta * half) / (1 - theta * half)
-        out = list(bases)
-        for j, (i, vj, c) in enumerate(turns):
-            out[i] = vj @ (f[j][:, None] * c)
-        return out
-
-    return rotate
+    t: float
+    m: np.ndarray
+    dist: float
 
 
 def _inverse_interpolate(samples, aim: float) -> float:
-    """The angle at distance aim on the polynomial, in the distance, through
-    the (distance, angle) samples with distinct distances nearest aim, at
-    most four (Neville's scheme)."""
+    """The parameter at distance aim on the polynomial, in the distance,
+    through the (distance, parameter) samples with distinct distances nearest
+    aim, at most four (Neville's scheme)."""
     ds, ts = [], []
     for d, t in sorted(samples, key=lambda s: abs(s[0] - aim)):
         if d not in ds:
@@ -242,34 +209,33 @@ def perturb_idempotent(
     tol: Tolerances = DEFAULT_TOL,
     mode: str = "both",
 ) -> Idempotent:
-    """A nearby idempotent p' with ||p - p'|| at most `magnitude`.
+    """A nearby idempotent p' of the rank of p with ||p - p'|| at most `magnitude`.
 
     magnitude is a finite nonnegative real; a bool, a string, NaN or an
-    infinity raises ValueError. The range and kernel bases turn by random
-    Cayley rotations of skew-hermitian directions. The angle is bracketed on
-    the grid 1e-4 * 2^k (a first-order jump from 1e-4, then doubling) and
-    then found by safeguarded inverse interpolation: the angle, fitted as a
-    polynomial in the distance through the nearest samples (at most four,
-    (0, 0) included), is aimed half a stop band below the request, with a
-    midpoint step whenever the fit leaves the bracket. The search stops once
-    the distance lies within 1e-12 * magnitude below the request. It ends
-    short of that only when the rotation family saturates, or when roundoff
-    in the distance (about eps ||p||^2, more than that band below a request
-    near 1e-4) makes the sampled distances stop rising with the angle; the
-    result then falls short by about that roundoff. p' is assembled by the
-    formula of `oblique`, so it is exactly idempotent up to that
-    construction's conditioning.
+    infinity raises ValueError, and so does a mode other than "both",
+    "range" (kernel pinned) and "kernel" (range pinned). With normal draws G1
+    and G2, R = (1 - p) G1 p moves the range and K = p G2 (1 - p) the kernel;
+    R^2 = K^2 = 0. "range" returns p + s R and "kernel" p + s K, each exactly
+    idempotent at distance s ||R|| (s ||K||), with s in closed form. "both"
+    searches the chart p(t) = (1 + t R)(p + t K)(1 - t R) of idempotents
+    similar to p, whose distance from p grows without bound, for a t at the
+    request. Each lands within 1e-12 * magnitude below the request, or, for a
+    request below about 1e-4, short of it by about the roundoff of the
+    distance (eps ||p||^2).
 
-    mode selects which subspace moves: "both", "range" (kernel pinned), or
-    "kernel" (range pinned); any other mode raises ValueError. Rank 0 and
-    rank n idempotents admit no motion and are returned unchanged.
+    p' takes its range and kernel from `idempotent_from_matrix`. Its nonzero
+    singular values are at least 1, and that rule's rank cutoff is
+    tol_rank n max(||p'||, 1), so p' keeps the rank of p while
+    ||p|| + magnitude < 1/(n tol_rank); a larger request raises
+    PerturbationTooLarge. Rank 0 and rank n idempotents admit no motion and
+    are returned unchanged.
     """
     return _perturb_idempotent(p, magnitude, seed, tol, mode)[0]
 
 
 def _perturb_idempotent(p: Idempotent, magnitude, seed, tol: Tolerances, mode: str):
-    """perturb_idempotent, as (p', ||p' - p||) with the distance the search
-    measured for the accepted candidate (0.0 when p' is p)."""
+    """perturb_idempotent, as (p', ||p'.m - p.m||) with the distance measured
+    for the accepted matrix by that very expression (0.0 when p' is p)."""
     magnitude = _number(magnitude, "magnitude", ValueError)
     if not (math.isfinite(magnitude) and magnitude >= 0):
         raise ValueError(f"magnitude must be a nonnegative finite number, got {magnitude!r}")
@@ -278,84 +244,102 @@ def _perturb_idempotent(p: Idempotent, magnitude, seed, tol: Tolerances, mode: s
     n = p.n
     if magnitude == 0 or p.rank in (0, n):
         return p, 0.0
-    moves = (mode in ("both", "range"), mode in ("both", "kernel"))
-    rotate = _cayley(_as_stream(seed), (p.range.basis, p.kernel.basis), moves)
-    d = _selector(n, p.rank)
+    if (p.norm + magnitude) * n * tol.tol_rank >= 1:
+        raise PerturbationTooLarge(f"a move of {magnitude:.3e} could change the rank that p' reads")
+    # One 2n x n draw whatever the mode, so a shared stream advances the same way.
+    g = _as_stream(seed).normal_matrix(2 * n, n)
+    gp = g[:n] @ p.m
+    pg = p.m @ g[n:]
+    moves = {"range": gp - p.m @ gp, "kernel": pg - pg @ p.m}
+    if mode == "both":
+        m, dist = _chart_search(p.m, moves["kernel"], moves["range"], magnitude)
+    else:
+        m, dist = _line(p.m, moves[mode], magnitude)
+    return idempotent_from_matrix(m, tol), dist
 
-    samples = [(0.0, 0.0)]  # (distance, angle) of every complementary point
 
-    def build(theta: float) -> _Candidate:
-        tb, sb = rotate(theta)
-        m = _oblique_matrix(tb, sb, tol, d)
-        if m is None:
-            return _Candidate(theta, tb, sb, None, None)
-        dist = spectral_norm(m - p.m)
-        samples.append((dist, theta))
-        return _Candidate(theta, tb, sb, m, dist)
+def _line(p: np.ndarray, step: np.ndarray, magnitude: float):
+    """(p + s step, its measured distance to p). That distance is the norm of
+    the computed (p + s step) - p, off from s ||step|| by the rounding of the
+    sum, at most eps (||p||_F + ||s step||_F), and by a few eps of each norm,
+    so s aims that far below the request; a distance still above it moves the
+    aim down by twice the excess (never needed on the seeded grid)."""
+    size = spectral_norm(step)
+    aim = magnitude - _EPS * (_frobenius(p) + 4 * math.sqrt(len(p)) * magnitude)
+    while True:
+        m = p + (aim / size) * step
+        dist = spectral_norm(m - p)
+        if dist <= magnitude:
+            return m, dist
+        aim -= 2 * (dist - magnitude)
 
-    def accept(c: _Candidate):
-        # Only the accepted bases are Gram-checked; a pinned one is p's own.
-        rng = Subspace(n, c.tb) if moves[0] else p.range
-        ker = Subspace(n, c.sb) if moves[1] else p.kernel
-        return Idempotent(c.m, rng, ker), c.dist
 
-    # Grow the angle along the grid _THETA0 * 2^k until the requested
-    # distance is bracketed or the pair stops being complementary. The
-    # distance is nearly linear in a small angle, so the first step jumps
-    # to the last grid point that this predicts below the request, but not
-    # past the end of the grid: a request out of reach then ends on the same
-    # point whatever its size.
-    lo = _Candidate(0.0, None, None, None, 0.0)
-    hi = build(_THETA0)
-    if hi.m is not None and 0.0 < hi.dist < magnitude:
-        k = min(math.floor(math.log2(magnitude / hi.dist)), _GRID_STEPS)
-        if k >= 1:
-            lo, hi = hi, build(_THETA0 * 2.0**k)
-    while hi.m is not None and hi.dist < magnitude and hi.theta <= _THETA_STOP:
-        lo, hi = hi, build(2.0 * hi.theta)
+def _chart_search(p: np.ndarray, k: np.ndarray, r: np.ndarray, magnitude: float):
+    """The "both" move of perturb_idempotent, as (matrix, measured distance),
+    with K and R scaled to unit Frobenius norm. (1 + t R)^{-1} = 1 - t R, so
+    every p(t) is an idempotent similar to p, and p (p(t) - p) (1 - p) = t K."""
+    k = k / _frobenius(k)
+    r = r / _frobenius(r)
+    eye = identity(len(p))
+    samples = [(0.0, 0.0)]  # (distance, t) of every point built
 
-    if hi.m is not None and hi.dist <= magnitude:
-        # The rotation family saturates below the request; the farthest
-        # sampled point still honors the distance bound.
-        return accept(hi)
+    def build(t: float) -> _Candidate:
+        m = (eye + t * r) @ (p + t * k) @ (eye - t * r)
+        dist = spectral_norm(m - p)
+        samples.append((dist, t))
+        return _Candidate(t, m, dist)
+
+    # Grow t along the grid _T0 * 2^k until the requested distance is
+    # bracketed. The distance is nearly linear in a small t, so the first
+    # step jumps to the last grid point that this predicts below the
+    # request, but by at most _JUMP doublings: past t near 1 the chart's
+    # quadratic and cubic terms take over.
+    lo = _Candidate(0.0, p, 0.0)
+    hi = build(_T0)
+    if hi.dist < magnitude:
+        jump = min(math.floor(math.log2(magnitude / hi.dist)), _JUMP)
+        if jump >= 1:
+            lo, hi = hi, build(_T0 * 2.0**jump)
+    while hi.dist <= magnitude:
+        lo, hi = hi, build(2.0 * hi.t)
 
     # Safeguarded inverse interpolation (Brent 1973) between lo (distance at
-    # most the request) and hi (above it, or not complementary). The next
-    # angle is where the polynomial, in the distance, through the samples
-    # nearest the aim meets the aim, which sits half the stop band below the
-    # request so that the accepted point lands inside the band rather than on
-    # either side; the midpoint replaces an angle outside the open bracket.
-    # Below a request near 1e-4, roundoff in the distance exceeds the band,
-    # and a sample can read out of order with the bracket's end on its side
-    # by up to that roundoff (measured below 7 eps ||p||_F^2; `noise` allows
-    # 16). Such a sample below the request ends the search. One above it
-    # sends the next steps along the secant of the bracket's ends, aimed
-    # below the request by twice its overshoot and by twice as much again at
-    # each further such sample, until one lands below. A bracket that can no
-    # longer be split ends the search too.
+    # most the request) and hi (above it). The next t is where the
+    # polynomial, in the distance, through the samples nearest the aim meets
+    # the aim, which sits half the stop band below the request so that the
+    # accepted point lands inside the band rather than on either side; the
+    # midpoint replaces a t outside the open bracket. Below a request near
+    # 1e-4, roundoff in the distance exceeds the band, and a sample can read
+    # out of order with the bracket's end on its side by up to that roundoff
+    # (measured below 7 eps ||p||_F^2; `noise` allows 16). Such a sample
+    # below the request ends the search. One above it sends the next steps
+    # along the secant of the bracket's ends, aimed below the request by
+    # twice its overshoot and by twice as much again at each further such
+    # sample, until one lands below. A bracket that can no longer be split
+    # ends the search too.
     aim = magnitude * (1.0 - 0.5e-12)
-    noise = 16.0 * _EPS * float(np.linalg.norm(p.m)) ** 2
+    noise = 16.0 * _EPS * _frobenius(p) ** 2
     gap = 0.0  # how far below the request the secant aims; 0.0 to interpolate
     for _ in range(70):
         if magnitude - lo.dist <= 1e-12 * magnitude:
             break
         if gap:
-            theta = lo.theta + (magnitude - gap - lo.dist) * (hi.theta - lo.theta) / (hi.dist - lo.dist)
+            t = lo.t + (magnitude - gap - lo.dist) * (hi.t - lo.t) / (hi.dist - lo.dist)
         else:
-            theta = _inverse_interpolate(samples, aim)
-        if not lo.theta < theta < hi.theta:
-            theta = 0.5 * (lo.theta + hi.theta)
-            if not lo.theta < theta < hi.theta:
+            t = _inverse_interpolate(samples, aim)
+        if not lo.t < t < hi.t:
+            t = 0.5 * (lo.t + hi.t)
+            if not lo.t < t < hi.t:
                 break
-        c = build(theta)
-        if c.m is not None and c.dist <= magnitude:
+        c = build(t)
+        if c.dist <= magnitude:
             if lo.dist - noise <= c.dist <= lo.dist:
                 break
             lo, gap = c, 0.0
         else:
-            if c.m is not None and hi.m is not None and hi.dist <= c.dist <= hi.dist + noise:
+            if hi.dist <= c.dist <= hi.dist + noise:
                 gap = 2.0 * max(gap, c.dist - magnitude)
             hi = c
-    if lo.m is None or lo.dist == 0.0:
-        raise PerturbationTooLarge("no usable rotation below the requested magnitude")
-    return accept(lo)
+    if lo.dist == 0.0:
+        raise PerturbationTooLarge("no usable point below the requested magnitude")
+    return lo.m, lo.dist

@@ -292,6 +292,18 @@ def test_ensemble_selftest_fails(tmp_path, capsys):
     assert len(campaign["stats"]["selftest-bad-bound"]["failures"]) >= 1
 
 
+def test_verify_replays_a_failure_that_ensemble_dumped(tmp_path, capsys):
+    config = config_file(tmp_path, n_range=(2, 6), rank_range=(1, 5), count=4, seed=21, theorems=("selftest-bad-bound",))
+    code, out, _ = run(capsys, ["ensemble", "--config", config])
+    failures = json.loads(out)["stats"]["selftest-bad-bound"]["failures"]
+    assert code == 1 and len(failures) == 4
+    for failure in failures:
+        path = write(tmp_path, "failure.json", failure["scenario"])
+        code, out, _ = run(capsys, ["verify", "selftest-bad-bound", "--in", path])
+        assert code == 1
+        assert dumps(json.loads(out)["report"]) == dumps(failure["report"])
+
+
 def test_env_tolerance_must_be_numeric(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("GINV_DEFAULT_TOL", "not-a-number")
     path = instance_file(tmp_path)
@@ -467,6 +479,17 @@ def test_compute_exact_rejects_bad_entries(tmp_path, capsys, entry):
     assert out == ""
     assert err.startswith("input error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_compute_rejects_a_p_that_is_not_idempotent(tmp_path, capsys, exact):
+    # p = diag(2, 0): both paths follow one input rule
+    fields = {"a": ["1", "0", "0", "2"], "p": ["2", "0", "0", "0"], "q": ["0", "0", "0", "1"]}
+    obj = {k: {"rows": 2, "cols": 2, "exact": True, "data": v} if exact else {"rows": 2, "cols": 2, "data": [int(x) for x in v]} for k, v in fields.items()}
+    command = ["compute", "--in", write(tmp_path, "instance.json", obj)] + (["--exact"] if exact else [])
+    code, out, err = run(capsys, command)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: bad idempotent:") and "not idempotent" in err and "Traceback" not in err
 
 
 S_OVERFLOW = np.array([[1, 1, 1, 1], [-1, 1, 1, -1], [-1, 1, 1, -1], [1, 1, 1, -1]], dtype=complex)

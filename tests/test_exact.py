@@ -97,6 +97,18 @@ def test_exact_inverse_no_solution():
         compute_outer_pql_exact(a, p, q)
 
 
+def test_exact_inputs_must_be_idempotent():
+    # the float path's rule, held exactly: p = diag(2, 0) squares to diag(4, 0)
+    a, q = diag_exact([1, 2]), diag_exact([0, 1])
+    with pytest.raises(ValueError, match="p is not idempotent"):
+        compute_outer_pql_exact(a, diag_exact([2, 0]), q)
+    with pytest.raises(ValueError, match="q is not idempotent"):
+        compute_outer_pql_exact(a, diag_exact([1, 0]), diag_exact([0, 3]))
+    # an oblique idempotent with rational entries passes
+    p = ExactMatrix.from_strings([["1", "-1"], ["0", "0"]])
+    assert compute_outer_pql_exact(a, p, q) == diag_exact([1, 0])
+
+
 def test_exact_matches_float_computation():
     # Conjugated instance with small rational entries; the float path must
     # land within 1e-12 of the exact value.

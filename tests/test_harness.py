@@ -23,7 +23,7 @@ from ginv import (
     run_campaign,
     run_check,
 )
-from ginv.serialize import campaign_report_to_json, dumps, report_to_json
+from ginv.serialize import campaign_report_to_json, dumps, report_to_json, scenario_from_json, scenario_to_json
 
 
 def small_config(**kw):
@@ -422,3 +422,16 @@ def test_ids_that_retry_after_the_base_draw_still_get_what_they_get_alone(monkey
     assert any(set(seeds) <= shifted for seeds in attempt)  # a shift was drawn at attempt 0 and again at 1
     report = run_campaign(config)
     assert all(not st.failures for theorem, st in report.stats.items() if theorem != "selftest-bad-bound")
+
+
+REPLAY = EnsembleConfig(n_range=(2, 6), rank_range=(1, 5), count=10, seed=21)
+
+
+@pytest.mark.parametrize("theorem", sorted(CHECKS))
+def test_a_dumped_scenario_replays_byte_for_byte(theorem):
+    # generation makes every idempotent by the rule that decodes it, so the
+    # decoded scenario has the same bases, and every report value is the same
+    for index in range(REPLAY.count):
+        s = gen_scenario(REPLAY, index, theorem)
+        decoded = scenario_from_json(scenario_to_json(s))
+        assert dumps(report_to_json(run_check(theorem, decoded)[1])) == dumps(report_to_json(run_check(theorem, s)[1])), index

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 import ginv.idempotents as idempotents
-from ginv.errors import NotComplementary
+from ginv.errors import NotComplementary, PerturbationTooLarge
 from ginv.idempotents import (
     Idempotent,
-    _cayley,
     _oblique_matrix,
     _perturb_idempotent,
     idempotent_from_matrix,
@@ -18,9 +17,9 @@ from ginv.idempotents import (
     projector,
     random_idempotent,
 )
-from ginv.linalg import DEFAULT_TOL, rank, spectral_norm
+from ginv.linalg import DEFAULT_TOL, orth_basis, rank, spectral_norm
 from ginv.randomstream import RandomStream
-from ginv.subspaces import gap, kernel_of, range_of, subspace_from_columns
+from ginv.subspaces import Subspace, direct_sum_is_all, gap, kernel_of, range_of, subspace_from_columns
 
 
 def span(*cols):
@@ -128,6 +127,15 @@ def test_random_idempotent_deterministic():
     assert np.array_equal(p1.m, p2.m)
 
 
+def test_random_idempotent_refuses_a_skew_beyond_the_rank_cutoff():
+    # n tol_rank ||p||_F must stay below 1 for p to keep rank r; the largest
+    # skew also overflows ||p||_F
+    assert random_idempotent(5, 2, skew=1e6, seed=3).rank == 2
+    for skew in (1e10, 1e200):
+        with pytest.raises(PerturbationTooLarge, match="too extreme"):
+            random_idempotent(5, 2, skew=skew, seed=3)
+
+
 def test_random_idempotent_zero_skew_is_hermitian():
     p = random_idempotent(5, 3, skew=0.0, seed=2)
     assert spectral_norm(p.m - p.m.conj().T) <= 1e-12
@@ -225,41 +233,46 @@ def test_an_unknown_mode_is_rejected_before_any_early_return():
             perturb_idempotent(p, magnitude, mode="bogus")
 
 
-SATURATING = 1e6
+# The magnitudes of the move contract: 1e6 is far beyond any base's norm.
+FAR = 1e6
+MAGNITUDES = (0.5, 0.05, 1e-3, 1e-6, 5.0, FAR)
+
+
+def _pin_gap_bound(moved, mag):
+    """The gap allowed between the pinned subspace of a move and p's.
+
+    idempotent_from_matrix reads it from an SVD of p', whose backward error
+    is of order eps ||p'||, and the zero singular values of an idempotent lie
+    at least 1 below the others, so the basis it gives turns by about
+    eps ||p'|| (Wedin's sin-theta theorem): 1e-12 up to magnitude 5, and
+    1e-15 ||p'|| (about 4.5 eps ||p'||) beyond.
+    """
+    return 1e-12 if mag <= 5.0 else 1e-15 * moved.norm
 
 
 @pytest.mark.parametrize("mode", ["both", "range", "kernel"])
 def test_perturb_contract_on_seeded_grid(mode):
-    # A request the rotation family cannot reach returns its farthest sampled
-    # point, the same one for every such request with the same seed. With
-    # these seeds, 5.0 is out of reach on 28 of the 45 draws.
     for n in range(2, 7):
         for r in range(1, n):
             p = random_idempotent(n, r, skew=0.3, seed=100 * n + r)
             seed = 1000 * n + r
-            far = perturb_idempotent(p, SATURATING, seed=seed, mode=mode)
-            assert spectral_norm(far.m - p.m) < SATURATING * (1 - 1e-8)
-            for mag in (0.5, 0.05, 1e-3, 1e-6, 5.0, SATURATING):
+            for mag in MAGNITUDES:
                 moved = perturb_idempotent(p, mag, seed=seed, mode=mode)
                 d = spectral_norm(moved.m - p.m)
                 assert d <= mag, (n, r, mag)
-                if d < mag * (1 - 1e-8):
-                    assert np.array_equal(moved.m, far.m), (n, r, mag)
-                # A result short of the request lands within 1e-12 * mag of it.
                 # At mag 1e-6 the distance, a difference of matrices of norm
-                # about 1, carries roundoff near 1e-10 * mag, so the search
-                # there ends once the sampled distances stop rising with the
-                # angle instead.
-                if mag >= 1e-3 and not np.array_equal(moved.m, far.m):
+                # about 1, carries roundoff near 1e-10 * mag, so only the
+                # bound is asked for there.
+                if mag >= 1e-3:
                     assert mag - d <= 1e-12 * mag, (n, r, mag)
                 nm = spectral_norm(moved.m)
                 assert spectral_norm(moved.m @ moved.m - moved.m) <= 1e-10 * (1.0 + nm * nm)
                 assert moved.rank == r
                 if mode == "range":
-                    assert gap(moved.kernel, p.kernel).gap <= 1e-12
+                    assert gap(moved.kernel, p.kernel).gap <= _pin_gap_bound(moved, mag), (n, r, mag)
                     assert spectral_norm(moved.m @ p.kernel.basis) <= 1e-10 * nm
                 if mode == "kernel":
-                    assert gap(moved.range, p.range).gap <= 1e-12
+                    assert gap(moved.range, p.range).gap <= _pin_gap_bound(moved, mag), (n, r, mag)
                     assert spectral_norm(moved.m @ p.range.basis - p.range.basis) <= 1e-10 * nm
                 again = perturb_idempotent(p, mag, seed=seed, mode=mode)
                 assert np.array_equal(again.m, moved.m)
@@ -270,12 +283,97 @@ def test_perturb_core_hands_back_the_distance_it_measured(mode):
     for n in range(2, 7):
         for r in range(n + 1):
             p = random_idempotent(n, r, skew=0.3, seed=200 * n + r)
-            for mag in (0.0, 0.5, 0.05, 1e-6, SATURATING):
+            for mag in (0.0, 0.5, 0.05, 1e-6, FAR):
                 moved, dist = _perturb_idempotent(p, mag, 3000 * n + r, DEFAULT_TOL, mode)
                 public = perturb_idempotent(p, mag, seed=3000 * n + r, mode=mode)
                 assert moved.m.tobytes() == public.m.tobytes()
                 assert dist == spectral_norm(moved.m - p.m)  # exact float equality
                 assert (moved is p) == (mag == 0.0 or r in (0, n))
+
+
+def test_a_move_takes_its_bases_from_its_matrix():
+    # the rule by which a scenario file decodes the moved idempotent
+    p = random_idempotent(5, 2, skew=0.3, seed=8)
+    for mode in ("both", "range", "kernel"):
+        moved = perturb_idempotent(p, 0.3, seed=9, mode=mode)
+        again = idempotent_from_matrix(moved.m)
+        assert _same_bytes(moved.range.basis, again.range.basis)
+        assert _same_bytes(moved.kernel.basis, again.kernel.basis)
+
+
+def test_a_request_beyond_the_rank_cutoff_is_refused():
+    # tol_rank n ||p'|| must stay below 1, the least nonzero singular value
+    # of an idempotent, for p' to keep the rank of p
+    p = random_idempotent(6, 2, skew=0.3, seed=4)
+    limit = 1.0 / (6 * DEFAULT_TOL.tol_rank) - p.norm
+    for mode in ("both", "range", "kernel"):
+        assert perturb_idempotent(p, 0.5 * limit, seed=5, mode=mode).rank == 2
+        with pytest.raises(PerturbationTooLarge):
+            perturb_idempotent(p, limit, seed=5, mode=mode)
+
+
+def _directions(p, seed):
+    """R = (1 - p) G1 p and K = p G2 (1 - p) from one 2n x n draw, and the stream after it."""
+    n = p.n
+    stream = RandomStream(seed)
+    g = stream.normal_matrix(2 * n, n)
+    eye = np.eye(n)
+    return (eye - p.m) @ g[:n] @ p.m, p.m @ g[n:] @ (eye - p.m), stream
+
+
+@pytest.mark.parametrize("mode", ["range", "kernel"])
+def test_one_subspace_moves_are_the_closed_form(mode):
+    for n in range(2, 7):
+        for r in range(1, n):
+            p = random_idempotent(n, r, skew=0.3, seed=40 * n + r)
+            rng, ker, ref = _directions(p, 500 * n + r)
+            step = rng if mode == "range" else ker
+            stream = RandomStream(500 * n + r)
+            moved, dist = _perturb_idempotent(p, 0.2, stream, DEFAULT_TOL, mode)
+            assert (stream._state, stream._spare_normal) == (ref._state, ref._spare_normal)
+            # p' - p is the step scaled to the measured distance
+            s = dist / spectral_norm(step)
+            assert spectral_norm(moved.m - p.m - s * step) <= 1e-14
+            assert spectral_norm(step @ step) <= 1e-12 * spectral_norm(step) ** 2
+
+
+def test_both_moves_lie_on_the_chart():
+    for n in range(2, 7):
+        for r in range(1, n):
+            p = random_idempotent(n, r, skew=0.3, seed=60 * n + r)
+            rng, ker, _ = _directions(p, 700 * n + r)
+            rng, ker = rng / np.linalg.norm(rng), ker / np.linalg.norm(ker)
+            eye = np.eye(n)
+            for mag in (1e-4, 0.3, 5.0):
+                moved = perturb_idempotent(p, mag, seed=700 * n + r)
+                # p (p(t) - p) (1 - p) = t K recovers the chart parameter
+                t = np.vdot(ker, p.m @ (moved.m - p.m) @ (eye - p.m)).real
+                chart = (eye + t * rng) @ (p.m + t * ker) @ (eye - t * rng)
+                assert spectral_norm(chart - moved.m) <= 1e-13 * max(1.0, spectral_norm(moved.m)) ** 2, (n, r, mag)
+            for t in (1e-3, 0.5, 3.0, 40.0):
+                m = (eye + t * rng) @ (p.m + t * ker) @ (eye - t * rng)
+                nm = spectral_norm(m)
+                assert spectral_norm(m @ m - m) <= 1e-13 * (1.0 + nm * nm)
+                assert spectral_norm(p.m @ (m - p.m) @ (eye - p.m) - t * ker) <= 1e-13 * (1.0 + nm) * (1.0 + t)
+
+
+def test_random_idempotent_is_the_closed_form():
+    for n in range(2, 7):
+        for r in range(1, n):
+            for skew in (0.0, 0.3):
+                stream = RandomStream(80 * n + r)
+                g = stream.normal_matrix(n, r)
+                basis = np.linalg.qr(g, mode="complete")[0]
+                t, c = basis[:, :r], basis[:, r:]
+                z = stream.normal_matrix(r, n - r)
+                p = random_idempotent(n, r, skew, seed=80 * n + r)
+                want = t @ t.conj().T - skew * (t @ z) @ c.conj().T if skew else t @ t.conj().T
+                assert _same_bytes(p.m, want)
+                assert gap(p.range, subspace_from_columns(g)).gap <= 1e-12
+                assert gap(p.kernel, subspace_from_columns(c + skew * t @ z)).gap <= 1e-12
+                again = idempotent_from_matrix(p.m)
+                assert _same_bytes(p.range.basis, again.range.basis)
+                assert _same_bytes(p.kernel.basis, again.kernel.basis)
 
 
 def _oblique_matrix_rank_first(tb, sb, tol):
@@ -306,82 +404,17 @@ def _same_verdict_and_matrix(tb, sb):
 
 
 def test_oblique_matrix_matches_the_rank_first_rule_on_a_seeded_grid():
-    stream = RandomStream(17)
     for n in range(2, 7):
         for r in range(n + 1):
             for skew in (0.0, 0.3):
                 p = random_idempotent(n, r, skew=skew, seed=10 * n + r)
-                rotate = _cayley(stream, (p.range.basis, p.kernel.basis), (True, True))
-                for theta in (0.0, 1e-3, 0.1, 0.5, 2.0, 8.0):
-                    assert _same_verdict_and_matrix(*rotate(theta)) is not None
-
-
-def _cayley_one_side_at_a_time(stream, bases, moves):
-    """The rotations of a search as first built, the reference for `_cayley`:
-    one n x n draw per side, one eigh per moving side and a Cayley factor
-    worked out per side at every angle."""
-    n = bases[0].shape[0]
-    rotations = []
-    for basis, moves_it in zip(bases, moves):
-        g = stream.normal_matrix(n, n)
-        if not moves_it:
-            rotations.append(lambda theta, basis=basis: basis)
-            continue
-        w, v = np.linalg.eigh(1j * (g - g.conj().T))
-        nk = max(-w[0], w[-1])
-        half = -0.5j * (w / nk if nk > 0 else w)
-        c = v.conj().T @ basis
-        rotations.append(lambda theta, v=v, half=half, c=c: v @ (((1 + theta * half) / (1 - theta * half))[:, None] * c))
-    return lambda theta: [rotate(theta) for rotate in rotations]
-
-
-_MOVES = {"both": (True, True), "range": (True, False), "kernel": (False, True)}
+                for mag in (0.0, 1e-3, 0.1, 0.5, 2.0, 8.0):
+                    moved = perturb_idempotent(p, mag, seed=17 * n + r)
+                    assert _same_verdict_and_matrix(moved.range.basis, moved.kernel.basis) is not None
 
 
 def _same_bytes(x, y):
     return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
-
-
-@pytest.mark.parametrize("mode", list(_MOVES))
-def test_one_pass_rotations_match_the_one_side_at_a_time_construction(mode):
-    for n in range(2, 7):
-        for r in range(1, n):
-            p = random_idempotent(n, r, skew=0.3, seed=40 * n + r)
-            bases = (p.range.basis, p.kernel.basis)
-            fast, ref = RandomStream(500 * n + r), RandomStream(500 * n + r)
-            if r % 2:  # start from a position with a pending spare normal
-                assert fast.normal() == ref.normal()
-            rotate = _cayley(fast, bases, _MOVES[mode])
-            rotate_ref = _cayley_one_side_at_a_time(ref, bases, _MOVES[mode])
-            assert (fast._state, fast._spare_normal) == (ref._state, ref._spare_normal)
-            for theta in (0.0, 1e-6, 1e-4, 3e-3, 0.1, 0.7, 2.0, 16.0):
-                got, want = rotate(theta), rotate_ref(theta)
-                assert all(_same_bytes(x, y) for x, y in zip(got, want)), (n, r, theta)
-                for x, basis, moves_it in zip(got, bases, _MOVES[mode]):
-                    assert (x is basis) == (not moves_it)
-
-
-@pytest.mark.parametrize("mode", list(_MOVES))
-def test_one_pass_search_matches_the_one_side_at_a_time_construction(mode, monkeypatch):
-    searches = {}
-    for reference in (False, True):
-        if reference:
-            oblique_matrix = idempotents._oblique_matrix
-            monkeypatch.setattr(idempotents, "_cayley", _cayley_one_side_at_a_time)
-            # the selector built by _oblique_matrix itself at every build
-            monkeypatch.setattr(idempotents, "_oblique_matrix", lambda tb, sb, tol, d=None: oblique_matrix(tb, sb, tol))
-        for n in range(2, 7):
-            for r in range(1, n):
-                p = random_idempotent(n, r, skew=0.3, seed=60 * n + r)
-                for mag in (1e-6, 1e-4, 1e-2, 0.3, 1.0):
-                    stream = RandomStream(700 * n + r)
-                    moved, dist = _perturb_idempotent(p, mag, stream, DEFAULT_TOL, mode)
-                    searches.setdefault((n, r, mag), []).append((moved, dist, stream._state, stream._spare_normal))
-    for key, ((got, dist, *end), (want, want_dist, *want_end)) in searches.items():
-        assert _same_bytes(got.m, want.m), key
-        assert _same_bytes(got.range.basis, want.range.basis), key
-        assert _same_bytes(got.kernel.basis, want.kernel.basis), key
-        assert dist == want_dist and end == want_end, key
 
 
 def _tilted_pair(n, r, phi, stream):
@@ -408,46 +441,49 @@ def test_oblique_matrix_matches_the_rank_first_rule_at_the_cutoff():
     assert outcomes == {"singular", "certified", "rank test"}
 
 
-def test_a_certified_search_makes_one_svd_per_build(monkeypatch):
+def test_a_move_makes_one_svd_per_distance_and_one_to_validate(monkeypatch):
     p = random_idempotent(6, 3, skew=0.3, seed=4)
-    counts = {"svd": 0, "build": 0}
-    svd, oblique_matrix = np.linalg.svd, idempotents._oblique_matrix
+    counts = {"svd": 0, "distance": 0}
+    svd, norm = np.linalg.svd, idempotents.spectral_norm
 
     def counting_svd(*args, **kwargs):
         counts["svd"] += 1
         return svd(*args, **kwargs)
 
-    def counting_build(*args):
-        counts["build"] += 1
-        return oblique_matrix(*args)
+    def counting_norm(x):
+        counts["distance"] += 1
+        return norm(x)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    monkeypatch.setattr(idempotents, "_oblique_matrix", counting_build)
+    monkeypatch.setattr(idempotents, "spectral_norm", counting_norm)
     for mode in ("both", "range", "kernel"):
-        counts.update(svd=0, build=0)
+        counts.update(svd=0, distance=0)
         perturb_idempotent(p, 0.5, seed=7, mode=mode)
-        assert counts["build"] >= 3
-        assert counts["svd"] == counts["build"], mode
+        # a one-subspace move measures its step and its distance
+        assert counts["distance"] >= 3 if mode == "both" else counts["distance"] == 2
+        assert counts["svd"] == counts["distance"] + 1, mode
 
 
-# The mean builds per search over the grid of test_perturb_contract_on_seeded_grid
-# (n 2-6, every rank from 1 to n - 1, all three modes), per magnitude. The
-# inverse-interpolation endgame takes 6.356, 5.333, 4.911 and 7.800; Illinois
-# false position took 9.11, 7.71, 7.60 and 27.4. At 1e-6 roundoff in the
-# distance exceeds the stop band, so that count depends on the last bits of
-# the distances and its ceiling leaves room.
-_BUILDS_PER_SEARCH = {0.5: 6.36, 0.05: 5.34, 1e-3: 4.92, 1e-6: 12.0}
+# The mean builds per "both" search over the grid of
+# test_perturb_contract_on_seeded_grid (n 2-6, every rank from 1 to n - 1),
+# per magnitude: 6.267, 5.800, 4.933, 8.133, 9.200 and 16.400 on the chart.
+# The Cayley rotations took 6.356, 5.333, 4.911 and 7.800 for the first four
+# over all three modes (a one-subspace move now measures two norms and
+# builds nothing), and 5.0 and 1e6 lay beyond their reach. At 1e-6 roundoff
+# in the distance exceeds the stop band, so that count depends on the last
+# bits of the distances and its ceiling leaves room.
+_BUILDS_PER_SEARCH = {0.5: 6.27, 0.05: 5.8, 1e-3: 4.94, 1e-6: 12.0, 5.0: 9.2, FAR: 16.4}
 
 
 def test_builds_per_search_on_the_seeded_grid(monkeypatch):
     count = [0]
-    oblique_matrix = idempotents._oblique_matrix
+    norm = idempotents.spectral_norm
 
-    def counting_build(*args):
+    def counting_norm(x):
         count[0] += 1
-        return oblique_matrix(*args)
+        return norm(x)
 
-    monkeypatch.setattr(idempotents, "_oblique_matrix", counting_build)
+    monkeypatch.setattr(idempotents, "spectral_norm", counting_norm)
     builds = {mag: [] for mag in _BUILDS_PER_SEARCH}
     for mode in ("both", "range", "kernel"):
         for n in range(2, 7):
@@ -456,7 +492,39 @@ def test_builds_per_search_on_the_seeded_grid(monkeypatch):
                 for mag in builds:
                     count[0] = 0
                     perturb_idempotent(p, mag, seed=1000 * n + r, mode=mode)
-                    builds[mag].append(count[0])
+                    if mode == "both":
+                        builds[mag].append(count[0])
+                    else:  # the step's norm and the distance, never a second aim
+                        assert count[0] == 2, (mode, n, r, mag)
     for mag, ceiling in _BUILDS_PER_SEARCH.items():
-        assert len(builds[mag]) == 45
-        assert sum(builds[mag]) / 45 <= ceiling, mag
+        assert len(builds[mag]) == 15
+        assert sum(builds[mag]) / 15 <= ceiling, mag
+
+
+def _l_aligned_pairs():
+    """(range, kernel) candidates as harness._base_l_aligned draws them, and
+    pairs tilted across the rank cutoff."""
+    stream = RandomStream(29)
+    for n in range(2, 7):
+        for r in range(1, n):
+            for _ in range(4):
+                a = stream.normal_matrix(n, r) @ stream.normal_matrix(r, n)
+                yield Subspace(n, orth_basis(stream.normal_matrix(n, n - r))), range_of(a, scale=max(spectral_norm(a), 1.0))
+            for phi in [0.0] + list(n * np.geomspace(1e-11, 1e-7, 9)):
+                sb, tb = _tilted_pair(n, n - r, phi, stream)
+                yield Subspace(n, sb), Subspace(n, tb)
+
+
+def test_oblique_rejects_exactly_the_pairs_direct_sum_is_all_rejects():
+    # harness._base_l_aligned takes a NotComplementary from oblique as its
+    # rejected draw, in place of a direct_sum_is_all pre-check
+    outcomes = set()
+    for t, s in _l_aligned_pairs():
+        try:
+            oblique(t, s)
+            built = True
+        except NotComplementary:
+            built = False
+        assert built == direct_sum_is_all(t, s)
+        outcomes.add(built)
+    assert outcomes == {True, False}
