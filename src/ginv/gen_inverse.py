@@ -342,21 +342,9 @@ class _Evaluation:
         self.dims = p.rank + q.rank == a.shape[0]
 
     def moved(self, p: Idempotent, q: Idempotent) -> _Evaluation:
-        """The evaluation of (a, p, q) for other idempotents of the same size.
-
-        It shares ||a||, col a and ker a with this one, and the trivial meet
-        and a col(p) with the first evaluation moved from here to the same p
-        (with this one when p is its own), each once that one has it.
-        """
-        e = _Evaluation(self.a, p, q, self.tol, (self.na, self.col_a, self.ker_a))
-        first = self._by_p.setdefault(p, e)
-        e.__dict__.update((k, first.__dict__[k]) for k in ("trivial", "_image") if k in first.__dict__)
-        return e
-
-    @cached_property
-    def _by_p(self) -> dict:
-        """The first evaluation per p among this one and those moved from it."""
-        return {self.p: self}
+        """The evaluation of (a, p, q) for other idempotents of the same size,
+        sharing ||a||, col a and ker a with this one."""
+        return _Evaluation(self.a, p, q, self.tol, (self.na, self.col_a, self.ker_a))
 
     @cached_property
     def _core(self):

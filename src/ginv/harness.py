@@ -234,8 +234,10 @@ def _delta_direction(stream, cls, a, b, p, q):
     return d / norm
 
 
-def _make_delta(stream, cls, a, b, p, q, mag, na):
-    """The shift of a for a Section 2 check; na is ||a||."""
+def _make_delta(stream, cls, a, b, p, q, mag, na, cap=math.inf):
+    """The shift of a in class cls; na is ||a||. A shift of magnitude mag has
+    the scale mag max(na, 1), capped at cap (a bound check's threshold on
+    ||delta_a||)."""
     n = a.shape[0]
     if cls == "zero":
         return np.zeros((n, n), dtype=complex)
@@ -252,7 +254,7 @@ def _make_delta(stream, cls, a, b, p, q, mag, na):
     d = _delta_direction(stream, cls, a, b, p, q)
     if d is None:
         return None
-    scale = mag * max(na, 1.0)
+    scale = min(mag * max(na, 1.0), cap)
     if cls == "destabilizing":
         # the shift must visibly push the column space into col(q)
         scale = max(scale, 0.1 * max(na, 1.0))
@@ -304,8 +306,8 @@ def _once(memo, key, stream, draw):
         return draw()
     hit = memo.get(key)
     if hit is None:
-        hit = memo[key] = (draw(), stream._state, stream._spare_normal)
-    stream._state, stream._spare_normal = hit[1], hit[2]
+        hit = memo[key] = (draw(), stream._state)
+    stream._state = hit[1]
     return hit[0]
 
 
@@ -337,7 +339,7 @@ def gen_scenario(config: EnsembleConfig, index: int, theorem: str, *, _memo=None
 
     def perturbed(e, magnitude):
         """(e', ||e' - e||) from the perturb_idempotent search."""
-        key = (e, magnitude, mode, stream._state, stream._spare_normal)
+        key = (e, magnitude, mode, stream._state)
         return _once(_memo, key, stream, lambda: _perturb_idempotent(e, magnitude, stream, tol, mode))
 
     last = "no admissible draw"
@@ -356,9 +358,11 @@ def gen_scenario(config: EnsembleConfig, index: int, theorem: str, *, _memo=None
         kap = na * nb
 
         p_prime = q_prime = None
+        cap = math.inf  # the cap on the scale of the shift of a
         dists = {}  # the distances of the moved idempotents, as Scenario caches them
         if theorem in _BOUND_IDS:
             cap_p, cap_q, cap_d = _thresholds(kap, want_p, THRESHOLD_HEADROOM)
+            cap = cap_d / max(nb, 1e-12)
             try:
                 if want_p:
                     p_prime, dists["_dp"] = perturbed(p, min(mag, cap_p))
@@ -369,13 +373,7 @@ def gen_scenario(config: EnsembleConfig, index: int, theorem: str, *, _memo=None
                 continue
 
         def shifted():
-            if theorem not in _BOUND_IDS:
-                delta = _make_delta(stream, cls, a, b, p, q, mag, na)
-            elif cls == "zero":
-                delta = np.zeros((n, n), dtype=complex)
-            else:
-                d = _delta_direction(stream, cls, a, b, p, q)
-                delta = None if d is None else d * min(mag * max(na, 1.0), cap_d / max(nb, 1e-12))
+            delta = _make_delta(stream, cls, a, b, p, q, mag, na, cap)
             if delta is None:
                 return "degenerate perturbation direction"
             try:
@@ -386,8 +384,8 @@ def gen_scenario(config: EnsembleConfig, index: int, theorem: str, *, _memo=None
             scenario.__dict__.update(base=base, _evaluation=base._evaluation, norm_a=na, norm_b=nb, **dists)
             return scenario
 
-        key = (family, attempt, cls, mag, theorem in _BOUND_IDS, want_p, want_q, p_prime, q_prime)
-        scenario = _once(_memo, key + (stream._state, stream._spare_normal), stream, shifted)
+        key = (family, attempt, cls, mag, cap, want_p, want_q, p_prime, q_prime, stream._state)
+        scenario = _once(_memo, key, stream, shifted)
         if isinstance(scenario, str):  # the reason the shift was rejected
             last = scenario
             continue

@@ -72,11 +72,13 @@ def projector(t: Subspace) -> Idempotent:
     return Idempotent(t.projector(), t, orthocomplement(t))
 
 
-def _oblique_matrix(tb: np.ndarray, sb: np.ndarray, tol: Tolerances):
-    """[tb sb] diag(I, 0) [tb sb]^{-1} for orthonormal bases tb and sb.
+def oblique(t: Subspace, s: Subspace, tol: Tolerances = DEFAULT_TOL) -> Idempotent:
+    """The unique idempotent with range t and kernel s.
 
-    None when the spans do not split C^n: the dimensions must add up to n and
-    x = [tb sb] must have full numerical rank (the rule of `direct_sum_is_all`).
+    Built as x diag(I, 0) x^{-1} with x = [B_t B_s] from the orthonormal
+    bases, so the result is idempotent up to the conditioning of x. Raises
+    NotComplementary unless t and s split C^n: the dimensions must add up to
+    n and x must have full numerical rank (the rule of `direct_sum_is_all`).
     The solve runs first: sigma_max(x) <= sqrt(2) and sigma_min(x) >=
     1/(sqrt(2) ||m||_2), as ||m||_2 = 1/sin of the least angle between the
     spans (Szyld, Numer. Algorithms 42, 2006), so ||m||_2 <= 1/(4 n tol_rank)
@@ -85,38 +87,26 @@ def _oblique_matrix(tb: np.ndarray, sb: np.ndarray, tol: Tolerances):
     SVD; a failed solve on an x of full numerical rank re-raises its
     LinAlgError.
     """
+    if t.ambient_dim != s.ambient_dim:
+        raise MismatchedAmbient(f"ambient dims differ: {t.ambient_dim} vs {s.ambient_dim}")
+    tb, sb = t.basis, s.basis
     n, r = tb.shape
     k = sb.shape[1]
     if r + k != n:
-        return None
+        raise NotComplementary("range and kernel candidates do not split C^n")
     if r == 0:
-        return np.zeros((n, n), dtype=complex)
+        return Idempotent(np.zeros((n, n), dtype=complex), t, s)
     if k == 0:
-        return np.eye(n, dtype=complex)
+        return Idempotent(np.eye(n, dtype=complex), t, s)
     x = np.concatenate([tb, sb], axis=1)
     try:
         # m = [tb 0] x^{-1}, computed by a solve against x^T on the right.
         m = np.linalg.solve(x.T, np.concatenate([tb, np.zeros_like(sb)], axis=1).T).T
     except np.linalg.LinAlgError:
-        if rank(x, tol) != n:
-            return None
-        raise
-    if not _norm_within(m, 1.0 / (4 * n * tol.tol_rank), lambda: rank(x, tol) == n):
-        return None
-    return m
-
-
-def oblique(t: Subspace, s: Subspace, tol: Tolerances = DEFAULT_TOL) -> Idempotent:
-    """The unique idempotent with range t and kernel s.
-
-    Requires t and s to be complementary. Built as [B_t B_s] diag(I, 0)
-    [B_t B_s]^{-1}, so the result is idempotent up to the conditioning of the
-    combined basis.
-    """
-    if t.ambient_dim != s.ambient_dim:
-        raise MismatchedAmbient(f"ambient dims differ: {t.ambient_dim} vs {s.ambient_dim}")
-    m = _oblique_matrix(t.basis, s.basis, tol)
-    if m is None:
+        if rank(x, tol) == n:
+            raise
+        m = None
+    if m is None or not _norm_within(m, 1.0 / (4 * n * tol.tol_rank), lambda: rank(x, tol) == n):
         raise NotComplementary("range and kernel candidates do not split C^n")
     return Idempotent(m, t, s)
 
@@ -171,7 +161,7 @@ def _random_idempotent(n: int, r: int, skew: float, stream: RandomStream, tol: T
         m = t @ t.conj().T
         if skew:
             m = m - skew * (t @ stream.normal_matrix(r, n - r)) @ c.conj().T
-        if not _frobenius(m) * n * tol.tol_rank < 1:  # NaN when the sum of squares overflows
+        if not _frobenius(m) * n * tol.tol_rank < 1:  # refuses a NaN norm too
             raise PerturbationTooLarge(f"skew {skew!r} is too extreme for p to keep rank {r}")
     return idempotent_from_matrix(m, tol)
 

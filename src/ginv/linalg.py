@@ -113,13 +113,23 @@ _FROBENIUS_SAFETY = 1.0 + 1e-6
 
 
 def _frobenius(x) -> float:
-    """||x||_F; a sum of squares beyond double range reads inf, without a warning."""
-    return math.sqrt(np.vdot(x, x).real)
+    """||x||_F; a sum of squares beyond double range reads inf, without a
+    warning. A complex product that overflows makes np.vdot NaN, so a NaN sum
+    of finite entries reads inf too; an entry that is not finite may give NaN."""
+    s = np.vdot(x, x).real
+    if math.isnan(s) and np.isfinite(x).all():
+        return math.inf
+    return math.sqrt(s)
 
 
 def _norm_low(x) -> float:
-    """||x||_F / sqrt(min(rows, cols)), a lower bound of ||x||_2 that takes no SVD."""
-    return _frobenius(x) / math.sqrt(max(min(x.shape), 1))
+    """||x||_F / sqrt(min(rows, cols)), a lower bound of ||x||_2 that takes no
+    SVD. When ||x||_F overflows, that quotient may still be finite, so the
+    largest entry modulus, also a lower bound, stands in for it."""
+    f = _frobenius(x)
+    if f == math.inf:
+        return float(np.abs(x).max())
+    return f / math.sqrt(max(min(x.shape), 1))
 
 
 def _norm_within(x, low: float, exact) -> bool:

@@ -3,16 +3,17 @@
 The integer stream is SplitMix64: state advances by the golden-ratio constant
 0x9E3779B97F4A7C15 and each output is finalized with two xor-shift-multiply
 rounds. Uniform doubles take the top 53 bits of one output. Standard normals
-use the Box-Muller transform on two uniforms (the second value of each pair
-is cached). The integer stream is bit-exact on every platform; the float
-transforms run in numpy's elementwise kernels (SIMD code picked for the CPU
-at run time), so the last bits of normals may differ across numpy builds and
-CPUs, which is far below every tolerance used in this package.
+use the Box-Muller transform on two uniforms and come in whole pairs (the
+real and imaginary part of one complex entry), so the stream's position is
+the one integer state. The integer stream is bit-exact on every platform; the
+float transforms run in numpy's elementwise kernels (SIMD code picked for the
+CPU at run time), so the last bits of normals may differ across numpy builds
+and CPUs, which is far below every tolerance used in this package.
 
-A normal depends only on its position in the stream, (state, pending spare),
-not on how many values one call asks for: each kernel works elementwise. So
-normal draws are served from a block made ahead from the current position,
-which gives the same values as drawing them one call at a time.
+A normal depends only on its position in the stream, not on how many pairs
+one call asks for: each kernel works elementwise. So normal draws are served
+from a block made ahead from the current position, which gives the same
+values as drawing them one call at a time.
 """
 
 from __future__ import annotations
@@ -50,9 +51,8 @@ class RandomStream:
     def __init__(self, seed: int):
         self._seed = _integer(seed, "seed") & _MASK64
         self._state = self._seed
-        self._spare_normal = None
         # Normals made ahead: _block[_block_at:] continue the stream from the
-        # position _block_end, a (state, spare) pair; None before the first.
+        # state _block_end; None before the first.
         self._block = None
         self._block_at = 0
         self._block_end = None
@@ -76,54 +76,36 @@ class RandomStream:
         return lo + int(self.random() * span)
 
     def _ahead(self, count: int) -> np.ndarray:
-        """At least count values of the normal stream from the current
-        position, without moving it.
-
-        A pending spare comes first; each further pair of uniforms gives a
-        Box-Muller pair (cosine value, then sine value).
-        """
-        head = self._spare_normal is not None
-        pairs = (count - head + 1) // 2
-        steps = np.arange(1, 2 * pairs + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+        """count values of the normal stream from the current position
+        (count is even), without moving it: each pair of uniforms gives a
+        Box-Muller pair (cosine value, then sine value)."""
+        steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
         u = (_mix_array(np.uint64(self._state) + steps) >> np.uint64(11)).astype(float) * (2.0 ** -53)
         # Box-Muller; u1 is kept away from 0 so the log is finite.
         r = np.sqrt(-2.0 * np.log(1.0 - u[0::2]))
         theta = 2.0 * np.pi * u[1::2]
-        z = np.empty(head + 2 * pairs)
-        if head:
-            z[0] = self._spare_normal
-        z[head::2] = r * np.cos(theta)
-        z[head + 1 :: 2] = r * np.sin(theta)
+        z = np.empty(count)
+        z[0::2] = r * np.cos(theta)
+        z[1::2] = r * np.sin(theta)
         return z
 
     def _normals(self, count: int) -> np.ndarray:
-        """The next count values of the normal stream.
+        """The next count values of the normal stream (count is even).
 
         They come from the block while the stream sits where the block
         continues and the block holds them; otherwise from a fresh block
         made at the current position, or, past _BLOCK values, from a draw of
-        their own. The state moves past the uniforms of every pair begun,
-        and the sine value of a pair that is only half used becomes the new
-        spare.
+        their own. The state moves past the count uniforms.
         """
         block, at = self._block, self._block_at
-        if (self._state, self._spare_normal) != self._block_end or at + count > len(block):
+        if self._state != self._block_end or at + count > len(block):
             block, at = self._ahead(max(count, _BLOCK)), 0
             if count <= _BLOCK:
                 self._block = block
-        rest = count - (self._spare_normal is not None)
-        self._state = (self._state + (rest + 1) // 2 * 2 * _GOLDEN) & _MASK64
-        self._spare_normal = float(block[at + count]) if rest % 2 else None
+        self._state = (self._state + count * _GOLDEN) & _MASK64
         self._block_at = at + count
-        self._block_end = (self._state, self._spare_normal) if block is self._block else None
+        self._block_end = self._state if block is self._block else None
         return block[at : at + count].copy()
-
-    def normal(self) -> float:
-        return float(self._normals(1)[0])
-
-    def complex_normal(self) -> complex:
-        re, im = self._normals(2)
-        return complex(re, im)
 
     def normal_matrix(self, rows: int, cols: int) -> np.ndarray:
         """Matrix with independent complex Gaussian entries (real and imag N(0,1)).

@@ -198,7 +198,7 @@ def test_moved_evaluation_solves_bit_for_bit_like_compute_outer_pql(mode):
         base = _Evaluation(*_checked(a, p, q, tol), tol)
         p2 = perturb_idempotent(p, 0.05, seed=k, tol=tol, mode=mode)
         q2 = perturb_idempotent(q, 0.05, seed=k + 1000, tol=tol, mode=mode)
-        # (p2, q) first, so (p2, q2) shares its trivial meet and a col(p2)
+        # each moved evaluation shares only ||a||, col a and ker a with the base
         for pm, qm in ((p2, q), (p2, q2), (p, q2)):
             moved, moved_err = _outcome(lambda: base.moved(pm, qm).outer)
             direct, direct_err = _outcome(lambda: compute_outer_pql(a, pm, qm, tol))

@@ -1,5 +1,6 @@
 """Every name a module of the package imports is referenced in that module,
-and every module-level private name is referenced somewhere in the package.
+and every private name defined at module level or in a class body is
+referenced somewhere in the package.
 
 No linter is a dependency, so this reads each module with ast: an imported
 name counts as used when the module loads it as a name anywhere or lists it
@@ -40,30 +41,50 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def unreferenced_private_names(sources: list) -> list:
-    """Module-level private names that no module loads or reads as an attribute.
+def _defined_names(body) -> set:
+    """The names a block of statements defines by def, class or assignment."""
+    names = set()
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
 
-    A private name is one with a single leading underscore, defined at the top
-    level of a module by def, class or assignment. Importing it does not count
-    as a use; loading the imported name does.
+
+def unreferenced_private_names(sources: list) -> list:
+    """Private names that no module loads, reads as an attribute or spells
+    out as a string.
+
+    A private name is one with a single leading underscore, defined by def,
+    class or assignment at the top level of a module or in a class body
+    (methods, properties and class attributes), or assigned to an attribute
+    of self in a method. Importing it or assigning to it does not count as a
+    use; loading the imported name does. A string constant equal to the name
+    counts, since a lookup by name (getattr, a cached property's entry in
+    __dict__) spells it that way.
     """
     trees = [ast.parse(src) for src in sources]
     defined = set()
     for tree in trees:
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.add(node.name)
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        defined |= _defined_names(tree.body)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                defined |= _defined_names(node.body)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                if isinstance(node.value, ast.Name) and node.value.id == "self":
+                    defined.add(node.attr)
     private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
     used = set()
     for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
                 used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
     return sorted(private - used)
 
 
@@ -71,6 +92,28 @@ def test_unreferenced_private_names_are_found():
     a = "_K = 1\n_dead = 2\ndef _f():\n    return _K\nclass _C:\n    pass\n"
     b = "from .a import _f, _C\n_f()\n"
     assert unreferenced_private_names([a, b]) == ["_C", "_dead"]
+
+
+def test_unreferenced_private_members_are_found():
+    a = (
+        "class C:\n"
+        "    _slot = 0\n"
+        "    _unread = 1\n"
+        "    def __init__(self):\n"
+        "        self._read, self._written = 1, 2\n"
+        "    def _used(self):\n"
+        "        self._written = self._read\n"
+        "        return self._slot + getattr(self, '_by_name')()\n"
+        "    def _by_name(self):\n"
+        "        return 0\n"
+        "    @property\n"
+        "    def _dead(self):\n"
+        "        return 1\n"
+        "    def _also_dead(self):\n"
+        "        return 2\n"
+    )
+    b = "from .a import C\nC()._used()\n"
+    assert unreferenced_private_names([a, b]) == ["_also_dead", "_dead", "_unread", "_written"]
 
 
 def test_no_unreferenced_private_names():

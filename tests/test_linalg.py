@@ -7,6 +7,8 @@ from ginv.errors import GinvError  # noqa: F401  (import sanity)
 from ginv.linalg import (
     DEFAULT_TOL,
     Tolerances,
+    _frobenius,
+    _norm_low,
     as_matrix,
     identity,
     null_basis,
@@ -179,3 +181,21 @@ def test_tolerances_validation():
     assert type(t.tol_eq) is float and t.tol_eq == float(np.float32(1e-6))
     assert type(t.tol_inv) is float and t.tol_inv == 1.0
     assert DEFAULT_TOL.tol_rank == 1e-10
+
+
+def test_frobenius_of_an_overflowing_sum_is_inf():
+    # a complex product that overflows makes the sum NaN; the entries are finite
+    assert _frobenius(np.array([[1e200 + 1e200j, 1.0]])) == np.inf
+    assert _frobenius(np.array([[1e200, 1.0]])) == np.inf
+    assert np.isnan(_frobenius(np.array([[np.nan, 1.0]])))
+    assert np.isnan(_frobenius(np.array([[np.nan + 1e200j, 1e200]])))
+    x = RandomStream(3).normal_matrix(4, 5)
+    assert _frobenius(x) == np.sqrt(np.vdot(x, x).real)
+    assert _frobenius(np.zeros((0, 3))) == 0.0
+
+
+@pytest.mark.parametrize("x", [[[1e200 + 1e200j, 1.0]], [[1e200, 1e200]], [[1e160, 0], [0, 1e160j]]])
+def test_norm_low_stays_a_lower_bound_when_the_frobenius_norm_overflows(x):
+    x = np.array(x, dtype=complex)
+    low = _norm_low(x)
+    assert np.isfinite(low) and 0 < low <= spectral_norm(x)

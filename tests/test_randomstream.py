@@ -1,5 +1,6 @@
 """The vectorized normal draws, served from blocks made ahead, against the
-scalar loop they replace; and the one rule for seeds."""
+scalar loop they replace; the whole Box-Muller pairs every draw asks for; and
+the one rule for seeds."""
 
 import random
 
@@ -9,13 +10,15 @@ import pytest
 import ginv.randomstream as randomstream
 from ginv import RandomStream, compute_outer_pql, perturb_idempotent, random_idempotent
 from ginv.errors import InputError
+from ginv.harness import CHECKS, EnsembleConfig, run_campaign
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
 class ScalarStream:
-    """The stream drawn one value at a time, as it was first written: the
+    """The stream drawn one value at a time, as it was first written, with
+    the sine value of each pair kept as a spare for the next value: the
     reference that the vectorized draws must match bit for bit."""
 
     def __init__(self, seed):
@@ -54,17 +57,14 @@ class ScalarStream:
 
 def _same_state(fast, ref):
     assert fast._state == ref._state
-    assert fast._spare_normal == ref._spare_normal
+    assert ref._spare_normal is None  # a matrix takes whole pairs
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**64 - 1, 123456789])
 def test_normal_matrix_matches_the_scalar_loop(seed):
     fast, ref = RandomStream(seed), ScalarStream(seed)
     shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 3), (6, 6), (1, 7), (5, 1), (4, 9)]
-    for k, (rows, cols) in enumerate(shapes * 3):
-        if k % 2:  # an odd number of scalar draws leaves a spare behind
-            assert fast.normal() == ref.normal()
-            _same_state(fast, ref)
+    for rows, cols in shapes * 3:
         got, want = fast.normal_matrix(rows, cols), ref.normal_matrix(rows, cols)
         assert got.shape == want.shape == (rows, cols)
         assert got.dtype == want.dtype
@@ -77,16 +77,13 @@ def test_uniforms_follow_the_same_state():
     fast.normal_matrix(3, 3)
     ref.normal_matrix(3, 3)
     assert fast.random() == ref.random()
-    fast.normal()
-    ref.normal()
     np.testing.assert_array_equal(fast.normal_matrix(2, 2), ref.normal_matrix(2, 2))
     _same_state(fast, ref)
 
 
 def test_wide_draws_match_bit_for_bit():
     fast, ref = RandomStream(44), ScalarStream(44)
-    fast.normal()
-    ref.normal()
+    assert fast.random() == ref.random()
     got, want = fast.normal_matrix(3, 2001), ref.normal_matrix(3, 2001)
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
     _same_state(fast, ref)
@@ -98,33 +95,44 @@ def test_block_serving_matches_the_scalar_loop(monkeypatch):
     monkeypatch.setattr(RandomStream, "_ahead", lambda self, count: made.append(count) or ahead(self, count))
     fast, ref = RandomStream(1761), ScalarStream(1761)
     plan = random.Random(4)
-    saved = [(ref._state, ref._spare_normal)]
+    saved = [ref._state]
     wide = (1, randomstream._BLOCK)  # twice a block's values: made on its own
     draws = 0
     for step in range(600):
-        op = plan.choice(["matrix"] * 4 + ["normal", "random", "randint", "save", "restore", "wide"])
+        op = plan.choice(["matrix"] * 4 + ["random", "randint", "save", "restore", "wide"])
         if op in ("matrix", "wide"):
             rows, cols = wide if op == "wide" else (plan.randint(0, 12), plan.randint(1, 6))
             got, want = fast.normal_matrix(rows, cols), ref.normal_matrix(rows, cols)
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
             draws += 1
             if op == "wide":
-                assert fast._block is None or fast._block.size <= randomstream._BLOCK + 1
+                assert fast._block is None or fast._block.size == randomstream._BLOCK
                 assert fast._block_end is None
-        elif op == "normal":
-            assert fast.normal() == ref.normal()
-            draws += 1
         elif op == "random":
             assert fast.random() == ref.random()
         elif op == "randint":
             assert fast.randint(2, 6) == ref.randint(2, 6)
         elif op == "save":
-            saved.append((ref._state, ref._spare_normal))
+            saved.append(ref._state)
         else:  # back or ahead to a saved position, as harness._once restores one
-            fast._state, fast._spare_normal = ref._state, ref._spare_normal = plan.choice(saved)
+            fast._state = ref._state = plan.choice(saved)
         _same_state(fast, ref)
     assert 2 * randomstream._BLOCK in made
     assert len(made) < 0.6 * draws  # the rest were served from a block made for an earlier draw
+
+
+def test_every_normal_draw_of_a_campaign_is_whole_pairs(monkeypatch):
+    # the stream's position is its state alone only while no draw ends half
+    # way through a Box-Muller pair
+    counts = []
+    normals = RandomStream._normals
+    monkeypatch.setattr(RandomStream, "_normals", lambda self, count: counts.append(count) or normals(self, count))
+    ids = tuple(sorted(CHECKS))
+    assert len(ids) == 16
+    for seed in (1, 7):
+        config = EnsembleConfig(n_range=(2, 6), count=12, seed=seed, theorems=ids, perturbation_magnitudes=(0.5, 1e-3))
+        run_campaign(config)
+    assert counts and all(count % 2 == 0 for count in counts)
 
 
 @pytest.mark.parametrize("seed", [2.5, 2.9, "2", True, np.bool_(False), [2], 1j])
