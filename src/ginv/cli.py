@@ -222,8 +222,8 @@ def _cmd_verify(args) -> int:
         s = _load_scenario(args)
         kind, report = run_check(theorem, s)
         _emit({"kind": kind, "report": report_to_json(report)}, args.out)
-        if args.csv and kind == "bound":
-            _write_csv([report], args.csv)
+        if args.csv:
+            _write_csv([report] if kind == "bound" else [], args.csv)
         return 0 if report.ok else 1
     if args.config:
         config = config_from_json(load_file(args.config))

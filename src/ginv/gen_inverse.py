@@ -9,7 +9,8 @@ The invertibility of the core M0 a U is exactly the existence condition,
 and its smallest singular value is reported as the margin. One existence
 evaluation of (a, p, q), the private _Evaluation, holds what the outer test
 and the inner-outer test (a b a = a as well) share, and answers and solves
-both.
+both the same way: the core is decomposed first, so that its margin can
+settle the subspace tests, and b is solved from it once.
 
 The module also provides group, inner, and commuting inner inverses, plus
 witness-based representation formulas that rebuild the same b through
@@ -18,6 +19,7 @@ independent routes (useful as cross-checks).
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -74,7 +76,7 @@ class ExistenceReport:
 
     exists is the conjunction of the three booleans and a positive core
     margin; certificates, present only when exists, is a pair (t, s) of
-    matrices witnessing the splitting (here t = s = b).
+    matrices witnessing the splitting (here t = s = b, outer's b).
     """
 
     trivial_kernel_intersection: bool
@@ -301,8 +303,8 @@ class _Evaluation:
     _norm_range_kernel(a) when the caller has it) and the dims. The core
     M0 a U with its singular values, the trivial meets of ker a with col p
     and of col a with col q, and each test's direct sum are worked out on
-    first use. Both inverses are solved from the core; a property that
-    raises caches nothing.
+    first use. exists decomposes the core first for every caller, and _b
+    solves it once; a property that raises caches nothing.
 
     The core margin s = sigma_min(M0 a U) settles the outer test's two
     subspace conditions, trivial and direct_sum, without their stacked SVDs
@@ -351,17 +353,6 @@ class _Evaluation:
         """(U, M0, the core M0 a U, its singular values)."""
         u, m0, core = _core_matrices(self.a, self.p, self.q)
         return u, m0, core, _singular_values(core)
-
-    def _core_first(self) -> None:
-        """Decompose the core ahead of the subspace tests, so that its margin
-        can settle them. A core that does not decompose (one that overflowed)
-        is left for later, so that the subspace tests raise their own error
-        first."""
-        if self.dims:
-            try:
-                self._core
-            except np.linalg.LinAlgError:
-                pass
 
     @cached_property
     def smin(self) -> float:
@@ -418,45 +409,51 @@ class _Evaluation:
         return self.col_a.dim + self.q.rank == self.a.shape[0] and self.trivial_q
 
     def exists(self, l_mode: bool) -> bool:
-        self._core_first()
+        """The outer (with l_mode the inner-outer) test. The core comes first,
+        so that its margin can settle the subspace tests; one that overflowed
+        is left for smin, so that the subspace tests raise their error first."""
+        if self.dims:
+            try:
+                self._core
+            except np.linalg.LinAlgError:
+                pass
         dsum = self.direct_sum_l if l_mode else self.direct_sum
         return self.trivial and dsum and self.dims and self.smin > self.tol.tol_inv * self.na
 
+    @cached_property
+    def _b(self) -> np.ndarray:
+        """b = U core^{-1} M0, the one solve of the core."""
+        return _solve(*self._core, self.tol)
+
     def report(self, l_mode: bool) -> ExistenceReport:
-        """The existence report; its certificate is solved from the core directly."""
+        """The existence report; its certificate is _b, outer's b where that
+        exists (the inner-outer test can pass where outer's direct sum fails)."""
         exists = self.exists(l_mode)
-        certs = None
-        if exists:
-            b = _solve(*self._core, self.tol)
-            certs = (b, b)
         dsum = self.direct_sum_l if l_mode else self.direct_sum
-        return ExistenceReport(self.trivial, dsum, self.dims, self.smin, exists, certs)
+        return ExistenceReport(self.trivial, dsum, self.dims, self.smin, exists, (self._b, self._b) if exists else None)
 
     def solve(self, basis_seed=None) -> GInvResult:
-        """compute_outer_pql(a, p, q, basis_seed=basis_seed). The subspace
-        tests run before the core is decomposed, so that a request whose
-        inverse does not exist pays no core SVD."""
-        if not (self.trivial and self.direct_sum and self.dims):
-            raise NotExists(
-                "no outer inverse with the prescribed range and kernel: "
-                f"trivial_kernel_intersection={self.trivial}, direct_sum={self.direct_sum}, dims_compatible={self.dims}"
-            )
+        """compute_outer_pql(a, p, q, basis_seed=basis_seed): NotExists when a
+        subspace test fails, IllConditioned when only the margin does."""
         if not self.exists(l_mode=False):
+            if not (self.trivial and self.direct_sum and self.dims):
+                raise NotExists(
+                    "no outer inverse with the prescribed range and kernel: "
+                    f"trivial_kernel_intersection={self.trivial}, direct_sum={self.direct_sum}, dims_compatible={self.dims}"
+                )
             raise IllConditioned(f"core margin too small (sigma_min = {self.smin:.3e})")
-        u, m0, core, sv = self._core
-        if basis_seed is not None:
+        if basis_seed is None:
+            b = self._b
+        else:
             u, m0, core = _core_matrices(self.a, self.p, self.q, basis_seed)
-            sv = _singular_values(core)
-        result = GInvResult(_solve(u, m0, core, sv, self.tol), self.a, self.p, self.q, self.tol, self.na)
+            b = _solve(u, m0, core, _singular_values(core), self.tol)
+        result = GInvResult(b, self.a, self.p, self.q, self.tol, self.na)
         result._evaluation = self
         return result
 
     @cached_property
     def outer(self) -> GInvResult:
-        """compute_outer_pql(a, p, q), for callers that expect it to exist:
-        the core comes first, so that its margin can settle the subspace
-        tests."""
-        self._core_first()
+        """solve(), cached for every caller that shares this evaluation."""
         return self.solve()
 
     @cached_property
@@ -502,12 +499,10 @@ def _solved(a, p: Idempotent, q: Idempotent, tol: Tolerances, l_mode: bool = Fal
     """The outer inverse for checked (a, p, q), or None when it does not exist;
     with l_mode, also None when the inner-outer existence test fails."""
     e = _Evaluation(a, p, q, tol, summary)
-    if l_mode and not e.exists(l_mode=True):
-        return None
-    try:
-        return e.outer
-    except NotExists:
-        return None
+    if not l_mode or e.exists(l_mode=True):
+        with suppress(NotExists):
+            return e.outer
+    return None
 
 
 def exists_l(a, p, q, tol: Tolerances = DEFAULT_TOL) -> ExistenceReport:

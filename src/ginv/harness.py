@@ -95,6 +95,8 @@ class EnsembleConfig:
             raise InputError("count must be at least 1")
         if not self.perturbation_magnitudes:
             raise InputError("perturbation_magnitudes must be nonempty")
+        if not self.theorems:
+            raise InputError("theorems must be nonempty")
         if not all(math.isfinite(m) and m >= 0 for m in self.perturbation_magnitudes):
             raise InputError("perturbation magnitudes must be nonnegative and finite")
         if not math.isfinite(self.skew):

@@ -165,13 +165,16 @@ class Scenario:
             out.append((delta < threshold - self.tol.tol_eq, {"delta": delta, "threshold": threshold}))
         return tuple(out)
 
+    def _update_vs(self, direct: np.ndarray):
+        """(||_updated - direct||, whether it is within the residual scale), direct an inverse of a_bar."""
+        dev = spectral_norm(self._updated - direct)
+        return dev, dev <= _res_scale(self._bar.na, spectral_norm(direct), self.tol)
+
     @cached_property
     def _update_vs_direct_l(self):
-        """(||_updated - compute_l(a_bar, p, q)||, whether it is within the residual scale)."""
-        updated = self._updated
-        direct = self._bar.inner_outer.b
-        dev = spectral_norm(updated - direct)
-        return dev, dev <= _res_scale(self._bar.na, spectral_norm(direct), self.tol)
+        """_update_vs of compute_l(a_bar, p, q); _updated's error comes first."""
+        self._updated
+        return self._update_vs(self._bar.inner_outer.b)
 
     @cached_property
     def _left_factor(self):
@@ -217,14 +220,18 @@ class EquivalenceReport:
     """Conditions that a theorem declares equivalent, with the verdicts.
 
     conditions is an ordered tuple of (name, truth, residual); consistent
-    means the truths all agree and any attached identity held numerically.
+    means the truths all agree and every attached identity held (identities).
     aux carries extra diagnostics (deviations, margins).
     """
 
     conditions: tuple
-    consistent: bool
+    identities: bool = True
     aux: dict = field(default_factory=dict)
     kind: ClassVar[str] = "equiv"
+
+    @cached_property
+    def consistent(self) -> bool:
+        return bool(self.identities) and len({truth for _, truth, _ in self.conditions}) == 1
 
     @property
     def ok(self) -> bool:
@@ -248,11 +255,14 @@ class ImplicationItem:
 
 @dataclass(frozen=True)
 class ImplicationReport:
-    """One-directional results: each item must not have hyp true, concl false."""
+    """One-directional results: ok when no item has hyp true, concl false."""
 
     items: tuple
-    ok: bool
     kind: ClassVar[str] = "impl"
+
+    @cached_property
+    def ok(self) -> bool:
+        return not any(it.violated for it in self.items)
 
 
 @dataclass(frozen=True)
@@ -356,23 +366,19 @@ def equivalence_thm24(scenario: Scenario) -> EquivalenceReport:
     s = scenario
     ok_right, m_right, _ = s._right_factor
     ok_left, m_left, _ = s._left_factor
-    report = s._bar.report(l_mode=False)
-    aux = {"sigma_min_core": float(report.sigma_min_core)}
+    exists = s._bar.exists(l_mode=False)
+    aux = {"sigma_min_core": s._bar.smin}
     dev = NAN
     identity_ok = True
-    if ok_right and ok_left and report.exists:
-        direct = report.certificates[0]  # the perturbed inverse, as compute_outer_pql solves it
-        dev = spectral_norm(s._updated - direct)
-        identity_ok = dev <= _res_scale(s._bar.na, spectral_norm(direct), s.tol)
+    if ok_right and ok_left and exists:
+        dev, identity_ok = s._update_vs(s._bar.outer.b)
         aux["update_vs_direct"] = dev
     conditions = (
         ("one_plus_delta_b_invertible", ok_right, m_right),
         ("one_plus_b_delta_invertible", ok_left, m_left),
-        ("perturbed_exists", report.exists, dev),
+        ("perturbed_exists", exists, dev),
     )
-    flags = [c[1] for c in conditions]
-    consistent = all(flags) == any(flags) and identity_ok
-    return EquivalenceReport(conditions, consistent, aux)
+    return EquivalenceReport(conditions, identity_ok, aux)
 
 
 def lemma26_f(scenario: Scenario):
@@ -401,9 +407,8 @@ def lemma26_f(scenario: Scenario):
         ("kernel_of_perturbed_equals_range_f", equal, g.gap),
         ("stable", *s._stability),
     )
-    consistent = (equal == s._bar.trivial_q) and idem_ok and subset_ok
     aux = {"f_idempotent_residual": idem_resid, "kernel_subset_gap": subset_gap}
-    return f, EquivalenceReport(conditions, consistent, aux)
+    return f, EquivalenceReport(conditions, idem_ok and subset_ok, aux)
 
 
 def equivalence_thm27(scenario: Scenario) -> EquivalenceReport:
@@ -432,8 +437,7 @@ def equivalence_thm27(scenario: Scenario) -> EquivalenceReport:
         ("a_bar_annihilates_left_factor", resid3 <= scale, resid3),
         ("a_bar_annihilated_right_factor", resid4 <= scale, resid4),
     )
-    flags = [c[1] for c in conditions]
-    return EquivalenceReport(conditions, all(flags) == any(flags))
+    return EquivalenceReport(conditions)
 
 
 def equivalence_cor28(scenario: Scenario) -> EquivalenceReport:
@@ -454,8 +458,7 @@ def equivalence_cor28(scenario: Scenario) -> EquivalenceReport:
         ("mapped_kernel_matches", cond2, kernel_gap.gap),
         ("mapped_range_matches", cond3, range_gap.gap),
     )
-    flags = [c[1] for c in conditions]
-    return EquivalenceReport(conditions, all(flags) == any(flags))
+    return EquivalenceReport(conditions)
 
 
 def equivalence_thm_tm27(scenario: Scenario) -> EquivalenceReport:
@@ -491,7 +494,7 @@ def equivalence_thm_tm27(scenario: Scenario) -> EquivalenceReport:
         ("update_valid_and_range_matches", cond1, range_gap.gap),
         ("stable_trivial_and_image_matches", cond2, image_gap.gap),
     )
-    return EquivalenceReport(conditions, cond1 == cond2, aux)
+    return EquivalenceReport(conditions, aux=aux)
 
 
 def gap_sufficient_lemma210(scenario: Scenario) -> ImplicationReport:
@@ -509,7 +512,7 @@ def gap_sufficient_lemma210(scenario: Scenario) -> ImplicationReport:
         ImplicationItem("range_gap_forces_stability", hyp_range, s._bar.trivial_q, dict(range_data)),
         ImplicationItem("kernel_gap_forces_trivial_meet", hyp_kernel, s._bar.trivial, dict(kernel_data)),
     )
-    return ImplicationReport(items, not any(it.violated for it in items))
+    return ImplicationReport(items)
 
 
 def cor_lemas1(scenario: Scenario) -> ImplicationReport:
@@ -537,7 +540,7 @@ def cor_lemas1(scenario: Scenario) -> ImplicationReport:
         ImplicationItem("gaps_and_image_route", hyp_i, conclusion if hyp_i else True, data),
         ImplicationItem("invertibility_route", hyp_ii, conclusion if hyp_ii else True, data),
     )
-    return ImplicationReport(items, not any(it.violated for it in items))
+    return ImplicationReport(items)
 
 
 def equivalence_thm212(scenario: Scenario) -> EquivalenceReport:
@@ -580,8 +583,7 @@ def equivalence_thm212(scenario: Scenario) -> EquivalenceReport:
         ("swap_identity", cond2, resid2),
         ("one_sided_product_identities", cond3, max(resid3a, resid3b)),
     )
-    flags = [c[1] for c in conditions]
-    return EquivalenceReport(conditions, all(flags) == any(flags))
+    return EquivalenceReport(conditions)
 
 
 def _thresholds(kap: float, moves_p: bool, scale: float = 1.0):

@@ -12,6 +12,7 @@ import contextlib
 import numpy as np
 import pytest
 
+from conftest import draw_solvable
 from ginv import (
     CHECKS,
     DEFAULT_TOL,
@@ -19,7 +20,9 @@ from ginv import (
     NotExists,
     RandomStream,
     Tolerances,
+    compute_outer_pql,
     cor_12_variants,
+    exists_l,
     exists_outer_pql,
     oblique,
     random_idempotent,
@@ -382,7 +385,7 @@ def test_an_evaluation_with_nan_or_an_overflowing_core_fails_as_the_exact_tests(
     assert certified == exact and certified[0] == "ValueError"
 
 
-def test_a_compute_request_whose_inverse_does_not_exist_leaves_the_core_alone():
+def test_solve_decomposes_the_core_first_also_where_the_inverse_does_not_exist():
     stream = RandomStream(14)
     a = stream.normal_matrix(4, 4)
     p = random_idempotent(4, 2, 0.3, stream)
@@ -392,12 +395,36 @@ def test_a_compute_request_whose_inverse_does_not_exist_leaves_the_core_alone():
     e = _Evaluation(*_checked(a, p, q, DEFAULT_TOL), DEFAULT_TOL)
     with pytest.raises(NotExists):
         e.solve()
-    assert not e.direct_sum and "_core" not in vars(e)
+    assert not e.direct_sum and "_core" in vars(e)  # solve() decomposes the core first too
     expecting = _Evaluation(*_checked(a, p, q, DEFAULT_TOL), DEFAULT_TOL)
     with pytest.raises(NotExists):
-        expecting.outer  # a caller that expects the inverse decomposes the core first
+        expecting.outer
     assert "_core" in vars(expecting) and not expecting._certified
     assert not exists_outer_pql(a, p, q).exists
+
+
+def test_compute_requests_whose_inverse_exists_run_no_subspace_test(monkeypatch):
+    calls = []
+    draws = [draw_solvable(seed) for seed in range(20)]
+    for name in ("intersection_trivial", "map_subspace", "direct_sum_is_all"):
+        original = getattr(gen_inverse, name)
+        monkeypatch.setattr(gen_inverse, name, lambda *args, _name=name, _f=original, **kw: calls.append(_name) or _f(*args, **kw))
+    for a, p, q in draws:
+        compute_outer_pql(a, p, q)
+    assert calls == []
+
+
+def test_the_inner_outer_report_keeps_its_certificate_where_the_outer_test_fails():
+    # col p at an angle of 0.01 to ker a, and a of singular values 1 and 1e-9:
+    # a col(p) keeps a direction of about 1e-11 only, which the outer test's
+    # direct sum drops, while the core margin passes tol_inv ||a||
+    a = np.diag([1.0, 1e-9, 0.0]).astype(complex)
+    pb = np.array([[1.0, 0.0], [0.0, np.sin(0.01)], [0.0, np.cos(0.01)]])
+    qb = np.array([[0.0], [0.3], [1.0]])
+    p, q = pb @ np.linalg.pinv(pb), qb @ np.linalg.pinv(qb)
+    assert not exists_outer_pql(a, p, q).exists
+    report = exists_l(a, p, q)
+    assert report.exists and report.certificates is not None
 
 
 ALL_IDS = tuple(sorted(set(CHECKS) - {"selftest-bad-bound"}))

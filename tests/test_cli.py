@@ -234,6 +234,35 @@ def test_verify_config_with_csv(tmp_path, capsys):
     assert campaign["stats"]["thm3.4"]["holds"] == 3
 
 
+@pytest.mark.parametrize("theorem", ["thm2.4", "thm3.4"])
+@pytest.mark.parametrize("source", ["--in", "--config"])
+def test_verify_writes_the_csv_whenever_it_is_asked_for(tmp_path, capsys, source, theorem):
+    csv_path = tmp_path / "rows.csv"
+    if source == "--in":
+        p_prime = perturb_idempotent(idempotent_from_matrix(E1_P), 0.05, seed=1)
+        path, rows = scenario_file(tmp_path, delta=np.diag([0.1, 0.0, 0.0]), p_prime=p_prime.m), 1
+    else:
+        path, rows = config_file(tmp_path), 3
+    code, _, _ = run(capsys, ["verify", theorem, source, path, "--csv", str(csv_path)])
+    assert code == 0
+    lines = csv_path.read_text().strip().split("\n")
+    assert lines[0] == "theorem,n,kappa,hyp,lhs,rhs,margin"
+    assert len(lines) == 1 + (rows if theorem == "thm3.4" else 0)
+    assert all(line.startswith("thm3.4,") for line in lines[1:])
+
+
+def test_a_config_with_no_check_ids_is_bad_input(tmp_path, capsys):
+    from ginv import EnsembleConfig
+
+    obj = config_to_json(EnsembleConfig(n_range=(2, 4), rank_range=(1, 3), count=3, seed=0))
+    obj["theorems"] = []
+    path = write(tmp_path, "config.json", obj)
+    for command in (["ensemble"], ["verify", "thm3.4"]):
+        code, out, err = run(capsys, command + ["--config", path])
+        assert code == 2 and out == ""
+        assert "theorems must be nonempty" in err
+
+
 def test_ensemble_csv_lists_each_id_in_config_order(tmp_path, capsys):
     # the campaign reports index-major; the CSV still holds one id's rows after another
     ids = ("thm3.4", "thm3.8", "cor3.11")

@@ -45,6 +45,8 @@ def test_config_validation():
         small_config(rank_range=(3,))
     with pytest.raises(InputError):
         small_config(perturbation_magnitudes=())
+    with pytest.raises(InputError, match="theorems must be nonempty"):
+        small_config(theorems=())
     with pytest.raises(InputError):
         small_config(perturbation_magnitudes=(-0.1,))
 

@@ -7,7 +7,12 @@ import pytest
 
 from conftest import draw_solvable
 from ginv import (
+    CHECKS,
     DimMismatch,
+    EnsembleConfig,
+    EquivalenceReport,
+    ImplicationItem,
+    ImplicationReport,
     InputError,
     NotExists,
     RandomStream,
@@ -26,12 +31,14 @@ from ginv import (
     equivalence_thm212,
     equivalence_thm_tm27,
     gap_sufficient_lemma210,
+    gen_scenario,
     idempotent_from_matrix,
     is_stable,
     kappa,
     lemma26_f,
     oblique,
     perturb_idempotent,
+    run_check,
     spectral_norm,
     subspace_from_columns,
     update_formula,
@@ -481,3 +488,49 @@ def test_cor_variants_need_a_strict_base(diag_instance):
     a, p, _ = diag_instance
     with pytest.raises(NotExists):
         cor_12_variants(a, p, tilted_q(), p_prime=p)
+
+
+# The verdicts of the Section 2 reports are derived from what they carry.
+
+
+def equivalence(truths, identities=True):
+    return EquivalenceReport(tuple((f"c{i}", t, 0.0) for i, t in enumerate(truths)), identities)
+
+
+def test_an_equivalence_whose_truths_disagree_is_not_consistent():
+    assert not equivalence((True, False, True)).consistent
+    assert not equivalence((False, True)).ok
+
+
+def test_an_equivalence_whose_identities_failed_is_not_consistent():
+    assert not equivalence((True, True, True), identities=False).consistent
+    assert not equivalence((False, False), identities=False).consistent
+
+
+@pytest.mark.parametrize("truths", [(True, True, True), (False, False, False), (True, True), (False, False)])
+def test_an_equivalence_whose_truths_agree_and_identities_held_is_consistent(truths):
+    report = equivalence(truths)
+    assert report.consistent is True and report.ok is True
+
+
+def test_an_implication_with_a_true_hypothesis_and_a_false_conclusion_is_not_ok():
+    held = ImplicationItem("held", True, True, {})
+    vacuous = ImplicationItem("vacuous", False, False, {})
+    violated = ImplicationItem("violated", True, False, {})
+    assert ImplicationReport((held, vacuous)).ok is True
+    assert ImplicationReport((held, violated, vacuous)).ok is False
+
+
+@pytest.mark.parametrize("theorem", sorted(CHECKS))
+def test_every_report_has_the_shape_that_the_bench_checks_read(theorem):
+    config = EnsembleConfig(n_range=(2, 6), rank_range=(1, 5), count=1, seed=1, theorems=(theorem,))
+    kind, report = run_check(theorem, gen_scenario(config, 0, theorem))
+    assert type(report.ok) is bool
+    if kind == "equiv":
+        assert report.conditions
+        for condition in report.conditions:
+            name, truth, residual = condition
+            assert type(name) is str and type(truth) is bool and isinstance(residual, float)
+        assert report.ok is report.consistent
+    elif kind == "impl":
+        assert report.items and all(type(it.name) is str and type(it.conclusion) is bool for it in report.items)
