@@ -40,7 +40,7 @@ from .perturbation import (
 )
 from .randomstream import RandomStream
 from .serialize import report_to_json, scenario_to_json
-from .subspaces import Subspace, _norm_range_kernel, orth_basis
+from .subspaces import _norm_range_kernel, _orthonormal, orth_basis
 
 __all__ = [
     "EnsembleConfig",
@@ -178,7 +178,7 @@ def _base_l_aligned(stream, n, r, skew, tol):
     """Rank-r a with the kernel of q pinned to col(a), so a col(p) = ker q."""
     a = _rank_r_matrix(stream, n, r)
     summary = _norm_range_kernel(a, tol)
-    t = Subspace(n, orth_basis(stream.normal_matrix(n, n - r), tol))
+    t = _orthonormal(n, orth_basis(stream.normal_matrix(n, n - r), tol))
     try:  # oblique applies the rule of direct_sum_is_all
         q = idempotent_from_matrix(oblique(t, summary[1], tol).m, tol)
     except NotComplementary:

@@ -156,8 +156,8 @@ class Scenario:
         b, col_a, ker_a = e.inner_outer.b, e.col_a, e.ker_a
         col_bar, ker_bar = self._bar.col_a, self._bar.ker_a
         sides = (
-            (spectral_norm(identity(self.n) - self.a @ b), _one_sided_gap(col_bar.projector(), col_a.projector(), col_bar.dim)),
-            (spectral_norm(b @ self.a), _one_sided_gap(ker_bar.projector(), ker_a.projector(), ker_bar.dim)),
+            (spectral_norm(identity(self.n) - self.a @ b), _one_sided_gap(col_bar.basis, col_a.basis)),
+            (spectral_norm(b @ self.a), _one_sided_gap(ker_bar.basis, ker_a.basis)),
         )
         out = []
         for norm, delta in sides:

@@ -5,7 +5,7 @@ lie in col(x), so subspace arithmetic on column spaces is the finite
 dimensional realization of ideal arithmetic. The one-sided gap between two
 ideals in the spectral norm equals the projector formula
 delta(M, N) = ||(1 - P_N) P_M||_2 on the corresponding column spaces, which
-is what `gap` evaluates.
+is what `gap` evaluates, on the orthonormal bases of the two spaces.
 """
 
 from __future__ import annotations
@@ -37,7 +37,13 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Subspace:
-    """A subspace of C^n held as an n x k matrix with orthonormal columns."""
+    """A subspace of C^n held as an n x k matrix with orthonormal columns.
+
+    The constructor checks the shape and ||B^H B - I||_2 <= 1e-8: that guards
+    the bases callers supply. The subspaces this package builds itself hold
+    SVD factors or identity columns, orthonormal by construction, and are
+    made by _orthonormal without the check.
+    """
 
     ambient_dim: int
     basis: np.ndarray
@@ -69,6 +75,14 @@ class Subspace:
         return f"Subspace(dim {self.dim} in C^{self.ambient_dim})"
 
 
+def _orthonormal(n: int, basis: np.ndarray) -> Subspace:
+    """The Subspace of C^n spanned by basis, whose columns are orthonormal
+    by construction (an SVD factor or identity columns); no Gram check."""
+    s = object.__new__(Subspace)
+    s.__dict__.update(ambient_dim=n, basis=basis)
+    return s
+
+
 @dataclass(frozen=True)
 class GapResult:
     delta_mn: float
@@ -77,11 +91,11 @@ class GapResult:
 
 
 def zero_subspace(n: int) -> Subspace:
-    return Subspace(n, np.zeros((n, 0), dtype=complex))
+    return _orthonormal(n, np.zeros((n, 0), dtype=complex))
 
 
 def full_subspace(n: int) -> Subspace:
-    return Subspace(n, np.eye(n, dtype=complex))
+    return _orthonormal(n, np.eye(n, dtype=complex))
 
 
 def subspace_from_columns(cols, tol: Tolerances = DEFAULT_TOL) -> Subspace:
@@ -92,13 +106,13 @@ def subspace_from_columns(cols, tol: Tolerances = DEFAULT_TOL) -> Subspace:
 def range_of(m, tol: Tolerances = DEFAULT_TOL, scale=None) -> Subspace:
     """Column space of m."""
     a = as_matrix(m)
-    return Subspace(a.shape[0], orth_basis(a, tol, scale))
+    return _orthonormal(a.shape[0], orth_basis(a, tol, scale))
 
 
 def kernel_of(m, tol: Tolerances = DEFAULT_TOL, scale=None) -> Subspace:
     """Null space of m."""
     a = as_matrix(m)
-    return Subspace(a.shape[1], null_basis(a, tol, scale))
+    return _orthonormal(a.shape[1], null_basis(a, tol, scale))
 
 
 def _norm_range_kernel(m, tol: Tolerances = DEFAULT_TOL):
@@ -107,24 +121,38 @@ def _norm_range_kernel(m, tol: Tolerances = DEFAULT_TOL):
     The rank cutoff is the one range_of and kernel_of use with
     scale = max(||m||, 1). The norm is the leading singular value of the full
     decomposition, which may differ from spectral_norm(m) in the last bits.
+    The complete factors hold the orthogonal complements too, u[:, r:] of the
+    range and the first r rows of vh of the kernel, so both come primed for
+    orthocomplement.
     """
     a = as_matrix(m)
     rows, cols = a.shape
     if a.size == 0:
-        return 0.0, Subspace(rows, np.zeros((rows, 0), dtype=complex)), full_subspace(cols)
+        return 0.0, zero_subspace(rows), full_subspace(cols)
     u, s, vh = np.linalg.svd(a)
     nm = float(s[0])
     r = _rank_from_sv(s, a.shape, tol, max(nm, 1.0))
-    return nm, Subspace(rows, u[:, :r]), Subspace(cols, vh[r:, :].conj().T)
+    rng, ker = _orthonormal(rows, u[:, :r]), _orthonormal(cols, vh[r:, :].conj().T)
+    rng.__dict__["_complement"] = _orthonormal(rows, u[:, r:])
+    ker.__dict__["_complement"] = _orthonormal(cols, vh[:r, :].conj().T)
+    return nm, rng, ker
 
 
 def orthocomplement(s: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """The orthogonal complement of s, computed once per (s, tol) and kept on s."""
-    memo = s.__dict__.setdefault("_complements", {})
-    if tol not in memo:
+    """The orthogonal complement of s, kept on s in one slot.
+
+    A range or kernel from _norm_range_kernel (so of every idempotent read by
+    idempotent_from_matrix) comes with the slot primed from the SVD that
+    found it. Otherwise the first call computes the complement from the null
+    space of B^H, with tol's rank cutoff; later calls return that object for
+    any tol, since the rank of an orthonormal basis is its column count for
+    every tol_rank below 1/n.
+    """
+    memo = s.__dict__
+    if "_complement" not in memo:
         n = s.ambient_dim
-        memo[tol] = full_subspace(n) if s.dim == 0 else Subspace(n, null_basis(s.basis.conj().T, tol))
-    return memo[tol]
+        memo["_complement"] = full_subspace(n) if s.dim == 0 else _orthonormal(n, null_basis(s.basis.conj().T, tol))
+    return memo["_complement"]
 
 
 def canonical_basis(s: Subspace) -> np.ndarray:
@@ -135,8 +163,11 @@ def canonical_basis(s: Subspace) -> np.ndarray:
     the hermitian projector greedily, always taking the column with the
     largest remaining component (first such column on ties). On coordinate
     subspaces it returns the coordinate vectors in index order. It is worked
-    out once per subspace and kept on it, as orthocomplement is, so the
-    array returned is read-only; copy it to change it.
+    out once per subspace and kept on it in one slot, as orthocomplement
+    keeps the complement, so the array returned is read-only; copy it to
+    change it. As the projector pins it, a complement primed from an SVD and
+    one computed by orthocomplement give the same canonical basis up to
+    roundoff.
     """
     memo = s.__dict__
     if "_canonical" not in memo:
@@ -174,22 +205,29 @@ def _check_ambient(m: Subspace, n: Subspace):
 def gap(m: Subspace, n: Subspace) -> GapResult:
     """One-sided gaps and their max.
 
-    delta(M, N) = ||(1 - P_N) P_M||_2, with the convention delta({0}, N) = 0.
-    Both one-sided values and the symmetric gap lie in [0, 1].
+    delta(M, N) = ||(1 - P_N) P_M||_2, with the convention delta({0}, N) = 0,
+    evaluated on the bases as ||B_M - B_N (B_N^H B_M)||_2 (see
+    _one_sided_gap). Both one-sided values and the symmetric gap lie in
+    [0, 1].
     """
     _check_ambient(m, n)
-    pm, pn = m.projector(), n.projector()
-    d_mn = _one_sided_gap(pm, pn, m.dim)
-    d_nm = _one_sided_gap(pn, pm, n.dim)
+    d_mn = _one_sided_gap(m.basis, n.basis)
+    d_nm = _one_sided_gap(n.basis, m.basis)
     return GapResult(d_mn, d_nm, max(d_mn, d_nm))
 
 
-def _one_sided_gap(pa: np.ndarray, pb: np.ndarray, dim_a: int) -> float:
-    """delta(A, B) = ||(1 - P_B) P_A||_2 from the projectors onto A and B, 0
-    when A = {0}; for callers that need only one side of `gap`."""
-    if dim_a == 0:
+def _one_sided_gap(ba: np.ndarray, bb: np.ndarray) -> float:
+    """delta(A, B) = ||(1 - P_B) P_A||_2 from orthonormal bases of A and B,
+    0 when A = {0}; for callers that need only one side of `gap`.
+
+    With P_A = B_A B_A^H, (1 - P_B) P_A = X B_A^H for X = B_A - B_B (B_B^H
+    B_A), and ||X B_A^H||_2 = ||X||_2 because B_A^H B_A = I. So one SVD of
+    the n x dim A matrix X gives the gap, where the projector formula takes
+    n x n products. The value is clamped to [0, 1].
+    """
+    if ba.shape[1] == 0:
         return 0.0
-    v = spectral_norm((np.eye(len(pa)) - pb) @ pa)
+    v = spectral_norm(ba - bb @ (bb.conj().T @ ba))
     return min(max(v, 0.0), 1.0)
 
 
@@ -217,7 +255,7 @@ def map_subspace(m, s: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
         raise MismatchedAmbient("matrix columns do not match the subspace ambient dimension")
     if s.dim == 0:
         return zero_subspace(a.shape[0])
-    return Subspace(a.shape[0], orth_basis(a @ s.basis, tol))
+    return _orthonormal(a.shape[0], orth_basis(a @ s.basis, tol))
 
 
 def subspaces_equal(m: Subspace, n: Subspace, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -1,15 +1,19 @@
 """Subspace objects, the gap metric, and splitting predicates."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from ginv import CHECKS, EnsembleConfig, NotExists, compute_outer_pql, exists_outer_pql, idempotent_from_matrix, run_campaign
+from ginv import subspaces
 from ginv.errors import MismatchedAmbient
 from ginv.linalg import spectral_norm
 from ginv.randomstream import RandomStream
 from ginv.subspaces import (
     Subspace,
+    _one_sided_gap,
     canonical_basis,
     direct_sum_is_all,
     full_subspace,
@@ -260,3 +264,121 @@ def test_subspaces_equal_rotated_basis():
 def test_gap_mismatched_ambient():
     with pytest.raises(MismatchedAmbient):
         gap(full_subspace(2), full_subspace(3))
+
+
+def _projector_gap(ba, bb):
+    """||(1 - P_B) P_A||_2 from the n x n projectors, clamped to [0, 1]."""
+    if ba.shape[1] == 0:
+        return 0.0
+    n = ba.shape[0]
+    pa, pb = ba @ ba.conj().T, bb @ bb.conj().T
+    return min(max(spectral_norm((np.eye(n) - pb) @ pa), 0.0), 1.0)
+
+
+def _gap_pairs():
+    stream = RandomStream(61)
+    pairs = []
+    for n in (2, 3, 5, 8):
+        for dm, dn in ((0, n), (n, 0), (0, 0), (n, n), (1, n - 1), (n - 1, 1), (2, 1), (1, 2)):
+            pairs.append((random_subspace(stream, n, dm).basis, random_subspace(stream, n, dn).basis))
+        real = np.linalg.qr(stream.normal_matrix(n, n).real)[0]
+        pairs.append((real[:, :1], real[:, : n - 1]))
+        pairs.append((real[:, : n // 2], np.linalg.qr(stream.normal_matrix(n, n - 1).real)[0]))
+        # a basis tilted by about 1e-12 out of its span: gap near 1e-12
+        m = random_subspace(stream, n, n // 2)
+        c = orthocomplement(m).basis
+        tilted = np.linalg.qr(m.basis + 1e-12 * c[:, :1] @ stream.normal_matrix(1, m.dim))[0]
+        pairs.append((m.basis, tilted))
+    return pairs
+
+
+def test_the_basis_gap_matches_the_projector_formula():
+    eps = np.finfo(float).eps
+    near_zero = 0
+    for ba, bb in _gap_pairs():
+        n = ba.shape[0]
+        d = _one_sided_gap(ba, bb)
+        assert 0.0 <= d <= 1.0
+        assert abs(d - _projector_gap(ba, bb)) <= 8 * n * eps
+        if 0 < d < 1e-11:
+            near_zero += 1
+    assert near_zero >= 4
+
+
+def _oblique_matrix(range_cols, kernel_cols):
+    x = np.hstack([range_cols, kernel_cols])
+    d = np.zeros(x.shape[1])
+    d[: range_cols.shape[1]] = 1.0
+    return (x * d) @ np.linalg.inv(x)
+
+
+def _request(stream, n, exists):
+    """(a, p, q) with the inverse existing or not by construction: when it
+    must not exist, col(q) holds a t for a vector t of col(p)."""
+    r = stream.randint(1, n - 1)
+    a = stream.normal_matrix(n, n)
+    xp, xq = stream.normal_matrix(n, n), stream.normal_matrix(n, n)
+    q_range = xq[:, : n - r].copy()
+    if not exists:
+        t = a @ xp[:, :1]
+        q_range[:, :1] = t / np.linalg.norm(t)
+    p = idempotent_from_matrix(_oblique_matrix(xp[:, :r], xp[:, r:]))
+    q = idempotent_from_matrix(_oblique_matrix(q_range, xq[:, n - r :]))
+    return a, p, q
+
+
+@pytest.fixture
+def internal_bases(monkeypatch):
+    """Checks every basis handed to subspaces._orthonormal, in every module
+    that imports it, and counts the public constructor's Gram checks. Defects
+    are recorded, not raised, since a campaign records a raising check as
+    data."""
+    seen = {"bases": 0, "public": 0, "defects": []}
+    made = subspaces._orthonormal
+
+    def checking(n, basis):
+        seen["bases"] += 1
+        if basis.ndim != 2 or basis.shape[0] != n:
+            seen["defects"].append(("shape", n, basis.shape))
+        else:
+            defect = spectral_norm(basis.conj().T @ basis - np.eye(basis.shape[1]))
+            if not defect <= 1e-8:
+                seen["defects"].append(("gram", n, basis.shape, defect))
+        return made(n, basis)
+
+    def counted(self):
+        seen["public"] += 1
+        check(self)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "ginv" or name.startswith("ginv.")) and getattr(module, "_orthonormal", None) is made:
+            monkeypatch.setattr(module, "_orthonormal", checking)
+    check = Subspace.__post_init__
+    monkeypatch.setattr(Subspace, "__post_init__", counted)
+    return seen
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_every_internal_basis_of_a_campaign_is_orthonormal(internal_bases, seed):
+    ids = tuple(t for t in CHECKS if t != "selftest-bad-bound")
+    report = run_campaign(EnsembleConfig(n_range=(2, 6), count=4, seed=seed, theorems=ids))
+    assert report.ok
+    assert internal_bases["bases"] > 0
+    assert internal_bases["defects"] == []
+    assert internal_bases["public"] == 0
+
+
+def test_every_internal_basis_of_a_request_is_orthonormal(internal_bases):
+    stream = RandomStream(29)
+    for n in (4, 5, 8, 24, 40):
+        for exists in (True, False):
+            a, p, q = _request(stream, n, exists)
+            assert exists_outer_pql(a, p, q).exists == exists
+            try:
+                compute_outer_pql(a, p, q)
+                constructed = True
+            except NotExists:
+                constructed = False
+            assert constructed == exists
+    assert internal_bases["defects"] == []
+    assert internal_bases["public"] == 0
