@@ -76,7 +76,8 @@ class ExistenceReport:
 
     exists is the conjunction of the three booleans and a positive core
     margin; certificates, present only when exists, is a pair (t, s) of
-    matrices witnessing the splitting (here t = s = b, outer's b).
+    matrices witnessing the splitting (here t = s = b, the one solve of
+    the core, for the outer and the inner-outer test alike).
     """
 
     trivial_kernel_intersection: bool
@@ -301,10 +302,16 @@ class _Evaluation:
 
     The constructor computes ||a||, col a and ker a (summary is
     _norm_range_kernel(a) when the caller has it) and the dims. The core
-    M0 a U with its singular values, the trivial meets of ker a with col p
-    and of col a with col q, and each test's direct sum are worked out on
-    first use. exists decomposes the core first for every caller, and _b
-    solves it once; a property that raises caches nothing.
+    M0 a U with its singular values, ||b||, the trivial meet of ker a with
+    col p, the rank defect of [col a, col q] and each test's direct sum are
+    worked out on first use. exists decomposes the core first for every
+    caller, and _result solves it once, for outer, inner_outer and the
+    report's certificate alike; a property that raises caches nothing.
+
+    nb = ||b|| = 1 / sigma_min(M0 a U) takes no SVD of b: U has orthonormal
+    columns and M0 orthonormal rows, so ||U X M0|| = ||X|| for every X, and
+    b = U core^{-1} M0 gives ||b|| = ||core^{-1}|| = 1 / sigma_min(core).
+    A 0 x 0 core has smin = inf, and nb = 0.0, the norm of b = 0.
 
     The core margin s = sigma_min(M0 a U) settles the outer test's two
     subspace conditions, trivial and direct_sum, without their stacked SVDs
@@ -363,6 +370,12 @@ class _Evaluation:
         return float(sv[-1]) if sv.size else 0.0
 
     @property
+    def nb(self) -> float:
+        """||b|| from the core margin (see the class docstring); read only
+        where b exists."""
+        return 1.0 / self.smin
+
+    @property
     def _certified(self) -> bool:
         """Does the core margin prove trivial and direct_sum (see the class
         docstring)? Only a core that is decomposed already is read."""
@@ -386,27 +399,26 @@ class _Evaluation:
         return self._certified or direct_sum_is_all(self._image, self.q.range, self.tol)
 
     @cached_property
-    def _stacked_sv(self):
-        """(shape, singular values) of the stacked bases [col a, col q]."""
+    def defect(self) -> int:
+        """How many dimensions col a and col q share: the rank defect of the
+        stacked bases [col a, col q], 0 when either is {0}. Their leading
+        singular value is at least 1, so the cutoff of _rank_from_sv is
+        never below tol_rank max(shape)."""
+        if self.col_a.dim == 0 or self.q.rank == 0:
+            return 0
         stacked = np.hstack([self.col_a.basis, self.q.range.basis])
-        return stacked.shape, _singular_values(stacked)
+        return stacked.shape[1] - _rank_from_sv(_singular_values(stacked), stacked.shape, self.tol)
 
     @cached_property
     def trivial_q(self) -> bool:
         """Does col a meet col q only at zero? Dimensions above n decide
-        alone; otherwise the stacked SVD does."""
-        dims = self.col_a.dim + self.q.rank
-        if self.col_a.dim == 0 or self.q.rank == 0:
-            return True
-        if dims > self.a.shape[0]:
-            return False
-        shape, sv = self._stacked_sv
-        return _rank_from_sv(sv, shape, self.tol) == dims
+        alone; otherwise the defect does."""
+        return self.col_a.dim + self.q.rank <= self.a.shape[0] and self.defect == 0
 
-    @cached_property
+    @property
     def direct_sum_l(self) -> bool:
         """The inner-outer test's direct sum: col(a) + col(q) = C^n."""
-        return self.col_a.dim + self.q.rank == self.a.shape[0] and self.trivial_q
+        return self.col_a.dim + self.q.rank == self.a.shape[0] and self.defect == 0
 
     def exists(self, l_mode: bool) -> bool:
         """The outer (with l_mode the inner-outer) test. The core comes first,
@@ -420,17 +432,22 @@ class _Evaluation:
         dsum = self.direct_sum_l if l_mode else self.direct_sum
         return self.trivial and dsum and self.dims and self.smin > self.tol.tol_inv * self.na
 
+    def _inverse(self, b: np.ndarray) -> GInvResult:
+        """The GInvResult of b, solved from this evaluation."""
+        result = GInvResult(b, self.a, self.p, self.q, self.tol, self.na)
+        result._evaluation = self
+        return result
+
     @cached_property
-    def _b(self) -> np.ndarray:
+    def _result(self) -> GInvResult:
         """b = U core^{-1} M0, the one solve of the core."""
-        return _solve(*self._core, self.tol)
+        return self._inverse(_solve(*self._core, self.tol))
 
     def report(self, l_mode: bool) -> ExistenceReport:
-        """The existence report; its certificate is _b, outer's b where that
-        exists (the inner-outer test can pass where outer's direct sum fails)."""
+        """The existence report; its certificate is the b of _result."""
         exists = self.exists(l_mode)
         dsum = self.direct_sum_l if l_mode else self.direct_sum
-        return ExistenceReport(self.trivial, dsum, self.dims, self.smin, exists, (self._b, self._b) if exists else None)
+        return ExistenceReport(self.trivial, dsum, self.dims, self.smin, exists, (self._result.b,) * 2 if exists else None)
 
     def solve(self, basis_seed=None) -> GInvResult:
         """compute_outer_pql(a, p, q, basis_seed=basis_seed): NotExists when a
@@ -443,13 +460,9 @@ class _Evaluation:
                 )
             raise IllConditioned(f"core margin too small (sigma_min = {self.smin:.3e})")
         if basis_seed is None:
-            b = self._b
-        else:
-            u, m0, core = _core_matrices(self.a, self.p, self.q, basis_seed)
-            b = _solve(u, m0, core, _singular_values(core), self.tol)
-        result = GInvResult(b, self.a, self.p, self.q, self.tol, self.na)
-        result._evaluation = self
-        return result
+            return self._result
+        u, m0, core = _core_matrices(self.a, self.p, self.q, basis_seed)
+        return self._inverse(_solve(u, m0, core, _singular_values(core), self.tol))
 
     @cached_property
     def outer(self) -> GInvResult:
@@ -458,7 +471,7 @@ class _Evaluation:
 
     @cached_property
     def inner_outer(self) -> GInvResult:
-        """compute_l(a, p, q): the inner-outer test, then a b a = a on outer."""
+        """compute_l(a, p, q): the inner-outer test, then a b a = a on _result."""
         if not self.exists(l_mode=True):
             raise NotExists(
                 "no inner-outer inverse for these idempotents: "
@@ -466,10 +479,9 @@ class _Evaluation:
                 f"direct_sum={self.direct_sum_l}, dims_compatible={self.dims}, "
                 f"sigma_min_core={self.smin:.3e}"
             )
-        result = self.outer
-        if not result._l_inverse:
-            raise NotExists(f"a b a = a fails: residual {result._aba_a:.3e}")
-        return result
+        if not self._result._l_inverse:
+            raise NotExists(f"a b a = a fails: residual {self._result._aba_a:.3e}")
+        return self._result
 
 
 def exists_outer_pql(a, p, q, tol: Tolerances = DEFAULT_TOL) -> ExistenceReport:
@@ -515,7 +527,8 @@ def exists_l(a, p, q, tol: Tolerances = DEFAULT_TOL) -> ExistenceReport:
 
 
 def compute_l(a, p, q, tol: Tolerances = DEFAULT_TOL) -> GInvResult:
-    """Compute the inverse and insist that a b a = a holds as well."""
+    """The b of exists_l's certificate, bit for bit, when a b a = a holds on
+    it as well; NotExists when the test fails or a b a = a does not hold."""
     return _Evaluation(*_checked(a, p, q, tol), tol).inner_outer
 
 

@@ -151,7 +151,8 @@ def _rank_r_matrix(stream: RandomStream, n: int, r: int) -> np.ndarray:
 # is the inverse for (a, p, q), which keeps the existence evaluation that it
 # was solved from. Every idempotent is made by idempotent_from_matrix of its
 # matrix, the rule by which scenario_from_json decodes it, so a dumped
-# scenario replays bit for bit.
+# scenario replays bit for bit; the ValueError by which it rejects a matrix
+# that tol does not read as idempotent rejects the draw.
 
 
 def _base_outer(stream, n, r, skew, tol):
@@ -204,11 +205,8 @@ def _base_strict(stream, n, r, skew, tol):
         a = a0
         p_m = b0 @ a0
         q_m = eye - a0 @ b0
-    try:
-        p = idempotent_from_matrix(p_m, tol)
-        q = idempotent_from_matrix(q_m, tol)
-    except GinvError:
-        return None
+    p = idempotent_from_matrix(p_m, tol)
+    q = idempotent_from_matrix(q_m, tol)
     base = _solved(a, p, q, tol)
     if base is None or not base._strict_12:
         return None
@@ -336,8 +334,7 @@ def gen_scenario(config: EnsembleConfig, index: int, theorem: str, *, _memo=None
     mode = "range" if family == "strict" else "both"
 
     def base_draw():
-        made = _BASES[family](stream, n, _draw_rank(stream, config, n), config.skew, tol)
-        return None if made is None else (made, spectral_norm(made[0]), spectral_norm(made[3].b))
+        return _BASES[family](stream, n, _draw_rank(stream, config, n), config.skew, tol)
 
     def perturbed(e, magnitude):
         """(e', ||e' - e||) from the perturb_idempotent search."""
@@ -351,12 +348,16 @@ def gen_scenario(config: EnsembleConfig, index: int, theorem: str, *, _memo=None
         if n < 2:
             last = "n must be at least 2 for a nontrivial split"
             continue
-        drawn = _once(_memo, (family, attempt), stream, base_draw)
+        reason = ""
+        try:  # a ValueError (np.linalg.LinAlgError is one) rejects the draw
+            drawn = _once(_memo, (family, attempt), stream, base_draw)
+        except ValueError as e:
+            drawn, reason = None, f": {e}"
         if drawn is None:
-            last = f"base family {family} rejected the draw (attempt {attempt})"
+            last = f"base family {family} rejected the draw (attempt {attempt}){reason}"
             continue
-        (a, p, q, base), na, nb = drawn
-        b = base.b
+        a, p, q, base = drawn
+        b, na, nb = base.b, base._evaluation.na, base._evaluation.nb
         kap = na * nb
 
         p_prime = q_prime = None
@@ -370,7 +371,7 @@ def gen_scenario(config: EnsembleConfig, index: int, theorem: str, *, _memo=None
                     p_prime, dists["_dp"] = perturbed(p, min(mag, cap_p))
                 if want_q:
                     q_prime, dists["_dq"] = perturbed(q, min(mag, cap_q))
-            except GinvError as e:
+            except (GinvError, ValueError) as e:
                 last = f"perturbation draw failed: {e}"
                 continue
 
@@ -382,8 +383,8 @@ def gen_scenario(config: EnsembleConfig, index: int, theorem: str, *, _memo=None
                 scenario = Scenario(a, delta, p, q, p_prime=p_prime, q_prime=q_prime, tol=tol)
             except ValueError as e:  # the shift, or a plus the shift, overflowed
                 return f"shift rejected: {e}"
-            # prime the scenario's cached base inverse, norms and distances with those above
-            scenario.__dict__.update(base=base, _evaluation=base._evaluation, norm_a=na, norm_b=nb, **dists)
+            # hand over the evaluation that base, its norms and kappa derive from, and the distances
+            scenario.__dict__.update(_evaluation=base._evaluation, **dists)
             return scenario
 
         key = (family, attempt, cls, mag, cap, want_p, want_q, p_prime, q_prime, stream._state)

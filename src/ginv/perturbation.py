@@ -36,7 +36,7 @@ from .gen_inverse import (
     _Evaluation,
 )
 from .idempotents import Idempotent
-from .linalg import DEFAULT_TOL, Tolerances, _inverse_from_sv, _norm_low, _norm_within, _rank_from_sv, _singular_values, as_matrix, identity, spectral_norm
+from .linalg import DEFAULT_TOL, Tolerances, _inverse_from_sv, _norm_low, _norm_within, _singular_values, as_matrix, identity, spectral_norm
 from .subspaces import _gap_and_equal, _norm_range_kernel, _one_sided_gap, map_subspace
 
 __all__ = [
@@ -70,11 +70,13 @@ NAN = float("nan")
 class Scenario:
     """One perturbation instance: a, its shift, and the prescribed idempotents.
 
-    base, the inverse for (a, p, q), the existence evaluation it is solved
-    from, the norms of a and of base.b, and the distances _dp and _dq of the
-    moved idempotents are computed on first use unless the generator that
-    built the scenario has stored the ones it already has. a + delta_a must
-    be finite, as a and delta_a must.
+    _evaluation, the existence evaluation of (a, p, q), and the distances
+    _dp and _dq of the moved idempotents are computed on first use unless
+    the generator that built the scenario has stored the ones it already
+    has. base, the inverse for (a, p, q), is the evaluation's solve, and
+    the norms of a and of base.b are the evaluation's ||a|| and ||b||, so
+    neither takes an SVD of its own. a + delta_a must be finite, as a and
+    delta_a must.
     The private cached properties are what the Section 2 checkers share; a
     checker copies any cached dict it puts into its report. What they read
     of a_bar comes from _bar, the one existence evaluation of (a_bar, p, q),
@@ -132,16 +134,10 @@ class Scenario:
             return self._evaluation
         return _Evaluation(self.a_bar, self.p, self.q, self.tol)
 
-    @cached_property
+    @property
     def _stability(self):
-        """(is_stable, how many dimensions col a_bar and col q share); the
-        rank defect has its own cutoff on _bar's stacked SVD."""
-        e = self._bar
-        m, k = e.col_a, self.q.range
-        if m.dim == 0 or k.dim == 0:
-            return True, 0.0
-        shape, sv = e._stacked_sv
-        return e.trivial_q, float(m.dim + k.dim - _rank_from_sv(sv, shape, self.tol, 1.0))
+        """(is_stable, how many dimensions col a_bar and col q share)."""
+        return self._bar.trivial_q, float(self._bar.defect)
 
     @cached_property
     def _image_p(self):
@@ -201,14 +197,14 @@ class Scenario:
         """||q_prime - q||."""
         return spectral_norm(self.q_prime.m - self.q.m)
 
-    @cached_property
+    @property
     def norm_a(self) -> float:
-        return spectral_norm(self.a)
+        return self._evaluation.na
 
-    @cached_property
+    @property
     def norm_b(self) -> float:
         """The spectral norm of the base inverse."""
-        return spectral_norm(self.base.b)
+        return self.base._evaluation.nb
 
     @property
     def kappa(self) -> float:
@@ -668,7 +664,7 @@ def _bound(theorem, s: Scenario, moves_p: bool, moves_q: bool, moves_a: bool = F
     lhs = spectral_norm(new.b - b)
     if not moves_a:  # the change relative to ||b||
         lhs = lhs / nb if nb else (0.0 if lhs == 0.0 else math.inf)
-    norm_lhs = spectral_norm(new.b)
+    norm_lhs = new._evaluation.nb
     aux.update(norm_lhs=norm_lhs, norm_rhs=norm_rhs)
     holds = lhs <= rhs + tol.tol_eq and norm_lhs <= norm_rhs + tol.tol_eq
     if extra is not None and not extra(aux, s, new, _res_scale(s.norm_a, max(nb, norm_lhs), tol)):

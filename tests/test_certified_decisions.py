@@ -20,10 +20,13 @@ from ginv import (
     NotExists,
     RandomStream,
     Tolerances,
+    classify_strict,
+    compute_l,
     compute_outer_pql,
     cor_12_variants,
     exists_l,
     exists_outer_pql,
+    gen_scenario,
     oblique,
     random_idempotent,
     range_of,
@@ -425,6 +428,36 @@ def test_the_inner_outer_report_keeps_its_certificate_where_the_outer_test_fails
     assert not exists_outer_pql(a, p, q).exists
     report = exists_l(a, p, q)
     assert report.exists and report.certificates is not None
+    # compute_l answers from the same solve: the certificate, with a b a = a
+    result = compute_l(a, p, q)
+    np.testing.assert_array_equal(result.b, report.certificates[0])
+    assert result.flags["l_inverse"]
+
+
+def _inner_outer_answers(a, p, q, tol):
+    """(exists_l's verdict, whether a b a = a holds on its certificate,
+    whether compute_l succeeds)."""
+    report = exists_l(a, p, q, tol)
+    aba = report.exists and classify_strict(a, p, q, report.certificates[0], tol).flags["l_inverse"]
+    try:
+        result = compute_l(a, p, q, tol)
+    except NotExists:
+        return report.exists, aba, False
+    np.testing.assert_array_equal(result.b, report.certificates[0])
+    return report.exists, aba, True
+
+
+@pytest.mark.parametrize("theorem", ["tm2.7", "lemma2.10", "lemas1"])
+def test_compute_l_succeeds_exactly_where_exists_l_holds_with_aba_a(theorem):
+    config = EnsembleConfig(n_range=(2, 6), count=30, seed=35, theorems=(theorem,), perturbation_magnitudes=(0.0, 1e-3, 0.5))
+    seen = set()
+    for index in range(config.count):
+        s = gen_scenario(config, index, theorem)
+        for x in (s.a, s.a + s.delta_a):
+            exists, aba, succeeded = _inner_outer_answers(x, s.p, s.q, s.tol)
+            assert succeeded == (exists and aba)
+            seen.add(succeeded)
+    assert seen == {True, False}
 
 
 ALL_IDS = tuple(sorted(set(CHECKS) - {"selftest-bad-bound"}))

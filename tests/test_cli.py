@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ginv import RandomStream, idempotent_from_matrix, perturb_idempotent, random_idempotent
+from ginv import EnsembleConfig, RandomStream, idempotent_from_matrix, perturb_idempotent, random_idempotent
 from ginv.cli import cli
 from ginv.serialize import (
     config_to_json,
@@ -319,6 +319,20 @@ def test_ensemble_selftest_fails(tmp_path, capsys):
     campaign = json.loads(out)
     assert campaign["ok"] is False
     assert len(campaign["stats"]["selftest-bad-bound"]["failures"]) >= 1
+
+
+def test_ensemble_records_draws_that_its_tolerance_rejects(tmp_path, capsys):
+    # tol_eq = 1e-17 reads no drawn idempotent as idempotent
+    config = config_to_json(EnsembleConfig(n_range=(2, 4), count=2, seed=1, theorems=("thm2.4", "thm3.4")))
+    config["tolerances"] = {"tol_eq": 1e-17}
+    code, out, err = run(capsys, ["ensemble", "--config", write(tmp_path, "config.json", config)])
+    assert code == 1 and "Traceback" not in err
+    campaign = json.loads(out)
+    assert campaign["ok"] is False
+    for theorem in ("thm2.4", "thm3.4"):
+        failures = campaign["stats"][theorem]["failures"]
+        assert len(failures) == 2
+        assert all(f["error"].startswith("GenerationFailed") and "not idempotent" in f["error"] for f in failures)
 
 
 def test_verify_replays_a_failure_that_ensemble_dumped(tmp_path, capsys):

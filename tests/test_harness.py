@@ -20,6 +20,7 @@ from ginv import (
     is_stable,
     PerturbationTooLarge,
     RandomStream,
+    Tolerances,
     run_campaign,
     run_check,
 )
@@ -222,6 +223,39 @@ def test_campaign_records_draws_that_cannot_be_made():
     for f in drawn:
         assert set(f) == {"index", "seed", "error"}
         assert f["seed"] == 1
+
+
+ALL_IDS = tuple(sorted(set(CHECKS) - {"selftest-bad-bound"}))
+
+
+def test_a_campaign_whose_tolerance_rejects_every_drawn_idempotent_records_it():
+    # tol_eq = 1e-17 is a valid Tolerances, but no drawn idempotent passes it
+    config = small_config(theorems=ALL_IDS, count=2, tolerances=Tolerances(tol_eq=1e-17))
+    report = run_campaign(config)
+    assert not report.ok and len(report.stats) == 15
+    for st in report.stats.values():
+        assert st.instances == 2 and len(st.failures) == 2
+        for f in st.failures:
+            assert set(f) == {"index", "seed", "error"}
+            assert f["error"].startswith("GenerationFailed") and "rejected the draw" in f["error"]
+            assert "matrix is not idempotent" in f["error"]
+
+
+def test_a_move_that_the_tolerance_rejects_is_a_rejected_draw(monkeypatch):
+    def rejected(*args, **kw):
+        raise ValueError("matrix is not idempotent: ||m^2 - m|| = 1e-16")
+
+    monkeypatch.setattr(harness, "_perturb_idempotent", rejected)
+    bound_ids = tuple(t for t in ALL_IDS if t.startswith(("thm3", "cor3")))
+    report = run_campaign(small_config(theorems=bound_ids, count=1))
+    reason = "perturbation draw failed: matrix is not idempotent: ||m^2 - m|| = 1e-16"
+    for st in report.stats.values():
+        assert [f["error"] for f in st.failures] == [f"GenerationFailed: no scenario after 64 attempts: {reason}"]
+
+
+def test_a_campaign_at_a_tolerance_that_rejects_some_draws_retries_them():
+    config = EnsembleConfig(n_range=(2, 4), count=3, seed=1, theorems=("thm3.4",), tolerances=Tolerances(tol_eq=1e-16))
+    assert run_campaign(config).stats["thm3.4"].instances == 3
 
 
 # A shift of magnitude 1e308 overflows the products of the checks; numpy
