@@ -101,7 +101,6 @@ from .randomstream import RandomStream
 from .subspaces import (
     GapResult,
     Subspace,
-    canonical_basis,
     direct_sum_is_all,
     full_subspace,
     gap,

@@ -37,18 +37,9 @@ from .errors import (
 )
 from .exact import ExactMatrix
 from .idempotents import Idempotent, idempotent_from_matrix
-from .linalg import _EPS, DEFAULT_TOL, Tolerances, _inverse_from_sv, _norm_low, _norm_within, _rank_from_sv, _singular_values, as_matrix, spectral_norm, try_inverse
+from .linalg import _EPS, DEFAULT_TOL, Decision, Tolerances, _all, _counted, _decide, _inverse_from_sv, _norm_low, _norm_within, _rank_cutoff, _rank_from_sv, _singular_values, as_matrix, spectral_norm, try_inverse
 from .randomstream import RandomStream
-from .subspaces import (
-    Subspace,
-    _norm_range_kernel,
-    canonical_basis,
-    direct_sum_is_all,
-    gap,
-    intersection_trivial,
-    map_subspace,
-    orthocomplement,
-)
+from .subspaces import Subspace, _direct_sum, _meet, _norm_range_kernel, direct_sum_is_all, gap, intersection_trivial, map_subspace, orthocomplement
 
 __all__ = [
     "ExistenceReport",
@@ -102,19 +93,19 @@ class GInvResult:
     (_residual_within): each threshold grows with ||b||, ||p|| and ||q||,
     so it is evaluated at lower bounds of these, and _norm_within proves
     that such a verdict is the exact one. The public flags work out every
-    residual first, so they and residuals report exact values. A solver
-    keeps in _evaluation the existence evaluation of (a, p, q) that b was
-    solved from.
+    residual first, so they and residuals report exact values. _part gives
+    the exact test of one residual or gap as a decision, and linalg._all of
+    the parts of a flag in its order is that flag as a decision.
     """
 
-    _evaluation: Optional[_Evaluation] = None
-
-    # The matrices whose spectral norms are the algebraic residuals.
-    _MATRICES = {
-        "_bab_b": lambda r: r.b @ r._a @ r.b - r.b,
-        "_aba_a": lambda r: r._a @ r.b @ r._a - r._a,
-        "_ba_p": lambda r: r.b @ r._a - r._p.m,
-        "_one_ab_q": lambda r: np.eye(r._a.shape[0], dtype=complex) - r._a @ r.b - r._q.m,
+    # Each algebraic residual: the matrix whose spectral norm it is, and its
+    # threshold over tol_eq at ||a||, ||b|| and the norm of the idempotent
+    # named last (0.0 without one).
+    _RESIDUALS = {
+        "_bab_b": (lambda r: r.b @ r._a @ r.b - r.b, lambda na, nb, _: 1.0 + na * nb * nb, None),
+        "_aba_a": (lambda r: r._a @ r.b @ r._a - r._a, lambda na, nb, _: 1.0 + na * na * nb, None),
+        "_ba_p": (lambda r: r.b @ r._a - r._p.m, lambda na, nb, n_idem: 1.0 + na * nb + n_idem, "_p"),
+        "_one_ab_q": (lambda r: np.eye(r._a.shape[0], dtype=complex) - r._a @ r.b - r._q.m, lambda na, nb, n_idem: 1.0 + na * nb + n_idem, "_q"),
     }
 
     def __init__(self, b: np.ndarray, a: np.ndarray, p: Idempotent, q: Idempotent, tol: Tolerances, na=None):
@@ -132,21 +123,8 @@ class GInvResult:
         """(||b||, col b, ker b) from one SVD."""
         return _norm_range_kernel(self.b, self._tol)
 
-    @cached_property
-    def _bab_b(self) -> float:
-        return spectral_norm(self._MATRICES["_bab_b"](self))
-
-    @cached_property
-    def _aba_a(self) -> float:
-        return spectral_norm(self._MATRICES["_aba_a"](self))
-
-    @cached_property
-    def _ba_p(self) -> float:
-        return spectral_norm(self._MATRICES["_ba_p"](self))
-
-    @cached_property
-    def _one_ab_q(self) -> float:
-        return spectral_norm(self._MATRICES["_one_ab_q"](self))
+    # The residuals, in the order of _RESIDUALS, each worked out on first access.
+    _bab_b, _aba_a, _ba_p, _one_ab_q = (cached_property(lambda r, m=m: spectral_norm(m(r))) for m, _, _ in _RESIDUALS.values())
 
     @cached_property
     def _gap_range(self) -> float:
@@ -156,48 +134,46 @@ class GInvResult:
     def _gap_kernel(self) -> float:
         return gap(self._b_summary[2], self._q.range).gap
 
-    def _residual_within(self, name: str, threshold, idem: Optional[Idempotent] = None) -> bool:
-        """Is the residual `name` at most threshold(||b||, ||idem||) (0.0 for
-        the second norm without idem)? threshold must not decrease in either.
+    def _threshold(self, name: str, nb: float, idem_norm) -> float:
+        """The threshold of residual `name` at ||b|| = nb, with idem_norm(idem)
+        the norm taken of its idempotent."""
+        _, f, idem = self._RESIDUALS[name]
+        return self._tol.tol_eq * f(self._na, nb, 0.0 if idem is None else idem_norm(getattr(self, idem)))
+
+    def _part(self, name: str) -> Decision:
+        """The exact test of a residual against its threshold, or of a gap
+        against 10 tol_eq, as a decision; it works the value out."""
+        if name in self._RESIDUALS:
+            return _decide(getattr(self, name), self._threshold(name, self._b_summary[0], lambda e: e.norm))
+        return _decide(getattr(self, name), 10 * self._tol.tol_eq)
+
+    def _residual_within(self, name: str) -> bool:
+        """_part(name).truth, without working the residual out when the
+        Frobenius test can decide.
 
         A residual worked out already is compared exactly. Otherwise the
         Frobenius test compares its matrix with the threshold at ||b||_F /
-        sqrt(n) until _b_summary holds ||b||, and at idem's norm if that is
-        cached, else 0.0; the residual is worked out only when that test
-        cannot decide.
+        sqrt(n) until _b_summary holds ||b||, and at the idempotent's norm if
+        that is cached, else 0.0 (each threshold grows in both); the residual
+        is worked out only when that test cannot decide.
         """
-
-        def exact():
-            return getattr(self, name) <= threshold(self._b_summary[0], 0.0 if idem is None else idem.norm)
-
         if name in self.__dict__:
-            return exact()
+            return self._part(name).truth
         nb = self._b_summary[0] if "_b_summary" in self.__dict__ else _norm_low(self.b)
-        low = threshold(nb, 0.0 if idem is None else idem.__dict__.get("norm", 0.0))
-        return _norm_within(self._MATRICES[name](self), low, exact)
+        low = self._threshold(name, nb, lambda e: e.__dict__.get("norm", 0.0))
+        return _norm_within(self._RESIDUALS[name][0](self), low, lambda: self._part(name).truth)
 
     @property
     def _outer_pql(self) -> bool:
-        na, e = self._na, self._tol.tol_eq
-        return (
-            self._residual_within("_bab_b", lambda nb, _: e * (1.0 + na * nb * nb))
-            and self._gap_range <= 10 * e
-            and self._gap_kernel <= 10 * e
-        )
+        return self._residual_within("_bab_b") and self._part("_gap_range").truth and self._part("_gap_kernel").truth
 
     @property
     def _l_inverse(self) -> bool:
-        na = self._na
-        return self._residual_within("_aba_a", lambda nb, _: self._tol.tol_eq * (1.0 + na * na * nb))
+        return self._residual_within("_aba_a")
 
     @property
     def _strict_pq(self) -> bool:
-        na, e = self._na, self._tol.tol_eq
-
-        def threshold(nb, n_idem):
-            return e * (1.0 + na * nb + n_idem)
-
-        return self._residual_within("_ba_p", threshold, self._p) and self._residual_within("_one_ab_q", threshold, self._q)
+        return self._residual_within("_ba_p") and self._residual_within("_one_ab_q")
 
     @property
     def _strict_12(self) -> bool:
@@ -297,16 +273,25 @@ def _solve(u, m0, core, sv, tol: Tolerances) -> np.ndarray:
 _CORE_K = 1e4
 
 
+def _truth(name: str) -> cached_property:
+    """A cached property that reads the truth of the decision `name`."""
+    return cached_property(lambda self: getattr(self, name).truth)
+
+
 class _Evaluation:
     """The existence evaluation of checked (a, p, q).
 
-    The constructor computes ||a||, col a and ker a (summary is
-    _norm_range_kernel(a) when the caller has it) and the dims. The core
+    The constructor computes ||a||, col a, ker a and how the rank of a was
+    cut (summary is _norm_range_kernel(a) when the caller has it) and the
+    dims. The core
     M0 a U with its singular values, ||b||, the trivial meet of ker a with
     col p, the rank defect of [col a, col q] and each test's direct sum are
-    worked out on first use. exists decomposes the core first for every
-    caller, and _result solves it once, for outer, inner_outer and the
-    report's certificate alike; a property that raises caches nothing.
+    worked out on first use, each test as a decision (linalg.Decision) that
+    its boolean reads. exists decomposes the core first for every caller,
+    and _result solves it once, for outer, inner_outer and the report's
+    certificate alike; a property that raises caches nothing. The results
+    hold no reference back to the evaluation, so a caller that needs it
+    keeps it.
 
     nb = ||b|| = 1 / sigma_min(M0 a U) takes no SVD of b: U has orthonormal
     columns and M0 orthonormal rows, so ||U X M0|| = ||X|| for every X, and
@@ -347,13 +332,13 @@ class _Evaluation:
 
     def __init__(self, a, p: Idempotent, q: Idempotent, tol: Tolerances, summary=None):
         self.a, self.p, self.q, self.tol = a, p, q, tol
-        self.na, self.col_a, self.ker_a = _norm_range_kernel(a, tol) if summary is None else summary
+        self.na, self.col_a, self.ker_a, self.cut = _norm_range_kernel(a, tol) if summary is None else summary
         self.dims = p.rank + q.rank == a.shape[0]
 
     def moved(self, p: Idempotent, q: Idempotent) -> _Evaluation:
         """The evaluation of (a, p, q) for other idempotents of the same size,
         sharing ||a||, col a and ker a with this one."""
-        return _Evaluation(self.a, p, q, self.tol, (self.na, self.col_a, self.ker_a))
+        return _Evaluation(self.a, p, q, self.tol, (self.na, self.col_a, self.ker_a, self.cut))
 
     @cached_property
     def _core(self):
@@ -375,18 +360,22 @@ class _Evaluation:
         where b exists."""
         return 1.0 / self.smin
 
+    @cached_property
+    def _certificate(self) -> Decision:
+        """The core margin against the cutoff of the certificate; read only
+        once the core is decomposed."""
+        return _decide(self.smin, _CORE_K * self.a.shape[0] * max(self.tol.tol_rank, _EPS) * max(self.na, 1.0), ">=")
+
     @property
     def _certified(self) -> bool:
         """Does the core margin prove trivial and direct_sum (see the class
         docstring)? Only a core that is decomposed already is read."""
-        if not (self.dims and "_core" in self.__dict__):
-            return False
-        return self.smin >= _CORE_K * self.a.shape[0] * max(self.tol.tol_rank, _EPS) * max(self.na, 1.0)
+        return self.dims and "_core" in self.__dict__ and self._certificate.truth
 
     @cached_property
-    def trivial(self) -> bool:
-        """Does ker a meet col p only at zero?"""
-        return self._certified or intersection_trivial(self.ker_a, self.p.range, self.tol)
+    def _trivial(self) -> Decision:
+        """Does ker a meet col p only at zero? (trivial is its truth)"""
+        return self._certificate if self._certified else _meet(self.ker_a, self.p.range, self.tol)
 
     @cached_property
     def _image(self) -> Subspace:
@@ -394,54 +383,74 @@ class _Evaluation:
         return map_subspace(self.a, self.p.range, self.tol)
 
     @cached_property
-    def direct_sum(self) -> bool:
+    def _direct_sum(self) -> Decision:
         """The outer test's direct sum: a col(p) + col(q) = C^n."""
-        return self._certified or direct_sum_is_all(self._image, self.q.range, self.tol)
+        return self._certificate if self._certified else _direct_sum(self._image, self.q.range, self.tol)
 
     @cached_property
-    def defect(self) -> int:
-        """How many dimensions col a and col q share: the rank defect of the
-        stacked bases [col a, col q], 0 when either is {0}. Their leading
-        singular value is at least 1, so the cutoff of _rank_from_sv is
-        never below tol_rank max(shape)."""
+    def _stacked(self):
+        """(how many dimensions col a and col q share: the rank defect of the
+        stacked bases [col a, col q], 0 when either is {0}; and the decision
+        that it is 0: whether the least stacked singular value clears the
+        rank cutoff, read where col a and col q have at most n dimensions
+        together, a count when either is {0}). Their leading singular value
+        is at least 1, so the cutoff is never below tol_rank max(shape)."""
         if self.col_a.dim == 0 or self.q.rank == 0:
-            return 0
+            return 0, _counted(True)
         stacked = np.hstack([self.col_a.basis, self.q.range.basis])
-        return stacked.shape[1] - _rank_from_sv(_singular_values(stacked), stacked.shape, self.tol)
+        sv = _singular_values(stacked)
+        cutoff = _rank_cutoff(sv, stacked.shape, self.tol)
+        return stacked.shape[1] - int(np.count_nonzero(sv > cutoff)), _decide(sv[-1], cutoff, ">")
 
     @cached_property
-    def trivial_q(self) -> bool:
+    def _trivial_q(self) -> Decision:
         """Does col a meet col q only at zero? Dimensions above n decide
         alone; otherwise the defect does."""
-        return self.col_a.dim + self.q.rank <= self.a.shape[0] and self.defect == 0
+        return self._stacked[1] if self.col_a.dim + self.q.rank <= self.a.shape[0] else _counted(False)
 
     @property
-    def direct_sum_l(self) -> bool:
+    def _direct_sum_l(self) -> Decision:
         """The inner-outer test's direct sum: col(a) + col(q) = C^n."""
-        return self.col_a.dim + self.q.rank == self.a.shape[0] and self.defect == 0
+        return self._stacked[1] if self.col_a.dim + self.q.rank == self.a.shape[0] else _counted(False)
+
+    # The verdicts of the tests, each the truth of its decision.
+    trivial, direct_sum = _truth("_trivial"), _truth("_direct_sum")
+    trivial_q, direct_sum_l = _truth("_trivial_q"), _truth("_direct_sum_l")
+
+    def _parts(self, l_mode: bool):
+        """The decisions of the outer (with l_mode the inner-outer) test in
+        their order, each worked out when it is reached. The core comes
+        first, so that its margin can settle the subspace tests; one that
+        overflowed is left for smin, so that the subspace tests raise their
+        error first."""
+        if self.dims and "_core" not in self.__dict__:
+            with suppress(np.linalg.LinAlgError):
+                self._core
+        dsum = self._direct_sum_l if l_mode else self._direct_sum
+        yield from (self._trivial, dsum, _counted(self.dims))
+        yield _decide(self.smin, self.tol.tol_inv * self.na, ">")
+
+    def _exists(self, l_mode: bool) -> Decision:
+        """exists as a decision (linalg._all of its parts), worked out once
+        per mode; a test that raises caches nothing."""
+        tests = self.__dict__.setdefault("_tests", {})
+        if l_mode not in tests:
+            tests[l_mode] = _all(self._parts(l_mode))
+        return tests[l_mode]
 
     def exists(self, l_mode: bool) -> bool:
-        """The outer (with l_mode the inner-outer) test. The core comes first,
-        so that its margin can settle the subspace tests; one that overflowed
-        is left for smin, so that the subspace tests raise their error first."""
-        if self.dims:
-            try:
-                self._core
-            except np.linalg.LinAlgError:
-                pass
-        dsum = self.direct_sum_l if l_mode else self.direct_sum
-        return self.trivial and dsum and self.dims and self.smin > self.tol.tol_inv * self.na
+        """The outer (with l_mode the inner-outer) test."""
+        return self._exists(l_mode).truth
 
-    def _inverse(self, b: np.ndarray) -> GInvResult:
-        """The GInvResult of b, solved from this evaluation."""
-        result = GInvResult(b, self.a, self.p, self.q, self.tol, self.na)
-        result._evaluation = self
-        return result
+    def _inner_outer_test(self) -> Decision:
+        """The decision on which inner_outer answers: the inner-outer test,
+        then a b a = a on _result."""
+        return _all(f() for f in (lambda: self._exists(l_mode=True), lambda: self._result._part("_aba_a")))
 
     @cached_property
     def _result(self) -> GInvResult:
         """b = U core^{-1} M0, the one solve of the core."""
-        return self._inverse(_solve(*self._core, self.tol))
+        return GInvResult(_solve(*self._core, self.tol), self.a, self.p, self.q, self.tol, self.na)
 
     def report(self, l_mode: bool) -> ExistenceReport:
         """The existence report; its certificate is the b of _result."""
@@ -462,7 +471,7 @@ class _Evaluation:
         if basis_seed is None:
             return self._result
         u, m0, core = _core_matrices(self.a, self.p, self.q, basis_seed)
-        return self._inverse(_solve(u, m0, core, _singular_values(core), self.tol))
+        return GInvResult(_solve(u, m0, core, _singular_values(core), self.tol), self.a, self.p, self.q, self.tol, self.na)
 
     @cached_property
     def outer(self) -> GInvResult:
@@ -508,12 +517,14 @@ def compute_outer_pql(a, p, q, tol: Tolerances = DEFAULT_TOL, *, basis_seed=None
 
 
 def _solved(a, p: Idempotent, q: Idempotent, tol: Tolerances, l_mode: bool = False, summary=None):
-    """The outer inverse for checked (a, p, q), or None when it does not exist;
-    with l_mode, also None when the inner-outer existence test fails."""
+    """The existence evaluation of checked (a, p, q) with its outer inverse
+    solved, or None when that does not exist; with l_mode, also None when
+    the inner-outer existence test fails."""
     e = _Evaluation(a, p, q, tol, summary)
     if not l_mode or e.exists(l_mode=True):
         with suppress(NotExists):
-            return e.outer
+            e.outer
+            return e
     return None
 
 
@@ -591,10 +602,10 @@ def inner_inverse(x, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 def build_witness(p, q, tol: Tolerances = DEFAULT_TOL) -> Witness:
     """A matrix w with col(w) = col(p) and null(w) = col(q).
 
-    Needs rank p + rank q = n. Constructed as U Q* from orthonormal bases
-    of col(p) and of col(q)'s orthogonal complement; canonical bases are
-    used so the witness is a function of the subspaces, not of SVD
-    conventions.
+    Needs rank p + rank q = n. Constructed as U M0 from the orthonormal
+    basis U of col(p) and the rows M0 of an orthonormal basis of col(q)'s
+    orthogonal complement, the bases of the core in compute_outer_pql. w
+    depends on these bases; its range and kernel do not.
     """
     p = _as_idempotent(p, tol)
     q = _as_idempotent(q, tol)
@@ -602,9 +613,7 @@ def build_witness(p, q, tol: Tolerances = DEFAULT_TOL) -> Witness:
         raise DimMismatch("idempotents live in different dimensions")
     if p.rank + q.rank != p.n:
         raise DimMismatch(f"rank p ({p.rank}) + rank q ({q.rank}) must equal n ({p.n})")
-    u = canonical_basis(p.range)
-    qb = canonical_basis(orthocomplement(q.range))
-    w = u @ qb.conj().T
+    w = p.range.basis @ orthocomplement(q.range).basis.conj().T
     return Witness(w=w, certified_range=p.range, certified_kernel=q.range)
 
 

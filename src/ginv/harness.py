@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import GenerationFailed, GinvError, InputError, NotComplementary
+from .errors import GenerationFailed, GinvError, InputError, NotComplementary, PerturbationTooLarge
 from .gen_inverse import _solved
 from .idempotents import _perturb_idempotent, _random_idempotent, idempotent_from_matrix, oblique
 from .linalg import DEFAULT_TOL, Tolerances, _integer, _number, spectral_norm
@@ -115,6 +115,8 @@ class TheoremStats:
     max_ratio: Optional[float] = None
     worst_margin: Optional[float] = None
     failures: list = field(default_factory=list)
+    # Section 2 ids: the reports whose closest call is within one decade
+    near_calls: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -147,12 +149,13 @@ def _rank_r_matrix(stream: RandomStream, n: int, r: int) -> np.ndarray:
     return stream.normal_matrix(n, r) @ stream.normal_matrix(r, n)
 
 
-# Each base family returns (a, p, q, base) or None for a rejected draw; base
-# is the inverse for (a, p, q), which keeps the existence evaluation that it
-# was solved from. Every idempotent is made by idempotent_from_matrix of its
-# matrix, the rule by which scenario_from_json decodes it, so a dumped
-# scenario replays bit for bit; the ValueError by which it rejects a matrix
-# that tol does not read as idempotent rejects the draw.
+# Each base family returns (a, p, q, e) or None for a rejected draw; e is
+# the existence evaluation of (a, p, q), with the base inverse e.outer
+# solved. Every idempotent is made by idempotent_from_matrix of its matrix,
+# the rule by which scenario_from_json decodes it, so a dumped scenario
+# replays bit for bit; the ValueError by which it rejects a matrix that tol
+# does not read as idempotent rejects the draw, as does the
+# PerturbationTooLarge of a skew that p cannot take.
 
 
 def _base_outer(stream, n, r, skew, tol):
@@ -160,8 +163,8 @@ def _base_outer(stream, n, r, skew, tol):
     a = stream.normal_matrix(n, n)
     p = _random_idempotent(n, r, skew, stream, tol)
     q = _random_idempotent(n, n - r, skew, stream, tol)
-    base = _solved(a, p, q, tol)
-    return None if base is None else (a, p, q, base)
+    e = _solved(a, p, q, tol)
+    return None if e is None else (a, p, q, e)
 
 
 def _base_outer_rank(stream, n, r, skew, tol):
@@ -169,10 +172,10 @@ def _base_outer_rank(stream, n, r, skew, tol):
     a = _rank_r_matrix(stream, n, r)
     p = _random_idempotent(n, r, skew, stream, tol)
     q = _random_idempotent(n, n - r, skew, stream, tol)
-    base = _solved(a, p, q, tol)
-    if base is None or not base._evaluation.direct_sum_l:
+    e = _solved(a, p, q, tol)
+    if e is None or not e.direct_sum_l:
         return None
-    return a, p, q, base
+    return a, p, q, e
 
 
 def _base_l_aligned(stream, n, r, skew, tol):
@@ -185,8 +188,8 @@ def _base_l_aligned(stream, n, r, skew, tol):
     except NotComplementary:
         return None
     p = _random_idempotent(n, r, skew, stream, tol)
-    base = _solved(a, p, q, tol, l_mode=True, summary=summary)
-    return None if base is None else (a, p, q, base)
+    e = _solved(a, p, q, tol, l_mode=True, summary=summary)
+    return None if e is None else (a, p, q, e)
 
 
 def _base_strict(stream, n, r, skew, tol):
@@ -207,10 +210,10 @@ def _base_strict(stream, n, r, skew, tol):
         q_m = eye - a0 @ b0
     p = idempotent_from_matrix(p_m, tol)
     q = idempotent_from_matrix(q_m, tol)
-    base = _solved(a, p, q, tol)
-    if base is None or not base._strict_12:
+    e = _solved(a, p, q, tol)
+    if e is None or not e.outer._strict_12:
         return None
-    return a, p, q, base
+    return a, p, q, e
 
 
 def _delta_direction(stream, cls, a, b, p, q):
@@ -351,13 +354,13 @@ def gen_scenario(config: EnsembleConfig, index: int, theorem: str, *, _memo=None
         reason = ""
         try:  # a ValueError (np.linalg.LinAlgError is one) rejects the draw
             drawn = _once(_memo, (family, attempt), stream, base_draw)
-        except ValueError as e:
+        except (ValueError, PerturbationTooLarge) as e:
             drawn, reason = None, f": {e}"
         if drawn is None:
             last = f"base family {family} rejected the draw (attempt {attempt}){reason}"
             continue
-        a, p, q, base = drawn
-        b, na, nb = base.b, base._evaluation.na, base._evaluation.nb
+        a, p, q, evaluation = drawn
+        b, na, nb = evaluation.outer.b, evaluation.na, evaluation.nb
         kap = na * nb
 
         p_prime = q_prime = None
@@ -384,7 +387,7 @@ def gen_scenario(config: EnsembleConfig, index: int, theorem: str, *, _memo=None
             except ValueError as e:  # the shift, or a plus the shift, overflowed
                 return f"shift rejected: {e}"
             # hand over the evaluation that base, its norms and kappa derive from, and the distances
-            scenario.__dict__.update(_evaluation=base._evaluation, **dists)
+            scenario.__dict__.update(_evaluation=evaluation, **dists)
             return scenario
 
         key = (family, attempt, cls, mag, cap, want_p, want_q, p_prime, q_prime, stream._state)
@@ -392,7 +395,7 @@ def gen_scenario(config: EnsembleConfig, index: int, theorem: str, *, _memo=None
         if isinstance(scenario, str):  # the reason the shift was rejected
             last = scenario
             continue
-        if theorem in _NEEDS_INVERTIBLE and not scenario._left_factor[0]:
+        if theorem in _NEEDS_INVERTIBLE and not scenario._left_factor[0].truth:
             last = "shift made the update factor singular"
             continue
         return scenario
@@ -453,7 +456,7 @@ def run_campaign(config: EnsembleConfig, on_report=None) -> CampaignReport:
     (base, moved idempotents) are made once.
     """
     t0 = time.perf_counter()
-    stats = {theorem: TheoremStats() for theorem in config.theorems}
+    stats = {theorem: TheoremStats(near_calls=None if theorem in _BOUND_IDS else 0) for theorem in config.theorems}
     for index in range(config.count):
         memo = {}
         for theorem, st in stats.items():
@@ -488,6 +491,7 @@ def run_campaign(config: EnsembleConfig, on_report=None) -> CampaignReport:
                 st.hypothesis_satisfied += 1
                 st.holds += 1 if report.ok else 0
                 st.consistent += 1 if report.ok else 0
+                st.near_calls += report.closest_call <= 1
             if not report.ok:
                 st.failures.append(
                     {

@@ -116,7 +116,7 @@ def idempotent_from_matrix(m, tol: Tolerances = DEFAULT_TOL) -> Idempotent:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValueError("idempotent must be square")
-    nm, rng, ker = _norm_range_kernel(a, tol)
+    nm, rng, ker, _ = _norm_range_kernel(a, tol)
     d = a @ a - a
     bound = tol.tol_eq * (1.0 + nm * nm)
     # The SVD runs only for a residual that the Frobenius test cannot clear.

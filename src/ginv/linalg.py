@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Optional
+from operator import attrgetter
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -162,14 +163,68 @@ def _singular_values(m: np.ndarray) -> np.ndarray:
     return np.linalg.svd(m, compute_uv=False)
 
 
-def _rank_from_sv(s: np.ndarray, shape, tol: Tolerances, scale: Optional[float] = None) -> int:
-    if s.size == 0:
-        return 0
+class Decision(NamedTuple):
+    """One numerical decision: its truth, the value compared, the cutoff it
+    was compared with, and the direction op of the comparison, so that truth
+    is value op cutoff. cutoff is None where a dimension count decided
+    exactly (see _counted)."""
+
+    truth: bool
+    value: float
+    cutoff: Optional[float]
+    op: str
+
+    @property
+    def distance(self) -> float:
+        """|log10(value / cutoff)|, the decades between the value and its
+        cutoff; inf for a count, and for a zero or infinite value or cutoff."""
+        v, c = self.value, self.cutoff
+        if c is None or not (0.0 < v < math.inf and 0.0 < c < math.inf):
+            return math.inf
+        return abs(math.log10(v) - math.log10(c))
+
+
+_by_distance = attrgetter("distance")
+
+
+def _decide(value, cutoff, op: str = "<=") -> Decision:
+    """The one rule by which a value is compared with its cutoff, op one of
+    "<=", "<", ">" and ">="."""
+    truth = value <= cutoff if op == "<=" else value < cutoff if op == "<" else value > cutoff if op == ">" else value >= cutoff
+    return Decision(bool(truth), value, cutoff, op)
+
+
+def _counted(truth: bool) -> Decision:
+    """A verdict that a dimension count decided exactly."""
+    return Decision(bool(truth), math.nan, None, "=")
+
+
+def _all(parts) -> Decision:
+    """A conjunction, as the part that carries its verdict: the first false
+    part (the parts after it are not taken, so a lazy parts leaves them
+    unevaluated), or, when every part holds, the one nearest its cutoff."""
+    held = []
+    for d in parts:
+        if not d.truth:
+            return d
+        held.append(d)
+    return min(held, key=_by_distance)
+
+
+def _rank_cutoff(s: np.ndarray, shape, tol: Tolerances, scale: Optional[float] = None) -> float:
+    """tol_rank max(shape) times sigma_max, or max(sigma_max, scale); s is nonempty."""
     ref = float(s[0]) if scale is None else max(float(s[0]), float(scale))
-    if ref == 0.0:
-        return 0
-    cutoff = tol.tol_rank * ref * max(shape)
-    return int(np.count_nonzero(s > cutoff))
+    return tol.tol_rank * ref * max(shape)
+
+
+def _rank_from_sv(s: np.ndarray, shape, tol: Tolerances, scale: Optional[float] = None) -> int:
+    return int(np.count_nonzero(s > _rank_cutoff(s, shape, tol, scale))) if s.size else 0
+
+
+def _cut(s: np.ndarray, r: int, cutoff: float) -> Decision:
+    """How a rank r was cut from the singular values s at cutoff: the
+    decision on the kept or dropped singular value nearest the cutoff."""
+    return min((_decide(s[i], cutoff, ">") for i in (r - 1, r) if 0 <= i < s.size), key=_by_distance)
 
 
 def rank(m, tol: Tolerances = DEFAULT_TOL, scale: Optional[float] = None) -> int:

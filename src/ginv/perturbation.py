@@ -16,7 +16,9 @@ inverse b with prescribed idempotents (p, q), and a perturbation:
 Equivalence suites return an EquivalenceReport whose conditions must all
 agree; one-directional results return an ImplicationReport; quantitative
 results return a BoundReport with the hypothesis flag, both sides of the
-inequality, and the margin.
+inequality, and the margin. Every verdict of the first two is a comparison
+of a value with a cutoff (linalg.Decision), and each such report names its
+closest call: how many decades its nearest decision lay from its cutoff.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .gen_inverse import (
     _Evaluation,
 )
 from .idempotents import Idempotent
-from .linalg import DEFAULT_TOL, Tolerances, _inverse_from_sv, _norm_low, _norm_within, _singular_values, as_matrix, identity, spectral_norm
+from .linalg import DEFAULT_TOL, Decision, Tolerances, _all, _by_distance, _decide, _inverse_from_sv, _norm_low, _norm_within, _singular_values, as_matrix, identity, spectral_norm
 from .subspaces import _gap_and_equal, _norm_range_kernel, _one_sided_gap, map_subspace
 
 __all__ = [
@@ -135,13 +137,15 @@ class Scenario:
         return _Evaluation(self.a_bar, self.p, self.q, self.tol)
 
     @property
-    def _stability(self):
-        """(is_stable, how many dimensions col a_bar and col q share)."""
-        return self._bar.trivial_q, float(self._bar.defect)
+    def _stable(self):
+        """The row of the condition that col a_bar meets col q only at zero
+        (see _equivalence): its decision, how many dimensions the two share,
+        and the rank decision of a_bar that it rests on."""
+        return "stable", self._bar._trivial_q, float(self._bar._stacked[0]), self._bar.cut()
 
     @cached_property
     def _image_p(self):
-        """(gap, equal) of a_bar col(p) against ker q."""
+        """(gap, equal as a decision) of a_bar col(p) against ker q."""
         return _gap_and_equal(self._bar._image, self.q.kernel, self.tol)
 
     @cached_property
@@ -158,19 +162,25 @@ class Scenario:
         out = []
         for norm, delta in sides:
             threshold = math.inf if norm == 0 else 1.0 / norm
-            out.append((delta < threshold - self.tol.tol_eq, {"delta": delta, "threshold": threshold}))
+            out.append((_decide(delta, threshold - self.tol.tol_eq, "<").truth, {"delta": delta, "threshold": threshold}))
         return tuple(out)
 
     def _update_vs(self, direct: np.ndarray):
-        """(||_updated - direct||, whether it is within the residual scale), direct an inverse of a_bar."""
+        """(||_updated - direct||, the decision that it is within the residual
+        scale), direct an inverse of a_bar."""
         dev = spectral_norm(self._updated - direct)
-        return dev, dev <= _res_scale(self._bar.na, spectral_norm(direct), self.tol)
+        return dev, _decide(dev, _res_scale(self._bar.na, spectral_norm(direct), self.tol))
 
     @cached_property
     def _update_vs_direct_l(self):
-        """_update_vs of compute_l(a_bar, p, q); _updated's error comes first."""
+        """_update_vs of compute_l(a_bar, p, q), or (NaN, the decision on
+        which compute_l failed) where it raises NotExists; _updated's error
+        comes first."""
         self._updated
-        return self._update_vs(self._bar.inner_outer.b)
+        try:
+            return self._update_vs(self._bar.inner_outer.b)
+        except NotExists:
+            return NAN, self._bar._inner_outer_test()
 
     @cached_property
     def _left_factor(self):
@@ -204,7 +214,7 @@ class Scenario:
     @property
     def norm_b(self) -> float:
         """The spectral norm of the base inverse."""
-        return self.base._evaluation.nb
+        return self._evaluation.nb
 
     @property
     def kappa(self) -> float:
@@ -218,16 +228,35 @@ class EquivalenceReport:
     conditions is an ordered tuple of (name, truth, residual); consistent
     means the truths all agree and every attached identity held (identities).
     aux carries extra diagnostics (deviations, margins).
+
+    decisions (linalg.Decision) starts with one per condition, the
+    comparison that decided it: for a condition made of parts (thm2.7 and
+    thm2.12 cond1, tm2.7, perturbed_exists) the part that carries its
+    verdict (linalg._all). After them come the decisions the conditions
+    rest on (the rank of a + delta_a under "stable") and those of the
+    identities. cutoffs lists the cutoff of each condition's decision, None
+    where a dimension count decided exactly; closest_call is the least
+    |log10(value / cutoff)| over all the decisions, inf when none has a
+    cutoff. Reports of the checkers always carry their decisions.
     """
 
     conditions: tuple
     identities: bool = True
     aux: dict = field(default_factory=dict)
+    decisions: tuple = ()
     kind: ClassVar[str] = "equiv"
 
     @cached_property
     def consistent(self) -> bool:
         return bool(self.identities) and len({truth for _, truth, _ in self.conditions}) == 1
+
+    @property
+    def cutoffs(self) -> tuple:
+        return tuple(d.cutoff for d in self.decisions[: len(self.conditions)])
+
+    @cached_property
+    def closest_call(self) -> float:
+        return min(map(_by_distance, self.decisions), default=math.inf)
 
     @property
     def ok(self) -> bool:
@@ -251,7 +280,9 @@ class ImplicationItem:
 
 @dataclass(frozen=True)
 class ImplicationReport:
-    """One-directional results: ok when no item has hyp true, concl false."""
+    """One-directional results: ok when no item has hyp true, concl false.
+    closest_call is the least |log10(delta / threshold)| over the items that
+    carry that pair in their data, inf when none does."""
 
     items: tuple
     kind: ClassVar[str] = "impl"
@@ -259,6 +290,10 @@ class ImplicationReport:
     @cached_property
     def ok(self) -> bool:
         return not any(it.violated for it in self.items)
+
+    @cached_property
+    def closest_call(self) -> float:
+        return min((_decide(it.data["delta"], it.data["threshold"], "<").distance for it in self.items if "threshold" in it.data), default=math.inf)
 
 
 @dataclass(frozen=True)
@@ -299,17 +334,28 @@ def _res_scale(a_bar_norm: float, b_norm: float, tol: Tolerances) -> float:
     return tol.tol_eq * (1.0 + a_bar_norm) * (1.0 + b_norm) ** 2
 
 
+def _equivalence(rows, identities=(), aux=None) -> EquivalenceReport:
+    """The report of rows (name, decision, residual, *the decisions it rests
+    on) and of the decisions of its identities, which must all hold."""
+    conditions = tuple([(name, d.truth, residual) for name, d, residual, *_ in rows])
+    decisions = tuple([row[1] for row in rows] + [d for row in rows for d in row[3:]]) + tuple(identities)
+    return EquivalenceReport(conditions, all(d.truth for d in identities), aux or {}, decisions)
+
+
 def is_stable(scenario: Scenario) -> bool:
     """Does col(a + delta_a) still meet col(q) only at zero?"""
     return scenario._bar.trivial_q
 
 
 def _factor(m, tol: Tolerances):
-    """(invertible, sigma_min, inverse or None) of a square m from one SVD,
-    with the singularity test of try_inverse."""
+    """(invertible, inverse or None) of a square m from one SVD, with the
+    singularity test of try_inverse; invertible is the decision that
+    sigma_min exceeds tol_inv sigma_max (a count for the 0 x 0 m, with
+    sigma_min inf)."""
     sv = _singular_values(m)
     inverse = _inverse_from_sv(m, sv, tol)
-    return inverse is not None, float(sv[-1]) if sv.size else math.inf, inverse
+    smin, cutoff = (float(sv[-1]), tol.tol_inv * sv[0]) if sv.size else (math.inf, None)
+    return Decision(inverse is not None, smin, cutoff, ">"), inverse
 
 
 def update_formula(b, delta_a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -333,12 +379,12 @@ def _update(b, d, right, left, tol: Tolerances, norm_b) -> np.ndarray:
     (left). The agreement test of the two forms grows with ||form1||, ||b||
     and ||d||, so the Frobenius test settles it at their lower bounds
     _norm_low when it can; norm_b() gives ||b|| to the exact test."""
-    if not right[0]:
+    if not right[0].truth:
         raise NotExists("1 + delta_a b is singular; the perturbed inverse does not exist")
-    if not left[0]:
+    if not left[0].truth:
         raise NotExists("1 + b delta_a is singular; the perturbed inverse does not exist")
-    form1 = b @ right[2]
-    diff = form1 - left[2] @ b
+    form1 = b @ right[1]
+    diff = form1 - left[1] @ b
 
     def lim(n1, nb, nd):
         return 10.0 * tol.tol_eq * (1.0 + n1) * (1.0 + nb) * (1.0 + nd)
@@ -360,21 +406,21 @@ def equivalence_thm24(scenario: Scenario) -> EquivalenceReport:
     the deviation is the third condition's residual.
     """
     s = scenario
-    ok_right, m_right, _ = s._right_factor
-    ok_left, m_left, _ = s._left_factor
-    exists = s._bar.exists(l_mode=False)
+    right, left = s._right_factor[0], s._left_factor[0]
+    exists = s._bar._exists(l_mode=False)
     aux = {"sigma_min_core": s._bar.smin}
     dev = NAN
-    identity_ok = True
-    if ok_right and ok_left and exists:
-        dev, identity_ok = s._update_vs(s._bar.outer.b)
+    identity = ()
+    if right.truth and left.truth and exists.truth:
+        dev, update = s._update_vs(s._bar.outer.b)
         aux["update_vs_direct"] = dev
-    conditions = (
-        ("one_plus_delta_b_invertible", ok_right, m_right),
-        ("one_plus_b_delta_invertible", ok_left, m_left),
+        identity = (update,)
+    rows = (
+        ("one_plus_delta_b_invertible", right, right.value),
+        ("one_plus_b_delta_invertible", left, left.value),
         ("perturbed_exists", exists, dev),
     )
-    return EquivalenceReport(conditions, identity_ok, aux)
+    return _equivalence(rows, identity, aux)
 
 
 def lemma26_f(scenario: Scenario):
@@ -387,24 +433,20 @@ def lemma26_f(scenario: Scenario):
     requires the two unconditional facts.
     """
     s = scenario
-    ok_left, _, inv_left = s._left_factor
-    if not ok_left:
+    left, inv_left = s._left_factor
+    if not left.truth:
         raise NotExists("1 + b delta_a is singular")
     f = inv_left @ (identity(s.n) - s.base.b @ s.a)
     # The rank of f can drop to 0 and the matrix is built from cancellation,
     # so its rank cutoff is anchored at max(||f||, 1), not at ||f|| alone.
-    nf, col_f, _ = _norm_range_kernel(f, s.tol)
+    nf, col_f = _norm_range_kernel(f, s.tol)[:2]
     idem_resid = spectral_norm(f @ f - f)
-    idem_ok = idem_resid <= s.tol.tol_eq * (1.0 + nf * nf)
+    idem = _decide(idem_resid, s.tol.tol_eq * (1.0 + nf * nf))
     g, equal = _gap_and_equal(s._bar.ker_a, col_f, s.tol)
-    subset_gap = g.delta_mn
-    subset_ok = subset_gap <= 10 * s.tol.tol_eq
-    conditions = (
-        ("kernel_of_perturbed_equals_range_f", equal, g.gap),
-        ("stable", *s._stability),
-    )
-    aux = {"f_idempotent_residual": idem_resid, "kernel_subset_gap": subset_gap}
-    return f, EquivalenceReport(conditions, idem_ok and subset_ok, aux)
+    subset = _decide(g.delta_mn, 10 * s.tol.tol_eq)
+    rows = (("kernel_of_perturbed_equals_range_f", equal, g.gap), s._stable)
+    aux = {"f_idempotent_residual": idem_resid, "kernel_subset_gap": g.delta_mn}
+    return f, _equivalence(rows, (idem, subset), aux)
 
 
 def equivalence_thm27(scenario: Scenario) -> EquivalenceReport:
@@ -421,40 +463,39 @@ def equivalence_thm27(scenario: Scenario) -> EquivalenceReport:
     w_class = GInvResult(s._updated, a_bar, s.p, s.q, s.tol, na_bar)
     # resid1 reads every residual that cond1 tests, so it goes first
     resid1 = max(w_class._bab_b, w_class._aba_a, w_class._gap_range, w_class._gap_kernel)
-    cond1 = w_class._outer_pql and w_class._l_inverse
+    cond1 = _all(w_class._part(name) for name in ("_bab_b", "_gap_range", "_gap_kernel", "_aba_a"))
     scale = _res_scale(na_bar, s.norm_b, s.tol)
     # _updated has raised unless both factors are invertible
     eye = identity(s.n)
-    resid3 = spectral_norm(a_bar @ s._left_factor[2] @ (eye - b @ s.a))
-    resid4 = spectral_norm((eye - s.a @ b) @ s._right_factor[2] @ a_bar)
-    conditions = (
+    resid3 = spectral_norm(a_bar @ s._left_factor[1] @ (eye - b @ s.a))
+    resid4 = spectral_norm((eye - s.a @ b) @ s._right_factor[1] @ a_bar)
+    rows = (
         ("update_is_inner_outer_for_perturbed", cond1, resid1),
-        ("stable", *s._stability),
-        ("a_bar_annihilates_left_factor", resid3 <= scale, resid3),
-        ("a_bar_annihilated_right_factor", resid4 <= scale, resid4),
+        s._stable,
+        ("a_bar_annihilates_left_factor", _decide(resid3, scale), resid3),
+        ("a_bar_annihilated_right_factor", _decide(resid4, scale), resid4),
     )
-    return EquivalenceReport(conditions)
+    return _equivalence(rows)
 
 
 def equivalence_cor28(scenario: Scenario) -> EquivalenceReport:
     """Stability versus the two mapped-subspace identities of the update factors."""
     s = scenario
     b = s.base.b
-    ok_left, _, inv_left = s._left_factor
-    ok_right, _, inv_right = s._right_factor
-    if not (ok_left and ok_right):
+    (left, inv_left), (right, inv_right) = s._left_factor, s._right_factor
+    if not (left.truth and right.truth):
         raise NotExists("update factor is singular")
     col_bar, ker_bar = s._bar.col_a, s._bar.ker_a
     ker_ba = _norm_range_kernel(b @ s.a, s.tol)[2]
     kernel_gap, cond2 = _gap_and_equal(map_subspace(inv_left, ker_ba, s.tol), ker_bar, s.tol)
     col_ab = _norm_range_kernel(s.a @ b, s.tol)[1]
     range_gap, cond3 = _gap_and_equal(map_subspace(inv_right, col_bar, s.tol), col_ab, s.tol)
-    conditions = (
-        ("stable", *s._stability),
+    rows = (
+        s._stable,
         ("mapped_kernel_matches", cond2, kernel_gap.gap),
         ("mapped_range_matches", cond3, range_gap.gap),
     )
-    return EquivalenceReport(conditions)
+    return _equivalence(rows)
 
 
 def equivalence_thm_tm27(scenario: Scenario) -> EquivalenceReport:
@@ -469,28 +510,22 @@ def equivalence_thm_tm27(scenario: Scenario) -> EquivalenceReport:
     """
     s = scenario
     s._evaluation.inner_outer  # the base must be an inner-outer inverse
-    ok_left, margin_left, _ = s._left_factor
+    left = s._left_factor[0]
     range_gap, range_matches = _gap_and_equal(s._bar.col_a, s.q.kernel, s.tol)
-    formula_ok = False
-    dev = NAN
-    if ok_left:
-        s._updated  # a singular right factor raises here, outside the try
-        try:
-            dev, formula_ok = s._update_vs_direct_l
-        except NotExists:
-            formula_ok = False
-    cond1 = ok_left and range_matches and formula_ok
-    aux = {"update_factor_margin": margin_left, "range_vs_kernel_q_gap": range_gap.gap, "update_vs_direct": dev}
+    # a singular right factor raises in _updated; formula is read only when left holds
+    dev, formula = s._update_vs_direct_l if left.truth else (NAN, None)
+    cond1 = _all((left, range_matches, formula))
+    aux = {"update_factor_margin": left.value, "range_vs_kernel_q_gap": range_gap.gap, "update_vs_direct": dev}
 
     image_gap, image_matches = s._image_p
-    cond2 = s._bar.trivial_q and s._bar.trivial and image_matches
+    cond2 = _all(f() for f in (lambda: s._bar._trivial_q, lambda: s._bar._trivial, lambda: image_matches))
     aux["image_vs_kernel_q_gap"] = image_gap.gap
 
-    conditions = (
+    rows = (
         ("update_valid_and_range_matches", cond1, range_gap.gap),
         ("stable_trivial_and_image_matches", cond2, image_gap.gap),
     )
-    return EquivalenceReport(conditions, aux=aux)
+    return _equivalence(rows, aux=aux)
 
 
 def gap_sufficient_lemma210(scenario: Scenario) -> ImplicationReport:
@@ -521,15 +556,16 @@ def cor_lemas1(scenario: Scenario) -> ImplicationReport:
     """
     s = scenario
     (hyp_range, _), (hyp_kernel, _) = s._gap_hypotheses
-    hyp_i = hyp_range and hyp_kernel and s._image_p[1]
-    hyp_ii = s._left_factor[0] and hyp_range
+    hyp_i = hyp_range and hyp_kernel and s._image_p[1].truth
+    hyp_ii = s._left_factor[0].truth and hyp_range
 
     conclusion = False
     dev = NAN
     if hyp_i or hyp_ii:
         try:
-            dev, conclusion = s._update_vs_direct_l
-        except NotExists:
+            dev, update = s._update_vs_direct_l
+            conclusion = update.truth
+        except NotExists:  # a singular factor in _updated
             conclusion = False
     data = {"update_vs_direct": dev}
     items = (
@@ -554,7 +590,7 @@ def equivalence_thm212(scenario: Scenario) -> EquivalenceReport:
             "the base inverse is not strict for (p, q): "
             f"||ba - p|| = {base._ba_p:.3e}, ||1-ab-q|| = {base._one_ab_q:.3e}"
         )
-    if not s._left_factor[0]:
+    if not s._left_factor[0].truth:
         raise NotExists("1 + b delta_a is singular")
     b = base.b
     a_bar = s.a_bar
@@ -562,24 +598,22 @@ def equivalence_thm212(scenario: Scenario) -> EquivalenceReport:
     scale = _res_scale(na_bar, s.norm_b, s.tol)
 
     w_class = GInvResult(s._updated, a_bar, s.p, s.q, s.tol, na_bar)
-    # resid1 reads every residual that cond1 tests, so it goes first
+    # resid1 reads the algebraic residuals that cond1 tests, so it goes first
     resid1 = max(w_class._bab_b, w_class._ba_p, w_class._one_ab_q)
-    cond1 = w_class._outer_pql and w_class._strict_pq
+    cond1 = _all(w_class._part(name) for name in ("_bab_b", "_gap_range", "_gap_kernel", "_ba_p", "_one_ab_q"))
 
     one_minus_q = identity(s.n) - s.q.m
     resid2 = spectral_norm(a_bar @ s.p.m - one_minus_q @ a_bar)
-    cond2 = resid2 <= scale
 
     resid3a = spectral_norm(a_bar @ b - one_minus_q @ a_bar @ b)
     resid3b = spectral_norm(b @ a_bar - b @ a_bar @ s.p.m)
-    cond3 = resid3a <= scale and resid3b <= scale
 
-    conditions = (
+    rows = (
         ("update_is_strict_inverse_of_perturbed", cond1, resid1),
-        ("swap_identity", cond2, resid2),
-        ("one_sided_product_identities", cond3, max(resid3a, resid3b)),
+        ("swap_identity", _decide(resid2, scale), resid2),
+        ("one_sided_product_identities", _all((_decide(resid3a, scale), _decide(resid3b, scale))), max(resid3a, resid3b)),
     )
-    return EquivalenceReport(conditions)
+    return _equivalence(rows)
 
 
 def _thresholds(kap: float, moves_p: bool, scale: float = 1.0):
@@ -612,10 +646,11 @@ def _bound(theorem, s: Scenario, moves_p: bool, moves_q: bool, moves_a: bool = F
     and q_prime. Unless moves_a, the bound is on the relative change of the
     inverse; with moves_a the matrix moves by delta_a too and it is on the
     absolute change. The norm bound for the new inverse goes to aux. When the
-    new inverse exists, extra(aux, s, new, scale) adds the theorem's own
+    new inverse exists, extra(aux, s, e, scale) adds the theorem's own
     diagnostics to aux and says whether its own part of the statement held;
-    scale is the residual scale of its identities, _res_scale at ||a|| and
-    the larger of ||b|| and ||b'||, b' the new inverse.
+    e is the existence evaluation that the new inverse e.outer was solved
+    from, and scale the residual scale of its identities, _res_scale at
+    ||a|| and the larger of ||b|| and ||b'||, b' the new inverse.
     """
     p_new = _need(s, "p_prime") if moves_p else None
     q_new = _need(s, "q_prime") if moves_q else None
@@ -654,9 +689,10 @@ def _bound(theorem, s: Scenario, moves_p: bool, moves_q: bool, moves_a: bool = F
             norm_rhs = (1.0 + dq) * nb / denom_full
     p2 = s.p if p_new is None else p_new
     q2 = s.q if q_new is None else q_new
+    # the new inverse starts from the decomposition of a_bar, the base's when a is kept
+    e = (s._bar if moves_a else s._evaluation).moved(p2, q2)
     try:
-        # the new inverse starts from the decomposition of a_bar, the base's when a is kept
-        new = (s._bar if moves_a else s._evaluation).moved(p2, q2).outer
+        new = e.outer
     except NotExists:
         aux["exists"] = 0.0
         return BoundReport(theorem, s.n, kap, True, math.inf, rhs, -math.inf, False, aux)
@@ -664,10 +700,10 @@ def _bound(theorem, s: Scenario, moves_p: bool, moves_q: bool, moves_a: bool = F
     lhs = spectral_norm(new.b - b)
     if not moves_a:  # the change relative to ||b||
         lhs = lhs / nb if nb else (0.0 if lhs == 0.0 else math.inf)
-    norm_lhs = new._evaluation.nb
+    norm_lhs = e.nb
     aux.update(norm_lhs=norm_lhs, norm_rhs=norm_rhs)
     holds = lhs <= rhs + tol.tol_eq and norm_lhs <= norm_rhs + tol.tol_eq
-    if extra is not None and not extra(aux, s, new, _res_scale(s.norm_a, max(nb, norm_lhs), tol)):
+    if extra is not None and not extra(aux, s, e, _res_scale(s.norm_a, max(nb, norm_lhs), tol)):
         holds = False
     return BoundReport(theorem, s.n, kap, True, lhs, rhs, rhs - lhs, holds, aux)
 
@@ -678,7 +714,7 @@ def _factored_group(f, g, gf) -> np.ndarray:
     return f @ np.linalg.solve(gf, np.linalg.solve(gf, g))
 
 
-def _witness_representations(aux, s: Scenario, new, scale: float) -> bool:
+def _witness_representations(aux, s: Scenario, e: _Evaluation, scale: float) -> bool:
     """The witness representation of the new inverse when the kernel side
     moves; its deviation goes to aux, and the result says if it is in scale.
 
@@ -691,9 +727,9 @@ def _witness_representations(aux, s: Scenario, new, scale: float) -> bool:
     """
     a, b = s.a, s.base.b
     u, m0 = s._evaluation._core[:2]
-    _, m0_new, core_new = new._evaluation._core[:3]
+    _, m0_new, core_new = e._core[:3]
     rep = b + b @ _factored_group(a @ u, m0_new, core_new) @ a @ (u @ m0_new - u @ m0) @ (identity(s.n) - a @ b)
-    aux["representation_deviation"] = spectral_norm(rep - new.b)
+    aux["representation_deviation"] = spectral_norm(rep - e.outer.b)
     return aux["representation_deviation"] <= scale
 
 
@@ -719,15 +755,16 @@ def _cor_12(s: Scenario, moves_p: bool, moves_q: bool) -> BoundReport:
             "these variants need b a = p and 1 - a b = q exactly"
         )
 
-    def strict_new(aux, s, new, scale):
+    def strict_new(aux, s, e, scale):
+        new = e.outer
         strict_ok = new._strict_12
         aux["new_inverse_strict"] = 1.0 if strict_ok else 0.0
         if moves_p:
             return strict_ok
-        rep_ok = _witness_representations(aux, s, new, scale)
+        rep_ok = _witness_representations(aux, s, e, scale)
         b = s.base.b
         # a new.b = F G with F = a U and G = core'^-1 M0' of the new core
-        u, m0_new, core_new = new._evaluation._core[:3]
+        u, m0_new, core_new = e._core[:3]
         f, g = a @ u, np.linalg.solve(core_new, m0_new)
         rep = b + b @ _factored_group(f, g, g @ f) @ a @ (new.b - b) @ s.q.m
         aux["group_rep_deviation"] = spectral_norm(rep - new.b)

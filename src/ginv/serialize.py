@@ -266,6 +266,8 @@ def gap_result_to_json(g) -> dict:
 def equivalence_report_to_json(r) -> dict:
     return {
         "conditions": [[name, bool(truth), _enc_float(res)] for name, truth, res in r.conditions],
+        "cutoffs": [None if c is None else _enc_float(c) for c in r.cutoffs],
+        "closest_call": _enc_float(r.closest_call),
         "consistent": r.consistent,
         "aux": {k: _enc_float(v) for k, v in r.aux.items()},
     }
@@ -282,6 +284,7 @@ def implication_report_to_json(r) -> dict:
             }
             for it in r.items
         ],
+        "closest_call": _enc_float(r.closest_call),
         "ok": r.ok,
     }
 
@@ -323,6 +326,7 @@ def campaign_report_to_json(r) -> dict:
             "max_ratio": _enc_float(st.max_ratio) if st.max_ratio is not None else None,
             "worst_margin": _enc_float(st.worst_margin) if st.worst_margin is not None else None,
             "failures": list(st.failures),
+            "near_calls": st.near_calls,
         }
     return {
         "seed": r.seed,

@@ -11,11 +11,12 @@ is what `gap` evaluates, on the orthonormal bases of the two spaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import MismatchedAmbient
-from .linalg import DEFAULT_TOL, Tolerances, _norm_within, _rank_from_sv, as_matrix, null_basis, orth_basis, rank, spectral_norm
+from .linalg import DEFAULT_TOL, Decision, Tolerances, _counted, _cut, _decide, _norm_within, _rank_cutoff, _singular_values, as_matrix, null_basis, orth_basis, spectral_norm
 
 __all__ = [
     "Subspace",
@@ -26,7 +27,6 @@ __all__ = [
     "range_of",
     "kernel_of",
     "orthocomplement",
-    "canonical_basis",
     "gap",
     "intersection_trivial",
     "direct_sum_is_all",
@@ -116,11 +116,15 @@ def kernel_of(m, tol: Tolerances = DEFAULT_TOL, scale=None) -> Subspace:
 
 
 def _norm_range_kernel(m, tol: Tolerances = DEFAULT_TOL):
-    """(||m||, range_of(m), kernel_of(m)) from one full SVD.
+    """(||m||, range_of(m), kernel_of(m), how the rank was cut) from one full
+    SVD.
 
     The rank cutoff is the one range_of and kernel_of use with
-    scale = max(||m||, 1). The norm is the leading singular value of the full
-    decomposition, which may differ from spectral_norm(m) in the last bits.
+    scale = max(||m||, 1); the last entry is a function that gives the
+    decision on the singular value nearest it (linalg._cut), or a count for
+    an empty m, worked out only for the few callers that read it. The norm is
+    the leading singular value of the full decomposition, which may differ
+    from spectral_norm(m) in the last bits.
     The complete factors hold the orthogonal complements too, u[:, r:] of the
     range and the first r rows of vh of the kernel, so both come primed for
     orthocomplement.
@@ -128,14 +132,15 @@ def _norm_range_kernel(m, tol: Tolerances = DEFAULT_TOL):
     a = as_matrix(m)
     rows, cols = a.shape
     if a.size == 0:
-        return 0.0, zero_subspace(rows), full_subspace(cols)
+        return 0.0, zero_subspace(rows), full_subspace(cols), partial(_counted, True)
     u, s, vh = np.linalg.svd(a)
     nm = float(s[0])
-    r = _rank_from_sv(s, a.shape, tol, max(nm, 1.0))
+    cutoff = _rank_cutoff(s, a.shape, tol, max(nm, 1.0))
+    r = int(np.count_nonzero(s > cutoff))
     rng, ker = _orthonormal(rows, u[:, :r]), _orthonormal(cols, vh[r:, :].conj().T)
     rng.__dict__["_complement"] = _orthonormal(rows, u[:, r:])
     ker.__dict__["_complement"] = _orthonormal(cols, vh[:r, :].conj().T)
-    return nm, rng, ker
+    return nm, rng, ker, partial(_cut, s, r, cutoff)
 
 
 def orthocomplement(s: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
@@ -153,48 +158,6 @@ def orthocomplement(s: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
         n = s.ambient_dim
         memo["_complement"] = full_subspace(n) if s.dim == 0 else _orthonormal(n, null_basis(s.basis.conj().T, tol))
     return memo["_complement"]
-
-
-def canonical_basis(s: Subspace) -> np.ndarray:
-    """Deterministic orthonormal basis pinned by the subspace alone.
-
-    The .basis attribute inherits whatever sign and ordering conventions the
-    SVD happens to use. This one does not: it orthonormalizes the columns of
-    the hermitian projector greedily, always taking the column with the
-    largest remaining component (first such column on ties). On coordinate
-    subspaces it returns the coordinate vectors in index order. It is worked
-    out once per subspace and kept on it in one slot, as orthocomplement
-    keeps the complement, so the array returned is read-only; copy it to
-    change it. As the projector pins it, a complement primed from an SVD and
-    one computed by orthocomplement give the same canonical basis up to
-    roundoff.
-    """
-    memo = s.__dict__
-    if "_canonical" not in memo:
-        basis = _canonical_basis(s)
-        basis.flags.writeable = False
-        memo["_canonical"] = basis
-    return memo["_canonical"]
-
-
-def _canonical_basis(s: Subspace) -> np.ndarray:
-    n, r = s.ambient_dim, s.dim
-    if r == 0:
-        return np.zeros((n, 0), dtype=complex)
-    work = s.projector()
-    picked = []
-    for _ in range(r):
-        norms = np.linalg.norm(work, axis=0)
-        j = int(np.argmax(norms))
-        if norms[j] < 1e-10:
-            raise np.linalg.LinAlgError("projector columns degenerate; cannot canonicalize")
-        v = work[:, j] / norms[j]
-        for u in picked:
-            v = v - u * (u.conj() @ v)
-        v = v / np.linalg.norm(v)
-        picked.append(v)
-        work = work - np.outer(v, v.conj() @ work)
-    return np.column_stack(picked)
 
 
 def _check_ambient(m: Subspace, n: Subspace):
@@ -233,19 +196,31 @@ def _one_sided_gap(ba: np.ndarray, bb: np.ndarray) -> float:
 
 def intersection_trivial(m: Subspace, n: Subspace, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when the subspaces meet only at 0, decided by a stacked-basis rank."""
+    return _meet(m, n, tol).truth
+
+
+def _meet(m: Subspace, n: Subspace, tol: Tolerances) -> Decision:
+    """intersection_trivial as a decision: a count when a subspace is {0} or
+    the dimensions exceed n; else whether the least singular value of the
+    stacked bases clears the rank cutoff, which is when their rank is full."""
     _check_ambient(m, n)
-    if m.dim == 0 or n.dim == 0:
-        return True
-    if m.dim + n.dim > m.ambient_dim:
-        return False
-    stacked = np.hstack([m.basis, n.basis])
-    return rank(stacked, tol) == m.dim + n.dim
+    if m.dim == 0 or n.dim == 0 or m.dim + n.dim > m.ambient_dim:
+        return _counted(m.dim == 0 or n.dim == 0)
+    stacked = as_matrix(np.hstack([m.basis, n.basis]))
+    sv = _singular_values(stacked)
+    return _decide(sv[-1], _rank_cutoff(sv, stacked.shape, tol), ">")
 
 
 def direct_sum_is_all(m: Subspace, n: Subspace, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when M + N = C^n and the sum is direct."""
+    return _direct_sum(m, n, tol).truth
+
+
+def _direct_sum(m: Subspace, n: Subspace, tol: Tolerances) -> Decision:
+    """direct_sum_is_all as a decision: a count unless the dimensions add up
+    to n, then _meet."""
     _check_ambient(m, n)
-    return m.dim + n.dim == m.ambient_dim and intersection_trivial(m, n, tol)
+    return _meet(m, n, tol) if m.dim + n.dim == m.ambient_dim else _counted(False)
 
 
 def map_subspace(m, s: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
@@ -261,10 +236,12 @@ def map_subspace(m, s: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
 def subspaces_equal(m: Subspace, n: Subspace, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Basis-independent equality: the symmetric gap is below 10 * tol_eq."""
     _check_ambient(m, n)
-    return m.dim == n.dim and _gap_and_equal(m, n, tol)[1]
+    return m.dim == n.dim and _gap_and_equal(m, n, tol)[1].truth
 
 
 def _gap_and_equal(m: Subspace, n: Subspace, tol: Tolerances = DEFAULT_TOL):
-    """(gap(m, n), subspaces_equal(m, n)) from one gap evaluation."""
+    """(gap(m, n), subspaces_equal(m, n) as a decision) from one gap
+    evaluation: a count when the dimensions differ, else the gap against
+    10 tol_eq."""
     g = gap(m, n)
-    return g, m.dim == n.dim and g.gap <= 10 * tol.tol_eq
+    return g, _decide(g.gap, 10 * tol.tol_eq) if m.dim == n.dim else _counted(False)

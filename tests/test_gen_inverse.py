@@ -1,5 +1,6 @@
 """Prescribed-subspace inverses: existence, computation, representations."""
 
+import gc
 from collections import Counter
 
 import numpy as np
@@ -144,6 +145,22 @@ def _outcome(solve):
         return solve(), None
     except (NotExists, IllConditioned) as e:
         return None, (type(e), str(e))
+
+
+def test_requests_leave_nothing_for_the_cyclic_collector():
+    # an evaluation holds its result, and the result holds no reference back,
+    # so what a request builds is freed as soon as the call returns
+    draws = [draw_solvable(seed, n_lo=6, n_hi=6) for seed in range(10)]
+    gc.collect()
+    gc.disable()
+    try:
+        for a, p, q in draws:
+            exists_outer_pql(a, p, q)
+        for a, p, q in draws:
+            compute_outer_pql(a, p, q)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_public_solvers_agree_bit_for_bit_on_a_seeded_grid():

@@ -253,6 +253,26 @@ def test_a_move_that_the_tolerance_rejects_is_a_rejected_draw(monkeypatch):
         assert [f["error"] for f in st.failures] == [f"GenerationFailed: no scenario after 64 attempts: {reason}"]
 
 
+def test_a_base_draw_that_the_skew_makes_impossible_is_retried():
+    # at skew 1e9 about half the drawn p cannot keep their rank; each such
+    # draw is rejected with its reason and the index draws again
+    report = run_campaign(EnsembleConfig(skew=1e9, count=10, seed=1, theorems=("thm2.4",)))
+    st = report.stats["thm2.4"]
+    assert st.instances == 10 and not any("PerturbationTooLarge" in f["error"] for f in st.failures)
+    assert st.failures == [] and st.consistent == 10
+
+
+def test_a_base_draw_that_raises_perturbation_too_large_keeps_its_reason(monkeypatch):
+    def too_extreme(*args, **kw):
+        raise PerturbationTooLarge("skew 1e9 is too extreme for p to keep rank 1")
+
+    monkeypatch.setattr(harness, "_random_idempotent", too_extreme)
+    st = run_campaign(small_config(theorems=("thm2.4",), count=1)).stats["thm2.4"]
+    [failure] = st.failures
+    assert failure["error"].startswith("GenerationFailed: no scenario after 64 attempts: base family outer rejected the draw")
+    assert failure["error"].endswith(": skew 1e9 is too extreme for p to keep rank 1")
+
+
 def test_a_campaign_at_a_tolerance_that_rejects_some_draws_retries_them():
     config = EnsembleConfig(n_range=(2, 4), count=3, seed=1, theorems=("thm3.4",), tolerances=Tolerances(tol_eq=1e-16))
     assert run_campaign(config).stats["thm3.4"].instances == 3

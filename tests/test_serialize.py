@@ -228,11 +228,12 @@ def test_result_and_report_shapes():
 
     s = diag_scenario(delta=np.diag([0.1, 0.0, 0.0]).astype(complex))
     eq = equivalence_report_to_json(equivalence_thm24(s))
-    assert set(eq) == {"conditions", "consistent", "aux"}
+    assert set(eq) == {"conditions", "cutoffs", "closest_call", "consistent", "aux"}
     assert all(len(c) == 3 for c in eq["conditions"])
+    assert len(eq["cutoffs"]) == len(eq["conditions"])
 
     imp = implication_report_to_json(gap_sufficient_lemma210(s))
-    assert set(imp) == {"items", "ok"}
+    assert set(imp) == {"items", "closest_call", "ok"}
     assert set(imp["items"][0]) == {"name", "hypothesis", "conclusion", "data"}
 
     b = bound_report_to_json(bound_thm34(a, p, q, perturb_idempotent(p, 0.05, seed=1)))
@@ -265,8 +266,10 @@ def test_campaign_report_shape():
         "max_ratio",
         "worst_margin",
         "failures",
+        "near_calls",
     }
     assert st["instances"] == 1
+    assert st["near_calls"] is None  # a bound id
 
 
 def test_csv_rows_parse_back():

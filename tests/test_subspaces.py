@@ -14,7 +14,6 @@ from ginv.randomstream import RandomStream
 from ginv.subspaces import (
     Subspace,
     _one_sided_gap,
-    canonical_basis,
     direct_sum_is_all,
     full_subspace,
     gap,
@@ -232,23 +231,6 @@ def test_orthocomplement():
     assert spectral_norm(c.basis.conj().T @ np.array([[1.0], [0.0], [0.0]])) <= 1e-14
     assert orthocomplement(zero_subspace(3)).dim == 3
     assert orthocomplement(full_subspace(3)).dim == 0
-
-
-def test_canonical_basis_is_convention_free():
-    stream = RandomStream(19)
-    m = random_subspace(stream, 5, 3)
-    # same subspace presented through a rotated basis
-    rot = stream.normal_matrix(3, 3)
-    u, _ = np.linalg.qr(rot)
-    m2 = Subspace(5, m.basis @ u)
-    assert spectral_norm(canonical_basis(m) - canonical_basis(m2)) <= 1e-12
-
-
-def test_canonical_basis_on_coordinate_subspace():
-    s = span([0, 0, 1], [1, 0, 0])
-    cb = canonical_basis(s)
-    expected = np.array([[1, 0], [0, 0], [0, 1]], dtype=complex)
-    assert spectral_norm(cb - expected) <= 1e-12
 
 
 def test_subspaces_equal_rotated_basis():

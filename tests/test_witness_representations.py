@@ -1,9 +1,10 @@
 """The witness representations of thm3.6 and cor3.12 are built from the
 cores of the bound check's own evaluations, and their deviations decide
-part of holds. The route they replaced stays here as the reference:
-canonical witnesses from build_witness with the SVD-based (1,5)-inverse,
-and the group inverse of a new.b from group_inverse. Both routes must give
-the same report up to the roundoff of the deviations they measure.
+part of holds. The route they replaced stays here as the reference (the
+canonical route): witnesses from build_witness with the SVD-based
+(1,5)-inverse, and the group inverse of a new.b from group_inverse. Both
+routes must give the same report up to the roundoff of the deviations they
+measure.
 
 The literal reading of the alternative witness convention, v = Q' M0 with
 Q' a basis of col q', was dropped from the checks: on a rational instance
@@ -38,27 +39,28 @@ from conftest import draw_solvable
 DEVIATIONS = ("representation_deviation", "group_rep_deviation")
 
 
-def _canonical_witness_representations(aux, s, new, scale):
-    """_witness_representations through canonical witnesses and an SVD-based
-    (1,5)-inverse."""
+def _canonical_witness_representations(aux, s, e, scale):
+    """_witness_representations through the witnesses of build_witness and
+    an SVD-based (1,5)-inverse; e.outer is the new inverse."""
     a, b, p, tol = s.a, s.base.b, s.p, s.tol
     eye = np.eye(s.n, dtype=complex)
     try:
         w = build_witness(p, s.q, tol).w
         v = build_witness(p, s.q_prime, tol).w
         rep = b + b @ one_five_inverse(a @ v, tol) @ a @ (v - w) @ (eye - a @ b)
-        aux["representation_deviation"] = spectral_norm(rep - new.b)
+        aux["representation_deviation"] = spectral_norm(rep - e.outer.b)
     except (NotExists, DimMismatch):
         aux["representation_deviation"] = math.inf
     return aux["representation_deviation"] <= scale
 
 
-def _canonical_strict_new(aux, s, new, scale):
+def _canonical_strict_new(aux, s, e, scale):
     """cor3.12's part of the statement, with the group inverse of a new.b
     from group_inverse."""
+    new = e.outer
     strict_ok = new._strict_12
     aux["new_inverse_strict"] = 1.0 if strict_ok else 0.0
-    rep_ok = _canonical_witness_representations(aux, s, new, scale)
+    rep_ok = _canonical_witness_representations(aux, s, e, scale)
     a, b = s.a, s.base.b
     try:
         rep = b + b @ group_inverse(a @ new.b, s.tol) @ a @ (new.b - b) @ s.q.m
@@ -194,8 +196,8 @@ def test_the_literal_reading_misses_the_new_inverse_in_exact_arithmetic():
     miss = represent(q_basis @ m0, a @ q_basis, m0) - b_new
     assert miss == ExactMatrix.from_strings([["0", "0"], ["-1/8", "1/4"]])
 
-    # in floating point the literal reading, on canonical witnesses as the
-    # checks once evaluated it, misses by the same sqrt(5)/8
+    # in floating point the literal reading, on the witnesses of build_witness
+    # as the checks once evaluated it, misses by the same sqrt(5)/8
     af, bf = a.to_complex(), b.to_complex()
     pf, qf, q_prime_f = (idempotent_from_matrix(m.to_complex()) for m in (p, q, q_prime))
     w, v = build_witness(pf, qf).w, build_witness(q_prime_f, qf).w
