@@ -37,7 +37,7 @@ from .errors import (
 )
 from .exact import ExactMatrix
 from .idempotents import Idempotent, idempotent_from_matrix
-from .linalg import _EPS, DEFAULT_TOL, Decision, Tolerances, _all, _counted, _decide, _inverse_from_sv, _norm_low, _norm_within, _rank_cutoff, _rank_from_sv, _singular_values, as_matrix, spectral_norm, try_inverse
+from .linalg import _EPS, DEFAULT_TOL, Decision, Tolerances, _all, _counted, _decide, _inverse_from_sv, _norm_low, _norm_within, _rank_cutoff, _rank_from_sv, _singular_values, _taken, as_matrix, spectral_norm, try_inverse
 from .randomstream import RandomStream
 from .subspaces import Subspace, _direct_sum, _meet, _norm_range_kernel, direct_sum_is_all, gap, intersection_trivial, map_subspace, orthocomplement
 
@@ -332,13 +332,16 @@ class _Evaluation:
 
     def __init__(self, a, p: Idempotent, q: Idempotent, tol: Tolerances, summary=None):
         self.a, self.p, self.q, self.tol = a, p, q, tol
-        self.na, self.col_a, self.ker_a, self.cut = _norm_range_kernel(a, tol) if summary is None else summary
+        self.na, self.col_a, self.ker_a, self._cutter = _norm_range_kernel(a, tol) if summary is None else summary
         self.dims = p.rank + q.rank == a.shape[0]
 
     def moved(self, p: Idempotent, q: Idempotent) -> _Evaluation:
         """The evaluation of (a, p, q) for other idempotents of the same size,
         sharing ||a||, col a and ker a with this one."""
-        return _Evaluation(self.a, p, q, self.tol, (self.na, self.col_a, self.ker_a, self.cut))
+        return _Evaluation(self.a, p, q, self.tol, (self.na, self.col_a, self.ker_a, self._cutter))
+
+    # How the rank of a was cut (linalg._cut), decided on first use.
+    cut = cached_property(lambda self: self._cutter())
 
     @cached_property
     def _core(self):
@@ -430,22 +433,27 @@ class _Evaluation:
         yield from (self._trivial, dsum, _counted(self.dims))
         yield _decide(self.smin, self.tol.tol_inv * self.na, ">")
 
-    def _exists(self, l_mode: bool) -> Decision:
-        """exists as a decision (linalg._all of its parts), worked out once
-        per mode; a test that raises caches nothing."""
+    def _taken_parts(self, l_mode: bool) -> tuple:
+        """The parts of the outer (with l_mode the inner-outer) test that
+        linalg._taken takes, worked out once per mode; a test that raises
+        caches nothing. linalg._all of them is the test as a decision."""
         tests = self.__dict__.setdefault("_tests", {})
         if l_mode not in tests:
-            tests[l_mode] = _all(self._parts(l_mode))
+            tests[l_mode] = _taken(self._parts(l_mode))
         return tests[l_mode]
 
     def exists(self, l_mode: bool) -> bool:
-        """The outer (with l_mode the inner-outer) test."""
-        return self._exists(l_mode).truth
+        """The outer (with l_mode the inner-outer) test: the truth of the
+        last part taken, with no part weighed against its cutoff."""
+        return self._taken_parts(l_mode)[-1].truth
 
     def _inner_outer_test(self) -> Decision:
-        """The decision on which inner_outer answers: the inner-outer test,
-        then a b a = a on _result."""
-        return _all(f() for f in (lambda: self._exists(l_mode=True), lambda: self._result._part("_aba_a")))
+        """The decision on which inner_outer answers: linalg._all of the
+        inner-outer test's parts taken, then a b a = a on _result if they
+        hold. That is _all of the test's decision and a b a = a, with each
+        part weighed once."""
+        taken = self._taken_parts(l_mode=True)
+        return _all(taken + (self._result._part("_aba_a"),) if taken[-1].truth else taken)
 
     @cached_property
     def _result(self) -> GInvResult:

@@ -199,16 +199,24 @@ def _counted(truth: bool) -> Decision:
     return Decision(bool(truth), math.nan, None, "=")
 
 
+def _taken(parts) -> tuple:
+    """The parts of a conjunction up to its first false one, which decides
+    it, so the last part taken carries its truth; the parts after it are not
+    taken, so a lazy parts leaves them unevaluated."""
+    taken = []
+    for d in parts:
+        taken.append(d)
+        if not d.truth:
+            break
+    return tuple(taken)
+
+
 def _all(parts) -> Decision:
     """A conjunction, as the part that carries its verdict: the first false
-    part (the parts after it are not taken, so a lazy parts leaves them
-    unevaluated), or, when every part holds, the one nearest its cutoff."""
-    held = []
-    for d in parts:
-        if not d.truth:
-            return d
-        held.append(d)
-    return min(held, key=_by_distance)
+    part (see _taken), or, when every part holds, the one nearest its
+    cutoff, each held part weighed once."""
+    taken = _taken(parts)
+    return taken[-1] if not taken[-1].truth else min(taken, key=_by_distance)
 
 
 def _rank_cutoff(s: np.ndarray, shape, tol: Tolerances, scale: Optional[float] = None) -> float:

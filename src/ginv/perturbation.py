@@ -141,7 +141,7 @@ class Scenario:
         """The row of the condition that col a_bar meets col q only at zero
         (see _equivalence): its decision, how many dimensions the two share,
         and the rank decision of a_bar that it rests on."""
-        return "stable", self._bar._trivial_q, float(self._bar._stacked[0]), self._bar.cut()
+        return "stable", self._bar._trivial_q, float(self._bar._stacked[0]), self._bar.cut
 
     @cached_property
     def _image_p(self):
@@ -165,11 +165,12 @@ class Scenario:
             out.append((_decide(delta, threshold - self.tol.tol_eq, "<").truth, {"delta": delta, "threshold": threshold}))
         return tuple(out)
 
-    def _update_vs(self, direct: np.ndarray):
+    def _update_vs(self):
         """(||_updated - direct||, the decision that it is within the residual
-        scale), direct an inverse of a_bar."""
-        dev = spectral_norm(self._updated - direct)
-        return dev, _decide(dev, _res_scale(self._bar.na, spectral_norm(direct), self.tol))
+        scale) for direct the one solve of _bar, read where it exists. Its
+        norm is _bar's ||b|| = 1 / sigma_min of the core, as for norm_b."""
+        dev = spectral_norm(self._updated - self._bar._result.b)
+        return dev, _decide(dev, _res_scale(self._bar.na, self._bar.nb, self.tol))
 
     @cached_property
     def _update_vs_direct_l(self):
@@ -178,7 +179,8 @@ class Scenario:
         comes first."""
         self._updated
         try:
-            return self._update_vs(self._bar.inner_outer.b)
+            self._bar.inner_outer  # raises NotExists where compute_l fails
+            return self._update_vs()
         except NotExists:
             return NAN, self._bar._inner_outer_test()
 
@@ -407,12 +409,12 @@ def equivalence_thm24(scenario: Scenario) -> EquivalenceReport:
     """
     s = scenario
     right, left = s._right_factor[0], s._left_factor[0]
-    exists = s._bar._exists(l_mode=False)
+    exists = _all(s._bar._taken_parts(l_mode=False))
     aux = {"sigma_min_core": s._bar.smin}
     dev = NAN
     identity = ()
     if right.truth and left.truth and exists.truth:
-        dev, update = s._update_vs(s._bar.outer.b)
+        dev, update = s._update_vs()
         aux["update_vs_direct"] = dev
         identity = (update,)
     rows = (

@@ -166,17 +166,24 @@ def _check_ambient(m: Subspace, n: Subspace):
 
 
 def gap(m: Subspace, n: Subspace) -> GapResult:
-    """One-sided gaps and their max.
+    """One-sided gaps and their max, from at most one SVD.
 
     delta(M, N) = ||(1 - P_N) P_M||_2, with the convention delta({0}, N) = 0,
     evaluated on the bases as ||B_M - B_N (B_N^H B_M)||_2 (see
     _one_sided_gap). Both one-sided values and the symmetric gap lie in
-    [0, 1].
+    [0, 1]. The dimensions decide the other side (Kato, Perturbation Theory
+    for Linear Operators): when dim M > dim N, M meets the orthogonal
+    complement of N, so a unit vector of M is orthogonal to N and
+    delta(M, N) = 1 exactly; when dim M = dim N, delta(M, N) = delta(N, M)
+    = ||P_M - P_N||_2, so delta_mn, computed as above, is read for delta_nm
+    and the gap too. Only the side from the smaller space takes an SVD, and
+    none when that space is {0}.
     """
     _check_ambient(m, n)
+    if m.dim > n.dim:
+        return GapResult(1.0, _one_sided_gap(n.basis, m.basis), 1.0)
     d_mn = _one_sided_gap(m.basis, n.basis)
-    d_nm = _one_sided_gap(n.basis, m.basis)
-    return GapResult(d_mn, d_nm, max(d_mn, d_nm))
+    return GapResult(d_mn, d_mn, d_mn) if m.dim == n.dim else GapResult(d_mn, 1.0, 1.0)
 
 
 def _one_sided_gap(ba: np.ndarray, bb: np.ndarray) -> float:

@@ -7,6 +7,26 @@ from ginv import RandomStream, exists_outer_pql, idempotent_from_matrix, random_
 
 
 @pytest.fixture
+def svd_counter(monkeypatch):
+    """count(fn): the numpy.linalg.svd calls that fn() makes."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+
+    def count(fn):
+        calls.clear()
+        fn()
+        return len(calls)
+
+    return count
+
+
+@pytest.fixture
 def diag_instance():
     """Instance small enough to work by hand.
 

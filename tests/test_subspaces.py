@@ -12,6 +12,7 @@ from ginv.errors import MismatchedAmbient
 from ginv.linalg import spectral_norm
 from ginv.randomstream import RandomStream
 from ginv.subspaces import (
+    GapResult,
     Subspace,
     _one_sided_gap,
     direct_sum_is_all,
@@ -123,6 +124,50 @@ def test_gap_zero_subspace_convention():
     g = gap(z, m)
     assert g.delta_mn == 0.0
     assert g.delta_nm > 0.9  # a 2-dim space is far from {0}
+    assert (g.delta_nm, g.gap) == (1.0, 1.0)  # exactly: the larger side reads 1
+    assert gap(m, z) == GapResult(1.0, 0.0, 1.0)
+    assert gap(z, z) == GapResult(0.0, 0.0, 0.0)
+
+
+def _pairs_of_dims(seed, count, equal):
+    """count random pairs (M, N) in C^n, n from 2 to 6, with dim M = dim N
+    or dim M > dim N >= 1."""
+    stream = RandomStream(seed)
+    for _ in range(count):
+        n = stream.randint(2, 6)
+        dm = stream.randint(1, n) if equal else stream.randint(2, n)
+        dn = dm if equal else stream.randint(1, dm - 1)
+        yield random_subspace(stream, n, dm), random_subspace(stream, n, dn)
+
+
+def test_equal_dimensions_give_one_gap_for_both_sides():
+    for m, s in _pairs_of_dims(41, 60, equal=True):
+        g = gap(m, s)
+        # bit for bit: delta_mn as one SVD computes it, read for both other entries
+        assert g.delta_mn == g.delta_nm == g.gap == _one_sided_gap(m.basis, s.basis)
+        assert abs(g.gap - spectral_norm(m.projector() - s.projector())) <= 1e-14
+        # the side that is not computed agrees with its own SVD to roundoff
+        assert abs(_one_sided_gap(s.basis, m.basis) - g.gap) <= 1e-14
+
+
+def test_the_larger_side_of_unequal_dimensions_reads_one():
+    for m, s in _pairs_of_dims(42, 60, equal=False):
+        g = gap(m, s)
+        assert (g.delta_mn, g.gap) == (1.0, 1.0)
+        assert g.delta_nm == _one_sided_gap(s.basis, m.basis)
+        assert gap(s, m) == GapResult(g.delta_nm, 1.0, 1.0)
+        # the SVD of the larger side finds 1 too, up to roundoff
+        assert abs(_one_sided_gap(m.basis, s.basis) - 1.0) <= 1e-14
+
+
+def test_gap_takes_one_svd_and_none_from_zero(svd_counter):
+    stream = RandomStream(43)
+    n = 5
+    z = zero_subspace(n)
+    for dm, dn in ((2, 2), (3, 1), (1, 4), (5, 5), (0, 3), (3, 0), (0, 0)):
+        m = random_subspace(stream, n, dm) if dm else z
+        s = random_subspace(stream, n, dn) if dn else z
+        assert svd_counter(lambda: gap(m, s)) == (1 if min(dm, dn) else 0), (dm, dn)
 
 
 def test_gap_properties_on_random_pairs():
