@@ -156,45 +156,65 @@ def _rank_r_matrix(stream: RandomStream, n: int, r: int) -> np.ndarray:
 # replays bit for bit; the ValueError by which it rejects a matrix that tol
 # does not read as idempotent rejects the draw, as does the
 # PerturbationTooLarge of a skew that p cannot take.
+#
+# The ingredients that several families draw at one stream position go
+# through the memo: the rank-r a of outer_rank, l_aligned and strict (each
+# draws it first) with its summary, and each random idempotent, which
+# outer and outer_rank draw at the same positions when n = 2r (an n x n a
+# and an n x r times r x n a take the same number of normals).
 
 
-def _base_outer(stream, n, r, skew, tol):
+def _rank_r(stream, memo, n, r):
+    return _once(memo, ("rank-r", n, r), stream, lambda: _rank_r_matrix(stream, n, r))
+
+
+def _summarized_rank_r(stream, memo, n, r, tol):
+    """The rank-r a and its _norm_range_kernel summary, kept at the position
+    after a, which pins a."""
+    a = _rank_r(stream, memo, n, r)
+    return a, _once(memo, ("summary", n, r), stream, lambda: _norm_range_kernel(a, tol))
+
+
+def _idempotent(stream, memo, n, r, skew, tol):
+    return _once(memo, ("idempotent", n, r), stream, lambda: _random_idempotent(n, r, skew, stream, tol))
+
+
+def _base_outer(stream, memo, n, r, skew, tol):
     """Full-rank a with random compatible idempotents."""
     a = stream.normal_matrix(n, n)
-    p = _random_idempotent(n, r, skew, stream, tol)
-    q = _random_idempotent(n, n - r, skew, stream, tol)
+    p = _idempotent(stream, memo, n, r, skew, tol)
+    q = _idempotent(stream, memo, n, n - r, skew, tol)
     e = _solved(a, p, q, tol)
     return None if e is None else (a, p, q, e)
 
 
-def _base_outer_rank(stream, n, r, skew, tol):
+def _base_outer_rank(stream, memo, n, r, skew, tol):
     """Rank-r a whose column space avoids col(q): stable-capable base."""
-    a = _rank_r_matrix(stream, n, r)
-    p = _random_idempotent(n, r, skew, stream, tol)
-    q = _random_idempotent(n, n - r, skew, stream, tol)
-    e = _solved(a, p, q, tol)
+    a, summary = _summarized_rank_r(stream, memo, n, r, tol)
+    p = _idempotent(stream, memo, n, r, skew, tol)
+    q = _idempotent(stream, memo, n, n - r, skew, tol)
+    e = _solved(a, p, q, tol, summary=summary)
     if e is None or not e.direct_sum_l:
         return None
     return a, p, q, e
 
 
-def _base_l_aligned(stream, n, r, skew, tol):
+def _base_l_aligned(stream, memo, n, r, skew, tol):
     """Rank-r a with the kernel of q pinned to col(a), so a col(p) = ker q."""
-    a = _rank_r_matrix(stream, n, r)
-    summary = _norm_range_kernel(a, tol)
+    a, summary = _summarized_rank_r(stream, memo, n, r, tol)
     t = _orthonormal(n, orth_basis(stream.normal_matrix(n, n - r), tol))
     try:  # oblique applies the rule of direct_sum_is_all
         q = idempotent_from_matrix(oblique(t, summary[1], tol).m, tol)
     except NotComplementary:
         return None
-    p = _random_idempotent(n, r, skew, stream, tol)
+    p = _idempotent(stream, memo, n, r, skew, tol)
     e = _solved(a, p, q, tol, l_mode=True, summary=summary)
     return None if e is None else (a, p, q, e)
 
 
-def _base_strict(stream, n, r, skew, tol):
+def _base_strict(stream, memo, n, r, skew, tol):
     """a with an exactly strict inverse: p = ba, q = 1 - ab from the pseudoinverse."""
-    a0 = _rank_r_matrix(stream, n, r)
+    a0 = _rank_r(stream, memo, n, r)
     b0 = np.linalg.pinv(a0)
     eye = np.eye(n, dtype=complex)
     if skew > 0:
@@ -302,15 +322,21 @@ _NEEDS_INVERTIBLE = {"thm2.7", "cor2.8", "lemma2.6", "thm2.12"}
 
 
 def _once(memo, key, stream, draw):
-    """draw() the first time key comes up in memo; a later hit returns the
-    same result and leaves stream where that first draw left it. A draw that
-    raises stores nothing, so the next caller runs it again."""
+    """draw() the first time key comes up at the stream's position in memo;
+    a later hit returns the same result and puts stream at the whole
+    position that first draw left, block of normals included (a block serves
+    every stream at its position), so the draws after a hit come from the
+    same block. key names what is drawn; every caller of one memo has the
+    same config. A draw that raises stores nothing, so the next caller runs
+    it again."""
     if memo is None:
         return draw()
+    key = (key, stream._state)
     hit = memo.get(key)
     if hit is None:
-        hit = memo[key] = (draw(), stream._state)
-    stream._state = hit[1]
+        hit = memo[key] = (draw(), stream._position())
+    else:
+        stream._restore(hit[1])
     return hit[0]
 
 
@@ -323,9 +349,11 @@ def gen_scenario(config: EnsembleConfig, index: int, theorem: str, *, _memo=None
 
     The stream of an index does not depend on the check id, so ids that share
     a base family draw the same base, and often the same moved idempotents
-    and shift. `run_campaign` passes one dict per index as `_memo`, in which
-    those draws are made once and shared, so ids with the same shift get the
-    same Scenario and share what it caches; nothing else is ever mutated.
+    and shift, and families draw some ingredients at the same stream
+    position (see the base families). `run_campaign` passes one dict per
+    index as `_memo`, in which those draws are made once per position and
+    shared, so ids with the same shift get the same Scenario and share what
+    it caches; nothing else is ever mutated.
     """
     if theorem not in _PROFILES:
         raise InputError(f"unknown check id {theorem!r}")
@@ -337,12 +365,11 @@ def gen_scenario(config: EnsembleConfig, index: int, theorem: str, *, _memo=None
     mode = "range" if family == "strict" else "both"
 
     def base_draw():
-        return _BASES[family](stream, n, _draw_rank(stream, config, n), config.skew, tol)
+        return _BASES[family](stream, _memo, n, _draw_rank(stream, config, n), config.skew, tol)
 
     def perturbed(e, magnitude):
         """(e', ||e' - e||) from the perturb_idempotent search."""
-        key = (e, magnitude, mode, stream._state)
-        return _once(_memo, key, stream, lambda: _perturb_idempotent(e, magnitude, stream, tol, mode))
+        return _once(_memo, (e, magnitude, mode), stream, lambda: _perturb_idempotent(e, magnitude, stream, tol, mode))
 
     last = "no admissible draw"
     for attempt in range(_RETRIES):
@@ -353,7 +380,7 @@ def gen_scenario(config: EnsembleConfig, index: int, theorem: str, *, _memo=None
             continue
         reason = ""
         try:  # a ValueError (np.linalg.LinAlgError is one) rejects the draw
-            drawn = _once(_memo, (family, attempt), stream, base_draw)
+            drawn = _once(_memo, (family, n), stream, base_draw)
         except (ValueError, PerturbationTooLarge) as e:
             drawn, reason = None, f": {e}"
         if drawn is None:
@@ -390,7 +417,7 @@ def gen_scenario(config: EnsembleConfig, index: int, theorem: str, *, _memo=None
             scenario.__dict__.update(_evaluation=evaluation, **dists)
             return scenario
 
-        key = (family, attempt, cls, mag, cap, want_p, want_q, p_prime, q_prime, stream._state)
+        key = (family, cls, mag, cap, want_p, want_q, p_prime, q_prime)
         scenario = _once(_memo, key, stream, shifted)
         if isinstance(scenario, str):  # the reason the shift was rejected
             last = scenario

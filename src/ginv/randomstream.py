@@ -13,7 +13,9 @@ and CPUs, which is far below every tolerance used in this package.
 A normal depends only on its position in the stream, not on how many pairs
 one call asks for: each kernel works elementwise. So normal draws are served
 from a block made ahead from the current position, which gives the same
-values as drawing them one call at a time.
+values as drawing them one call at a time. For the same reason a block serves
+every stream at its position, not only the one that made it: a stream put at
+another's position (`_position`, `_restore`) takes over its block too.
 """
 
 from __future__ import annotations
@@ -106,6 +108,15 @@ class RandomStream:
         self._block_at = at + count
         self._block_end = self._state if block is self._block else None
         return block[at : at + count].copy()
+
+    def _position(self) -> tuple:
+        """The stream's whole position: its state and the block it serves."""
+        return self._state, self._block, self._block_at, self._block_end
+
+    def _restore(self, position: tuple) -> None:
+        """Put the stream at a position that _position gave, of this stream or
+        another; blocks are never written to, so two streams can share one."""
+        self._state, self._block, self._block_at, self._block_end = position
 
     def normal_matrix(self, rows: int, cols: int) -> np.ndarray:
         """Matrix with independent complex Gaussian entries (real and imag N(0,1)).

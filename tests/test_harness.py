@@ -480,6 +480,43 @@ def test_ids_that_retry_after_the_base_draw_still_get_what_they_get_alone(monkey
     assert all(not st.failures for theorem, st in report.stats.items() if theorem != "selftest-bad-bound")
 
 
+def test_a_once_hit_puts_the_stream_where_the_first_draw_left_it(monkeypatch):
+    memo = {}
+    drawing, hitting = RandomStream(9), RandomStream(9)
+    for stream in (drawing, hitting):  # each makes a block of its own
+        stream.normal_matrix(1, 1)
+    drawn = harness._once(memo, "draw", drawing, lambda: drawing.normal_matrix(2, 3))
+    made = []
+    ahead = RandomStream._ahead
+    monkeypatch.setattr(RandomStream, "_ahead", lambda self, count: made.append(count) or ahead(self, count))
+    assert harness._once(memo, "draw", hitting, lambda: pytest.fail("a hit draws again")) is drawn
+    assert hitting._position() == drawing._position()
+    continuation = drawing.normal_matrix(3, 3)
+    np.testing.assert_array_equal(hitting.normal_matrix(3, 3).view(np.uint64), continuation.view(np.uint64))
+    assert hitting._position() == drawing._position()
+    assert made == []  # both were served from the drawing stream's block
+
+
+def test_families_share_what_they_draw_at_one_stream_position(monkeypatch):
+    # At n = 2r an n x n a and a rank-r a take the same number of normals, so
+    # outer (thm2.4) and outer_rank (thm2.7) draw p and q at the same
+    # positions; outer_rank, l_aligned (tm2.7) and strict (thm2.12) all draw
+    # their rank-r a first.
+    config = EnsembleConfig(n_range=(4, 4), rank_range=(2, 2), count=8, seed=6, theorems=("thm2.4", "thm2.7", "tm2.7", "thm2.12"))
+    rank_r = Counter()  # rank-r draws per (index, attempt) stream
+    draw = harness._rank_r_matrix
+    monkeypatch.setattr(harness, "_rank_r_matrix", lambda stream, *args: rank_r.update([stream._seed]) or draw(stream, *args))
+    _, got = _record_scenarios(monkeypatch)
+    run_campaign(config)
+    assert rank_r and set(rank_r.values()) == {1}
+    for index in range(config.count):
+        outer, outer_rank = got[index, "thm2.4"], got[index, "thm2.7"]
+        assert outer.p is outer_rank.p and outer.q is outer_rank.q, index
+        assert got[index, "tm2.7"].a is outer_rank.a, index
+    monkeypatch.undo()
+    assert_shared_draws_change_nothing(config)
+
+
 REPLAY = EnsembleConfig(n_range=(2, 6), rank_range=(1, 5), count=10, seed=21)
 
 

@@ -114,7 +114,7 @@ def test_block_serving_matches_the_scalar_loop(monkeypatch):
             assert fast.randint(2, 6) == ref.randint(2, 6)
         elif op == "save":
             saved.append(ref._state)
-        else:  # back or ahead to a saved position, as harness._once restores one
+        else:  # back or ahead to a saved state alone; the block serves only where it continues
             fast._state = ref._state = plan.choice(saved)
         _same_state(fast, ref)
     assert 2 * randomstream._BLOCK in made
