@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -37,7 +36,7 @@ from .errors import (
 )
 from .exact import ExactMatrix
 from .idempotents import Idempotent, idempotent_from_matrix
-from .linalg import _EPS, DEFAULT_TOL, Decision, Tolerances, _all, _counted, _decide, _inverse_from_sv, _norm_low, _norm_within, _rank_cutoff, _rank_from_sv, _singular_values, _taken, as_matrix, spectral_norm, try_inverse
+from .linalg import _EPS, DEFAULT_TOL, Decision, Tolerances, _all, _cached, _counted, _decide, _eye, _inverse_from_sv, _norm_low, _norm_within, _rank_cutoff, _rank_from_sv, _singular_values, _taken, as_matrix, spectral_norm, try_inverse
 from .randomstream import RandomStream
 from .subspaces import Subspace, _direct_sum, _meet, _norm_range_kernel, direct_sum_is_all, gap, intersection_trivial, map_subspace, orthocomplement
 
@@ -61,7 +60,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExistenceReport:
     """Boolean breakdown of the existence conditions plus the numeric margin.
 
@@ -105,7 +104,7 @@ class GInvResult:
         "_bab_b": (lambda r: r.b @ r._a @ r.b - r.b, lambda na, nb, _: 1.0 + na * nb * nb, None),
         "_aba_a": (lambda r: r._a @ r.b @ r._a - r._a, lambda na, nb, _: 1.0 + na * na * nb, None),
         "_ba_p": (lambda r: r.b @ r._a - r._p.m, lambda na, nb, n_idem: 1.0 + na * nb + n_idem, "_p"),
-        "_one_ab_q": (lambda r: np.eye(r._a.shape[0], dtype=complex) - r._a @ r.b - r._q.m, lambda na, nb, n_idem: 1.0 + na * nb + n_idem, "_q"),
+        "_one_ab_q": (lambda r: _eye(r._a.shape[0]) - r._a @ r.b - r._q.m, lambda na, nb, n_idem: 1.0 + na * nb + n_idem, "_q"),
     }
 
     def __init__(self, b: np.ndarray, a: np.ndarray, p: Idempotent, q: Idempotent, tol: Tolerances, na=None):
@@ -114,23 +113,23 @@ class GInvResult:
         if na is not None:
             self.__dict__["_na"] = na
 
-    @cached_property
+    @_cached
     def _na(self) -> float:
         return spectral_norm(self._a)
 
-    @cached_property
+    @_cached
     def _b_summary(self):
         """(||b||, col b, ker b) from one SVD."""
         return _norm_range_kernel(self.b, self._tol)
 
     # The residuals, in the order of _RESIDUALS, each worked out on first access.
-    _bab_b, _aba_a, _ba_p, _one_ab_q = (cached_property(lambda r, m=m: spectral_norm(m(r))) for m, _, _ in _RESIDUALS.values())
+    _bab_b, _aba_a, _ba_p, _one_ab_q = (_cached(lambda r, m=m: spectral_norm(m(r))) for m, _, _ in _RESIDUALS.values())
 
-    @cached_property
+    @_cached
     def _gap_range(self) -> float:
         return gap(self._b_summary[1], self._p.range).gap
 
-    @cached_property
+    @_cached
     def _gap_kernel(self) -> float:
         return gap(self._b_summary[2], self._q.range).gap
 
@@ -179,7 +178,7 @@ class GInvResult:
     def _strict_12(self) -> bool:
         return self._strict_pq and self._l_inverse
 
-    @cached_property
+    @_cached
     def residuals(self) -> dict:
         return {
             "bab_b": self._bab_b,
@@ -190,7 +189,7 @@ class GInvResult:
             "gap_kernel": self._gap_kernel,
         }
 
-    @cached_property
+    @_cached
     def flags(self) -> dict:
         self.residuals  # the classification works out every residual
         return {
@@ -205,7 +204,7 @@ class GInvResult:
         return f"GInvResult(n={self.b.shape[0]}, flags={'+'.join(on) or 'none'})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Witness:
     """A matrix w with certified column space and null space."""
 
@@ -273,9 +272,9 @@ def _solve(u, m0, core, sv, tol: Tolerances) -> np.ndarray:
 _CORE_K = 1e4
 
 
-def _truth(name: str) -> cached_property:
+def _truth(name: str) -> _cached:
     """A cached property that reads the truth of the decision `name`."""
-    return cached_property(lambda self: getattr(self, name).truth)
+    return _cached(lambda self: getattr(self, name).truth)
 
 
 class _Evaluation:
@@ -341,15 +340,15 @@ class _Evaluation:
         return _Evaluation(self.a, p, q, self.tol, (self.na, self.col_a, self.ker_a, self._cutter))
 
     # How the rank of a was cut (linalg._cut), decided on first use.
-    cut = cached_property(lambda self: self._cutter())
+    cut = _cached(lambda self: self._cutter())
 
-    @cached_property
+    @_cached
     def _core(self):
         """(U, M0, the core M0 a U, its singular values)."""
         u, m0, core = _core_matrices(self.a, self.p, self.q)
         return u, m0, core, _singular_values(core)
 
-    @cached_property
+    @_cached
     def smin(self) -> float:
         """The core margin: sigma_min(M0 a U), inf for a 0 x 0 core."""
         _, _, core, sv = self._core
@@ -363,7 +362,7 @@ class _Evaluation:
         where b exists."""
         return 1.0 / self.smin
 
-    @cached_property
+    @_cached
     def _certificate(self) -> Decision:
         """The core margin against the cutoff of the certificate; read only
         once the core is decomposed."""
@@ -375,22 +374,22 @@ class _Evaluation:
         docstring)? Only a core that is decomposed already is read."""
         return self.dims and "_core" in self.__dict__ and self._certificate.truth
 
-    @cached_property
+    @_cached
     def _trivial(self) -> Decision:
         """Does ker a meet col p only at zero? (trivial is its truth)"""
         return self._certificate if self._certified else _meet(self.ker_a, self.p.range, self.tol)
 
-    @cached_property
+    @_cached
     def _image(self) -> Subspace:
         """a col(p)."""
         return map_subspace(self.a, self.p.range, self.tol)
 
-    @cached_property
+    @_cached
     def _direct_sum(self) -> Decision:
         """The outer test's direct sum: a col(p) + col(q) = C^n."""
         return self._certificate if self._certified else _direct_sum(self._image, self.q.range, self.tol)
 
-    @cached_property
+    @_cached
     def _stacked(self):
         """(how many dimensions col a and col q share: the rank defect of the
         stacked bases [col a, col q], 0 when either is {0}; and the decision
@@ -405,7 +404,7 @@ class _Evaluation:
         cutoff = _rank_cutoff(sv, stacked.shape, self.tol)
         return stacked.shape[1] - int(np.count_nonzero(sv > cutoff)), _decide(sv[-1], cutoff, ">")
 
-    @cached_property
+    @_cached
     def _trivial_q(self) -> Decision:
         """Does col a meet col q only at zero? Dimensions above n decide
         alone; otherwise the defect does."""
@@ -455,7 +454,7 @@ class _Evaluation:
         taken = self._taken_parts(l_mode=True)
         return _all(taken + (self._result._part("_aba_a"),) if taken[-1].truth else taken)
 
-    @cached_property
+    @_cached
     def _result(self) -> GInvResult:
         """b = U core^{-1} M0, the one solve of the core."""
         return GInvResult(_solve(*self._core, self.tol), self.a, self.p, self.q, self.tol, self.na)
@@ -481,12 +480,12 @@ class _Evaluation:
         u, m0, core = _core_matrices(self.a, self.p, self.q, basis_seed)
         return GInvResult(_solve(u, m0, core, _singular_values(core), self.tol), self.a, self.p, self.q, self.tol, self.na)
 
-    @cached_property
+    @_cached
     def outer(self) -> GInvResult:
         """solve(), cached for every caller that shares this evaluation."""
         return self.solve()
 
-    @cached_property
+    @_cached
     def inner_outer(self) -> GInvResult:
         """compute_l(a, p, q): the inner-outer test, then a b a = a on _result."""
         if not self.exists(l_mode=True):

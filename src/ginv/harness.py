@@ -24,10 +24,11 @@ import numpy as np
 from .errors import GenerationFailed, GinvError, InputError, NotComplementary, PerturbationTooLarge
 from .gen_inverse import _solved
 from .idempotents import _perturb_idempotent, _random_idempotent, idempotent_from_matrix, oblique
-from .linalg import DEFAULT_TOL, Tolerances, _integer, _number, spectral_norm
+from .linalg import DEFAULT_TOL, Tolerances, _eye, _integer, _number, spectral_norm
 from .perturbation import (
     Scenario,
     _BOUND_CHECKS,
+    _generated_scenario,
     _thresholds,
     cor_lemas1,
     equivalence_cor28,
@@ -216,7 +217,7 @@ def _base_strict(stream, memo, n, r, skew, tol):
     """a with an exactly strict inverse: p = ba, q = 1 - ab from the pseudoinverse."""
     a0 = _rank_r(stream, memo, n, r)
     b0 = np.linalg.pinv(a0)
-    eye = np.eye(n, dtype=complex)
+    eye = _eye(n)
     if skew > 0:
         g = stream.normal_matrix(n, n)
         t = eye + skew * g / max(spectral_norm(g), 1e-12)
@@ -247,8 +248,7 @@ def _delta_direction(stream, cls, a, b, p, q):
         y = q.range.basis @ stream.normal_matrix(q.rank, 1)
         d = y @ stream.normal_matrix(n, 1).conj().T
     elif cls == "strict-stable":
-        eye = np.eye(n, dtype=complex)
-        d = (eye - q.m) @ stream.normal_matrix(n, n) @ p.m
+        d = (_eye(n) - q.m) @ stream.normal_matrix(n, n) @ p.m
     else:
         raise InputError(f"unknown perturbation class {cls!r}")
     norm = spectral_norm(d)
@@ -409,13 +409,10 @@ def gen_scenario(config: EnsembleConfig, index: int, theorem: str, *, _memo=None
             delta = _make_delta(stream, cls, a, b, p, q, mag, na, cap)
             if delta is None:
                 return "degenerate perturbation direction"
-            try:
-                scenario = Scenario(a, delta, p, q, p_prime=p_prime, q_prime=q_prime, tol=tol)
+            try:  # hand over the evaluation that base, its norms and kappa derive from, and the distances
+                return _generated_scenario(a, delta, p, q, p_prime, q_prime, tol, _evaluation=evaluation, **dists)
             except ValueError as e:  # the shift, or a plus the shift, overflowed
                 return f"shift rejected: {e}"
-            # hand over the evaluation that base, its norms and kappa derive from, and the distances
-            scenario.__dict__.update(_evaluation=evaluation, **dists)
-            return scenario
 
         key = (family, cls, mag, cap, want_p, want_q, p_prime, q_prime)
         scenario = _once(_memo, key, stream, shifted)

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import MismatchedAmbient, NotComplementary, PerturbationTooLarge
-from .linalg import _EPS, DEFAULT_TOL, Tolerances, _frobenius, _norm_within, _number, as_matrix, identity, rank, spectral_norm
+from .linalg import _EPS, DEFAULT_TOL, Tolerances, _cached, _eye, _frobenius, _norm_within, _number, as_matrix, rank, spectral_norm
 from .randomstream import RandomStream
 from .subspaces import Subspace, _norm_range_kernel, orthocomplement
 
@@ -54,7 +53,7 @@ class Idempotent:
     def rank(self) -> int:
         return self.range.dim
 
-    @cached_property
+    @_cached
     def norm(self) -> float:
         """Spectral norm of the matrix, computed once."""
         return spectral_norm(self.m)
@@ -270,7 +269,7 @@ def _chart_search(p: np.ndarray, k: np.ndarray, r: np.ndarray, magnitude: float)
     every p(t) is an idempotent similar to p, and p (p(t) - p) (1 - p) = t K."""
     k = k / _frobenius(k)
     r = r / _frobenius(r)
-    eye = identity(len(p))
+    eye = _eye(len(p))
     samples = [(0.0, 0.0)]  # (distance, t) of every point built
 
     def build(t: float) -> _Candidate:

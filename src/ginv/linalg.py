@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import attrgetter
 from typing import NamedTuple, Optional
 
@@ -96,6 +97,36 @@ def as_matrix(m) -> np.ndarray:
 
 def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=complex)
+
+
+@lru_cache(maxsize=32)
+def _eye(n: int) -> np.ndarray:
+    """The n x n identity, one read-only array per n, for arithmetic whose
+    result is a new array; identity(n) gives a fresh writable one."""
+    e = identity(n)
+    e.flags.writeable = False
+    return e
+
+
+class _cached:
+    """A cached attribute: the getter func runs on first access and its
+    value goes into the instance __dict__ under the attribute's name, where
+    later lookups find it first. A getter that raises stores nothing. Unlike
+    functools.cached_property before Python 3.12, no lock is taken on a
+    miss; two threads that miss together may both run func."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        instance.__dict__[self.name] = value = self.func(instance)
+        return value
 
 
 def spectral_norm(m) -> float:
@@ -251,7 +282,7 @@ def _inverse_from_sv(m: np.ndarray, sv: np.ndarray, tol: Tolerances) -> Optional
     """try_inverse of the square m, given its singular values sv."""
     if sv.size and (sv[0] == 0.0 or sv[-1] <= tol.tol_inv * sv[0]):
         return None
-    return np.linalg.solve(m, identity(m.shape[0]))
+    return np.linalg.inv(m)
 
 
 def try_inverse(m, tol: Tolerances = DEFAULT_TOL) -> Optional[np.ndarray]:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -38,7 +37,7 @@ from .gen_inverse import (
     _Evaluation,
 )
 from .idempotents import Idempotent
-from .linalg import DEFAULT_TOL, Decision, Tolerances, _all, _by_distance, _decide, _inverse_from_sv, _norm_low, _norm_within, _singular_values, as_matrix, identity, spectral_norm
+from .linalg import DEFAULT_TOL, Decision, Tolerances, _all, _by_distance, _cached, _decide, _eye, _inverse_from_sv, _norm_low, _norm_within, _singular_values, as_matrix, spectral_norm
 from .subspaces import _gap_and_equal, _norm_range_kernel, _one_sided_gap, map_subspace
 
 __all__ = [
@@ -68,7 +67,7 @@ __all__ = [
 NAN = float("nan")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """One perturbation instance: a, its shift, and the prescribed idempotents.
 
@@ -78,7 +77,9 @@ class Scenario:
     has. base, the inverse for (a, p, q), is the evaluation's solve, and
     the norms of a and of base.b are the evaluation's ||a|| and ||b||, so
     neither takes an SVD of its own. a + delta_a must be finite, as a and
-    delta_a must.
+    delta_a must. The generator builds its scenarios by
+    _generated_scenario, which checks only that sum. A scenario compares
+    by identity: its fields hold arrays.
     The private cached properties are what the Section 2 checkers share; a
     checker copies any cached dict it puts into its report. What they read
     of a_bar comes from _bar, the one existence evaluation of (a_bar, p, q),
@@ -116,20 +117,20 @@ class Scenario:
     def n(self) -> int:
         return self.a.shape[0]
 
-    @cached_property
+    @_cached
     def a_bar(self) -> np.ndarray:
         return self.a + self.delta_a
 
-    @cached_property
+    @_cached
     def _evaluation(self):
         """The existence evaluation of (a, p, q)."""
         return _Evaluation(self.a, self.p, self.q, self.tol)
 
-    @cached_property
+    @_cached
     def base(self) -> GInvResult:
         return self._evaluation.outer
 
-    @cached_property
+    @_cached
     def _bar(self) -> _Evaluation:
         """The existence evaluation of (a_bar, p, q)."""
         if not self.delta_a.any():
@@ -143,12 +144,12 @@ class Scenario:
         and the rank decision of a_bar that it rests on."""
         return "stable", self._bar._trivial_q, float(self._bar._stacked[0]), self._bar.cut
 
-    @cached_property
+    @_cached
     def _image_p(self):
         """(gap, equal as a decision) of a_bar col(p) against ker q."""
         return _gap_and_equal(self._bar._image, self.q.kernel, self.tol)
 
-    @cached_property
+    @_cached
     def _gap_hypotheses(self):
         """The two gap hypotheses of Lemma 2.10 for the inner-outer base, the
         range side first, each as (satisfied, {"delta": ..., "threshold": ...})."""
@@ -156,7 +157,7 @@ class Scenario:
         b, col_a, ker_a = e.inner_outer.b, e.col_a, e.ker_a
         col_bar, ker_bar = self._bar.col_a, self._bar.ker_a
         sides = (
-            (spectral_norm(identity(self.n) - self.a @ b), _one_sided_gap(col_bar.basis, col_a.basis)),
+            (spectral_norm(_eye(self.n) - self.a @ b), _one_sided_gap(col_bar.basis, col_a.basis)),
             (spectral_norm(b @ self.a), _one_sided_gap(ker_bar.basis, ker_a.basis)),
         )
         out = []
@@ -172,7 +173,7 @@ class Scenario:
         dev = spectral_norm(self._updated - self._bar._result.b)
         return dev, _decide(dev, _res_scale(self._bar.na, self._bar.nb, self.tol))
 
-    @cached_property
+    @_cached
     def _update_vs_direct_l(self):
         """_update_vs of compute_l(a_bar, p, q), or (NaN, the decision on
         which compute_l failed) where it raises NotExists; _updated's error
@@ -184,27 +185,27 @@ class Scenario:
         except NotExists:
             return NAN, self._bar._inner_outer_test()
 
-    @cached_property
+    @_cached
     def _left_factor(self):
         """_factor of 1 + b delta_a."""
-        return _factor(identity(self.n) + self.base.b @ self.delta_a, self.tol)
+        return _factor(_eye(self.n) + self.base.b @ self.delta_a, self.tol)
 
-    @cached_property
+    @_cached
     def _right_factor(self):
         """_factor of 1 + delta_a b."""
-        return _factor(identity(self.n) + self.delta_a @ self.base.b, self.tol)
+        return _factor(_eye(self.n) + self.delta_a @ self.base.b, self.tol)
 
-    @cached_property
+    @_cached
     def _updated(self) -> np.ndarray:
         """update_formula(base.b, delta_a), from the two cached factors."""
         return _update(self.base.b, self.delta_a, self._right_factor, self._left_factor, self.tol, lambda: self.norm_b)
 
-    @cached_property
+    @_cached
     def _dp(self) -> float:
         """||p_prime - p||."""
         return spectral_norm(self.p_prime.m - self.p.m)
 
-    @cached_property
+    @_cached
     def _dq(self) -> float:
         """||q_prime - q||."""
         return spectral_norm(self.q_prime.m - self.q.m)
@@ -221,6 +222,23 @@ class Scenario:
     @property
     def kappa(self) -> float:
         return self.norm_a * self.norm_b
+
+
+def _generated_scenario(a, delta_a, p, q, p_prime, q_prime, tol: Tolerances, **primed) -> Scenario:
+    """Scenario(a, delta_a, p, q, p_prime, q_prime, tol) for parts that the
+    generator made, which __post_init__ would only re-check: a finite square
+    complex a, delta_a of its shape, and idempotents of its size. Only
+    a + delta_a is checked, since a shift can overflow it, and a failure
+    raises the ValueError of __post_init__ (as_matrix's when delta_a itself
+    is not finite). primed holds cached attributes to store."""
+    with np.errstate(over="ignore"):  # an overflowing sum is rejected below
+        a_bar = a + delta_a
+        finite = np.isfinite(a_bar).all()
+    if not finite:
+        raise ValueError("a + delta_a has NaN or infinite entries" if np.isfinite(delta_a).all() else "matrix contains NaN or infinite entries")
+    s = object.__new__(Scenario)
+    s.__dict__.update(a=a, delta_a=delta_a, p=p, q=q, p_prime=p_prime, q_prime=q_prime, tol=tol, a_bar=a_bar, **primed)
+    return s
 
 
 @dataclass(frozen=True)
@@ -248,7 +266,7 @@ class EquivalenceReport:
     decisions: tuple = ()
     kind: ClassVar[str] = "equiv"
 
-    @cached_property
+    @_cached
     def consistent(self) -> bool:
         return bool(self.identities) and len({truth for _, truth, _ in self.conditions}) == 1
 
@@ -256,7 +274,7 @@ class EquivalenceReport:
     def cutoffs(self) -> tuple:
         return tuple(d.cutoff for d in self.decisions[: len(self.conditions)])
 
-    @cached_property
+    @_cached
     def closest_call(self) -> float:
         return min(map(_by_distance, self.decisions), default=math.inf)
 
@@ -289,11 +307,11 @@ class ImplicationReport:
     items: tuple
     kind: ClassVar[str] = "impl"
 
-    @cached_property
+    @_cached
     def ok(self) -> bool:
         return not any(it.violated for it in self.items)
 
-    @cached_property
+    @_cached
     def closest_call(self) -> float:
         return min((_decide(it.data["delta"], it.data["threshold"], "<").distance for it in self.items if "threshold" in it.data), default=math.inf)
 
@@ -372,7 +390,7 @@ def update_formula(b, delta_a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     d = as_matrix(delta_a)
     if b.shape != d.shape or b.shape[0] != b.shape[1]:
         raise DimMismatch("b and delta_a must be square of the same size")
-    eye = identity(b.shape[0])
+    eye = _eye(b.shape[0])
     return _update(b, d, _factor(eye + d @ b, tol), _factor(eye + b @ d, tol), tol, lambda: spectral_norm(b))
 
 
@@ -438,7 +456,7 @@ def lemma26_f(scenario: Scenario):
     left, inv_left = s._left_factor
     if not left.truth:
         raise NotExists("1 + b delta_a is singular")
-    f = inv_left @ (identity(s.n) - s.base.b @ s.a)
+    f = inv_left @ (_eye(s.n) - s.base.b @ s.a)
     # The rank of f can drop to 0 and the matrix is built from cancellation,
     # so its rank cutoff is anchored at max(||f||, 1), not at ||f|| alone.
     nf, col_f = _norm_range_kernel(f, s.tol)[:2]
@@ -468,7 +486,7 @@ def equivalence_thm27(scenario: Scenario) -> EquivalenceReport:
     cond1 = _all(w_class._part(name) for name in ("_bab_b", "_gap_range", "_gap_kernel", "_aba_a"))
     scale = _res_scale(na_bar, s.norm_b, s.tol)
     # _updated has raised unless both factors are invertible
-    eye = identity(s.n)
+    eye = _eye(s.n)
     resid3 = spectral_norm(a_bar @ s._left_factor[1] @ (eye - b @ s.a))
     resid4 = spectral_norm((eye - s.a @ b) @ s._right_factor[1] @ a_bar)
     rows = (
@@ -604,7 +622,7 @@ def equivalence_thm212(scenario: Scenario) -> EquivalenceReport:
     resid1 = max(w_class._bab_b, w_class._ba_p, w_class._one_ab_q)
     cond1 = _all(w_class._part(name) for name in ("_bab_b", "_gap_range", "_gap_kernel", "_ba_p", "_one_ab_q"))
 
-    one_minus_q = identity(s.n) - s.q.m
+    one_minus_q = _eye(s.n) - s.q.m
     resid2 = spectral_norm(a_bar @ s.p.m - one_minus_q @ a_bar)
 
     resid3a = spectral_norm(a_bar @ b - one_minus_q @ a_bar @ b)
@@ -730,7 +748,7 @@ def _witness_representations(aux, s: Scenario, e: _Evaluation, scale: float) -> 
     a, b = s.a, s.base.b
     u, m0 = s._evaluation._core[:2]
     _, m0_new, core_new = e._core[:3]
-    rep = b + b @ _factored_group(a @ u, m0_new, core_new) @ a @ (u @ m0_new - u @ m0) @ (identity(s.n) - a @ b)
+    rep = b + b @ _factored_group(a @ u, m0_new, core_new) @ a @ (u @ m0_new - u @ m0) @ (_eye(s.n) - a @ b)
     aux["representation_deviation"] = spectral_norm(rep - e.outer.b)
     return aux["representation_deviation"] <= scale
 

@@ -585,3 +585,22 @@ def test_verify_rejects_conflicting_inputs(tmp_path, capsys, extra):
     assert err.startswith("input error:")
     # the same id in both spellings is no conflict
     assert run(capsys, ["verify", "thm2.4", "--theorem", "thm2.4", "--in", path])[0] == 0
+
+
+@pytest.mark.parametrize("spoil", ["delta_a", "p_prime", "a"])
+def test_a_malformed_generated_scenario_is_bad_input(tmp_path, capsys, spoil):
+    # generation builds its scenarios without re-checking them; a dumped one
+    # read back goes through every check of Scenario
+    from ginv import gen_scenario
+    from ginv.serialize import scenario_to_json
+
+    config = EnsembleConfig(n_range=(3, 4), rank_range=(1, 2), count=1, seed=3, theorems=("thm3.4",))
+    obj = scenario_to_json(gen_scenario(config, 0, "thm3.4"))
+    n = obj["a"]["rows"]
+    if spoil == "a":  # finite, but a + delta_a is not
+        obj["a"] = obj["delta_a"] = matrix_to_json(np.diag([1e308, 1.5e308] + [0.0] * (n - 2)))
+    else:  # one size too small
+        obj[spoil] = matrix_to_json(np.eye(n - 1))
+    code, out, err = run(capsys, ["verify", "thm3.4", "--in", write(tmp_path, "scenario.json", obj)])
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and "Traceback" not in err

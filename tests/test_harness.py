@@ -1,5 +1,6 @@
 """Ensemble generation and campaign behavior."""
 
+import copy
 from collections import Counter, defaultdict
 from dataclasses import replace
 from functools import cached_property
@@ -15,8 +16,10 @@ from ginv import (
     GenerationFailed,
     InputError,
     Scenario,
+    build_witness,
     exists_outer_pql,
     gen_scenario,
+    idempotent_from_matrix,
     is_stable,
     PerturbationTooLarge,
     RandomStream,
@@ -368,7 +371,7 @@ SECTION2_IDS = ("thm2.4", "lemma2.6", "thm2.7", "cor2.8", "tm2.7", "lemma2.10", 
 def _record_scenarios(monkeypatch):
     """Every Scenario that generation builds, and the one each (index, id) gets."""
     built, got = [], {}
-    scenario, gen = harness.Scenario, harness.gen_scenario
+    scenario, gen = harness._generated_scenario, harness.gen_scenario
 
     def building(*args, **kw):
         built.append(scenario(*args, **kw))
@@ -378,7 +381,7 @@ def _record_scenarios(monkeypatch):
         got[index, theorem] = gen(config, index, theorem, **kw)
         return got[index, theorem]
 
-    monkeypatch.setattr(harness, "Scenario", building)
+    monkeypatch.setattr(harness, "_generated_scenario", building)
     monkeypatch.setattr(harness, "gen_scenario", generating)
     return built, got
 
@@ -523,8 +526,52 @@ REPLAY = EnsembleConfig(n_range=(2, 6), rank_range=(1, 5), count=10, seed=21)
 @pytest.mark.parametrize("theorem", sorted(CHECKS))
 def test_a_dumped_scenario_replays_byte_for_byte(theorem):
     # generation makes every idempotent by the rule that decodes it, so the
-    # decoded scenario has the same bases, and every report value is the same
+    # decoded scenario has the same bases, and every report value is the same.
+    # Generation skips Scenario's checks on the parts it made; Scenario(...)
+    # of the very parts, with nothing cached, reports the same bytes too.
+    fields = ("a", "delta_a", "p", "q", "p_prime", "q_prime", "tol")
     for index in range(REPLAY.count):
         s = gen_scenario(REPLAY, index, theorem)
         decoded = scenario_from_json(scenario_to_json(s))
-        assert dumps(report_to_json(run_check(theorem, decoded)[1])) == dumps(report_to_json(run_check(theorem, s)[1])), index
+        checked = Scenario(*(getattr(s, f) for f in fields))
+        assert all(getattr(checked, f) is getattr(s, f) for f in fields)
+        for other in (decoded, checked):
+            assert dumps(report_to_json(run_check(theorem, other)[1])) == dumps(report_to_json(run_check(theorem, s)[1])), index
+
+
+@pytest.mark.parametrize(
+    "a, delta",
+    [
+        (np.diag([1e308, 1.5e308, 0.0]), np.diag([1e308, 1.5e308, 0.0])),  # both finite, the sum is not
+        (np.eye(3), np.diag([np.inf, 0.0, 0.0])),
+        (np.eye(3), np.diag([np.nan, 0.0, 0.0])),
+    ],
+)
+def test_a_generated_scenario_rejects_a_shift_as_the_checked_constructor_does(a, delta):
+    a, delta = a.astype(complex), delta.astype(complex)
+    p = idempotent_from_matrix(np.diag([1.0, 1.0, 0.0]))
+    q = idempotent_from_matrix(np.diag([0.0, 0.0, 1.0]))
+    with pytest.raises(ValueError) as checked:
+        Scenario(a, delta, p, q)
+    with pytest.raises(ValueError) as trusted:
+        harness._generated_scenario(a, delta, p, q, None, None, Tolerances())
+    assert str(trusted.value) == str(checked.value)
+
+
+def test_a_shift_that_overflows_fails_generation_with_the_checked_message():
+    # a magnitude of 1.7e308 times ||a|| > 1.06 scales the unit direction past double range
+    config = small_config(perturbation_magnitudes=(1.7e308,), theorems=("thm2.4",))
+    with pytest.raises(GenerationFailed, match="shift rejected: matrix contains NaN or infinite entries"):
+        gen_scenario(config, 0, "thm2.4")
+
+
+def test_scenarios_reports_and_witnesses_compare_by_identity():
+    # their fields hold numpy arrays, which a field-by-field == cannot compare
+    s = gen_scenario(EnsembleConfig(count=1, seed=3, theorems=("thm3.8",)), 0, "thm3.8")
+    report = exists_outer_pql(s.a, s.p, s.q)
+    assert report.certificates is not None
+    witness = build_witness(s.p, s.q)
+    for x in (s, report, witness):
+        twin = copy.copy(x)
+        assert x == x and x != twin
+        assert len({x, twin, x}) == 2

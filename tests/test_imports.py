@@ -119,3 +119,14 @@ def test_unreferenced_private_members_are_found():
 def test_no_unreferenced_private_names():
     sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
     assert unreferenced_private_names(sources) == []
+
+
+def test_one_cached_attribute_descriptor():
+    """The package caches attributes with linalg._cached alone: no module
+    imports functools.cached_property or reads it from functools."""
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                assert "cached_property" not in {a.name for a in node.names}, path.name
+            assert not (isinstance(node, ast.Attribute) and node.attr == "cached_property"), path.name

@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 
 from ginv.errors import GinvError  # noqa: F401  (import sanity)
+from ginv.gen_inverse import GInvResult, _Evaluation
 from ginv.linalg import (
     DEFAULT_TOL,
     Tolerances,
+    _cached,
+    _eye,
     _frobenius,
+    _inverse_from_sv,
     _norm_low,
+    _singular_values,
     as_matrix,
     identity,
     null_basis,
@@ -199,3 +204,63 @@ def test_norm_low_stays_a_lower_bound_when_the_frobenius_norm_overflows(x):
     x = np.array(x, dtype=complex)
     low = _norm_low(x)
     assert np.isfinite(low) and 0 < low <= spectral_norm(x)
+
+
+def test_the_inverse_is_the_solve_against_the_identity_bit_for_bit():
+    stream = RandomStream(29)
+    for n in range(9):
+        for k in range(30):
+            m = stream.normal_matrix(n, n)
+            if k % 3 and n > 1:  # sigma_min 1e-11.2 to 1e-3.3 of sigma_max, above the tol_inv cutoff
+                u, s, vh = np.linalg.svd(m)
+                s[-1] = s[0] * 10.0 ** (-3.0 - 8.5 * k / 30)
+                m = (u * s) @ vh
+            got = _inverse_from_sv(m, _singular_values(m), DEFAULT_TOL)
+            want = np.linalg.solve(m, identity(n))
+            assert got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes(), (n, k)
+    # singular values that pass the test do not hide an exactly singular m
+    with pytest.raises(np.linalg.LinAlgError):
+        _inverse_from_sv(np.ones((2, 2), dtype=complex), np.ones(2), DEFAULT_TOL)
+
+
+def test_eye_is_one_read_only_identity_per_n_and_identity_a_fresh_writable_one():
+    e = _eye(4)
+    assert e is _eye(4) and e.dtype == complex and (e == np.eye(4)).all()
+    with pytest.raises(ValueError):
+        e[0, 0] = 2.0
+    i = identity(4)
+    assert i is not identity(4) and i.flags.writeable
+    i[0, 0] = 2.0
+    assert identity(4)[0, 0] == 1.0 and _eye(4)[0, 0] == 1.0
+
+
+def test_a_cached_attribute_is_stored_once_and_not_when_its_getter_raises():
+    calls = []
+
+    class C:
+        def __init__(self, fail):
+            self.fail = fail
+
+        @_cached
+        def value(self):
+            """The value."""
+            calls.append(self.fail)
+            if self.fail:
+                raise ValueError("no value")
+            return 7
+
+        one, two = (_cached(lambda self, k=k: k) for k in (1, 2))
+        after = _cached(lambda self: self.value + 1)
+
+    assert isinstance(C.value, _cached) and C.value.func.__name__ == "value" and C.value.__doc__ == "The value."
+    c = C(False)
+    assert (c.value, c.value, c.after) == (7, 7, 8) and calls == [False]
+    assert (c.one, c.two) == (1, 2) and c.__dict__ == {"fail": False, "value": 7, "after": 8, "one": 1, "two": 2}
+    bad = C(True)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            bad.after
+    assert calls == [False, True, True] and bad.__dict__ == {"fail": True}
+    # the package's own tuple-unpacked and lambda-built attributes keep their names
+    for cls, names in ((GInvResult, ("_bab_b", "_aba_a", "_ba_p", "_one_ab_q")), (_Evaluation, ("cut", "trivial", "direct_sum", "trivial_q", "direct_sum_l"))):
+        assert all(cls.__dict__[name].name == name for name in names)
