@@ -36,9 +36,9 @@ from .errors import (
 )
 from .exact import ExactMatrix
 from .idempotents import Idempotent, idempotent_from_matrix
-from .linalg import _EPS, DEFAULT_TOL, Decision, Tolerances, _all, _cached, _counted, _decide, _eye, _inverse_from_sv, _norm_low, _norm_within, _rank_cutoff, _rank_from_sv, _singular_values, _taken, as_matrix, spectral_norm, try_inverse
+from .linalg import _EPS, DEFAULT_TOL, Decision, Tolerances, _all, _cached, _counted, _decide, _eye, _norm_low, _norm_within, _rank_cutoff, _rank_from_sv, _singular_values, _taken, as_matrix, spectral_norm, try_inverse
 from .randomstream import RandomStream
-from .subspaces import Subspace, _direct_sum, _meet, _norm_range_kernel, direct_sum_is_all, gap, intersection_trivial, map_subspace, orthocomplement
+from .subspaces import Subspace, _direct_sum, _meet, _norm_range_kernel, _reads_zero, direct_sum_is_all, gap, intersection_trivial, map_subspace, orthocomplement
 
 __all__ = [
     "ExistenceReport",
@@ -87,12 +87,13 @@ class GInvResult:
     caller has it); those inputs must not be changed in place before then.
     A private flag reads only the residuals it needs (_outer_pql: bab_b and
     the gaps, _l_inverse: aba_a, _strict_pq: ba_p and one_ab_q, _strict_12
-    both), and it settles an algebraic residual's threshold test without
-    working the residual out when the Frobenius norm of its matrix can
-    (_residual_within): each threshold grows with ||b||, ||p|| and ||q||,
-    so it is evaluated at lower bounds of these, and _norm_within proves
-    that such a verdict is the exact one. The public flags work out every
-    residual first, so they and residuals report exact values. _part gives
+    both), is decided once and cached like them, and settles an algebraic
+    residual's threshold test without working the residual out when the
+    Frobenius norm of its matrix can (_residual_within): each threshold
+    grows with ||b||, ||p|| and ||q||, so it is evaluated at lower bounds of
+    these, and _norm_within proves that such a verdict is the exact one. The
+    public flags work out every residual first, so residuals reports exact
+    values and the flags their exact verdicts. _part gives
     the exact test of one residual or gap as a decision, and linalg._all of
     the parts of a flag in its order is that flag as a decision.
     """
@@ -141,10 +142,11 @@ class GInvResult:
 
     def _part(self, name: str) -> Decision:
         """The exact test of a residual against its threshold, or of a gap
-        against 10 tol_eq, as a decision; it works the value out."""
+        that must read zero (subspaces._reads_zero), as a decision; it works
+        the value out."""
         if name in self._RESIDUALS:
             return _decide(getattr(self, name), self._threshold(name, self._b_summary[0], lambda e: e.norm))
-        return _decide(getattr(self, name), 10 * self._tol.tol_eq)
+        return _reads_zero(getattr(self, name), self._tol)
 
     def _residual_within(self, name: str) -> bool:
         """_part(name).truth, without working the residual out when the
@@ -162,19 +164,19 @@ class GInvResult:
         low = self._threshold(name, nb, lambda e: e.__dict__.get("norm", 0.0))
         return _norm_within(self._RESIDUALS[name][0](self), low, lambda: self._part(name).truth)
 
-    @property
+    @_cached
     def _outer_pql(self) -> bool:
         return self._residual_within("_bab_b") and self._part("_gap_range").truth and self._part("_gap_kernel").truth
 
-    @property
+    @_cached
     def _l_inverse(self) -> bool:
         return self._residual_within("_aba_a")
 
-    @property
+    @_cached
     def _strict_pq(self) -> bool:
         return self._residual_within("_ba_p") and self._residual_within("_one_ab_q")
 
-    @property
+    @_cached
     def _strict_12(self) -> bool:
         return self._strict_pq and self._l_inverse
 
@@ -260,21 +262,15 @@ def _checked(a, p, q, tol: Tolerances):
     return a, p, q
 
 
-def _solve(u, m0, core, sv, tol: Tolerances) -> np.ndarray:
-    """b = U core^{-1} M0, given the singular values sv of core."""
-    inverse = _inverse_from_sv(core, sv, tol)
-    if inverse is None:
-        raise IllConditioned(f"core matrix is numerically singular (sigma_min = {sv[-1]:.3e})")
-    return u @ inverse @ m0
+def _solve(u, m0, core) -> np.ndarray:
+    """b = U core^{-1} M0, read only behind the existence test: its margin
+    sigma_min(core) > tol_inv ||a|| >= tol_inv sigma_max(core) (U and M0 are
+    orthonormal) is the singularity test of the core, at the one cutoff."""
+    return u @ np.linalg.inv(core) @ m0
 
 
 # K of the core-margin certificate of _Evaluation (see _certified).
 _CORE_K = 1e4
-
-
-def _truth(name: str) -> _cached:
-    """A cached property that reads the truth of the decision `name`."""
-    return _cached(lambda self: getattr(self, name).truth)
 
 
 class _Evaluation:
@@ -285,12 +281,12 @@ class _Evaluation:
     dims. The core
     M0 a U with its singular values, ||b||, the trivial meet of ker a with
     col p, the rank defect of [col a, col q] and each test's direct sum are
-    worked out on first use, each test as a decision (linalg.Decision) that
-    its boolean reads. exists decomposes the core first for every caller,
-    and _result solves it once, for outer, inner_outer and the report's
-    certificate alike; a property that raises caches nothing. The results
-    hold no reference back to the evaluation, so a caller that needs it
-    keeps it.
+    worked out on first use, each test as a decision (linalg.Decision),
+    whose truth is the test's verdict. exists decomposes the core first for
+    every caller, and _result solves it once, for outer, inner_outer and the
+    report's certificate alike; a property that raises caches nothing. The
+    results hold no reference back to the evaluation, so a caller that needs
+    it keeps it.
 
     nb = ||b|| = 1 / sigma_min(M0 a U) takes no SVD of b: U has orthonormal
     columns and M0 orthonormal rows, so ||U X M0|| = ||X|| for every X, and
@@ -415,10 +411,6 @@ class _Evaluation:
         """The inner-outer test's direct sum: col(a) + col(q) = C^n."""
         return self._stacked[1] if self.col_a.dim + self.q.rank == self.a.shape[0] else _counted(False)
 
-    # The verdicts of the tests, each the truth of its decision.
-    trivial, direct_sum = _truth("_trivial"), _truth("_direct_sum")
-    trivial_q, direct_sum_l = _truth("_trivial_q"), _truth("_direct_sum_l")
-
     def _parts(self, l_mode: bool):
         """The decisions of the outer (with l_mode the inner-outer) test in
         their order, each worked out when it is reached. The core comes
@@ -432,53 +424,51 @@ class _Evaluation:
         yield from (self._trivial, dsum, _counted(self.dims))
         yield _decide(self.smin, self.tol.tol_inv * self.na, ">")
 
-    def _taken_parts(self, l_mode: bool) -> tuple:
-        """The parts of the outer (with l_mode the inner-outer) test that
-        linalg._taken takes, worked out once per mode; a test that raises
-        caches nothing. linalg._all of them is the test as a decision."""
-        tests = self.__dict__.setdefault("_tests", {})
-        if l_mode not in tests:
-            tests[l_mode] = _taken(self._parts(l_mode))
-        return tests[l_mode]
+    # The parts of the outer and of the inner-outer test that linalg._taken
+    # takes, each worked out once; linalg._all of them is the test as a
+    # decision.
+    _outer_parts = _cached(lambda self: _taken(self._parts(l_mode=False)))
+    _l_parts = _cached(lambda self: _taken(self._parts(l_mode=True)))
 
     def exists(self, l_mode: bool) -> bool:
         """The outer (with l_mode the inner-outer) test: the truth of the
         last part taken, with no part weighed against its cutoff."""
-        return self._taken_parts(l_mode)[-1].truth
+        return (self._l_parts if l_mode else self._outer_parts)[-1].truth
 
     def _inner_outer_test(self) -> Decision:
         """The decision on which inner_outer answers: linalg._all of the
         inner-outer test's parts taken, then a b a = a on _result if they
         hold. That is _all of the test's decision and a b a = a, with each
         part weighed once."""
-        taken = self._taken_parts(l_mode=True)
+        taken = self._l_parts
         return _all(taken + (self._result._part("_aba_a"),) if taken[-1].truth else taken)
 
     @_cached
     def _result(self) -> GInvResult:
         """b = U core^{-1} M0, the one solve of the core."""
-        return GInvResult(_solve(*self._core, self.tol), self.a, self.p, self.q, self.tol, self.na)
+        return GInvResult(_solve(*self._core[:3]), self.a, self.p, self.q, self.tol, self.na)
 
     def report(self, l_mode: bool) -> ExistenceReport:
         """The existence report; its certificate is the b of _result."""
         exists = self.exists(l_mode)
-        dsum = self.direct_sum_l if l_mode else self.direct_sum
-        return ExistenceReport(self.trivial, dsum, self.dims, self.smin, exists, (self._result.b,) * 2 if exists else None)
+        dsum = self._direct_sum_l if l_mode else self._direct_sum
+        return ExistenceReport(self._trivial.truth, dsum.truth, self.dims, self.smin, exists, (self._result.b,) * 2 if exists else None)
 
     def solve(self, basis_seed=None) -> GInvResult:
         """compute_outer_pql(a, p, q, basis_seed=basis_seed): NotExists when a
-        subspace test fails, IllConditioned when only the margin does."""
+        subspace test fails, IllConditioned when only the margin does; a
+        rotated core is solved behind the same test."""
         if not self.exists(l_mode=False):
-            if not (self.trivial and self.direct_sum and self.dims):
+            trivial, dsum = self._trivial.truth, self._direct_sum.truth
+            if not (trivial and dsum and self.dims):
                 raise NotExists(
                     "no outer inverse with the prescribed range and kernel: "
-                    f"trivial_kernel_intersection={self.trivial}, direct_sum={self.direct_sum}, dims_compatible={self.dims}"
+                    f"trivial_kernel_intersection={trivial}, direct_sum={dsum}, dims_compatible={self.dims}"
                 )
             raise IllConditioned(f"core margin too small (sigma_min = {self.smin:.3e})")
         if basis_seed is None:
             return self._result
-        u, m0, core = _core_matrices(self.a, self.p, self.q, basis_seed)
-        return GInvResult(_solve(u, m0, core, _singular_values(core), self.tol), self.a, self.p, self.q, self.tol, self.na)
+        return GInvResult(_solve(*_core_matrices(self.a, self.p, self.q, basis_seed)), self.a, self.p, self.q, self.tol, self.na)
 
     @_cached
     def outer(self) -> GInvResult:
@@ -491,8 +481,8 @@ class _Evaluation:
         if not self.exists(l_mode=True):
             raise NotExists(
                 "no inner-outer inverse for these idempotents: "
-                f"trivial_kernel_intersection={self.trivial}, "
-                f"direct_sum={self.direct_sum_l}, dims_compatible={self.dims}, "
+                f"trivial_kernel_intersection={self._trivial.truth}, "
+                f"direct_sum={self._direct_sum_l.truth}, dims_compatible={self.dims}, "
                 f"sigma_min_core={self.smin:.3e}"
             )
         if not self._result._l_inverse:
@@ -517,8 +507,9 @@ def compute_outer_pql(a, p, q, tol: Tolerances = DEFAULT_TOL, *, basis_seed=None
     """The outer inverse b with col(b) = col(p) and null(b) = col(q).
 
     Raises NotExists when the subspace conditions fail, IllConditioned when
-    they pass but the core is numerically singular. basis_seed rotates the
-    internal orthonormal bases; the result must agree (b is unique).
+    they pass but the core margin sigma_min(M0 a U) is at most
+    tol_inv ||a||. basis_seed rotates the internal orthonormal bases; the
+    result must agree (b is unique).
     """
     return _Evaluation(*_checked(a, p, q, tol), tol).solve(basis_seed)
 

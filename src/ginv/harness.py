@@ -195,7 +195,7 @@ def _base_outer_rank(stream, memo, n, r, skew, tol):
     p = _idempotent(stream, memo, n, r, skew, tol)
     q = _idempotent(stream, memo, n, n - r, skew, tol)
     e = _solved(a, p, q, tol, summary=summary)
-    if e is None or not e.direct_sum_l:
+    if e is None or not e._direct_sum_l.truth:
         return None
     return a, p, q, e
 
@@ -237,7 +237,7 @@ def _base_strict(stream, memo, n, r, skew, tol):
     return a, p, q, e
 
 
-def _delta_direction(stream, cls, a, b, p, q):
+def _delta_direction(stream, cls, a, p, q):
     """A perturbation direction of unit spectral norm in the requested class."""
     n = a.shape[0]
     if cls == "generic":
@@ -274,7 +274,7 @@ def _make_delta(stream, cls, a, b, p, q, mag, na, cap=math.inf):
         return -(u @ v.conj().T) / s
     if mag == 0:
         return np.zeros((n, n), dtype=complex)
-    d = _delta_direction(stream, cls, a, b, p, q)
+    d = _delta_direction(stream, cls, a, p, q)
     if d is None:
         return None
     scale = min(mag * max(na, 1.0), cap)

@@ -278,11 +278,16 @@ def rank(m, tol: Tolerances = DEFAULT_TOL, scale: Optional[float] = None) -> int
     return _rank_from_sv(_singular_values(a), a.shape, tol, scale)
 
 
-def _inverse_from_sv(m: np.ndarray, sv: np.ndarray, tol: Tolerances) -> Optional[np.ndarray]:
-    """try_inverse of the square m, given its singular values sv."""
-    if sv.size and (sv[0] == 0.0 or sv[-1] <= tol.tol_inv * sv[0]):
-        return None
-    return np.linalg.inv(m)
+def _inverse(m: np.ndarray, tol: Tolerances):
+    """(invertible, inverse or None) of the square m from one values-only
+    SVD, by the one singularity rule: invertible is the decision that
+    sigma_min exceeds tol_inv sigma_max, read as not sigma_min <= cutoff, so
+    a NaN sigma reads invertible and np.linalg.inv answers for it. A zero m
+    is singular; the 0 x 0 m is invertible by a count, with sigma_min inf."""
+    sv = _singular_values(m)
+    smin, cutoff = (float(sv[-1]), tol.tol_inv * sv[0]) if sv.size else (math.inf, None)
+    truth = not sv.size or not (sv[0] == 0.0 or smin <= cutoff)
+    return Decision(truth, smin, cutoff, ">"), np.linalg.inv(m) if truth else None
 
 
 def try_inverse(m, tol: Tolerances = DEFAULT_TOL) -> Optional[np.ndarray]:
@@ -294,7 +299,7 @@ def try_inverse(m, tol: Tolerances = DEFAULT_TOL) -> Optional[np.ndarray]:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    return _inverse_from_sv(a, _singular_values(a), tol)
+    return _inverse(a, tol)[1]
 
 
 def orth_basis(m, tol: Tolerances = DEFAULT_TOL, scale: Optional[float] = None) -> np.ndarray:

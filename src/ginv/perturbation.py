@@ -37,8 +37,8 @@ from .gen_inverse import (
     _Evaluation,
 )
 from .idempotents import Idempotent
-from .linalg import DEFAULT_TOL, Decision, Tolerances, _all, _by_distance, _cached, _decide, _eye, _inverse_from_sv, _norm_low, _norm_within, _singular_values, as_matrix, spectral_norm
-from .subspaces import _gap_and_equal, _norm_range_kernel, _one_sided_gap, map_subspace
+from .linalg import DEFAULT_TOL, Decision, Tolerances, _all, _by_distance, _cached, _decide, _eye, _inverse, _norm_low, _norm_within, as_matrix, spectral_norm
+from .subspaces import _gap_and_equal, _norm_range_kernel, _one_sided_gap, _reads_zero, map_subspace
 
 __all__ = [
     "Scenario",
@@ -76,10 +76,10 @@ class Scenario:
     the generator that built the scenario has stored the ones it already
     has. base, the inverse for (a, p, q), is the evaluation's solve, and
     the norms of a and of base.b are the evaluation's ||a|| and ||b||, so
-    neither takes an SVD of its own. a + delta_a must be finite, as a and
-    delta_a must. The generator builds its scenarios by
-    _generated_scenario, which checks only that sum. A scenario compares
-    by identity: its fields hold arrays.
+    neither takes an SVD of its own. a_bar = a + delta_a is set once, by
+    _a_bar, and must be finite, as a and delta_a must. The generator builds
+    its scenarios by _generated_scenario, which checks only that sum. A
+    scenario compares by identity: its fields hold arrays.
     The private cached properties are what the Section 2 checkers share; a
     checker copies any cached dict it puts into its report. What they read
     of a_bar comes from _bar, the one existence evaluation of (a_bar, p, q),
@@ -101,10 +101,7 @@ class Scenario:
             object.__setattr__(self, name, val)
         if d.shape != a.shape:
             raise DimMismatch("delta_a must have the same shape as a")
-        with np.errstate(over="ignore"):  # an overflowing sum is rejected below
-            finite = np.isfinite(self.a_bar).all()
-        if not finite:
-            raise ValueError("a + delta_a has NaN or infinite entries")
+        object.__setattr__(self, "a_bar", _a_bar(a, d))
         for name in ("p_prime", "q_prime"):
             val = getattr(self, name)
             if val is not None:
@@ -116,10 +113,6 @@ class Scenario:
     @property
     def n(self) -> int:
         return self.a.shape[0]
-
-    @_cached
-    def a_bar(self) -> np.ndarray:
-        return self.a + self.delta_a
 
     @_cached
     def _evaluation(self):
@@ -152,7 +145,8 @@ class Scenario:
     @_cached
     def _gap_hypotheses(self):
         """The two gap hypotheses of Lemma 2.10 for the inner-outer base, the
-        range side first, each as (satisfied, {"delta": ..., "threshold": ...})."""
+        range side first, each as (its decision by _small, {"delta": ...,
+        "threshold": ...})."""
         e = self._evaluation
         b, col_a, ker_a = e.inner_outer.b, e.col_a, e.ker_a
         col_bar, ker_bar = self._bar.col_a, self._bar.ker_a
@@ -163,7 +157,7 @@ class Scenario:
         out = []
         for norm, delta in sides:
             threshold = math.inf if norm == 0 else 1.0 / norm
-            out.append((_decide(delta, threshold - self.tol.tol_eq, "<").truth, {"delta": delta, "threshold": threshold}))
+            out.append((_small(delta, threshold, self.tol), {"delta": delta, "threshold": threshold}))
         return tuple(out)
 
     def _update_vs(self):
@@ -187,13 +181,13 @@ class Scenario:
 
     @_cached
     def _left_factor(self):
-        """_factor of 1 + b delta_a."""
-        return _factor(_eye(self.n) + self.base.b @ self.delta_a, self.tol)
+        """linalg._inverse of 1 + b delta_a."""
+        return _inverse(_eye(self.n) + self.base.b @ self.delta_a, self.tol)
 
     @_cached
     def _right_factor(self):
-        """_factor of 1 + delta_a b."""
-        return _factor(_eye(self.n) + self.delta_a @ self.base.b, self.tol)
+        """linalg._inverse of 1 + delta_a b."""
+        return _inverse(_eye(self.n) + self.delta_a @ self.base.b, self.tol)
 
     @_cached
     def _updated(self) -> np.ndarray:
@@ -224,20 +218,25 @@ class Scenario:
         return self.norm_a * self.norm_b
 
 
-def _generated_scenario(a, delta_a, p, q, p_prime, q_prime, tol: Tolerances, **primed) -> Scenario:
-    """Scenario(a, delta_a, p, q, p_prime, q_prime, tol) for parts that the
-    generator made, which __post_init__ would only re-check: a finite square
-    complex a, delta_a of its shape, and idempotents of its size. Only
-    a + delta_a is checked, since a shift can overflow it, and a failure
-    raises the ValueError of __post_init__ (as_matrix's when delta_a itself
-    is not finite). primed holds cached attributes to store."""
+def _a_bar(a, delta_a) -> np.ndarray:
+    """a + delta_a, which must be finite: ValueError otherwise, with
+    as_matrix's text when delta_a itself is not finite."""
     with np.errstate(over="ignore"):  # an overflowing sum is rejected below
         a_bar = a + delta_a
         finite = np.isfinite(a_bar).all()
     if not finite:
         raise ValueError("a + delta_a has NaN or infinite entries" if np.isfinite(delta_a).all() else "matrix contains NaN or infinite entries")
+    return a_bar
+
+
+def _generated_scenario(a, delta_a, p, q, p_prime, q_prime, tol: Tolerances, **primed) -> Scenario:
+    """Scenario(a, delta_a, p, q, p_prime, q_prime, tol) for parts that the
+    generator made, which __post_init__ would only re-check: a finite square
+    complex a, delta_a of its shape, and idempotents of its size. Only
+    a + delta_a is checked (_a_bar), since a shift can overflow it. primed
+    holds cached attributes to store."""
     s = object.__new__(Scenario)
-    s.__dict__.update(a=a, delta_a=delta_a, p=p, q=q, p_prime=p_prime, q_prime=q_prime, tol=tol, a_bar=a_bar, **primed)
+    s.__dict__.update(a=a, delta_a=delta_a, p=p, q=q, p_prime=p_prime, q_prime=q_prime, tol=tol, a_bar=_a_bar(a, delta_a), **primed)
     return s
 
 
@@ -288,10 +287,14 @@ class EquivalenceReport:
 
 @dataclass(frozen=True)
 class ImplicationItem:
+    """One implication; decision, where the item has one, is the decision
+    (linalg.Decision) whose truth is hypothesis."""
+
     name: str
     hypothesis: bool
     conclusion: bool
     data: dict
+    decision: Optional[Decision] = None
 
     @property
     def violated(self) -> bool:
@@ -301,8 +304,9 @@ class ImplicationItem:
 @dataclass(frozen=True)
 class ImplicationReport:
     """One-directional results: ok when no item has hyp true, concl false.
-    closest_call is the least |log10(delta / threshold)| over the items that
-    carry that pair in their data, inf when none does."""
+    closest_call is the least distance (linalg.Decision.distance) of the
+    items' hypothesis decisions from their cutoffs, inf when no item
+    carries one."""
 
     items: tuple
     kind: ClassVar[str] = "impl"
@@ -313,7 +317,7 @@ class ImplicationReport:
 
     @_cached
     def closest_call(self) -> float:
-        return min((_decide(it.data["delta"], it.data["threshold"], "<").distance for it in self.items if "threshold" in it.data), default=math.inf)
+        return min((it.decision.distance for it in self.items if it.decision is not None), default=math.inf)
 
 
 @dataclass(frozen=True)
@@ -364,18 +368,7 @@ def _equivalence(rows, identities=(), aux=None) -> EquivalenceReport:
 
 def is_stable(scenario: Scenario) -> bool:
     """Does col(a + delta_a) still meet col(q) only at zero?"""
-    return scenario._bar.trivial_q
-
-
-def _factor(m, tol: Tolerances):
-    """(invertible, inverse or None) of a square m from one SVD, with the
-    singularity test of try_inverse; invertible is the decision that
-    sigma_min exceeds tol_inv sigma_max (a count for the 0 x 0 m, with
-    sigma_min inf)."""
-    sv = _singular_values(m)
-    inverse = _inverse_from_sv(m, sv, tol)
-    smin, cutoff = (float(sv[-1]), tol.tol_inv * sv[0]) if sv.size else (math.inf, None)
-    return Decision(inverse is not None, smin, cutoff, ">"), inverse
+    return scenario._bar._trivial_q.truth
 
 
 def update_formula(b, delta_a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -391,11 +384,11 @@ def update_formula(b, delta_a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     if b.shape != d.shape or b.shape[0] != b.shape[1]:
         raise DimMismatch("b and delta_a must be square of the same size")
     eye = _eye(b.shape[0])
-    return _update(b, d, _factor(eye + d @ b, tol), _factor(eye + b @ d, tol), tol, lambda: spectral_norm(b))
+    return _update(b, d, _inverse(eye + d @ b, tol), _inverse(eye + b @ d, tol), tol, lambda: spectral_norm(b))
 
 
 def _update(b, d, right, left, tol: Tolerances, norm_b) -> np.ndarray:
-    """update_formula, given the _factor of 1 + d b (right) and of 1 + b d
+    """update_formula, given linalg._inverse of 1 + d b (right) and of 1 + b d
     (left). The agreement test of the two forms grows with ||form1||, ||b||
     and ||d||, so the Frobenius test settles it at their lower bounds
     _norm_low when it can; norm_b() gives ||b|| to the exact test."""
@@ -427,7 +420,7 @@ def equivalence_thm24(scenario: Scenario) -> EquivalenceReport:
     """
     s = scenario
     right, left = s._right_factor[0], s._left_factor[0]
-    exists = _all(s._bar._taken_parts(l_mode=False))
+    exists = _all(s._bar._outer_parts)
     aux = {"sigma_min_core": s._bar.smin}
     dev = NAN
     identity = ()
@@ -463,7 +456,7 @@ def lemma26_f(scenario: Scenario):
     idem_resid = spectral_norm(f @ f - f)
     idem = _decide(idem_resid, s.tol.tol_eq * (1.0 + nf * nf))
     g, equal = _gap_and_equal(s._bar.ker_a, col_f, s.tol)
-    subset = _decide(g.delta_mn, 10 * s.tol.tol_eq)
+    subset = _reads_zero(g.delta_mn, s.tol)
     rows = (("kernel_of_perturbed_equals_range_f", equal, g.gap), s._stable)
     aux = {"f_idempotent_residual": idem_resid, "kernel_subset_gap": g.delta_mn}
     return f, _equivalence(rows, (idem, subset), aux)
@@ -560,8 +553,8 @@ def gap_sufficient_lemma210(scenario: Scenario) -> ImplicationReport:
     (hyp_range, range_data), (hyp_kernel, kernel_data) = s._gap_hypotheses
     # the data dicts are the scenario's cache, so each report gets copies
     items = (
-        ImplicationItem("range_gap_forces_stability", hyp_range, s._bar.trivial_q, dict(range_data)),
-        ImplicationItem("kernel_gap_forces_trivial_meet", hyp_kernel, s._bar.trivial, dict(kernel_data)),
+        ImplicationItem("range_gap_forces_stability", hyp_range.truth, s._bar._trivial_q.truth, dict(range_data), hyp_range),
+        ImplicationItem("kernel_gap_forces_trivial_meet", hyp_kernel.truth, s._bar._trivial.truth, dict(kernel_data), hyp_kernel),
     )
     return ImplicationReport(items)
 
@@ -576,8 +569,8 @@ def cor_lemas1(scenario: Scenario) -> ImplicationReport:
     """
     s = scenario
     (hyp_range, _), (hyp_kernel, _) = s._gap_hypotheses
-    hyp_i = hyp_range and hyp_kernel and s._image_p[1].truth
-    hyp_ii = s._left_factor[0].truth and hyp_range
+    hyp_i = hyp_range.truth and hyp_kernel.truth and s._image_p[1].truth
+    hyp_ii = s._left_factor[0].truth and hyp_range.truth
 
     conclusion = False
     dev = NAN
@@ -652,6 +645,12 @@ def _thresholds(kap: float, moves_p: bool, scale: float = 1.0):
     )
 
 
+def _small(value: float, threshold: float, tol: Tolerances) -> Decision:
+    """Does a smallness hypothesis hold? The one rule: value < threshold -
+    tol_eq."""
+    return _decide(value, threshold - tol.tol_eq, "<")
+
+
 def _need(s: Scenario, name: str):
     v = getattr(s, name)
     if v is None:
@@ -685,15 +684,15 @@ def _bound(theorem, s: Scenario, moves_p: bool, moves_q: bool, moves_a: bool = F
     if moves_p:
         dp = s._dp
         aux.update(dp=dp, threshold_dp=thr_p)
-        hyp = dp < thr_p - tol.tol_eq
+        hyp = _small(dp, thr_p, tol).truth
     if moves_q:
         dq = s._dq
         aux.update(dq=dq, threshold_dq=thr_q)
-        hyp = hyp and dq < thr_q - tol.tol_eq
+        hyp = hyp and _small(dq, thr_q, tol).truth
     if moves_a:
         nd = spectral_norm(s.delta_a)
         aux.update(b_norm_times_delta=nb * nd, threshold_delta=thr_d)
-        hyp = hyp and nb * nd < thr_d - tol.tol_eq
+        hyp = hyp and _small(nb * nd, thr_d, tol).truth
     if not hyp:
         return BoundReport(theorem, s.n, kap, False, NAN, NAN, NAN, True, aux)
     denom = 1.0 - (1.0 + kap) * dp - kap * dq

@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from .errors import MismatchedAmbient
-from .linalg import DEFAULT_TOL, Decision, Tolerances, _counted, _cut, _decide, _norm_within, _rank_cutoff, _singular_values, as_matrix, null_basis, orth_basis, spectral_norm
+from .linalg import DEFAULT_TOL, Decision, Tolerances, _counted, _cut, _decide, _rank_cutoff, _singular_values, as_matrix, null_basis, orth_basis, spectral_norm
 
 __all__ = [
     "Subspace",
@@ -39,10 +39,11 @@ __all__ = [
 class Subspace:
     """A subspace of C^n held as an n x k matrix with orthonormal columns.
 
-    The constructor checks the shape and ||B^H B - I||_2 <= 1e-8: that guards
-    the bases callers supply. The subspaces this package builds itself hold
-    SVD factors or identity columns, orthonormal by construction, and are
-    made by _orthonormal without the check.
+    The constructor checks the shape and, with one SVD, ||B^H B - I||_2 <=
+    1e-8 (a NaN or infinite entry fails): that guards the bases callers
+    supply. The subspaces this package builds itself hold SVD factors or
+    identity columns, orthonormal by construction, and are made by
+    _orthonormal without the check.
     """
 
     ambient_dim: int
@@ -57,8 +58,7 @@ class Subspace:
             raise ValueError("more basis vectors than ambient dimension")
         if k:
             d = b.conj().T @ b - np.eye(k)
-            # The SVD runs only for a basis that the Frobenius test cannot clear.
-            if not _norm_within(d, 1e-8, lambda: bool(np.isfinite(d).all()) and spectral_norm(d) <= 1e-8):
+            if not (np.isfinite(d).all() and spectral_norm(d) <= 1e-8):
                 raise ValueError("basis columns are not orthonormal")
 
     @property
@@ -241,14 +241,19 @@ def map_subspace(m, s: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
 
 
 def subspaces_equal(m: Subspace, n: Subspace, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Basis-independent equality: the symmetric gap is below 10 * tol_eq."""
+    """Basis-independent equality: the symmetric gap reads zero (_reads_zero)."""
     _check_ambient(m, n)
     return m.dim == n.dim and _gap_and_equal(m, n, tol)[1].truth
 
 
+def _reads_zero(g: float, tol: Tolerances) -> Decision:
+    """Does the gap g read zero? The one rule: g <= 10 tol_eq."""
+    return _decide(g, 10 * tol.tol_eq)
+
+
 def _gap_and_equal(m: Subspace, n: Subspace, tol: Tolerances = DEFAULT_TOL):
     """(gap(m, n), subspaces_equal(m, n) as a decision) from one gap
-    evaluation: a count when the dimensions differ, else the gap against
-    10 tol_eq."""
+    evaluation: a count when the dimensions differ, else whether the gap
+    reads zero."""
     g = gap(m, n)
-    return g, _decide(g.gap, 10 * tol.tol_eq) if m.dim == n.dim else _counted(False)
+    return g, _reads_zero(g.gap, tol) if m.dim == n.dim else _counted(False)

@@ -38,8 +38,8 @@ from ginv import (
 )
 from ginv import gen_inverse, idempotents, linalg, perturbation, subspaces
 from ginv.gen_inverse import GInvResult, _Evaluation, _checked
-from ginv.linalg import _EPS, _norm_within, spectral_norm
-from ginv.perturbation import _factor, _update
+from ginv.linalg import _EPS, _inverse, _norm_within, spectral_norm
+from ginv.perturbation import _update
 from ginv.serialize import bound_reports_to_csv, campaign_report_to_json, dumps, report_to_json
 from ginv.subspaces import orthocomplement
 
@@ -246,8 +246,8 @@ def test_the_update_agreement_test_equals_its_exact_test(n, tol_name):
             b = stream.normal_matrix(n, n) * scale
             d = stream.normal_matrix(n, n) * (0.1 / scale)
             eye = np.eye(n, dtype=complex)
-            right = _factor(eye + d @ b, tol)
-            left = _factor(eye + b @ d, tol)
+            right = _inverse(eye + d @ b, tol)
+            left = _inverse(eye + b @ d, tol)
             tilt = _rank_one(stream, n, spectral_norm(left[1]))
 
             def updated(t):
@@ -329,7 +329,7 @@ def _decisions(a, p, q, tol):
     """trivial and direct_sum of a fresh evaluation whose core goes first."""
     e = _Evaluation(*_checked(a, p, q, tol), tol)
     e.exists(l_mode=False)
-    return e.trivial, e.direct_sum, e.exists(l_mode=False)
+    return e._trivial.truth, e._direct_sum.truth, e.exists(l_mode=False)
 
 
 @pytest.mark.parametrize("n, tol_name", GRID)
@@ -402,7 +402,7 @@ def test_solve_decomposes_the_core_first_also_where_the_inverse_does_not_exist()
     e = _Evaluation(*_checked(a, p, q, DEFAULT_TOL), DEFAULT_TOL)
     with pytest.raises(NotExists):
         e.solve()
-    assert not e.direct_sum and "_core" in vars(e)  # solve() decomposes the core first too
+    assert not e._direct_sum.truth and "_core" in vars(e)  # solve() decomposes the core first too
     expecting = _Evaluation(*_checked(a, p, q, DEFAULT_TOL), DEFAULT_TOL)
     with pytest.raises(NotExists):
         expecting.outer

@@ -44,9 +44,14 @@ def _check_equivalence(rep):
 
 def _check_implication(rep, tol):
     pairs = [it for it in rep.items if "threshold" in it.data]
-    for it in pairs:  # lemma2.10's gap hypotheses: delta < threshold - tol_eq
-        assert it.hypothesis == (it.data["delta"] < it.data["threshold"] - tol.tol_eq)
-    assert rep.closest_call == min((_decades(it.data["delta"], it.data["threshold"]) for it in pairs), default=math.inf)
+    # lemma2.10's gap hypotheses carry the decision delta < threshold - tol_eq
+    # that was made; lemas1's items carry none
+    assert [it.decision is not None for it in rep.items] == ["threshold" in it.data for it in rep.items]
+    for it in pairs:
+        d = it.decision
+        assert it.hypothesis == d.truth == (it.data["delta"] < it.data["threshold"] - tol.tol_eq)
+        assert (d.value, d.cutoff, d.op) == (it.data["delta"], it.data["threshold"] - tol.tol_eq, "<")
+    assert rep.closest_call == min((_decades(it.decision.value, it.decision.cutoff) for it in pairs), default=math.inf)
 
 
 @pytest.mark.parametrize("seed", [21, 22, 23, 24])
@@ -75,7 +80,7 @@ def test_bound_ids_count_no_near_calls():
 def _band_scenario(index, t):
     config = EnsembleConfig(n_range=(2, 6), count=40, seed=7, theorems=("thm2.7",), perturbation_magnitudes=(0.5,))
     s = gen_scenario(config, index, "thm2.7")
-    d = _delta_direction(RandomStream(1000 + index), "destabilizing", s.a, s.base.b, s.p, s.q)
+    d = _delta_direction(RandomStream(1000 + index), "destabilizing", s.a, s.p, s.q)
     return s, Scenario(s.a, t * max(s.norm_a, 1.0) * d, s.p, s.q, tol=s.tol)
 
 
@@ -95,3 +100,4 @@ def test_every_inconsistent_report_of_the_band_sweep_is_a_near_call():
             near += report.closest_call <= 1
             assert report.consistent or report.closest_call <= 1, (index, t)
     assert near > 0
+

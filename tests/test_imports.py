@@ -130,3 +130,51 @@ def test_one_cached_attribute_descriptor():
             if isinstance(node, ast.ImportFrom) and node.module == "functools":
                 assert "cached_property" not in {a.name for a in node.names}, path.name
             assert not (isinstance(node, ast.Attribute) and node.attr == "cached_property"), path.name
+
+
+# Functions whose parameters a protocol or a caller fixes: the descriptor
+# protocol, and the on_report callback of cli._campaign, which reads no index.
+_FIXED_SIGNATURES = {"__get__", "__set_name__", "collect"}
+
+
+def unread_parameters(source: str) -> list:
+    """(function, parameter) for every parameter of a def or lambda that its
+    body never loads. self, cls and names that start with an underscore are
+    exempt, as are the functions of _FIXED_SIGNATURES. A parameter read only
+    in a nested function counts as read."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        name = getattr(node, "name", "<lambda>")
+        if name in _FIXED_SIGNATURES:
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        loaded = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [(name, p) for p in params if p not in loaded and p not in ("self", "cls") and not p.startswith("_")]
+    return found
+
+
+def test_unread_parameters_are_found():
+    src = (
+        "def f(a, b, *args, c, _d, **kw):\n"
+        "    def g():\n"
+        "        return a\n"
+        "    return g() + c\n"
+        "class C:\n"
+        "    def m(self, x):\n"
+        "        return 1\n"
+        "    def __get__(self, instance, owner=None):\n"
+        "        return self\n"
+        "h = lambda r, _: r\n"
+        "k = lambda y: 0\n"
+    )
+    assert unread_parameters(src) == [("f", "b"), ("f", "args"), ("f", "kw"), ("m", "x"), ("<lambda>", "y")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unread_parameters(path):
+    assert unread_parameters(path.read_text(encoding="utf-8")) == []

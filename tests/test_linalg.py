@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ginv import linalg
 from ginv.errors import GinvError  # noqa: F401  (import sanity)
 from ginv.gen_inverse import GInvResult, _Evaluation
 from ginv.linalg import (
@@ -11,9 +12,8 @@ from ginv.linalg import (
     _cached,
     _eye,
     _frobenius,
-    _inverse_from_sv,
+    _inverse,
     _norm_low,
-    _singular_values,
     as_matrix,
     identity,
     null_basis,
@@ -206,7 +206,7 @@ def test_norm_low_stays_a_lower_bound_when_the_frobenius_norm_overflows(x):
     assert np.isfinite(low) and 0 < low <= spectral_norm(x)
 
 
-def test_the_inverse_is_the_solve_against_the_identity_bit_for_bit():
+def test_the_inverse_is_the_solve_against_the_identity_bit_for_bit(monkeypatch):
     stream = RandomStream(29)
     for n in range(9):
         for k in range(30):
@@ -215,12 +215,19 @@ def test_the_inverse_is_the_solve_against_the_identity_bit_for_bit():
                 u, s, vh = np.linalg.svd(m)
                 s[-1] = s[0] * 10.0 ** (-3.0 - 8.5 * k / 30)
                 m = (u * s) @ vh
-            got = _inverse_from_sv(m, _singular_values(m), DEFAULT_TOL)
+            invertible, got = _inverse(m, DEFAULT_TOL)
             want = np.linalg.solve(m, identity(n))
-            assert got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes(), (n, k)
+            assert invertible.truth and got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes(), (n, k)
+    # a NaN singular value reads invertible (not sigma_min <= cutoff), and
+    # np.linalg.inv answers for it: the SVD of an infinite entry
+    inf = np.array([[np.inf, 0.0], [0.0, 1.0]], dtype=complex)
+    with np.errstate(invalid="ignore"):
+        invertible, got = _inverse(inf, DEFAULT_TOL)
+        assert invertible.truth and np.isnan(invertible.value) and got.tobytes() == np.linalg.inv(inf).tobytes()
     # singular values that pass the test do not hide an exactly singular m
+    monkeypatch.setattr(linalg, "_singular_values", lambda m: np.ones(2))
     with pytest.raises(np.linalg.LinAlgError):
-        _inverse_from_sv(np.ones((2, 2), dtype=complex), np.ones(2), DEFAULT_TOL)
+        _inverse(np.ones((2, 2), dtype=complex), DEFAULT_TOL)
 
 
 def test_eye_is_one_read_only_identity_per_n_and_identity_a_fresh_writable_one():
@@ -262,5 +269,5 @@ def test_a_cached_attribute_is_stored_once_and_not_when_its_getter_raises():
             bad.after
     assert calls == [False, True, True] and bad.__dict__ == {"fail": True}
     # the package's own tuple-unpacked and lambda-built attributes keep their names
-    for cls, names in ((GInvResult, ("_bab_b", "_aba_a", "_ba_p", "_one_ab_q")), (_Evaluation, ("cut", "trivial", "direct_sum", "trivial_q", "direct_sum_l"))):
+    for cls, names in ((GInvResult, ("_bab_b", "_aba_a", "_ba_p", "_one_ab_q")), (_Evaluation, ("cut", "_outer_parts", "_l_parts"))):
         assert all(cls.__dict__[name].name == name for name in names)

@@ -1,5 +1,5 @@
-"""Each matrix is decomposed once: the one-SVD summary, the Gram-check fast
-path, the SVD budget of the solver, scenarios that carry the existence
+"""Each matrix is decomposed once: the one-SVD summary, the exact Gram
+check, the SVD budget of the solver, scenarios that carry the existence
 evaluation of their base (its inverse and the norms of a and b) and the
 quantities the checkers share, bound checks that start from the
 scenario and its base's decompositions, and a classification that is worked
@@ -32,9 +32,10 @@ from ginv import (
     run_campaign,
     run_check,
 )
-from ginv import subspaces
-from ginv.linalg import DEFAULT_TOL, rank, spectral_norm, try_inverse
-from ginv.perturbation import _factor, _res_scale
+from ginv import harness, subspaces
+from ginv.gen_inverse import GInvResult
+from ginv.linalg import DEFAULT_TOL, _inverse, rank, spectral_norm, try_inverse
+from ginv.perturbation import _res_scale
 from ginv.serialize import dumps, report_to_json, scenario_from_json, scenario_to_json
 from ginv.subspaces import Subspace, _gap_and_equal, _norm_range_kernel, gap, intersection_trivial, kernel_of, range_of, subspaces_equal
 
@@ -159,6 +160,44 @@ def test_svd_budget_on_a_fixed_n6_instance(svd_counter):
     # 4 while the report took the stacked SVDs that its core margin settles
     assert svd_counter(lambda: exists_outer_pql(a, p, q)) <= 2
     assert svd_counter(lambda: idempotent_from_matrix(p.m)) <= 1  # 2 before the Frobenius pre-test
+
+
+def test_a_rotated_solve_takes_no_svd_of_its_own(svd_counter):
+    """basis_seed rotates the core, whose singular values are those of the
+    core that the existence test decomposed and judged: the rotated core is
+    solved behind that test, with no SVD of its own (one more while it was
+    judged again at its own sigma_max)."""
+    stream = RandomStream(5)
+    a = stream.normal_matrix(6, 6)
+    p = random_idempotent(6, 3, 0.3, stream)
+    q = random_idempotent(6, 3, 0.3, stream)
+    plain = svd_counter(lambda: compute_outer_pql(a, p, q))
+    assert svd_counter(lambda: compute_outer_pql(a, p, q, basis_seed=7)) == plain
+
+
+def test_the_shared_strict_base_weighs_its_flags_once(monkeypatch):
+    """cor3.11-3.13 share each index's strict base, whose _strict_12 the
+    strict family reads to accept the draw and every check reads again: its
+    three threshold tests (ba = p, 1 - ab = q, aba = a) run once per index,
+    not 12 times, as when each flag was weighed again on every read."""
+    weighed = []
+    within = GInvResult._residual_within
+    monkeypatch.setattr(GInvResult, "_residual_within", lambda self, name: weighed.append(self) or within(self, name))
+    bases = {}
+    gen = harness.gen_scenario
+
+    def generating(config, index, theorem, **kw):
+        s = gen(config, index, theorem, **kw)
+        bases.setdefault(index, set()).add(s.base)
+        return s
+
+    monkeypatch.setattr(harness, "gen_scenario", generating)
+    config = EnsembleConfig(count=6, seed=1, theorems=("cor3.11", "cor3.12", "cor3.13"))
+    assert run_campaign(config).ok
+    assert sorted(bases) == list(range(config.count))
+    for index, shared in bases.items():
+        (base,) = shared
+        assert sum(r is base for r in weighed) == 3, index
 
 
 def test_idempotent_validation_falls_back_to_the_spectral_norm(svd_counter):
@@ -400,7 +439,7 @@ def _factor_cases():
 @pytest.mark.parametrize("name", list(_factor_cases()))
 def test_update_factor_helper_matches_try_inverse(name):
     m = _factor_cases()[name]
-    (invertible, sigma_min, _, _), inverse = _factor(m, DEFAULT_TOL)
+    (invertible, sigma_min, _, _), inverse = _inverse(m, DEFAULT_TOL)
     reference = try_inverse(m, DEFAULT_TOL)
     assert invertible == (reference is not None)
     assert invertible == (name in ("invertible", "empty", "just-above"))
@@ -652,7 +691,7 @@ def test_stability_verdict_skips_the_stacked_svd_when_dimensions_decide(svd_coun
         s = replace(gen_scenario(config, index, theorem))  # nothing cached
         col_bar = s._bar.col_a
         too_many = col_bar.dim + s.q.rank > s.n
-        assert svd_counter(lambda: s._bar.trivial_q) == (0 if too_many or col_bar.dim == 0 or s.q.rank == 0 else 1)
+        assert svd_counter(lambda: s._bar._trivial_q.truth) == (0 if too_many or col_bar.dim == 0 or s.q.rank == 0 else 1)
         assert svd_counter(lambda: s._stable) == (1 if too_many and col_bar.dim else 0)
         _, decision, defect, _ = s._stable
         assert (decision.truth, defect) == _stability_as_before(s)
