@@ -19,6 +19,7 @@ independent routes (useful as cross-checks).
 
 from __future__ import annotations
 
+import math
 from contextlib import suppress
 from dataclasses import dataclass
 from typing import Optional
@@ -260,6 +261,14 @@ def _checked(a, p, q, tol: Tolerances):
         if not (np.isfinite(a.shape[0] * np.abs(a).max(initial=0.0)) or np.isfinite(spectral_norm(a))):
             raise ValueError("the spectral norm of a is beyond double range")
     return a, p, q
+
+
+def _res_scale(a_norm: float, b_norm: float, tol: Tolerances) -> float:
+    """The cutoff at which two expressions for an inverse b of a agree, or
+    an algebraic identity in them holds: tol_eq (1 + ||a||)(1 + ||b||)^2;
+    inf for ||b|| >= 1e154, where the float ** of the square could raise
+    OverflowError, and does past 1.34e154."""
+    return math.inf if b_norm >= 1e154 else tol.tol_eq * (1.0 + a_norm) * (1.0 + b_norm) ** 2
 
 
 def _solve(u, m0, core) -> np.ndarray:
@@ -620,9 +629,10 @@ def representation_15(a, p, q, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
     With w the witness for (p, q), the three expressions
     (wa)^(1,5) w,  w (aw)^(1,5),  w (waw)^- w
-    must all equal the directly computed inverse. Any pairwise disagreement
-    raises RepresentationMismatch: it signals a bug or a tolerance breach,
-    not a property of the input.
+    must all equal the directly computed inverse b: each deviation from b
+    must be within the residual scale (_res_scale) at ||a|| and ||b||. Any
+    disagreement raises RepresentationMismatch: it signals a bug or a
+    tolerance breach, not a property of the input.
     """
     a, p, q = _checked(a, p, q, tol)
     direct = compute_outer_pql(a, p, q, tol)
@@ -632,12 +642,11 @@ def representation_15(a, p, q, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     e1 = one_five_inverse(wa, tol) @ w
     e2 = w @ one_five_inverse(aw, tol)
     e3 = w @ inner_inverse(w @ a @ w, tol) @ w
-    ref = 1.0 + spectral_norm(direct.b)
-    thresh = 100.0 * tol.tol_eq * ref * ref
+    scale = _res_scale(direct._na, spectral_norm(direct.b), tol)
     for name, expr in (("(wa)^(1,5) w", e1), ("w (aw)^(1,5)", e2), ("w (waw)^- w", e3)):
-        d = spectral_norm(expr - direct.b)
-        if d > thresh:
-            raise RepresentationMismatch(f"{name} deviates from the direct inverse by {d:.3e}")
+        agree = _decide(spectral_norm(expr - direct.b), scale)
+        if not agree.truth:
+            raise RepresentationMismatch(f"{name} deviates from the direct inverse by {agree.value:.3e}")
     return e1
 
 
@@ -646,37 +655,30 @@ def representation_group_12(a, w, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
     When wa and aw are idempotent, b = (wa)^# w = w (aw)^# satisfies all
     four equations b a b = b, a b a = a, b a = wa, 1 - a b = 1 - aw.
-    BadWitness flags a w whose products fail these requirements;
-    RepresentationMismatch flags disagreement between the two expressions.
+    BadWitness flags a w whose products wa and 1 - aw are not idempotents
+    (idempotent_from_matrix), or whose b is not the strict inverse for them
+    (GInvResult's strict_12 flag); RepresentationMismatch flags two
+    expressions that differ by more than the residual scale (_res_scale) at
+    ||a|| and ||(wa)^# w||.
     """
     a = as_matrix(a)
     w = as_matrix(w)
     if a.shape != w.shape or a.shape[0] != a.shape[1]:
         raise DimMismatch("a and w must be square of the same size")
-    n = a.shape[0]
-    eye = np.eye(n, dtype=complex)
     wa = w @ a
     aw = a @ w
-    for name, m in (("wa", wa), ("aw", aw)):
-        nm = spectral_norm(m)
-        if spectral_norm(m @ m - m) > tol.tol_eq * (1.0 + nm * nm):
-            raise BadWitness(f"{name} is not idempotent")
+    try:
+        p, q = idempotent_from_matrix(wa, tol), idempotent_from_matrix(_eye(a.shape[0]) - aw, tol)
+    except ValueError as e:
+        raise BadWitness(f"wa or 1 - aw: {e}") from e
     b1 = group_inverse(wa, tol) @ w
     b2 = w @ group_inverse(aw, tol)
-    scale = 1.0 + spectral_norm(b1)
-    if spectral_norm(b1 - b2) > 100.0 * tol.tol_eq * scale * scale:
-        raise RepresentationMismatch("(wa)^# w and w (aw)^# disagree")
-    na = spectral_norm(a)
-    nb = spectral_norm(b1)
-    checks = (
-        ("b a b = b", spectral_norm(b1 @ a @ b1 - b1), 1.0 + na * nb * nb),
-        ("a b a = a", spectral_norm(a @ b1 @ a - a), 1.0 + na * na * nb),
-        ("b a = wa", spectral_norm(b1 @ a - wa), 1.0 + na * nb),
-        ("1 - a b = 1 - aw", spectral_norm(eye - a @ b1 - (eye - aw)), 1.0 + na * nb),
-    )
-    for name, resid, scale in checks:
-        if resid > 100.0 * tol.tol_eq * scale:
-            raise BadWitness(f"witness does not produce a strict inverse: {name} off by {resid:.3e}")
+    result = GInvResult(b1, a, p, q, tol)
+    agree = _decide(spectral_norm(b1 - b2), _res_scale(result._na, spectral_norm(b1), tol))
+    if not agree.truth:
+        raise RepresentationMismatch(f"(wa)^# w and w (aw)^# disagree by {agree.value:.3e}")
+    if not result._strict_12:
+        raise BadWitness(f"witness does not produce a strict inverse: residuals {result.residuals}")
     return b1
 
 

@@ -28,6 +28,7 @@ from .linalg import DEFAULT_TOL, Tolerances, _eye, _integer, _number, spectral_n
 from .perturbation import (
     Scenario,
     _BOUND_CHECKS,
+    _bound_holds,
     _generated_scenario,
     _thresholds,
     cor_lemas1,
@@ -435,8 +436,9 @@ def _check_selftest(s):
     if not r.hypothesis_satisfied:
         return replace(r, theorem="selftest-bad-bound")
     bad_rhs = r.rhs / 1e6
-    holds = r.lhs <= bad_rhs + s.tol.tol_eq
-    return replace(r, theorem="selftest-bad-bound", rhs=bad_rhs, margin=bad_rhs - r.lhs, holds=holds)
+    # aux holds the norms only where the new inverse exists; else lhs is inf
+    decision = _bound_holds(r.lhs, bad_rhs, r.aux.get("norm_lhs", math.nan), r.aux.get("norm_rhs", math.nan), s.tol)
+    return replace(r, theorem="selftest-bad-bound", rhs=bad_rhs, margin=bad_rhs - r.lhs, holds=decision.truth, decision=decision)
 
 
 # Each checker returns a report that knows its kind and verdict. The lambdas

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import MismatchedAmbient, NotComplementary, PerturbationTooLarge
-from .linalg import _EPS, DEFAULT_TOL, Tolerances, _cached, _eye, _frobenius, _norm_within, _number, as_matrix, rank, spectral_norm
+from .linalg import _EPS, DEFAULT_TOL, Decision, Tolerances, _cached, _decide, _eye, _frobenius, _norm_within, _number, as_matrix, rank, spectral_norm
 from .randomstream import RandomStream
 from .subspaces import Subspace, _norm_range_kernel, orthocomplement
 
@@ -110,16 +110,24 @@ def oblique(t: Subspace, s: Subspace, tol: Tolerances = DEFAULT_TOL) -> Idempote
     return Idempotent(m, t, s)
 
 
+def _idempotency(residual: float, nm: float, tol: Tolerances) -> Decision:
+    """Is a matrix m idempotent, for residual = ||m^2 - m|| and nm = ||m||?
+    The one rule: residual <= tol_eq (1 + nm^2), so a NaN residual (an entry
+    of m^2 that overflowed) fails it."""
+    return _decide(residual, tol.tol_eq * (1.0 + nm * nm))
+
+
 def idempotent_from_matrix(m, tol: Tolerances = DEFAULT_TOL) -> Idempotent:
-    """Validate that m is idempotent and attach its range and kernel."""
+    """Validate that m is idempotent (_idempotency) and attach its range and
+    kernel."""
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValueError("idempotent must be square")
     nm, rng, ker, _ = _norm_range_kernel(a, tol)
     d = a @ a - a
-    bound = tol.tol_eq * (1.0 + nm * nm)
-    # The SVD runs only for a residual that the Frobenius test cannot clear.
-    if not _norm_within(d, bound, lambda: not spectral_norm(d) > bound):
+    # The SVD runs only for a residual that the Frobenius test cannot clear
+    # at the rule's cutoff, which does not depend on the residual.
+    if not _norm_within(d, _idempotency(0.0, nm, tol).cutoff, lambda: _idempotency(spectral_norm(d), nm, tol).truth):
         raise ValueError(f"matrix is not idempotent: ||m^2 - m|| = {spectral_norm(d):.3e}")
     p = Idempotent(a, rng, ker)
     p.__dict__["norm"] = nm  # prime the cached norm with the one just computed

@@ -280,14 +280,13 @@ def rank(m, tol: Tolerances = DEFAULT_TOL, scale: Optional[float] = None) -> int
 
 def _inverse(m: np.ndarray, tol: Tolerances):
     """(invertible, inverse or None) of the square m from one values-only
-    SVD, by the one singularity rule: invertible is the decision that
-    sigma_min exceeds tol_inv sigma_max, read as not sigma_min <= cutoff, so
-    a NaN sigma reads invertible and np.linalg.inv answers for it. A zero m
-    is singular; the 0 x 0 m is invertible by a count, with sigma_min inf."""
+    SVD, by the one singularity rule: invertible is the decision (_decide)
+    that sigma_min exceeds tol_inv sigma_max, so a zero m and a NaN sigma
+    (an entry that overflowed) read singular, with no inverse. The 0 x 0 m
+    is invertible by a count, with sigma_min inf."""
     sv = _singular_values(m)
-    smin, cutoff = (float(sv[-1]), tol.tol_inv * sv[0]) if sv.size else (math.inf, None)
-    truth = not sv.size or not (sv[0] == 0.0 or smin <= cutoff)
-    return Decision(truth, smin, cutoff, ">"), np.linalg.inv(m) if truth else None
+    invertible = _decide(float(sv[-1]), tol.tol_inv * sv[0], ">") if sv.size else Decision(True, math.inf, None, ">")
+    return invertible, np.linalg.inv(m) if invertible.truth else None
 
 
 def try_inverse(m, tol: Tolerances = DEFAULT_TOL) -> Optional[np.ndarray]:

@@ -35,8 +35,9 @@ from .gen_inverse import (
     _as_idempotent,
     _checked,
     _Evaluation,
+    _res_scale,
 )
-from .idempotents import Idempotent
+from .idempotents import Idempotent, _idempotency
 from .linalg import DEFAULT_TOL, Decision, Tolerances, _all, _by_distance, _cached, _decide, _eye, _inverse, _norm_low, _norm_within, as_matrix, spectral_norm
 from .subspaces import _gap_and_equal, _norm_range_kernel, _one_sided_gap, _reads_zero, map_subspace
 
@@ -328,6 +329,10 @@ class BoundReport:
     true. When it is satisfied, holds requires the asserted existence and
     every inequality of the statement (relative error; norm bound in aux),
     and for thm3.6 and cor3.12 the representations of the new inverse.
+    decision is the verdict of the two inequalities (_bound_holds), None
+    where the hypothesis fails or the new inverse does not exist; closest_call
+    is its distance from its cutoff (linalg.Decision.distance), inf without
+    one.
     """
 
     theorem: str
@@ -339,7 +344,10 @@ class BoundReport:
     margin: float
     holds: bool
     aux: dict = field(default_factory=dict)
+    decision: Optional[Decision] = None
     kind: ClassVar[str] = "bound"
+
+    closest_call = property(lambda self: math.inf if self.decision is None else self.decision.distance)
 
     @property
     def ok(self) -> bool:
@@ -351,11 +359,6 @@ def kappa(a, b) -> float:
     if isinstance(b, GInvResult):
         b = b.b
     return spectral_norm(as_matrix(a)) * spectral_norm(as_matrix(b))
-
-
-def _res_scale(a_bar_norm: float, b_norm: float, tol: Tolerances) -> float:
-    # Residual-to-boolean conversion scale for algebraic identities.
-    return tol.tol_eq * (1.0 + a_bar_norm) * (1.0 + b_norm) ** 2
 
 
 def _equivalence(rows, identities=(), aux=None) -> EquivalenceReport:
@@ -403,7 +406,7 @@ def _update(b, d, right, left, tol: Tolerances, norm_b) -> np.ndarray:
         return 10.0 * tol.tol_eq * (1.0 + n1) * (1.0 + nb) * (1.0 + nd)
 
     def exact():
-        return not spectral_norm(diff) > lim(spectral_norm(form1), norm_b(), spectral_norm(d))
+        return _decide(spectral_norm(diff), lim(spectral_norm(form1), norm_b(), spectral_norm(d))).truth
 
     if not _norm_within(diff, lim(_norm_low(form1), _norm_low(b), _norm_low(d)), exact):
         raise RepresentationMismatch(f"the two update forms disagree by {spectral_norm(diff):.3e}")
@@ -454,7 +457,7 @@ def lemma26_f(scenario: Scenario):
     # so its rank cutoff is anchored at max(||f||, 1), not at ||f|| alone.
     nf, col_f = _norm_range_kernel(f, s.tol)[:2]
     idem_resid = spectral_norm(f @ f - f)
-    idem = _decide(idem_resid, s.tol.tol_eq * (1.0 + nf * nf))
+    idem = _idempotency(idem_resid, nf, s.tol)
     g, equal = _gap_and_equal(s._bar.ker_a, col_f, s.tol)
     subset = _reads_zero(g.delta_mn, s.tol)
     rows = (("kernel_of_perturbed_equals_range_f", equal, g.gap), s._stable)
@@ -645,6 +648,12 @@ def _thresholds(kap: float, moves_p: bool, scale: float = 1.0):
     )
 
 
+def _bound_holds(lhs: float, rhs: float, norm_lhs: float, norm_rhs: float, tol: Tolerances) -> Decision:
+    """Does a bound hold? The one rule: lhs <= rhs + tol_eq and norm_lhs <=
+    norm_rhs + tol_eq, as linalg._all of the two decisions."""
+    return _all((_decide(lhs, rhs + tol.tol_eq), _decide(norm_lhs, norm_rhs + tol.tol_eq)))
+
+
 def _small(value: float, threshold: float, tol: Tolerances) -> Decision:
     """Does a smallness hypothesis hold? The one rule: value < threshold -
     tol_eq."""
@@ -721,10 +730,9 @@ def _bound(theorem, s: Scenario, moves_p: bool, moves_q: bool, moves_a: bool = F
         lhs = lhs / nb if nb else (0.0 if lhs == 0.0 else math.inf)
     norm_lhs = e.nb
     aux.update(norm_lhs=norm_lhs, norm_rhs=norm_rhs)
-    holds = lhs <= rhs + tol.tol_eq and norm_lhs <= norm_rhs + tol.tol_eq
-    if extra is not None and not extra(aux, s, e, _res_scale(s.norm_a, max(nb, norm_lhs), tol)):
-        holds = False
-    return BoundReport(theorem, s.n, kap, True, lhs, rhs, rhs - lhs, holds, aux)
+    decision = _bound_holds(lhs, rhs, norm_lhs, norm_rhs, tol)
+    extra_holds = extra is None or extra(aux, s, e, _res_scale(s.norm_a, max(nb, norm_lhs), tol))
+    return BoundReport(theorem, s.n, kap, True, lhs, rhs, rhs - lhs, decision.truth and extra_holds, aux, decision)
 
 
 def _factored_group(f, g, gf) -> np.ndarray:
@@ -749,7 +757,7 @@ def _witness_representations(aux, s: Scenario, e: _Evaluation, scale: float) -> 
     _, m0_new, core_new = e._core[:3]
     rep = b + b @ _factored_group(a @ u, m0_new, core_new) @ a @ (u @ m0_new - u @ m0) @ (_eye(s.n) - a @ b)
     aux["representation_deviation"] = spectral_norm(rep - e.outer.b)
-    return aux["representation_deviation"] <= scale
+    return _decide(aux["representation_deviation"], scale).truth
 
 
 def _cor_12(s: Scenario, moves_p: bool, moves_q: bool) -> BoundReport:
@@ -766,7 +774,7 @@ def _cor_12(s: Scenario, moves_p: bool, moves_q: bool) -> BoundReport:
             x = moved.m @ a if kernel_side else a @ moved.m - a
             # at ||a||_F / sqrt(n) and the cached norm of the moved idempotent, or 0
             low = bound(_norm_low(a), moved.__dict__.get("norm", 0.0))
-            if not _norm_within(x, low, lambda: not spectral_norm(x) > bound(s.norm_a, moved.norm)):
+            if not _norm_within(x, low, lambda: _decide(spectral_norm(x), bound(s.norm_a, moved.norm)).truth):
                 raise SideConditionViolated(f"{rule} fails by {spectral_norm(x):.3e}")
     if not s.base._strict_12:
         raise NotExists(
@@ -787,7 +795,7 @@ def _cor_12(s: Scenario, moves_p: bool, moves_q: bool) -> BoundReport:
         f, g = a @ u, np.linalg.solve(core_new, m0_new)
         rep = b + b @ _factored_group(f, g, g @ f) @ a @ (new.b - b) @ s.q.m
         aux["group_rep_deviation"] = spectral_norm(rep - new.b)
-        return strict_ok and rep_ok and aux["group_rep_deviation"] <= scale
+        return strict_ok and rep_ok and _decide(aux["group_rep_deviation"], scale).truth
 
     label = "cor3.11" if not moves_q else "cor3.12" if not moves_p else "cor3.13"
     return _bound(label, s, moves_p, moves_q, extra=strict_new)

@@ -299,6 +299,7 @@ def bound_report_to_json(r) -> dict:
         "rhs": _enc_float(r.rhs),
         "margin": _enc_float(r.margin),
         "holds": r.holds,
+        "closest_call": _enc_float(r.closest_call),
         "aux": {k: _enc_float(v) for k, v in r.aux.items()},
     }
 

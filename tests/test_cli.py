@@ -335,6 +335,16 @@ def test_ensemble_records_draws_that_its_tolerance_rejects(tmp_path, capsys):
         assert all(f["error"].startswith("GenerationFailed") and "not idempotent" in f["error"] for f in failures)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning")
+def test_ensemble_with_an_overflowing_shift_records_failures_and_exits_1(tmp_path, capsys):
+    # an update factor whose SVD reads NaN is singular, so cor2.8 and lemma2.6 no longer abort here
+    config = config_to_json(EnsembleConfig(n_range=(2, 4), count=6, seed=1, theorems=("cor2.8", "lemma2.6"), perturbation_magnitudes=(1e308,)))
+    code, out, err = run(capsys, ["ensemble", "--config", write(tmp_path, "config.json", config)])
+    assert code == 1 and "Traceback" not in err
+    campaign = json.loads(out)
+    assert campaign["ok"] is False and all(st["instances"] == 6 for st in campaign["stats"].values())
+
+
 def test_verify_replays_a_failure_that_ensemble_dumped(tmp_path, capsys):
     config = config_file(tmp_path, n_range=(2, 6), rank_range=(1, 5), count=4, seed=21, theorems=("selftest-bad-bound",))
     code, out, _ = run(capsys, ["ensemble", "--config", config])
@@ -533,6 +543,21 @@ def test_compute_rejects_a_p_that_is_not_idempotent(tmp_path, capsys, exact):
     code, out, err = run(capsys, command)
     assert (code, out) == (2, "")
     assert err.startswith("input error: bad idempotent:") and "not idempotent" in err and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning")
+def test_exists_rejects_a_p_whose_residual_overflows(tmp_path, capsys):
+    # p = diag(1e200, 0) is as far from idempotent as diag(2, 0); p^2 - p overflows
+    obj = {"a": [1, 0, 0, 1], "p": [1e200, 0, 0, 0], "q": [0, 0, 0, 1]}
+    path = write(tmp_path, "instance.json", {k: {"rows": 2, "cols": 2, "data": v} for k, v in obj.items()})
+    code, out, err = run(capsys, ["exists", "--in", path])
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: bad idempotent:") and "not idempotent" in err and "Traceback" not in err
+    # the exactly idempotent [[1, 1e200], [0, 0]] is accepted
+    obj["p"] = [1, 1e200, 0, 0]
+    path = write(tmp_path, "instance.json", {k: {"rows": 2, "cols": 2, "data": v} for k, v in obj.items()})
+    code, out, _ = run(capsys, ["exists", "--in", path])
+    assert code == 0 and json.loads(out)["exists"] is True
 
 
 S_OVERFLOW = np.array([[1, 1, 1, 1], [-1, 1, 1, -1], [-1, 1, 1, -1], [1, 1, 1, -1]], dtype=complex)

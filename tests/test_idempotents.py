@@ -97,6 +97,16 @@ def test_idempotent_from_matrix_validates():
         idempotent_from_matrix(np.zeros((2, 3)))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning")
+def test_a_residual_that_overflows_is_not_idempotent():
+    # m^2 - m = diag(inf, 0) has a NaN norm, which fails the rule rather than passing it
+    with pytest.raises(ValueError, match="not idempotent"):
+        idempotent_from_matrix(np.diag([1e200, 0.0]))
+    # an exactly idempotent m of norm 1e200 is still one: its residual is exactly 0
+    e = idempotent_from_matrix(np.array([[1.0, 1e200], [0.0, 0.0]]))
+    assert e.rank == 1 and e.norm == pytest.approx(1e200)
+
+
 def test_complement_swaps_range_and_kernel():
     p = random_idempotent(4, 2, skew=0.5, seed=3)
     c = p.complement()

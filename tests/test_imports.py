@@ -178,3 +178,65 @@ def test_unread_parameters_are_found():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unread_parameters(path):
     assert unread_parameters(path.read_text(encoding="utf-8")) == []
+
+
+# The rule homes: the only places outside configuration that read tol_eq,
+# each the one home of a numerical rule (see README, "Decisions").
+_TOL_EQ_HOMES = {
+    "GInvResult._threshold",  # a defining residual of b is small
+    "_res_scale",  # two expressions for an inverse agree
+    "_idempotency",  # a matrix is idempotent
+    "_update",  # the two update forms agree
+    "_small",  # a smallness hypothesis holds
+    "_bound_holds",  # a bound holds
+    "_cor_12",  # the side conditions a p' = a and (1 - q') a = a
+    "_reads_zero",  # a gap reads zero
+}
+
+# Modules that read tol_eq as configuration: parse, print, encode.
+_TOL_EQ_CONFIGURATION = {"cli.py", "serialize.py"}
+
+
+def tol_eq_readers(source: str) -> list:
+    """The home of every read of the attribute tol_eq: the function at module
+    level or the method (as Class.method) that contains it, a nested
+    function counting as its enclosing home; the class name for a read in a
+    class body outside its methods, "<module>" at module level."""
+    found = []
+
+    def visit(node, owner, home):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "tol_eq":
+                found.append(home or owner or "<module>")
+            if home is None and isinstance(child, ast.ClassDef):
+                visit(child, child.name, None)
+            elif home is None and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, owner, f"{owner}.{child.name}" if owner else child.name)
+            else:
+                visit(child, owner, home)
+
+    visit(ast.parse(source), None, None)
+    return found
+
+
+def test_tol_eq_readers_are_found():
+    src = (
+        "t = tol.tol_eq\n"
+        "def f(tol):\n"
+        "    def lim():\n"
+        "        return tol.tol_eq\n"
+        "    return lim\n"
+        "class C:\n"
+        "    x = DEFAULT.tol_eq\n"
+        "    def m(self):\n"
+        "        return (lambda: self.tol.tol_eq)()\n"
+    )
+    assert tol_eq_readers(src) == ["<module>", "f", "C", "C.m"]
+
+
+def test_tol_eq_is_read_only_by_the_rule_homes():
+    homes = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name not in _TOL_EQ_CONFIGURATION:
+            homes += [h for h in tol_eq_readers(path.read_text(encoding="utf-8")) if not h.startswith("Tolerances")]
+    assert set(homes) == _TOL_EQ_HOMES

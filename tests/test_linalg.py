@@ -218,12 +218,17 @@ def test_the_inverse_is_the_solve_against_the_identity_bit_for_bit(monkeypatch):
             invertible, got = _inverse(m, DEFAULT_TOL)
             want = np.linalg.solve(m, identity(n))
             assert invertible.truth and got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes(), (n, k)
-    # a NaN singular value reads invertible (not sigma_min <= cutoff), and
-    # np.linalg.inv answers for it: the SVD of an infinite entry
+    # a NaN singular value (the SVD of an infinite entry) reads singular,
+    # with no inverse, as its comparison with the cutoff fails
     inf = np.array([[np.inf, 0.0], [0.0, 1.0]], dtype=complex)
     with np.errstate(invalid="ignore"):
         invertible, got = _inverse(inf, DEFAULT_TOL)
-        assert invertible.truth and np.isnan(invertible.value) and got.tobytes() == np.linalg.inv(inf).tobytes()
+    assert not invertible.truth and np.isnan(invertible.value) and invertible.op == ">" and got is None
+    # a zero m is singular; the 0 x 0 m is invertible by a count
+    zero, got = _inverse(np.zeros((2, 2), dtype=complex), DEFAULT_TOL)
+    assert not zero.truth and zero.value == zero.cutoff == 0.0 and got is None
+    empty, got = _inverse(np.zeros((0, 0), dtype=complex), DEFAULT_TOL)
+    assert empty.truth and empty.cutoff is None and got.shape == (0, 0)
     # singular values that pass the test do not hide an exactly singular m
     monkeypatch.setattr(linalg, "_singular_values", lambda m: np.ones(2))
     with pytest.raises(np.linalg.LinAlgError):

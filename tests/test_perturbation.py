@@ -43,6 +43,9 @@ from ginv import (
     subspace_from_columns,
     update_formula,
 )
+from ginv.errors import RepresentationMismatch
+from ginv.linalg import DEFAULT_TOL, Decision
+from ginv.perturbation import _update
 
 
 def verdicts(report):
@@ -476,6 +479,24 @@ def test_cor_variants_reject_broken_side_condition(diag_instance):
     p_prime = perturb_idempotent(p, 0.05, seed=2, mode="kernel")
     with pytest.raises(SideConditionViolated):
         cor_12_variants(a, p, q, p_prime=p_prime)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning")
+def test_a_side_condition_whose_residual_reads_nan_fails():
+    # a p' overflows in its second column: the residual a p' - a reads NaN and fails
+    a, p, q = np.diag([1e307, 0.0]), np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    with pytest.raises(SideConditionViolated, match="a p' = a fails by nan"):
+        cor_12_variants(a, p, q, p_prime=np.array([[1.0, 100.0], [0.0, 0.0]]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning")
+def test_update_forms_whose_difference_reads_nan_disagree():
+    # factors whose products overflow: form1 = b (1 + d b)^-1 reads inf + nan j,
+    # and the NaN norm of the difference of the forms fails their agreement
+    b = np.diag([1e200, 1.0]).astype(complex)
+    factor = Decision(True, 1.0, 1e-12, ">")
+    with pytest.raises(RepresentationMismatch, match="disagree by nan"):
+        _update(b, np.zeros((2, 2), dtype=complex), (factor, b.copy()), (factor, np.eye(2, dtype=complex)), DEFAULT_TOL, lambda: 1e200)
 
 
 def test_cor_variants_need_some_motion(diag_instance):

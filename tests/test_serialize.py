@@ -246,6 +246,7 @@ def test_result_and_report_shapes():
         "rhs",
         "margin",
         "holds",
+        "closest_call",
         "aux",
     }
 
