@@ -19,9 +19,9 @@ independent routes (useful as cross-checks).
 
 from __future__ import annotations
 
-import math
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -37,9 +37,9 @@ from .errors import (
 )
 from .exact import ExactMatrix
 from .idempotents import Idempotent, idempotent_from_matrix
-from .linalg import _EPS, DEFAULT_TOL, Decision, Tolerances, _all, _cached, _counted, _decide, _eye, _norm_low, _norm_within, _rank_cutoff, _rank_from_sv, _singular_values, _taken, as_matrix, spectral_norm, try_inverse
+from .linalg import _EPS, DEFAULT_TOL, Decision, Tolerances, _all, _cached, _counted, _decide, _decide_scaled, _eye, _norm_low, _norm_within, _rank_from_sv, _singular_values, _taken, as_matrix, spectral_norm, try_inverse
 from .randomstream import RandomStream
-from .subspaces import Subspace, _direct_sum, _meet, _norm_range_kernel, _reads_zero, direct_sum_is_all, gap, intersection_trivial, map_subspace, orthocomplement
+from .subspaces import Subspace, _direct_sum, _meet, _norm_range_kernel, _reads_zero, _stacked_rank, direct_sum_is_all, gap, intersection_trivial, map_subspace, orthocomplement
 
 __all__ = [
     "ExistenceReport",
@@ -86,17 +86,16 @@ class GInvResult:
     Most callers read only b, so each residual is worked out on first
     access, from the a, p and q that b was solved for (na is ||a|| when the
     caller has it); those inputs must not be changed in place before then.
-    A private flag reads only the residuals it needs (_outer_pql: bab_b and
-    the gaps, _l_inverse: aba_a, _strict_pq: ba_p and one_ab_q, _strict_12
-    both), is decided once and cached like them, and settles an algebraic
+    A private flag tests the parts that _FLAGS names for it, in that order,
+    is decided once and cached like the residuals, and settles an algebraic
     residual's threshold test without working the residual out when the
     Frobenius norm of its matrix can (_residual_within): each threshold
     grows with ||b||, ||p|| and ||q||, so it is evaluated at lower bounds of
     these, and _norm_within proves that such a verdict is the exact one. The
     public flags work out every residual first, so residuals reports exact
-    values and the flags their exact verdicts. _part gives
-    the exact test of one residual or gap as a decision, and linalg._all of
-    the parts of a flag in its order is that flag as a decision.
+    values and the flags their exact verdicts. _part gives the exact test of
+    one residual or gap as a decision, and _flags_decision that of the
+    flags it names.
     """
 
     # Each algebraic residual: the matrix whose spectral norm it is, and its
@@ -150,32 +149,38 @@ class GInvResult:
         return _reads_zero(getattr(self, name), self._tol)
 
     def _residual_within(self, name: str) -> bool:
-        """_part(name).truth, without working the residual out when the
+        """_part(name).truth, without working a residual out when the
         Frobenius test can decide.
 
-        A residual worked out already is compared exactly. Otherwise the
-        Frobenius test compares its matrix with the threshold at ||b||_F /
-        sqrt(n) until _b_summary holds ||b||, and at the idempotent's norm if
-        that is cached, else 0.0 (each threshold grows in both); the residual
-        is worked out only when that test cannot decide.
+        A gap, or a residual worked out already, is compared exactly.
+        Otherwise the Frobenius test compares the residual's matrix with the
+        threshold at ||b||_F / sqrt(n) until _b_summary holds ||b||, and at
+        the idempotent's norm if that is cached, else 0.0 (each threshold
+        grows in both); the residual is worked out only when that test cannot
+        decide.
         """
-        if name in self.__dict__:
+        if name in self.__dict__ or name not in self._RESIDUALS:
             return self._part(name).truth
         nb = self._b_summary[0] if "_b_summary" in self.__dict__ else _norm_low(self.b)
         low = self._threshold(name, nb, lambda e: e.__dict__.get("norm", 0.0))
         return _norm_within(self._RESIDUALS[name][0](self), low, lambda: self._part(name).truth)
 
-    @_cached
-    def _outer_pql(self) -> bool:
-        return self._residual_within("_bab_b") and self._part("_gap_range").truth and self._part("_gap_kernel").truth
+    # Each flag: the parts it tests, in test order. strict_12 is strict_pq
+    # and l_inverse.
+    _FLAGS = {
+        "_outer_pql": ("_bab_b", "_gap_range", "_gap_kernel"),
+        "_l_inverse": ("_aba_a",),
+        "_strict_pq": ("_ba_p", "_one_ab_q"),
+    }
 
-    @_cached
-    def _l_inverse(self) -> bool:
-        return self._residual_within("_aba_a")
+    # The flags, in the order of _FLAGS, each decided on first access by
+    # _residual_within of its parts, the first that fails deciding.
+    _outer_pql, _l_inverse, _strict_pq = (_cached(lambda r, parts=parts: all(map(r._residual_within, parts))) for parts in _FLAGS.values())
 
-    @_cached
-    def _strict_pq(self) -> bool:
-        return self._residual_within("_ba_p") and self._residual_within("_one_ab_q")
+    def _flags_decision(self, *flags: str) -> Decision:
+        """The named flags as one decision: linalg._all of the exact tests
+        (_part) of their parts, in the order of _FLAGS."""
+        return _all(self._part(name) for flag in flags for name in self._FLAGS[flag])
 
     @_cached
     def _strict_12(self) -> bool:
@@ -183,24 +188,12 @@ class GInvResult:
 
     @_cached
     def residuals(self) -> dict:
-        return {
-            "bab_b": self._bab_b,
-            "aba_a": self._aba_a,
-            "ba_p": self._ba_p,
-            "one_ab_q": self._one_ab_q,
-            "gap_range": self._gap_range,
-            "gap_kernel": self._gap_kernel,
-        }
+        return {name[1:]: getattr(self, name) for name in (*self._RESIDUALS, "_gap_range", "_gap_kernel")}
 
     @_cached
     def flags(self) -> dict:
         self.residuals  # the classification works out every residual
-        return {
-            "outer_pql": self._outer_pql,
-            "l_inverse": self._l_inverse,
-            "strict_pq": self._strict_pq,
-            "strict_12": self._strict_12,
-        }
+        return {name[1:]: getattr(self, name) for name in (*self._FLAGS, "_strict_12")}
 
     def __repr__(self):
         on = [k for k, v in self.flags.items() if v]
@@ -263,12 +256,16 @@ def _checked(a, p, q, tol: Tolerances):
     return a, p, q
 
 
-def _res_scale(a_norm: float, b_norm: float, tol: Tolerances) -> float:
-    """The cutoff at which two expressions for an inverse b of a agree, or
-    an algebraic identity in them holds: tol_eq (1 + ||a||)(1 + ||b||)^2;
-    inf for ||b|| >= 1e154, where the float ** of the square could raise
-    OverflowError, and does past 1.34e154."""
-    return math.inf if b_norm >= 1e154 else tol.tol_eq * (1.0 + a_norm) * (1.0 + b_norm) ** 2
+def _res_scale(a_norm: float, b_norm: float, tol: Tolerances):
+    """The residual scale at which two expressions for an inverse b of a
+    agree, or an algebraic identity in them holds, as the function that
+    decides a deviation against it: deviation <= tol_eq (1 + ||a||)(1 +
+    ||b||)^2, by linalg._decide_scaled, so that no scale past double range
+    passes every deviation. For ||b|| >= 1e154 the square is two factors,
+    as the float ** of the square could raise OverflowError, and does past
+    1.34e154."""
+    square = ((1.0 + b_norm) ** 2,) if b_norm < 1e154 else (1.0 + b_norm, 1.0 + b_norm)
+    return partial(_decide_scaled, tol=tol.tol_eq, factors=(1.0 + a_norm, *square))
 
 
 def _solve(u, m0, core) -> np.ndarray:
@@ -394,20 +391,9 @@ class _Evaluation:
         """The outer test's direct sum: a col(p) + col(q) = C^n."""
         return self._certificate if self._certified else _direct_sum(self._image, self.q.range, self.tol)
 
-    @_cached
-    def _stacked(self):
-        """(how many dimensions col a and col q share: the rank defect of the
-        stacked bases [col a, col q], 0 when either is {0}; and the decision
-        that it is 0: whether the least stacked singular value clears the
-        rank cutoff, read where col a and col q have at most n dimensions
-        together, a count when either is {0}). Their leading singular value
-        is at least 1, so the cutoff is never below tol_rank max(shape)."""
-        if self.col_a.dim == 0 or self.q.rank == 0:
-            return 0, _counted(True)
-        stacked = np.hstack([self.col_a.basis, self.q.range.basis])
-        sv = _singular_values(stacked)
-        cutoff = _rank_cutoff(sv, stacked.shape, self.tol)
-        return stacked.shape[1] - int(np.count_nonzero(sv > cutoff)), _decide(sv[-1], cutoff, ">")
+    # subspaces._stacked_rank of col a and col q: (how many dimensions they
+    # share, the decision that they share none).
+    _stacked = _cached(lambda self: _stacked_rank(self.col_a, self.q.range, self.tol))
 
     @_cached
     def _trivial_q(self) -> Decision:
@@ -523,15 +509,13 @@ def compute_outer_pql(a, p, q, tol: Tolerances = DEFAULT_TOL, *, basis_seed=None
     return _Evaluation(*_checked(a, p, q, tol), tol).solve(basis_seed)
 
 
-def _solved(a, p: Idempotent, q: Idempotent, tol: Tolerances, l_mode: bool = False, summary=None):
+def _solved(a, p: Idempotent, q: Idempotent, tol: Tolerances, summary=None):
     """The existence evaluation of checked (a, p, q) with its outer inverse
-    solved, or None when that does not exist; with l_mode, also None when
-    the inner-outer existence test fails."""
+    solved, or None when that does not exist."""
     e = _Evaluation(a, p, q, tol, summary)
-    if not l_mode or e.exists(l_mode=True):
-        with suppress(NotExists):
-            e.outer
-            return e
+    with suppress(NotExists):
+        e.outer
+        return e
     return None
 
 
@@ -599,11 +583,14 @@ def one_five_inverse(x, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 
 def inner_inverse(x, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """A y with x y x = x; the pseudoinverse is the canonical pick."""
+    """A y with x y x = x; the pseudoinverse is the canonical pick, from one
+    thin SVD whose rank is cut by the rule of linalg.rank."""
     x = as_matrix(x)
     if x.size == 0:
         return x.conj().T.copy()
-    return np.linalg.pinv(x, rcond=tol.tol_rank * max(x.shape))
+    u, s, vh = np.linalg.svd(x, full_matrices=False)
+    r = _rank_from_sv(s, x.shape, tol)
+    return vh[:r].conj().T @ (u[:, :r].conj().T / s[:r, None])
 
 
 def build_witness(p, q, tol: Tolerances = DEFAULT_TOL) -> Witness:
@@ -630,7 +617,7 @@ def representation_15(a, p, q, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     With w the witness for (p, q), the three expressions
     (wa)^(1,5) w,  w (aw)^(1,5),  w (waw)^- w
     must all equal the directly computed inverse b: each deviation from b
-    must be within the residual scale (_res_scale) at ||a|| and ||b||. Any
+    must agree with b by the rule of _res_scale at ||a|| and ||b||. Any
     disagreement raises RepresentationMismatch: it signals a bug or a
     tolerance breach, not a property of the input.
     """
@@ -642,11 +629,11 @@ def representation_15(a, p, q, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     e1 = one_five_inverse(wa, tol) @ w
     e2 = w @ one_five_inverse(aw, tol)
     e3 = w @ inner_inverse(w @ a @ w, tol) @ w
-    scale = _res_scale(direct._na, spectral_norm(direct.b), tol)
+    agree = _res_scale(direct._na, spectral_norm(direct.b), tol)
     for name, expr in (("(wa)^(1,5) w", e1), ("w (aw)^(1,5)", e2), ("w (waw)^- w", e3)):
-        agree = _decide(spectral_norm(expr - direct.b), scale)
-        if not agree.truth:
-            raise RepresentationMismatch(f"{name} deviates from the direct inverse by {agree.value:.3e}")
+        deviation = spectral_norm(expr - direct.b)
+        if not agree(deviation).truth:
+            raise RepresentationMismatch(f"{name} deviates from the direct inverse by {deviation:.3e}")
     return e1
 
 
@@ -658,8 +645,8 @@ def representation_group_12(a, w, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     BadWitness flags a w whose products wa and 1 - aw are not idempotents
     (idempotent_from_matrix), or whose b is not the strict inverse for them
     (GInvResult's strict_12 flag); RepresentationMismatch flags two
-    expressions that differ by more than the residual scale (_res_scale) at
-    ||a|| and ||(wa)^# w||.
+    expressions that do not agree by the rule of _res_scale at ||a|| and
+    ||(wa)^# w||.
     """
     a = as_matrix(a)
     w = as_matrix(w)
@@ -674,9 +661,9 @@ def representation_group_12(a, w, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     b1 = group_inverse(wa, tol) @ w
     b2 = w @ group_inverse(aw, tol)
     result = GInvResult(b1, a, p, q, tol)
-    agree = _decide(spectral_norm(b1 - b2), _res_scale(result._na, spectral_norm(b1), tol))
-    if not agree.truth:
-        raise RepresentationMismatch(f"(wa)^# w and w (aw)^# disagree by {agree.value:.3e}")
+    deviation = spectral_norm(b1 - b2)
+    if not _res_scale(result._na, spectral_norm(b1), tol)(deviation).truth:
+        raise RepresentationMismatch(f"(wa)^# w and w (aw)^# disagree by {deviation:.3e}")
     if not result._strict_12:
         raise BadWitness(f"witness does not produce a strict inverse: residuals {result.residuals}")
     return b1

@@ -210,8 +210,8 @@ def _base_l_aligned(stream, memo, n, r, skew, tol):
     except NotComplementary:
         return None
     p = _idempotent(stream, memo, n, r, skew, tol)
-    e = _solved(a, p, q, tol, l_mode=True, summary=summary)
-    return None if e is None else (a, p, q, e)
+    e = _solved(a, p, q, tol, summary=summary)
+    return None if e is None or not e.exists(l_mode=True) else (a, p, q, e)
 
 
 def _base_strict(stream, memo, n, r, skew, tol):

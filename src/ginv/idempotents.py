@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import MismatchedAmbient, NotComplementary, PerturbationTooLarge
-from .linalg import _EPS, DEFAULT_TOL, Decision, Tolerances, _cached, _decide, _eye, _frobenius, _norm_within, _number, as_matrix, rank, spectral_norm
+from .linalg import _EPS, DEFAULT_TOL, Decision, Tolerances, _cached, _decide, _decide_scaled, _eye, _frobenius, _norm_within, _number, as_matrix, rank, spectral_norm
 from .randomstream import RandomStream
 from .subspaces import Subspace, _norm_range_kernel, orthocomplement
 
@@ -110,11 +110,21 @@ def oblique(t: Subspace, s: Subspace, tol: Tolerances = DEFAULT_TOL) -> Idempote
     return Idempotent(m, t, s)
 
 
+def _keeps_rank(norm: float, n: int, tol: Tolerances) -> Decision:
+    """Does an idempotent in C^n whose norm is at most `norm` read its rank?
+    The one rule: n tol_rank norm < 1, so a NaN norm fails it. Its nonzero
+    singular values are at least 1 and the rank cutoff of
+    idempotent_from_matrix is tol_rank n max(||p||, 1), below 1 then."""
+    return _decide(norm * n * tol.tol_rank, 1.0, "<")
+
+
 def _idempotency(residual: float, nm: float, tol: Tolerances) -> Decision:
     """Is a matrix m idempotent, for residual = ||m^2 - m|| and nm = ||m||?
     The one rule: residual <= tol_eq (1 + nm^2), so a NaN residual (an entry
-    of m^2 that overflowed) fails it."""
-    return _decide(residual, tol.tol_eq * (1.0 + nm * nm))
+    of m^2 that overflowed) fails it. Past double range it is decided by
+    linalg._decide_scaled, with 1 + nm^2 read as nm nm where nm^2 overflows."""
+    sq = nm * nm
+    return _decide_scaled(residual, tol.tol_eq, (1.0 + sq,) if sq != math.inf else (nm, nm))
 
 
 def idempotent_from_matrix(m, tol: Tolerances = DEFAULT_TOL) -> Idempotent:
@@ -126,7 +136,7 @@ def idempotent_from_matrix(m, tol: Tolerances = DEFAULT_TOL) -> Idempotent:
     nm, rng, ker, _ = _norm_range_kernel(a, tol)
     d = a @ a - a
     # The SVD runs only for a residual that the Frobenius test cannot clear
-    # at the rule's cutoff, which does not depend on the residual.
+    # at the rule's cutoff at residual 0, a lower bound of its threshold.
     if not _norm_within(d, _idempotency(0.0, nm, tol).cutoff, lambda: _idempotency(spectral_norm(d), nm, tol).truth):
         raise ValueError(f"matrix is not idempotent: ||m^2 - m|| = {spectral_norm(d):.3e}")
     p = Idempotent(a, rng, ker)
@@ -155,8 +165,8 @@ def _random_idempotent(n: int, r: int, skew: float, stream: RandomStream, tol: T
     draw, p = T T^H - skew T Z C^H. Then p T = T and p (C + skew T Z) = 0, so
     the range is the span of the draw and the kernel the span of C + skew T Z,
     the complement tilted toward the range. The rank that p reads is r while
-    n tol_rank ||p|| < 1 (see perturb_idempotent); a skew for which
-    n tol_rank ||p||_F reaches 1 raises PerturbationTooLarge.
+    n tol_rank ||p|| < 1 (_keeps_rank); a skew for which ||p||_F fails that
+    rule, NaN included, raises PerturbationTooLarge.
     """
     if not 0 <= r <= n:
         raise ValueError("rank out of range")
@@ -168,7 +178,7 @@ def _random_idempotent(n: int, r: int, skew: float, stream: RandomStream, tol: T
         m = t @ t.conj().T
         if skew:
             m = m - skew * (t @ stream.normal_matrix(r, n - r)) @ c.conj().T
-        if not _frobenius(m) * n * tol.tol_rank < 1:  # refuses a NaN norm too
+        if not _keeps_rank(_frobenius(m), n, tol).truth:
             raise PerturbationTooLarge(f"skew {skew!r} is too extreme for p to keep rank {r}")
     return idempotent_from_matrix(m, tol)
 
@@ -220,12 +230,10 @@ def perturb_idempotent(
     request below about 1e-4, short of it by about the roundoff of the
     distance (eps ||p||^2).
 
-    p' takes its range and kernel from `idempotent_from_matrix`. Its nonzero
-    singular values are at least 1, and that rule's rank cutoff is
-    tol_rank n max(||p'||, 1), so p' keeps the rank of p while
-    ||p|| + magnitude < 1/(n tol_rank); a larger request raises
-    PerturbationTooLarge. Rank 0 and rank n idempotents admit no motion and
-    are returned unchanged.
+    p' takes its range and kernel from `idempotent_from_matrix`, so it keeps
+    the rank of p while ||p|| + magnitude < 1/(n tol_rank) (_keeps_rank); a
+    larger request raises PerturbationTooLarge. Rank 0 and rank n
+    idempotents admit no motion and are returned unchanged.
     """
     return _perturb_idempotent(p, magnitude, seed, tol, mode)[0]
 
@@ -241,7 +249,7 @@ def _perturb_idempotent(p: Idempotent, magnitude, seed, tol: Tolerances, mode: s
     n = p.n
     if magnitude == 0 or p.rank in (0, n):
         return p, 0.0
-    if (p.norm + magnitude) * n * tol.tol_rank >= 1:
+    if not _keeps_rank(p.norm + magnitude, n, tol).truth:
         raise PerturbationTooLarge(f"a move of {magnitude:.3e} could change the rank that p' reads")
     # One 2n x n draw whatever the mode, so a shared stream advances the same way.
     g = _as_stream(seed).normal_matrix(2 * n, n)

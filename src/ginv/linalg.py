@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import attrgetter
+from functools import lru_cache, reduce
+from operator import attrgetter, truediv
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -179,11 +179,12 @@ def _norm_within(x, low: float, exact) -> bool:
     bound of a norm is at most the computed norm up to that rounding, at
     most three norms enter a threshold, and rounding is monotone). A safety
     factor of 1 + 1e-6 covers the three together for matrices of up to 10^8
-    entries. A NaN or an infinity in x, or a NaN low, takes exact(), so
-    such inputs fall back or raise as they did without the Frobenius test.
+    entries. A NaN or an infinity in x, or a NaN or infinite low, takes
+    exact(), so such inputs fall back or raise as they did without the
+    Frobenius test, and no threshold past double range settles anything.
     """
     f = _frobenius(x)
-    if math.isfinite(f) and f * _FROBENIUS_SAFETY <= low:
+    if math.isfinite(f) and f * _FROBENIUS_SAFETY <= low < math.inf:
         return True
     return exact()
 
@@ -217,17 +218,35 @@ class Decision(NamedTuple):
 
 _by_distance = attrgetter("distance")
 
+# Builds a Decision from a tuple of its fields without the named tuple's
+# Python-level __new__: the decision helpers make one per test, on every
+# hot path.
+_new_decision = tuple.__new__
+
 
 def _decide(value, cutoff, op: str = "<=") -> Decision:
     """The one rule by which a value is compared with its cutoff, op one of
     "<=", "<", ">" and ">="."""
     truth = value <= cutoff if op == "<=" else value < cutoff if op == "<" else value > cutoff if op == ">" else value >= cutoff
-    return Decision(bool(truth), value, cutoff, op)
+    return _new_decision(Decision, (bool(truth), value, cutoff, op))
+
+
+def _decide_scaled(value, tol: float, factors) -> Decision:
+    """value <= tol f_1 f_2 ..., the rule of a cutoff that grows with norms,
+    the product taken left to right. A product past double range would read
+    inf and pass every value, so there value / f_1 / f_2 ... is compared with
+    tol instead, which cannot overflow (an infinite value over an infinite
+    factor reads NaN and fails). That cutoff, tol, is below the product, so
+    the cutoff at value 0 is a lower bound of the threshold either way."""
+    cutoff = math.prod(factors, start=tol)
+    if cutoff != math.inf:
+        return _decide(value, cutoff)
+    return _decide(reduce(truediv, factors, value), tol)
 
 
 def _counted(truth: bool) -> Decision:
     """A verdict that a dimension count decided exactly."""
-    return Decision(bool(truth), math.nan, None, "=")
+    return _new_decision(Decision, (bool(truth), math.nan, None, "="))
 
 
 def _taken(parts) -> tuple:

@@ -38,7 +38,7 @@ from .gen_inverse import (
     _res_scale,
 )
 from .idempotents import Idempotent, _idempotency
-from .linalg import DEFAULT_TOL, Decision, Tolerances, _all, _by_distance, _cached, _decide, _eye, _inverse, _norm_low, _norm_within, as_matrix, spectral_norm
+from .linalg import DEFAULT_TOL, Decision, Tolerances, _all, _by_distance, _cached, _decide, _decide_scaled, _eye, _inverse, _norm_low, _norm_within, as_matrix, spectral_norm
 from .subspaces import _gap_and_equal, _norm_range_kernel, _one_sided_gap, _reads_zero, map_subspace
 
 __all__ = [
@@ -162,11 +162,11 @@ class Scenario:
         return tuple(out)
 
     def _update_vs(self):
-        """(||_updated - direct||, the decision that it is within the residual
-        scale) for direct the one solve of _bar, read where it exists. Its
+        """(||_updated - direct||, the decision that the two agree
+        (_res_scale)) for direct the one solve of _bar, read where it exists. Its
         norm is _bar's ||b|| = 1 / sigma_min of the core, as for norm_b."""
         dev = spectral_norm(self._updated - self._bar._result.b)
-        return dev, _decide(dev, _res_scale(self._bar.na, self._bar.nb, self.tol))
+        return dev, _res_scale(self._bar.na, self._bar.nb, self.tol)(dev)
 
     @_cached
     def _update_vs_direct_l(self):
@@ -392,8 +392,9 @@ def update_formula(b, delta_a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 def _update(b, d, right, left, tol: Tolerances, norm_b) -> np.ndarray:
     """update_formula, given linalg._inverse of 1 + d b (right) and of 1 + b d
-    (left). The agreement test of the two forms grows with ||form1||, ||b||
-    and ||d||, so the Frobenius test settles it at their lower bounds
+    (left). The agreement test of the two forms, deviation <= 10 tol_eq
+    (1 + ||form1||)(1 + ||b||)(1 + ||d||) by linalg._decide_scaled, grows
+    with the norms, so the Frobenius test settles it at their lower bounds
     _norm_low when it can; norm_b() gives ||b|| to the exact test."""
     if not right[0].truth:
         raise NotExists("1 + delta_a b is singular; the perturbed inverse does not exist")
@@ -402,13 +403,13 @@ def _update(b, d, right, left, tol: Tolerances, norm_b) -> np.ndarray:
     form1 = b @ right[1]
     diff = form1 - left[1] @ b
 
-    def lim(n1, nb, nd):
-        return 10.0 * tol.tol_eq * (1.0 + n1) * (1.0 + nb) * (1.0 + nd)
+    def agree(dev, n1, nb, nd):
+        return _decide_scaled(dev, 10.0 * tol.tol_eq, (1.0 + n1, 1.0 + nb, 1.0 + nd))
 
     def exact():
-        return _decide(spectral_norm(diff), lim(spectral_norm(form1), norm_b(), spectral_norm(d))).truth
+        return agree(spectral_norm(diff), spectral_norm(form1), norm_b(), spectral_norm(d)).truth
 
-    if not _norm_within(diff, lim(_norm_low(form1), _norm_low(b), _norm_low(d)), exact):
+    if not _norm_within(diff, agree(0.0, _norm_low(form1), _norm_low(b), _norm_low(d)).cutoff, exact):
         raise RepresentationMismatch(f"the two update forms disagree by {spectral_norm(diff):.3e}")
     return form1
 
@@ -479,8 +480,8 @@ def equivalence_thm27(scenario: Scenario) -> EquivalenceReport:
     w_class = GInvResult(s._updated, a_bar, s.p, s.q, s.tol, na_bar)
     # resid1 reads every residual that cond1 tests, so it goes first
     resid1 = max(w_class._bab_b, w_class._aba_a, w_class._gap_range, w_class._gap_kernel)
-    cond1 = _all(w_class._part(name) for name in ("_bab_b", "_gap_range", "_gap_kernel", "_aba_a"))
-    scale = _res_scale(na_bar, s.norm_b, s.tol)
+    cond1 = w_class._flags_decision("_outer_pql", "_l_inverse")
+    agree = _res_scale(na_bar, s.norm_b, s.tol)
     # _updated has raised unless both factors are invertible
     eye = _eye(s.n)
     resid3 = spectral_norm(a_bar @ s._left_factor[1] @ (eye - b @ s.a))
@@ -488,8 +489,8 @@ def equivalence_thm27(scenario: Scenario) -> EquivalenceReport:
     rows = (
         ("update_is_inner_outer_for_perturbed", cond1, resid1),
         s._stable,
-        ("a_bar_annihilates_left_factor", _decide(resid3, scale), resid3),
-        ("a_bar_annihilated_right_factor", _decide(resid4, scale), resid4),
+        ("a_bar_annihilates_left_factor", agree(resid3), resid3),
+        ("a_bar_annihilated_right_factor", agree(resid4), resid4),
     )
     return _equivalence(rows)
 
@@ -611,12 +612,12 @@ def equivalence_thm212(scenario: Scenario) -> EquivalenceReport:
     b = base.b
     a_bar = s.a_bar
     na_bar = s._bar.na
-    scale = _res_scale(na_bar, s.norm_b, s.tol)
+    agree = _res_scale(na_bar, s.norm_b, s.tol)
 
     w_class = GInvResult(s._updated, a_bar, s.p, s.q, s.tol, na_bar)
     # resid1 reads the algebraic residuals that cond1 tests, so it goes first
     resid1 = max(w_class._bab_b, w_class._ba_p, w_class._one_ab_q)
-    cond1 = _all(w_class._part(name) for name in ("_bab_b", "_gap_range", "_gap_kernel", "_ba_p", "_one_ab_q"))
+    cond1 = w_class._flags_decision("_outer_pql", "_strict_pq")
 
     one_minus_q = _eye(s.n) - s.q.m
     resid2 = spectral_norm(a_bar @ s.p.m - one_minus_q @ a_bar)
@@ -626,8 +627,8 @@ def equivalence_thm212(scenario: Scenario) -> EquivalenceReport:
 
     rows = (
         ("update_is_strict_inverse_of_perturbed", cond1, resid1),
-        ("swap_identity", _decide(resid2, scale), resid2),
-        ("one_sided_product_identities", _all((_decide(resid3a, scale), _decide(resid3b, scale))), max(resid3a, resid3b)),
+        ("swap_identity", agree(resid2), resid2),
+        ("one_sided_product_identities", _all((agree(resid3a), agree(resid3b))), max(resid3a, resid3b)),
     )
     return _equivalence(rows)
 
@@ -674,14 +675,14 @@ def _bound(theorem, s: Scenario, moves_p: bool, moves_q: bool, moves_a: bool = F
     and q_prime. Unless moves_a, the bound is on the relative change of the
     inverse; with moves_a the matrix moves by delta_a too and it is on the
     absolute change. The norm bound for the new inverse goes to aux. When the
-    new inverse exists, extra(aux, s, e, scale) adds the theorem's own
+    new inverse exists, extra(aux, s, e, agree) adds the theorem's own
     diagnostics to aux and says whether its own part of the statement held;
     e is the existence evaluation that the new inverse e.outer was solved
-    from, and scale the residual scale of its identities, _res_scale at
-    ||a|| and the larger of ||b|| and ||b'||, b' the new inverse.
+    from, and agree the rule of its identities, _res_scale at ||a|| and the
+    larger of ||b|| and ||b'||, b' the new inverse.
     """
-    p_new = _need(s, "p_prime") if moves_p else None
-    q_new = _need(s, "q_prime") if moves_q else None
+    p2 = _need(s, "p_prime") if moves_p else s.p
+    q2 = _need(s, "q_prime") if moves_q else s.q
     tol = s.tol
     b = s.base.b
     nb = s.norm_b
@@ -715,8 +716,6 @@ def _bound(theorem, s: Scenario, moves_p: bool, moves_q: bool, moves_a: bool = F
         else:
             rhs = (nb / denom) * ((1.0 + kap) * (dp + dq) + (1.0 + dq) ** 2 * nd * nb / denom_full)
             norm_rhs = (1.0 + dq) * nb / denom_full
-    p2 = s.p if p_new is None else p_new
-    q2 = s.q if q_new is None else q_new
     # the new inverse starts from the decomposition of a_bar, the base's when a is kept
     e = (s._bar if moves_a else s._evaluation).moved(p2, q2)
     try:
@@ -741,9 +740,9 @@ def _factored_group(f, g, gf) -> np.ndarray:
     return f @ np.linalg.solve(gf, np.linalg.solve(gf, g))
 
 
-def _witness_representations(aux, s: Scenario, e: _Evaluation, scale: float) -> bool:
+def _witness_representations(aux, s: Scenario, e: _Evaluation, agree) -> bool:
     """The witness representation of the new inverse when the kernel side
-    moves; its deviation goes to aux, and the result says if it is in scale.
+    moves; its deviation goes to aux, and the result says if it agrees.
 
     p does not move, so U = p.range.basis is the basis of both cores, and the
     witnesses come from them: w = U M0 for (p, q) and v = U M0' for (p, q'),
@@ -757,15 +756,15 @@ def _witness_representations(aux, s: Scenario, e: _Evaluation, scale: float) -> 
     _, m0_new, core_new = e._core[:3]
     rep = b + b @ _factored_group(a @ u, m0_new, core_new) @ a @ (u @ m0_new - u @ m0) @ (_eye(s.n) - a @ b)
     aux["representation_deviation"] = spectral_norm(rep - e.outer.b)
-    return _decide(aux["representation_deviation"], scale).truth
+    return agree(aux["representation_deviation"]).truth
 
 
 def _cor_12(s: Scenario, moves_p: bool, moves_q: bool) -> BoundReport:
     """cor_12_variants on a scenario (see there)."""
     a, tol = s.a, s.tol
 
-    def bound(na, nm):
-        return tol.tol_eq * (1.0 + na) * (1.0 + nm)
+    def within(value, na, nm):
+        return _decide_scaled(value, tol.tol_eq, (1.0 + na, 1.0 + nm))
 
     sides = ((moves_p, "p_prime", False, "a p' = a"), (moves_q, "q_prime", True, "(1 - q') a = a"))
     for moves, name, kernel_side, rule in sides:
@@ -773,8 +772,8 @@ def _cor_12(s: Scenario, moves_p: bool, moves_q: bool) -> BoundReport:
             moved = _need(s, name)
             x = moved.m @ a if kernel_side else a @ moved.m - a
             # at ||a||_F / sqrt(n) and the cached norm of the moved idempotent, or 0
-            low = bound(_norm_low(a), moved.__dict__.get("norm", 0.0))
-            if not _norm_within(x, low, lambda: _decide(spectral_norm(x), bound(s.norm_a, moved.norm)).truth):
+            low = within(0.0, _norm_low(a), moved.__dict__.get("norm", 0.0)).cutoff
+            if not _norm_within(x, low, lambda: within(spectral_norm(x), s.norm_a, moved.norm).truth):
                 raise SideConditionViolated(f"{rule} fails by {spectral_norm(x):.3e}")
     if not s.base._strict_12:
         raise NotExists(
@@ -782,20 +781,20 @@ def _cor_12(s: Scenario, moves_p: bool, moves_q: bool) -> BoundReport:
             "these variants need b a = p and 1 - a b = q exactly"
         )
 
-    def strict_new(aux, s, e, scale):
+    def strict_new(aux, s, e, agree):
         new = e.outer
         strict_ok = new._strict_12
         aux["new_inverse_strict"] = 1.0 if strict_ok else 0.0
         if moves_p:
             return strict_ok
-        rep_ok = _witness_representations(aux, s, e, scale)
+        rep_ok = _witness_representations(aux, s, e, agree)
         b = s.base.b
         # a new.b = F G with F = a U and G = core'^-1 M0' of the new core
         u, m0_new, core_new = e._core[:3]
         f, g = a @ u, np.linalg.solve(core_new, m0_new)
         rep = b + b @ _factored_group(f, g, g @ f) @ a @ (new.b - b) @ s.q.m
         aux["group_rep_deviation"] = spectral_norm(rep - new.b)
-        return strict_ok and rep_ok and _decide(aux["group_rep_deviation"], scale).truth
+        return strict_ok and rep_ok and agree(aux["group_rep_deviation"]).truth
 
     label = "cor3.11" if not moves_q else "cor3.12" if not moves_p else "cor3.13"
     return _bound(label, s, moves_p, moves_q, extra=strict_new)
@@ -871,8 +870,8 @@ def cor_12_variants(a, p, q, p_prime=None, q_prime=None, tol: Tolerances = DEFAU
     representation of bound_thm36 and the group representation
     b + b (a b')^# a (b' - b) q, with b' the new inverse and (a b')^# from
     the rank factorization a b' = (a U)(core'^-1 M0') of its core, are
-    evaluated into aux, and holds requires both deviations to be within the
-    residual scale of bound_thm36.
+    evaluated into aux, and holds requires both deviations to agree by the
+    rule of bound_thm36.
     """
     if p_prime is None and q_prime is None:
         raise InputError("one of p_prime, q_prime is required")

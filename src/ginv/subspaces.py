@@ -207,15 +207,28 @@ def intersection_trivial(m: Subspace, n: Subspace, tol: Tolerances = DEFAULT_TOL
 
 
 def _meet(m: Subspace, n: Subspace, tol: Tolerances) -> Decision:
-    """intersection_trivial as a decision: a count when a subspace is {0} or
-    the dimensions exceed n; else whether the least singular value of the
-    stacked bases clears the rank cutoff, which is when their rank is full."""
+    """intersection_trivial as a decision: a count when the dimensions
+    exceed n, else that of _stacked_rank (a count when a subspace is {0})."""
     _check_ambient(m, n)
-    if m.dim == 0 or n.dim == 0 or m.dim + n.dim > m.ambient_dim:
-        return _counted(m.dim == 0 or n.dim == 0)
-    stacked = as_matrix(np.hstack([m.basis, n.basis]))
+    return _counted(False) if m.dim + n.dim > m.ambient_dim else _stacked_rank(m, n, tol)[1]
+
+
+def _stacked_rank(m: Subspace, n: Subspace, tol: Tolerances):
+    """The one stacked-rank test: (how many dimensions m and n share, the
+    rank defect of their stacked bases [B_m B_n]; and the decision that they
+    share none, whether the least singular value of the stack clears the
+    rank cutoff). A count when either is {0}. The decision is read only
+    where the dimensions add up to at most n, the column count being above
+    the stack's rank otherwise. The leading singular value of the stack is
+    at least 1, so the cutoff is never below tol_rank max(shape). Every
+    Subspace basis is finite, by the Gram check or as an SVD factor, so the
+    stack needs no check of its own."""
+    if m.dim == 0 or n.dim == 0:
+        return 0, _counted(True)
+    stacked = np.hstack([m.basis, n.basis])
     sv = _singular_values(stacked)
-    return _decide(sv[-1], _rank_cutoff(sv, stacked.shape, tol), ">")
+    cutoff = _rank_cutoff(sv, stacked.shape, tol)
+    return stacked.shape[1] - int(np.count_nonzero(sv > cutoff)), _decide(sv[-1], cutoff, ">")
 
 
 def direct_sum_is_all(m: Subspace, n: Subspace, tol: Tolerances = DEFAULT_TOL) -> bool:

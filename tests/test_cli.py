@@ -560,6 +560,15 @@ def test_exists_rejects_a_p_whose_residual_overflows(tmp_path, capsys):
     assert code == 0 and json.loads(out)["exists"] is True
 
 
+def test_exists_rejects_a_p_whose_idempotency_cutoff_overflows(tmp_path, capsys):
+    # eigenvalues 1 and 1e150; tol_eq (1 + ||p||^2) read inf and passed p
+    obj = {"a": [1, 0, 0, 1], "p": [1, 1e155, 0, 1e150], "q": [0, 0, 0, 1]}
+    path = write(tmp_path, "instance.json", {k: {"rows": 2, "cols": 2, "data": v} for k, v in obj.items()})
+    code, out, err = run(capsys, ["exists", "--in", path])
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: bad idempotent:") and "not idempotent" in err and "Traceback" not in err
+
+
 S_OVERFLOW = np.array([[1, 1, 1, 1], [-1, 1, 1, -1], [-1, 1, 1, -1], [1, 1, 1, -1]], dtype=complex)
 
 

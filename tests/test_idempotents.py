@@ -107,6 +107,13 @@ def test_a_residual_that_overflows_is_not_idempotent():
     assert e.rank == 1 and e.norm == pytest.approx(1e200)
 
 
+def test_an_idempotency_cutoff_past_double_range_does_not_pass_every_residual():
+    # eigenvalues 1 and 1e150: the residual 1e305 is above tol_eq ||m||^2 =
+    # 1e301, which read inf as tol_eq (1 + ||m||^2) and passed it
+    with pytest.raises(ValueError, match="not idempotent: \\|\\|m\\^2 - m\\|\\| = 1.000e\\+305"):
+        idempotent_from_matrix(np.array([[1.0, 1e155], [0.0, 1e150]]))
+
+
 def test_complement_swaps_range_and_kernel():
     p = random_idempotent(4, 2, skew=0.5, seed=3)
     c = p.complement()

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from ginv.gen_inverse import GInvResult
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "ginv"
 
 
@@ -197,8 +199,8 @@ _TOL_EQ_HOMES = {
 _TOL_EQ_CONFIGURATION = {"cli.py", "serialize.py"}
 
 
-def tol_eq_readers(source: str) -> list:
-    """The home of every read of the attribute tol_eq: the function at module
+def attribute_readers(source: str, attr: str) -> list:
+    """The home of every read of the attribute attr: the function at module
     level or the method (as Class.method) that contains it, a nested
     function counting as its enclosing home; the class name for a read in a
     class body outside its methods, "<module>" at module level."""
@@ -206,7 +208,7 @@ def tol_eq_readers(source: str) -> list:
 
     def visit(node, owner, home):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Attribute) and child.attr == "tol_eq":
+            if isinstance(child, ast.Attribute) and child.attr == attr:
                 found.append(home or owner or "<module>")
             if home is None and isinstance(child, ast.ClassDef):
                 visit(child, child.name, None)
@@ -217,6 +219,11 @@ def tol_eq_readers(source: str) -> list:
 
     visit(ast.parse(source), None, None)
     return found
+
+
+def tol_eq_readers(source: str) -> list:
+    """attribute_readers of tol_eq."""
+    return attribute_readers(source, "tol_eq")
 
 
 def test_tol_eq_readers_are_found():
@@ -240,3 +247,35 @@ def test_tol_eq_is_read_only_by_the_rule_homes():
         if path.name not in _TOL_EQ_CONFIGURATION:
             homes += [h for h in tol_eq_readers(path.read_text(encoding="utf-8")) if not h.startswith("Tolerances")]
     assert set(homes) == _TOL_EQ_HOMES
+
+
+# The rank and singularity rule homes: the only places outside configuration
+# that read tol_rank or tol_inv (see README, "Decisions").
+_TOL_RANK_HOMES = {
+    "_rank_cutoff",  # the rank cutoff of a set of singular values
+    "_keeps_rank",  # an idempotent of bounded norm reads its rank
+    "oblique",  # the splitting certificate of an oblique projector
+    "_Evaluation._certificate",  # the core margin proves the subspace tests
+}
+_TOL_INV_HOMES = {
+    "_inverse",  # a square matrix is invertible
+    "_Evaluation._parts",  # the core margin of the existence test
+}
+
+
+@pytest.mark.parametrize("attr, homes", [("tol_rank", _TOL_RANK_HOMES), ("tol_inv", _TOL_INV_HOMES)])
+def test_rank_and_singularity_tolerances_are_read_only_by_their_rule_homes(attr, homes):
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name not in _TOL_EQ_CONFIGURATION:
+            found += [h for h in attribute_readers(path.read_text(encoding="utf-8"), attr) if not h.startswith("Tolerances")]
+    assert set(found) == homes
+
+
+def test_perturbation_spells_no_part_of_a_flag():
+    """thm2.7 and thm2.12 take their flags' parts from GInvResult._FLAGS, so
+    perturbation holds none of those names as a string."""
+    parts = {name for names in GInvResult._FLAGS.values() for name in names}
+    tree = ast.parse((SRC / "perturbation.py").read_text(encoding="utf-8"))
+    spelled = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    assert parts and not spelled & parts

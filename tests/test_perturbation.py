@@ -499,6 +499,17 @@ def test_update_forms_whose_difference_reads_nan_disagree():
         _update(b, np.zeros((2, 2), dtype=complex), (factor, b.copy()), (factor, np.eye(2, dtype=complex)), DEFAULT_TOL, lambda: 1e200)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning")
+def test_update_forms_whose_agreement_cutoff_overflows_disagree():
+    # a right factor inverse of all 1e308: the forms differ by about 2e308,
+    # and so does ||form1||; deviation and cutoff both read inf, which passed,
+    # while the deviation over the factors reads NaN and fails
+    factor = Decision(True, 1.0, 1e-12, ">")
+    eye = np.eye(2, dtype=complex)
+    with pytest.raises(RepresentationMismatch, match="disagree by inf"):
+        _update(eye, np.zeros((2, 2), dtype=complex), (factor, np.full((2, 2), 1e308, dtype=complex)), (factor, eye), DEFAULT_TOL, lambda: 1.0)
+
+
 def test_cor_variants_need_some_motion(diag_instance):
     a, p, q = diag_instance
     with pytest.raises(InputError):

@@ -557,7 +557,7 @@ def test_the_update_is_compared_with_one_svd(svd_counter):
             s._updated
             assert svd_counter(s._update_vs) == 1
             dev, update = s._update_vs()
-            assert update.cutoff == pytest.approx(_res_scale(s._bar.na, spectral_norm(s._bar.outer.b), s.tol), rel=1e-12)
+            assert update.cutoff == pytest.approx(_res_scale(s._bar.na, spectral_norm(s._bar.outer.b), s.tol)(0.0).cutoff, rel=1e-12)
             compared += 1
     assert compared >= config.count // 2
 

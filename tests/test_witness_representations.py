@@ -39,7 +39,7 @@ from conftest import draw_solvable
 DEVIATIONS = ("representation_deviation", "group_rep_deviation")
 
 
-def _canonical_witness_representations(aux, s, e, scale):
+def _canonical_witness_representations(aux, s, e, agree):
     """_witness_representations through the witnesses of build_witness and
     an SVD-based (1,5)-inverse; e.outer is the new inverse."""
     a, b, p, tol = s.a, s.base.b, s.p, s.tol
@@ -51,23 +51,23 @@ def _canonical_witness_representations(aux, s, e, scale):
         aux["representation_deviation"] = spectral_norm(rep - e.outer.b)
     except (NotExists, DimMismatch):
         aux["representation_deviation"] = math.inf
-    return aux["representation_deviation"] <= scale
+    return agree(aux["representation_deviation"]).truth
 
 
-def _canonical_strict_new(aux, s, e, scale):
+def _canonical_strict_new(aux, s, e, agree):
     """cor3.12's part of the statement, with the group inverse of a new.b
     from group_inverse."""
     new = e.outer
     strict_ok = new._strict_12
     aux["new_inverse_strict"] = 1.0 if strict_ok else 0.0
-    rep_ok = _canonical_witness_representations(aux, s, e, scale)
+    rep_ok = _canonical_witness_representations(aux, s, e, agree)
     a, b = s.a, s.base.b
     try:
         rep = b + b @ group_inverse(a @ new.b, s.tol) @ a @ (new.b - b) @ s.q.m
         aux["group_rep_deviation"] = spectral_norm(rep - new.b)
     except (NoGroupInverse, np.linalg.LinAlgError):
         aux["group_rep_deviation"] = math.inf
-    return strict_ok and rep_ok and aux["group_rep_deviation"] <= scale
+    return strict_ok and rep_ok and agree(aux["group_rep_deviation"]).truth
 
 
 _CANONICAL_EXTRA = {"thm3.6": _canonical_witness_representations, "cor3.12": _canonical_strict_new}
@@ -155,7 +155,7 @@ def test_a_corrupted_representation_fails_the_check(diag_instance, monkeypatch):
         assert report.aux["representation_deviation"] > 1e-3
         assert not report.holds
     # the group representation alone decides cor3.12 as well
-    monkeypatch.setattr(perturbation, "_witness_representations", lambda aux, s, new, scale: True)
+    monkeypatch.setattr(perturbation, "_witness_representations", lambda aux, s, new, agree: True)
     report = checks[1]()
     assert report.aux["group_rep_deviation"] > 1e-3 and not report.holds
 
