@@ -19,6 +19,7 @@ independent routes (useful as cross-checks).
 
 from __future__ import annotations
 
+import math
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
@@ -98,14 +99,15 @@ class GInvResult:
     flags it names.
     """
 
-    # Each algebraic residual: the matrix whose spectral norm it is, and its
-    # threshold over tol_eq at ||a||, ||b|| and the norm of the idempotent
-    # named last (0.0 without one).
+    # Each algebraic residual: the matrix whose spectral norm it is, the
+    # norms at ||a|| and ||b|| whose product its threshold over tol_eq adds
+    # to 1 and to the norm of the idempotent named last (none without one),
+    # and that name (see _threshold).
     _RESIDUALS = {
-        "_bab_b": (lambda r: r.b @ r._a @ r.b - r.b, lambda na, nb, _: 1.0 + na * nb * nb, None),
-        "_aba_a": (lambda r: r._a @ r.b @ r._a - r._a, lambda na, nb, _: 1.0 + na * na * nb, None),
-        "_ba_p": (lambda r: r.b @ r._a - r._p.m, lambda na, nb, n_idem: 1.0 + na * nb + n_idem, "_p"),
-        "_one_ab_q": (lambda r: _eye(r._a.shape[0]) - r._a @ r.b - r._q.m, lambda na, nb, n_idem: 1.0 + na * nb + n_idem, "_q"),
+        "_bab_b": (lambda r: r.b @ r._a @ r.b - r.b, lambda na, nb: (na, nb, nb), None),
+        "_aba_a": (lambda r: r._a @ r.b @ r._a - r._a, lambda na, nb: (na, na, nb), None),
+        "_ba_p": (lambda r: r.b @ r._a - r._p.m, lambda na, nb: (na, nb), "_p"),
+        "_one_ab_q": (lambda r: _eye(r._a.shape[0]) - r._a @ r.b - r._q.m, lambda na, nb: (na, nb), "_q"),
     }
 
     def __init__(self, b: np.ndarray, a: np.ndarray, p: Idempotent, q: Idempotent, tol: Tolerances, na=None):
@@ -134,18 +136,25 @@ class GInvResult:
     def _gap_kernel(self) -> float:
         return gap(self._b_summary[2], self._q.range).gap
 
-    def _threshold(self, name: str, nb: float, idem_norm) -> float:
-        """The threshold of residual `name` at ||b|| = nb, with idem_norm(idem)
-        the norm taken of its idempotent."""
-        _, f, idem = self._RESIDUALS[name]
-        return self._tol.tol_eq * f(self._na, nb, 0.0 if idem is None else idem_norm(getattr(self, idem)))
+    def _threshold(self, name: str, value: float, nb: float, idem_norm) -> Decision:
+        """The test of residual `name` at `value` against its threshold at
+        ||b|| = nb, with idem_norm(idem) the norm taken of its idempotent,
+        by linalg._decide_scaled, which cannot overflow: the sum 1 + product
+        (+ that norm) is one factor while it is finite, and where it
+        overflows the product's own factors stand for it, the 1 and the
+        idempotent's norm dropped, so the threshold errs low there, never
+        to inf. Its cutoff at value 0 is a lower bound of the threshold."""
+        _, terms, idem = self._RESIDUALS[name]
+        fs = terms(self._na, nb)
+        total = 1.0 + math.prod(fs) + (0.0 if idem is None else idem_norm(getattr(self, idem)))
+        return _decide_scaled(value, self._tol.tol_eq, (total,) if total != math.inf else fs)
 
     def _part(self, name: str) -> Decision:
         """The exact test of a residual against its threshold, or of a gap
         that must read zero (subspaces._reads_zero), as a decision; it works
         the value out."""
         if name in self._RESIDUALS:
-            return _decide(getattr(self, name), self._threshold(name, self._b_summary[0], lambda e: e.norm))
+            return self._threshold(name, getattr(self, name), self._b_summary[0], lambda e: e.norm)
         return _reads_zero(getattr(self, name), self._tol)
 
     def _residual_within(self, name: str) -> bool:
@@ -162,7 +171,7 @@ class GInvResult:
         if name in self.__dict__ or name not in self._RESIDUALS:
             return self._part(name).truth
         nb = self._b_summary[0] if "_b_summary" in self.__dict__ else _norm_low(self.b)
-        low = self._threshold(name, nb, lambda e: e.__dict__.get("norm", 0.0))
+        low = self._threshold(name, 0.0, nb, lambda e: e.__dict__.get("norm", 0.0)).cutoff
         return _norm_within(self._RESIDUALS[name][0](self), low, lambda: self._part(name).truth)
 
     # Each flag: the parts it tests, in test order. strict_12 is strict_pq

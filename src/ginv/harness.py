@@ -42,7 +42,7 @@ from .perturbation import (
 )
 from .randomstream import RandomStream
 from .serialize import report_to_json, scenario_to_json
-from .subspaces import _norm_range_kernel, _orthonormal, orth_basis
+from .subspaces import _orthonormal, _summary, orth_basis, orthocomplement
 
 __all__ = [
     "EnsembleConfig",
@@ -161,20 +161,17 @@ def _rank_r_matrix(stream: RandomStream, n: int, r: int) -> np.ndarray:
 #
 # The ingredients that several families draw at one stream position go
 # through the memo: the rank-r a of outer_rank, l_aligned and strict (each
-# draws it first) with its summary, and each random idempotent, which
+# draws it first, and reads its summary), and each random idempotent, which
 # outer and outer_rank draw at the same positions when n = 2r (an n x n a
 # and an n x r times r x n a take the same number of normals).
 
 
-def _rank_r(stream, memo, n, r):
-    return _once(memo, ("rank-r", n, r), stream, lambda: _rank_r_matrix(stream, n, r))
-
-
 def _summarized_rank_r(stream, memo, n, r, tol):
     """The rank-r a and its _norm_range_kernel summary, kept at the position
-    after a, which pins a."""
-    a = _rank_r(stream, memo, n, r)
-    return a, _once(memo, ("summary", n, r), stream, lambda: _norm_range_kernel(a, tol))
+    after a, which pins a. a is a product of normal draws, finite complex, so
+    the summary takes it unchecked (subspaces._summary)."""
+    a = _once(memo, ("rank-r", n, r), stream, lambda: _rank_r_matrix(stream, n, r))
+    return a, _once(memo, ("summary", n, r), stream, lambda: _summary(a, tol))
 
 
 def _idempotent(stream, memo, n, r, skew, tol):
@@ -215,21 +212,26 @@ def _base_l_aligned(stream, memo, n, r, skew, tol):
 
 
 def _base_strict(stream, memo, n, r, skew, tol):
-    """a with an exactly strict inverse: p = ba, q = 1 - ab from the pseudoinverse."""
-    a0 = _rank_r(stream, memo, n, r)
-    b0 = np.linalg.pinv(a0)
-    eye = _eye(n)
+    """a with an exactly strict inverse: for the rank-r a0 and its
+    pseudoinverse b0, p = b0 a0 and q = 1 - a0 b0, all three carried to
+    a = t a0 t^{-1} by a random similarity t when skew > 0.
+
+    With a0 = U_r S_r V_r^H from the SVD of the _summarized_rank_r summary,
+    cut at its rank, b0 a0 = V_r V_r^H and 1 - a0 b0 = 1 - U_r U_r^H: U_r
+    spans the range of that summary and V_r the complement of its kernel, so
+    b0 is never formed."""
+    a0, (_, col_a0, ker_a0, _) = _summarized_rank_r(stream, memo, n, r, tol)
+    p0 = orthocomplement(ker_a0).projector()
+    q0 = _eye(n) - col_a0.projector()
     if skew > 0:
         g = stream.normal_matrix(n, n)
-        t = eye + skew * g / max(spectral_norm(g), 1e-12)
+        t = _eye(n) + skew * g / max(spectral_norm(g), 1e-12)
         ti = np.linalg.inv(t)
         a = t @ a0 @ ti
-        p_m = t @ (b0 @ a0) @ ti
-        q_m = t @ (eye - a0 @ b0) @ ti
+        p_m = t @ p0 @ ti
+        q_m = t @ q0 @ ti
     else:
-        a = a0
-        p_m = b0 @ a0
-        q_m = eye - a0 @ b0
+        a, p_m, q_m = a0, p0, q0
     p = idempotent_from_matrix(p_m, tol)
     q = idempotent_from_matrix(q_m, tol)
     e = _solved(a, p, q, tol)

@@ -17,13 +17,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import MismatchedAmbient, NotComplementary, PerturbationTooLarge
-from .linalg import _EPS, DEFAULT_TOL, Decision, Tolerances, _cached, _decide, _decide_scaled, _eye, _frobenius, _norm_within, _number, as_matrix, rank, spectral_norm
+from .linalg import _EPS, DEFAULT_TOL, Decision, Tolerances, _cached, _decide, _decide_scaled, _frobenius, _norm_within, _number, as_matrix, rank, spectral_norm
 from .randomstream import RandomStream
-from .subspaces import Subspace, _norm_range_kernel, orthocomplement
+from .subspaces import Subspace, _summary, orthocomplement
 
-# The bracketing parameters of a "both" move: _T0 * 2^k. The first step jumps
-# at most _JUMP doublings, to about 0.8, where the chart is still close to
-# its first-order part.
+# The first points of a "both" move: _T0, then the first-order prediction of
+# the request, at most _T0 * 2^_JUMP (about 0.8, where the chart is still
+# close to its first-order part).
 _T0 = 1e-4
 _JUMP = 13
 
@@ -129,18 +129,19 @@ def _idempotency(residual: float, nm: float, tol: Tolerances) -> Decision:
 
 def idempotent_from_matrix(m, tol: Tolerances = DEFAULT_TOL) -> Idempotent:
     """Validate that m is idempotent (_idempotency) and attach its range and
-    kernel."""
+    kernel. m is coerced once (as_matrix), and the Idempotent is built from
+    the parts so checked, its norm cached."""
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValueError("idempotent must be square")
-    nm, rng, ker, _ = _norm_range_kernel(a, tol)
+    nm, rng, ker, _ = _summary(a, tol)
     d = a @ a - a
     # The SVD runs only for a residual that the Frobenius test cannot clear
     # at the rule's cutoff at residual 0, a lower bound of its threshold.
     if not _norm_within(d, _idempotency(0.0, nm, tol).cutoff, lambda: _idempotency(spectral_norm(d), nm, tol).truth):
         raise ValueError(f"matrix is not idempotent: ||m^2 - m|| = {spectral_norm(d):.3e}")
-    p = Idempotent(a, rng, ker)
-    p.__dict__["norm"] = nm  # prime the cached norm with the one just computed
+    p = object.__new__(Idempotent)
+    p.__dict__.update(m=a, range=rng, kernel=ker, norm=nm)
     return p
 
 
@@ -223,12 +224,13 @@ def perturb_idempotent(
     "range" (kernel pinned) and "kernel" (range pinned). With normal draws G1
     and G2, R = (1 - p) G1 p moves the range and K = p G2 (1 - p) the kernel;
     R^2 = K^2 = 0. "range" returns p + s R and "kernel" p + s K, each exactly
-    idempotent at distance s ||R|| (s ||K||), with s in closed form. "both"
-    searches the chart p(t) = (1 + t R)(p + t K)(1 - t R) of idempotents
-    similar to p, whose distance from p grows without bound, for a t at the
-    request. Each lands within 1e-12 * magnitude below the request, or, for a
-    request below about 1e-4, short of it by about the roundoff of the
-    distance (eps ||p||^2).
+    idempotent at distance s ||R|| (s ||K||), with s in closed form; each
+    builds only its own direction. "both" searches the chart
+    p(t) = (1 + t R)(p + t K)(1 - t R) = p + t (K + R) + t^2 (RK - KR) - t^3 RKR
+    of idempotents similar to p, whose distance from p grows without bound,
+    for a t at the request. Each lands within 1e-12 * magnitude below the
+    request, or, for a request below about 1e-4, short of it by about the
+    roundoff of the distance (eps ||p||^2).
 
     p' takes its range and kernel from `idempotent_from_matrix`, so it keeps
     the rank of p while ||p|| + magnitude < 1/(n tol_rank) (_keeps_rank); a
@@ -251,15 +253,20 @@ def _perturb_idempotent(p: Idempotent, magnitude, seed, tol: Tolerances, mode: s
         return p, 0.0
     if not _keeps_rank(p.norm + magnitude, n, tol).truth:
         raise PerturbationTooLarge(f"a move of {magnitude:.3e} could change the rank that p' reads")
-    # One 2n x n draw whatever the mode, so a shared stream advances the same way.
+    # One 2n x n draw whatever the mode, so a shared stream advances the same
+    # way: G1 is its top half, G2 its bottom half.
     g = _as_stream(seed).normal_matrix(2 * n, n)
-    gp = g[:n] @ p.m
-    pg = p.m @ g[n:]
-    moves = {"range": gp - p.m @ gp, "kernel": pg - pg @ p.m}
+    pm = p.m
+    if mode != "kernel":
+        gp = g[:n] @ pm
+        r = gp - pm @ gp
+    if mode != "range":
+        pg = pm @ g[n:]
+        k = pg - pg @ pm
     if mode == "both":
-        m, dist = _chart_search(p.m, moves["kernel"], moves["range"], magnitude)
+        m, dist = _chart_search(pm, k, r, magnitude)
     else:
-        m, dist = _line(p.m, moves[mode], magnitude)
+        m, dist = _line(pm, r if mode == "range" else k, magnitude)
     return idempotent_from_matrix(m, tol), dist
 
 
@@ -279,32 +286,40 @@ def _line(p: np.ndarray, step: np.ndarray, magnitude: float):
         aim -= 2 * (dist - magnitude)
 
 
+def _chart(p: np.ndarray, k: np.ndarray, r: np.ndarray):
+    """t -> p(t) = (1 + t R)(p + t K)(1 - t R), for R = (1 - p) G1 p and
+    K = p G2 (1 - p). K p = 0, p K = K, p R = 0, R p = R and R^2 = K^2 = 0
+    expand it to p + t c1 + t^2 c2 + t^3 c3, with c1 = K + R, c2 = RK - KR
+    and c3 = -RKR. The three products are taken here, once, and each point
+    is p plus the Horner sum of the coefficients, with no n x n product; it
+    equals the product form up to roundoff."""
+    rk = r @ k
+    c1, c2, c3 = k + r, rk - k @ r, -(rk @ r)
+    return lambda t: p + t * (c1 + t * (c2 + t * c3))
+
+
 def _chart_search(p: np.ndarray, k: np.ndarray, r: np.ndarray, magnitude: float):
-    """The "both" move of perturb_idempotent, as (matrix, measured distance),
-    with K and R scaled to unit Frobenius norm. (1 + t R)^{-1} = 1 - t R, so
-    every p(t) is an idempotent similar to p, and p (p(t) - p) (1 - p) = t K."""
-    k = k / _frobenius(k)
-    r = r / _frobenius(r)
-    eye = _eye(len(p))
+    """The "both" move of perturb_idempotent, as (matrix, measured distance):
+    a search of _chart with K and R scaled to unit Frobenius norm.
+    (1 + t R)^{-1} = 1 - t R, so every p(t) is an idempotent similar to p,
+    and p (p(t) - p) (1 - p) = t K."""
+    chart = _chart(p, k / _frobenius(k), r / _frobenius(r))
     samples = [(0.0, 0.0)]  # (distance, t) of every point built
 
     def build(t: float) -> _Candidate:
-        m = (eye + t * r) @ (p + t * k) @ (eye - t * r)
+        m = chart(t)
         dist = spectral_norm(m - p)
         samples.append((dist, t))
         return _Candidate(t, m, dist)
 
-    # Grow t along the grid _T0 * 2^k until the requested distance is
-    # bracketed. The distance is nearly linear in a small t, so the first
-    # step jumps to the last grid point that this predicts below the
-    # request, but by at most _JUMP doublings: past t near 1 the chart's
-    # quadratic and cubic terms take over.
+    # The distance is nearly linear in a small t, so from _T0 the first step
+    # jumps to where that line meets the request, but at most _JUMP
+    # doublings of _T0 far: past t near 1 the chart's quadratic and cubic
+    # terms take over. t then doubles until the request is bracketed.
     lo = _Candidate(0.0, p, 0.0)
     hi = build(_T0)
     if hi.dist < magnitude:
-        jump = min(math.floor(math.log2(magnitude / hi.dist)), _JUMP)
-        if jump >= 1:
-            lo, hi = hi, build(_T0 * 2.0**jump)
+        lo, hi = hi, build(_T0 * min(magnitude / hi.dist, 2.0**_JUMP))
     while hi.dist <= magnitude:
         lo, hi = hi, build(2.0 * hi.t)
 

@@ -300,9 +300,13 @@ def rank(m, tol: Tolerances = DEFAULT_TOL, scale: Optional[float] = None) -> int
 def _inverse(m: np.ndarray, tol: Tolerances):
     """(invertible, inverse or None) of the square m from one values-only
     SVD, by the one singularity rule: invertible is the decision (_decide)
-    that sigma_min exceeds tol_inv sigma_max, so a zero m and a NaN sigma
-    (an entry that overflowed) read singular, with no inverse. The 0 x 0 m
-    is invertible by a count, with sigma_min inf."""
+    that sigma_min exceeds tol_inv sigma_max, so a zero m reads singular,
+    with no inverse. An m with a NaN or infinite entry (a product that
+    overflowed) reads singular with value and cutoff NaN, before any LAPACK
+    call, which could not take it. The 0 x 0 m is invertible by a count,
+    with sigma_min inf."""
+    if not np.isfinite(m).all():
+        return _decide(math.nan, math.nan, ">"), None
     sv = _singular_values(m)
     invertible = _decide(float(sv[-1]), tol.tol_inv * sv[0], ">") if sv.size else Decision(True, math.inf, None, ">")
     return invertible, np.linalg.inv(m) if invertible.truth else None

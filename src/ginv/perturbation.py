@@ -182,13 +182,13 @@ class Scenario:
 
     @_cached
     def _left_factor(self):
-        """linalg._inverse of 1 + b delta_a."""
-        return _inverse(_eye(self.n) + self.base.b @ self.delta_a, self.tol)
+        """_update_factor 1 + b delta_a."""
+        return _update_factor(self.base.b, self.delta_a, self.tol)
 
     @_cached
     def _right_factor(self):
-        """linalg._inverse of 1 + delta_a b."""
-        return _inverse(_eye(self.n) + self.delta_a @ self.base.b, self.tol)
+        """_update_factor 1 + delta_a b."""
+        return _update_factor(self.delta_a, self.base.b, self.tol)
 
     @_cached
     def _updated(self) -> np.ndarray:
@@ -386,8 +386,16 @@ def update_formula(b, delta_a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     d = as_matrix(delta_a)
     if b.shape != d.shape or b.shape[0] != b.shape[1]:
         raise DimMismatch("b and delta_a must be square of the same size")
-    eye = _eye(b.shape[0])
-    return _update(b, d, _inverse(eye + d @ b, tol), _inverse(eye + b @ d, tol), tol, lambda: spectral_norm(b))
+    return _update(b, d, _update_factor(d, b, tol), _update_factor(b, d, tol), tol, lambda: spectral_norm(b))
+
+
+def _update_factor(x, y, tol: Tolerances):
+    """linalg._inverse of the update factor 1 + x y. The product is formed
+    with overflow ignored: an entry past double range makes the factor read
+    singular, with value NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = _eye(len(x)) + x @ y
+    return _inverse(f, tol)
 
 
 def _update(b, d, right, left, tol: Tolerances, norm_b) -> np.ndarray:

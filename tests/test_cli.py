@@ -335,9 +335,9 @@ def test_ensemble_records_draws_that_its_tolerance_rejects(tmp_path, capsys):
         assert all(f["error"].startswith("GenerationFailed") and "not idempotent" in f["error"] for f in failures)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning")
 def test_ensemble_with_an_overflowing_shift_records_failures_and_exits_1(tmp_path, capsys):
-    # an update factor whose SVD reads NaN is singular, so cor2.8 and lemma2.6 no longer abort here
+    # an update factor with an entry past double range reads singular before
+    # any LAPACK call, and without a warning, so cor2.8 and lemma2.6 do not abort here
     config = config_to_json(EnsembleConfig(n_range=(2, 4), count=6, seed=1, theorems=("cor2.8", "lemma2.6"), perturbation_magnitudes=(1e308,)))
     code, out, err = run(capsys, ["ensemble", "--config", write(tmp_path, "config.json", config)])
     assert code == 1 and "Traceback" not in err

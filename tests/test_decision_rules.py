@@ -58,13 +58,17 @@ def test_decide(value, cutoff, op):
 @given(st.integers(0, 3), st.lists(st.sampled_from([0.0, 1.0, -2.5, 1e-14, 1e300, math.inf, math.nan]), min_size=9, max_size=9), TOLERANCES)
 def test_inverse(n, entries, tol):
     m = np.array(entries[: n * n], dtype=complex).reshape(n, n)
+    finite = np.isfinite(m).all()
     with np.errstate(all="ignore"):
         try:
             d, inv = _inverse(m, tol)
         except np.linalg.LinAlgError:  # an SVD that does not converge decides nothing
+            assert finite  # a non-finite m never reaches LAPACK
             return
     assert_as_compared(d)
     assert (inv is not None) == d.truth
+    if not finite:
+        assert not d.truth and math.isnan(d.value)
     if n == 0:
         assert d.truth and d.cutoff is None
     elif not m.any():

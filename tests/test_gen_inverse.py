@@ -335,6 +335,34 @@ def test_classify_detects_non_strict_kernel_idempotent(diag_instance):
     assert not res.flags["strict_12"]
 
 
+def test_a_residual_threshold_past_double_range_does_not_pass_every_residual():
+    # ||a||^2 ||b|| = 1e250 is in range, but ||a|| ||a|| overflows first, and
+    # tol_eq (1 + ||a|| ||a|| ||b||) read inf and passed ||aba - a|| = 1e250;
+    # as ||aba - a|| / ||a|| / ||a|| / ||b|| = 1 against tol_eq it fails
+    a, p, q, b = 1e200 * np.eye(2), np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.diag([1e-150, 0.0])
+    res = classify_strict(a, p, q, b)
+    assert not res._l_inverse
+    assert res.residuals["aba_a"] == pytest.approx(1e250)
+    assert not res.flags["l_inverse"] and not res.flags["strict_12"]
+    d = res._part("_aba_a")
+    assert not d.truth and d.cutoff == DEFAULT_TOL.tol_eq and d.value == pytest.approx(1.0)
+
+
+def test_residual_thresholds_at_normal_scale_keep_their_bits():
+    # one factor, 1 + the product (+ the idempotent's norm), times tol_eq
+    a, p, q = draw_solvable(3)
+    res = compute_outer_pql(a, p, q)
+    na, nb = res._na, res._b_summary[0]
+    expected = {
+        "_bab_b": 1.0 + na * nb * nb,
+        "_aba_a": 1.0 + na * na * nb,
+        "_ba_p": 1.0 + na * nb + p.norm,
+        "_one_ab_q": 1.0 + na * nb + q.norm,
+    }
+    for name, scale in expected.items():
+        assert res._part(name).cutoff == DEFAULT_TOL.tol_eq * scale, name
+
+
 def test_classify_rejects_wrong_shape(diag_instance):
     a, p, q = diag_instance
     with pytest.raises(DimMismatch):

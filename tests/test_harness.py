@@ -283,9 +283,10 @@ def test_a_campaign_at_a_tolerance_that_rejects_some_draws_retries_them():
     assert run_campaign(config).stats["thm3.4"].instances == 3
 
 
-# A shift of magnitude 1e308 overflows the products of the checks; numpy
-# warns of that, and the campaign must record what raised and return.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning")
+# A shift of magnitude 1e308 overflows the update factors 1 + b delta_a and
+# 1 + delta_a b; they read singular, without a warning (warnings are errors
+# here) and without a LAPACK call, and the campaign records what raised and
+# returns.
 def test_a_campaign_with_an_overflowing_shift_records_failures_and_returns():
     config = EnsembleConfig(n_range=(2, 4), count=6, seed=1, theorems=("thm2.7", "thm2.4"), perturbation_magnitudes=(1e308,))
     report = run_campaign(config)
@@ -294,8 +295,22 @@ def test_a_campaign_with_an_overflowing_shift_records_failures_and_returns():
     # a shift beyond double range is a rejected draw
     # (a failing report is a failure too, with no error)
     assert any("shift rejected: " in f.get("error", "") for f in failures if f.get("error", "").startswith("GenerationFailed"))
-    # a check that raised LinAlgError is a failure with its scenario
-    assert any(f.get("error", "").startswith("LinAlgError") and "scenario" in f for f in failures)
+    # a check that raised is a failure with its scenario, and none raised LinAlgError
+    assert any(f.get("error", "").startswith("NotExists") and "scenario" in f for f in failures)
+    assert not any(f.get("error", "").startswith("LinAlgError") for f in failures)
+
+
+def test_an_overflowing_update_factor_fails_generation_not_lapack(capfd):
+    # 1 + b delta_a with entries past double range used to reach the SVD,
+    # which raised LinAlgError after LAPACK printed a DLASCL line
+    config = EnsembleConfig(n_range=(2, 4), count=6, seed=1, theorems=("thm2.7",), perturbation_magnitudes=(1e308,))
+    try:
+        scenario = gen_scenario(config, 4, "thm2.7")
+    except GenerationFailed:
+        pass
+    else:
+        assert scenario._left_factor[0].truth
+    assert "DLASCL" not in "".join(capfd.readouterr())
 
 
 SECTION_2_IDS = ("thm2.4", "lemma2.6", "thm2.7", "cor2.8", "tm2.7", "lemma2.10", "lemas1", "thm2.12")

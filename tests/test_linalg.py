@@ -129,6 +129,17 @@ def test_try_inverse_round_trip():
     assert spectral_norm(inv @ m - np.eye(6)) <= 1e-12
 
 
+def test_a_matrix_with_a_non_finite_entry_reads_singular_before_any_lapack_call(monkeypatch):
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("LAPACK was called on a non-finite matrix")
+
+    monkeypatch.setattr(np.linalg, "svd", no_lapack)
+    monkeypatch.setattr(np.linalg, "inv", no_lapack)
+    for bad in (np.inf, -np.inf, np.nan, complex(0.0, np.nan)):
+        d, inv = _inverse(np.array([[1.0, bad], [0.0, 1.0]], dtype=complex), DEFAULT_TOL)
+        assert inv is None and not d.truth and np.isnan(d.value) and np.isnan(d.cutoff) and d.op == ">"
+
+
 def test_try_inverse_rejects_rectangular():
     with pytest.raises(ValueError):
         try_inverse(np.zeros((2, 3)))
