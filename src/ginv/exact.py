@@ -1,7 +1,8 @@
 """Exact Gaussian-rational matrix arithmetic.
 
 Entries are complex numbers whose real and imaginary parts are exact
-fractions. The point of this backend is to act as an identity oracle:
+fractions, held in a numpy object array, so numpy's loops apply their exact
+operators. The point of this backend is to act as an identity oracle:
 algebraic identities that hold in exact arithmetic are checked here with no
 rounding at all, then compared against the floating-point path. Only ring
 operations, RREF, rank, kernel bases, and inversion are provided. Norms and
@@ -103,17 +104,22 @@ def _coerce(x) -> ExactScalar:
 
 
 class ExactMatrix:
-    """Immutable dense matrix over the Gaussian rationals."""
+    """Immutable dense matrix over the Gaussian rationals, its entries
+    ExactScalars in `data`, a read-only 2-D numpy object array."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("data",)
 
     def __init__(self, data):
         rows = [list(map(_coerce, row)) for row in data]
         if rows and any(len(row) != len(rows[0]) for row in rows):
             raise ValueError("ragged rows")
-        self.rows = len(rows)
-        self.cols = len(rows[0]) if rows else 0
-        self.data = tuple(tuple(row) for row in rows)
+        entries = np.empty((len(rows), len(rows[0]) if rows else 0), dtype=object)
+        entries[...] = rows
+        entries.flags.writeable = False
+        self.data = entries
+
+    rows = property(lambda self: self.data.shape[0])
+    cols = property(lambda self: self.data.shape[1])
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
@@ -121,7 +127,7 @@ class ExactMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls([[0] * cols for _ in range(rows)])
+        return _wrap(np.full((rows, cols), ExactScalar(0), dtype=object))
 
     @classmethod
     def from_strings(cls, rows) -> "ExactMatrix":
@@ -136,100 +142,71 @@ class ExactMatrix:
         return cls([[scal(entry) for entry in row] for row in rows])
 
     def entry(self, i: int, j: int) -> ExactScalar:
-        return self.data[i][j]
+        return self.data[i, j]
 
     def __add__(self, other):
         self._check_same_shape(other)
-        return ExactMatrix(
-            [[self.data[i][j] + other.data[i][j] for j in range(self.cols)] for i in range(self.rows)]
-        )
+        return _wrap(self.data + other.data)
 
     def __sub__(self, other):
         self._check_same_shape(other)
-        return ExactMatrix(
-            [[self.data[i][j] - other.data[i][j] for j in range(self.cols)] for i in range(self.rows)]
-        )
+        return _wrap(self.data - other.data)
 
     def __neg__(self):
-        return ExactMatrix([[-x for x in row] for row in self.data])
+        return _wrap(-self.data)
 
     def scale(self, c) -> "ExactMatrix":
-        c = _coerce(c)
-        return ExactMatrix([[c * x for x in row] for row in self.data])
+        # the array stays on the left: ExactScalar * ndarray raises in _coerce
+        return _wrap(self.data * _coerce(c))
 
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = ExactScalar(0)
-                for k in range(self.cols):
-                    acc = acc + self.data[i][k] * other.data[k][j]
-                row.append(acc)
-            out.append(row)
-        return ExactMatrix(out)
+        if not self.cols:  # numpy sums an empty inner dimension to int 0
+            return ExactMatrix.zeros(self.rows, other.cols)
+        return _wrap(self.data @ other.data)
 
     def conj_transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            [[self.data[i][j].conjugate() for i in range(self.rows)] for j in range(self.cols)]
-        )
+        return _wrap(self.data.conj().T)
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and all(
-                self.data[i][j] == other.data[i][j]
-                for i in range(self.rows)
-                for j in range(self.cols)
-            )
-        )
+        return np.array_equal(self.data, other.data)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.data.shape, tuple(self.data.flat)))
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for row in self.data for x in row)
+        return bool((self.data == 0).all())
 
     def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch")
-        return ExactMatrix(
-            [list(self.data[i]) + list(other.data[i]) for i in range(self.rows)]
-        )
+        return _wrap(np.hstack((self.data, other.data)))
 
     def columns(self, idx) -> "ExactMatrix":
-        return ExactMatrix([[self.data[i][j] for j in idx] for i in range(self.rows)])
+        return _wrap(self.data[:, list(idx)])
 
     def rref(self):
-        """Reduced row echelon form. Returns (rref_matrix, pivot_columns)."""
-        m = [list(row) for row in self.data]
+        """Reduced row echelon form. Returns (rref_matrix, pivot_columns).
+        A column's pivot is its first nonzero entry below the pivoted rows;
+        its row is scaled to a leading 1 and cleared from all other rows."""
+        m = self.data.copy()
         pivots = []
-        pr = 0
         for pc in range(self.cols):
-            pivot_row = None
-            for i in range(pr, self.rows):
-                if not m[i][pc].is_zero():
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            m[pr], m[pivot_row] = m[pivot_row], m[pr]
-            inv = ExactScalar(1) / m[pr][pc]
-            m[pr] = [inv * x for x in m[pr]]
-            for i in range(self.rows):
-                if i != pr and not m[i][pc].is_zero():
-                    factor = m[i][pc]
-                    m[i] = [m[i][j] - factor * m[pr][j] for j in range(self.cols)]
-            pivots.append(pc)
-            pr += 1
+            pr = len(pivots)
             if pr == self.rows:
                 break
-        return ExactMatrix(m), tuple(pivots)
+            pivot_row = next((i for i in range(pr, self.rows) if not m[i, pc].is_zero()), None)
+            if pivot_row is None:
+                continue
+            m[[pr, pivot_row]] = m[[pivot_row, pr]]
+            m[pr] = m[pr] * (ExactScalar(1) / m[pr, pc])
+            rows = [i for i in range(self.rows) if i != pr and not m[i, pc].is_zero()]
+            m[rows] -= m[rows, pc][:, None] * m[pr]
+            pivots.append(pc)
+        return _wrap(m), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -248,19 +225,14 @@ class ExactMatrix:
         return red.columns(range(n, 2 * n))
 
     def null_basis(self) -> "ExactMatrix":
-        """Columns form an exact basis of the null space (cols x (cols - rank))."""
+        """Columns form an exact basis of the null space (cols x (cols - rank)):
+        per free column, 1 there and minus its RREF column at the pivots."""
         red, pivots = self.rref()
         free = [j for j in range(self.cols) if j not in pivots]
-        basis_cols = []
-        for fc in free:
-            v = [ExactScalar(0)] * self.cols
-            v[fc] = ExactScalar(1)
-            for row_idx, pc in enumerate(pivots):
-                v[pc] = -red.data[row_idx][fc]
-            basis_cols.append(v)
-        if not basis_cols:
-            return ExactMatrix.zeros(self.cols, 0)
-        return ExactMatrix([[basis_cols[k][i] for k in range(len(basis_cols))] for i in range(self.cols)])
+        basis = np.full((self.cols, len(free)), ExactScalar(0), dtype=object)
+        basis[free, range(len(free))] = ExactScalar(1)
+        basis[list(pivots)] = -red.data[: len(pivots), free]
+        return _wrap(basis)
 
     def column_basis(self) -> "ExactMatrix":
         """The pivot columns of the matrix: an exact basis of the column space."""
@@ -268,15 +240,19 @@ class ExactMatrix:
         return self.columns(pivots)
 
     def to_complex(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols), dtype=complex)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out[i, j] = self.data[i][j].to_complex()
-        return out
+        return np.vectorize(ExactScalar.to_complex, otypes=[complex])(self.data)
 
     def _check_same_shape(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
+        if self.data.shape != other.data.shape:
             raise ValueError("shape mismatch")
 
     def __repr__(self):
         return f"ExactMatrix({self.rows}x{self.cols})"
+
+
+def _wrap(entries: np.ndarray) -> ExactMatrix:
+    """The ExactMatrix on an object array of ExactScalars, made read-only."""
+    m = object.__new__(ExactMatrix)
+    entries.flags.writeable = False
+    m.data = entries
+    return m

@@ -136,17 +136,17 @@ class GInvResult:
     def _gap_kernel(self) -> float:
         return gap(self._b_summary[2], self._q.range).gap
 
-    def _threshold(self, name: str, value: float, nb: float, idem_norm) -> Decision:
+    def _threshold(self, name: str, value: float, nb: float) -> Decision:
         """The test of residual `name` at `value` against its threshold at
-        ||b|| = nb, with idem_norm(idem) the norm taken of its idempotent,
-        by linalg._decide_scaled, which cannot overflow: the sum 1 + product
-        (+ that norm) is one factor while it is finite, and where it
-        overflows the product's own factors stand for it, the 1 and the
-        idempotent's norm dropped, so the threshold errs low there, never
-        to inf. Its cutoff at value 0 is a lower bound of the threshold."""
+        ||b|| = nb and the norm of its idempotent, by linalg._decide_scaled,
+        which cannot overflow: the sum 1 + product (+ that norm) is one
+        factor while it is finite, and where it overflows the product's own
+        factors stand for it, the 1 and the idempotent's norm dropped, so
+        the threshold errs low there, never to inf. Its cutoff at value 0 is
+        a lower bound of the threshold."""
         _, terms, idem = self._RESIDUALS[name]
         fs = terms(self._na, nb)
-        total = 1.0 + math.prod(fs) + (0.0 if idem is None else idem_norm(getattr(self, idem)))
+        total = 1.0 + math.prod(fs) + (0.0 if idem is None else getattr(self, idem).norm)
         return _decide_scaled(value, self._tol.tol_eq, (total,) if total != math.inf else fs)
 
     def _part(self, name: str) -> Decision:
@@ -154,7 +154,7 @@ class GInvResult:
         that must read zero (subspaces._reads_zero), as a decision; it works
         the value out."""
         if name in self._RESIDUALS:
-            return self._threshold(name, getattr(self, name), self._b_summary[0], lambda e: e.norm)
+            return self._threshold(name, getattr(self, name), self._b_summary[0])
         return _reads_zero(getattr(self, name), self._tol)
 
     def _residual_within(self, name: str) -> bool:
@@ -164,14 +164,13 @@ class GInvResult:
         A gap, or a residual worked out already, is compared exactly.
         Otherwise the Frobenius test compares the residual's matrix with the
         threshold at ||b||_F / sqrt(n) until _b_summary holds ||b||, and at
-        the idempotent's norm if that is cached, else 0.0 (each threshold
-        grows in both); the residual is worked out only when that test cannot
-        decide.
+        the idempotent's norm (each threshold grows in both); the residual is
+        worked out only when that test cannot decide.
         """
         if name in self.__dict__ or name not in self._RESIDUALS:
             return self._part(name).truth
         nb = self._b_summary[0] if "_b_summary" in self.__dict__ else _norm_low(self.b)
-        low = self._threshold(name, 0.0, nb, lambda e: e.__dict__.get("norm", 0.0)).cutoff
+        low = self._threshold(name, 0.0, nb).cutoff
         return _norm_within(self._RESIDUALS[name][0](self), low, lambda: self._part(name).truth)
 
     # Each flag: the parts it tests, in test order. strict_12 is strict_pq

@@ -135,7 +135,8 @@ def idempotent_from_matrix(m, tol: Tolerances = DEFAULT_TOL) -> Idempotent:
     if a.shape[0] != a.shape[1]:
         raise ValueError("idempotent must be square")
     nm, rng, ker, _ = _summary(a, tol)
-    d = a @ a - a
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing residual reads NaN and fails
+        d = a @ a - a
     # The SVD runs only for a residual that the Frobenius test cannot clear
     # at the rule's cutoff at residual 0, a lower bound of its threshold.
     if not _norm_within(d, _idempotency(0.0, nm, tol).cutoff, lambda: _idempotency(spectral_norm(d), nm, tol).truth):

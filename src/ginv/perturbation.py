@@ -408,8 +408,9 @@ def _update(b, d, right, left, tol: Tolerances, norm_b) -> np.ndarray:
         raise NotExists("1 + delta_a b is singular; the perturbed inverse does not exist")
     if not left[0].truth:
         raise NotExists("1 + b delta_a is singular; the perturbed inverse does not exist")
-    form1 = b @ right[1]
-    diff = form1 - left[1] @ b
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN or inf forms disagree below
+        form1 = b @ right[1]
+        diff = form1 - left[1] @ b
 
     def agree(dev, n1, nb, nd):
         return _decide_scaled(dev, 10.0 * tol.tol_eq, (1.0 + n1, 1.0 + nb, 1.0 + nd))
@@ -778,9 +779,9 @@ def _cor_12(s: Scenario, moves_p: bool, moves_q: bool) -> BoundReport:
     for moves, name, kernel_side, rule in sides:
         if moves:
             moved = _need(s, name)
-            x = moved.m @ a if kernel_side else a @ moved.m - a
-            # at ||a||_F / sqrt(n) and the cached norm of the moved idempotent, or 0
-            low = within(0.0, _norm_low(a), moved.__dict__.get("norm", 0.0)).cutoff
+            with np.errstate(over="ignore", invalid="ignore"):  # a NaN residual fails below
+                x = moved.m @ a if kernel_side else a @ moved.m - a
+            low = within(0.0, _norm_low(a), moved.norm).cutoff  # at ||a||_F / sqrt(n) <= ||a||
             if not _norm_within(x, low, lambda: within(spectral_norm(x), s.norm_a, moved.norm).truth):
                 raise SideConditionViolated(f"{rule} fails by {spectral_norm(x):.3e}")
     if not s.base._strict_12:

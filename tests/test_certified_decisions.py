@@ -483,7 +483,6 @@ def campaign_outputs():
     return {seed: _campaign_texts(seed) for seed in (21, 22)}
 
 
-@pytest.mark.parametrize("seed", [21, 22])
 def _without_decisions(text):
     report = json.loads(text)
     del report["cutoffs"], report["closest_call"]

@@ -545,7 +545,6 @@ def test_compute_rejects_a_p_that_is_not_idempotent(tmp_path, capsys, exact):
     assert err.startswith("input error: bad idempotent:") and "not idempotent" in err and "Traceback" not in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning")
 def test_exists_rejects_a_p_whose_residual_overflows(tmp_path, capsys):
     # p = diag(1e200, 0) is as far from idempotent as diag(2, 0); p^2 - p overflows
     obj = {"a": [1, 0, 0, 1], "p": [1e200, 0, 0, 0], "q": [0, 0, 0, 1]}

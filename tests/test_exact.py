@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ginv import compute_outer_pql, idempotent_from_matrix, spectral_norm
+from ginv import RandomStream, compute_outer_pql, idempotent_from_matrix, spectral_norm
 from ginv.errors import ExactSingular, NotExists
 from ginv.exact import ExactMatrix, ExactScalar, parse_rational
 from ginv.gen_inverse import compute_outer_pql_exact
@@ -140,3 +140,106 @@ def test_hstack_and_columns():
     both = x.hstack(y)
     assert both.cols == 2
     assert both.columns([1]) == y
+
+
+def test_empty_shapes_hold_exact_zeros():
+    # numpy sums an empty inner dimension to int 0; the product is built of ExactScalar zeros
+    prod = ExactMatrix.zeros(2, 0) @ ExactMatrix.zeros(0, 3)
+    assert (prod.rows, prod.cols) == (2, 3)
+    assert prod == ExactMatrix.zeros(2, 3) and prod.is_zero()
+    assert all(isinstance(prod.entry(i, j), ExactScalar) for i in range(2) for j in range(3))
+    z = ExactMatrix.zeros(3, 0)
+    assert (z.rows, z.cols) == (3, 0) and z.to_complex().shape == (3, 0)
+    assert isinstance(ExactMatrix.zeros(1, 1).entry(0, 0), ExactScalar)
+    e = ExactMatrix([])
+    assert (e.rows, e.cols) == (0, 0) and e == ExactMatrix.identity(0) and e.inverse() == e
+
+
+def test_null_basis_of_full_column_rank_is_empty():
+    m = ExactMatrix.from_strings([["1", "2"], ["0", "1"], ["3", "1/2"]])
+    nb = m.null_basis()
+    assert (nb.rows, nb.cols) == (2, 0)
+    assert (m @ nb).rows == 3 and (m @ nb).cols == 0
+
+
+def test_equal_matrices_by_different_routes_compare_and_hash_equal():
+    m = ExactMatrix.from_strings([["1/2", ("0", "1")], ["-3", "2/3"]])
+    routes = [
+        m.conj_transpose().conj_transpose(),
+        (m + m).scale("1/2"),
+        m @ ExactMatrix.identity(2),
+        -(-m),
+        ExactMatrix([[m.entry(i, j) for j in range(2)] for i in range(2)]),
+        ExactMatrix.zeros(2, 1).hstack(m).columns([1, 2]),
+        m.inverse().inverse(),
+    ]
+    for other in routes:
+        assert other == m and hash(other) == hash(m)
+    assert m != m.conj_transpose() and m != m.columns([0])
+
+
+def test_entry_array_is_read_only():
+    m = ExactMatrix.from_strings([["1", "2"], ["3", "4"]])
+    singular = ExactMatrix.from_strings([["1", "2"], ["2", "4"]])
+    for made in (m, m @ m, m.conj_transpose(), m.rref()[0], singular.null_basis(), ExactMatrix.identity(2)):
+        with pytest.raises(ValueError, match="read-only"):
+            made.data[0, 0] = ExactScalar(5)
+    assert m.entry(0, 0) == ExactScalar(1)
+
+
+def test_to_complex_is_bit_identical_per_entry():
+    m = ExactMatrix.from_strings([["1/3", ("-2/7", "5/11")], [("0", "1/10"), "123456789/1000"]])
+    c = m.to_complex()
+    assert c.dtype == complex and c.shape == (2, 2)
+    for i in range(2):
+        for j in range(2):
+            x = m.entry(i, j)
+            expected = complex(float(x.re), float(x.im))
+            assert c[i, j].real.hex() == expected.real.hex() and c[i, j].imag.hex() == expected.imag.hex()
+
+
+def _loop_rref(rows):
+    """The element-by-element RREF over lists, the reference for ExactMatrix.rref."""
+    m = [list(row) for row in rows]
+    pivots = []
+    for pc in range(len(m[0]) if m else 0):
+        pr = len(pivots)
+        if pr == len(m):
+            break
+        pivot_row = next((i for i in range(pr, len(m)) if not m[i][pc].is_zero()), None)
+        if pivot_row is None:
+            continue
+        m[pr], m[pivot_row] = m[pivot_row], m[pr]
+        inv = ExactScalar(1) / m[pr][pc]
+        m[pr] = [inv * x for x in m[pr]]
+        for i in range(len(m)):
+            if i != pr and not m[i][pc].is_zero():
+                m[i] = [x - m[i][pc] * y for x, y in zip(m[i], m[pr])]
+        pivots.append(pc)
+    return m, tuple(pivots)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_array_operations_match_element_loops(seed):
+    # rational entries with many zeros, so pivots are skipped and rows swapped
+    stream = RandomStream(seed)
+    values = ["0", "0", "0", "1", "-2", "1/3", "5/2"]
+    r, c, k = (stream.randint(1, 4) for _ in range(3))
+
+    def draw(rows, cols):
+        return [[ExactScalar(Fraction(values[stream.randint(0, 6)]), Fraction(values[stream.randint(0, 6)])) for _ in range(cols)] for _ in range(rows)]
+
+    x, y, z = draw(r, c), draw(r, c), draw(c, k)
+    mx, my, mz = ExactMatrix(x), ExactMatrix(y), ExactMatrix(z)
+    entries = lambda m: [[m.entry(i, j) for j in range(m.cols)] for i in range(m.rows)]
+    assert entries(mx + my) == [[a + b for a, b in zip(u, v)] for u, v in zip(x, y)]
+    assert entries(mx - my) == [[a - b for a, b in zip(u, v)] for u, v in zip(x, y)]
+    assert entries(mx @ mz) == [[sum((x[i][t] * z[t][j] for t in range(c)), ExactScalar(0)) for j in range(k)] for i in range(r)]
+    assert entries(mx.conj_transpose()) == [[x[i][j].conjugate() for i in range(r)] for j in range(c)]
+    assert mx.to_complex().tolist() == [[e.to_complex() for e in row] for row in x]
+    for m, rows in ((mx, x), (mx.hstack(my), [u + v for u, v in zip(x, y)])):
+        red, pivots = m.rref()
+        ref, ref_pivots = _loop_rref(rows)
+        assert (entries(red), pivots) == (ref, ref_pivots)
+        nb = m.null_basis()
+        assert nb.cols == m.cols - len(pivots) and (m @ nb).is_zero()

@@ -97,7 +97,6 @@ def test_idempotent_from_matrix_validates():
         idempotent_from_matrix(np.zeros((2, 3)))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning")
 def test_a_residual_that_overflows_is_not_idempotent():
     # m^2 - m = diag(inf, 0) has a NaN norm, which fails the rule rather than passing it
     with pytest.raises(ValueError, match="not idempotent"):

@@ -279,3 +279,50 @@ def test_perturbation_spells_no_part_of_a_flag():
     tree = ast.parse((SRC / "perturbation.py").read_text(encoding="utf-8"))
     spelled = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
     assert parts and not spelled & parts
+
+
+def runtime_warning_ignores(source: str) -> list:
+    """The line of every filterwarnings call (a pytest mark or the warnings
+    function) that ignores RuntimeWarning: its action is "ignore" and its
+    category is RuntimeWarning or unnamed, which means every Warning."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call) or getattr(node.func, "attr", getattr(node.func, "id", None)) != "filterwarnings":
+            continue
+        keyword = [k.value for k in node.keywords if k.arg == "category"]
+        for arg in node.args:
+            if not (isinstance(arg, ast.Constant) and isinstance(arg.value, str)):
+                continue
+            fields = [f.strip() for f in arg.value.split(":")]
+            category = getattr(keyword[0], "id", getattr(keyword[0], "attr", "")) if keyword else (fields + ["", ""])[2]
+            if fields[0] == "ignore" and category.rsplit(".", 1)[-1] in ("", "Warning", "RuntimeWarning"):
+                found.append(node.lineno)
+                break
+    return sorted(found)
+
+
+def test_runtime_warning_ignores_are_found():
+    src = (
+        "import warnings\n"
+        "@pytest.mark.filterwarnings('ignore:overflow encountered:RuntimeWarning')\n"
+        "def t1(): pass\n"
+        "@pytest.mark.filterwarnings('ignore:some text')\n"
+        "def t2(): pass\n"
+        "@pytest.mark.filterwarnings('ignore::DeprecationWarning', 'error')\n"
+        "def t3(): pass\n"
+        "def t4():\n"
+        "    warnings.filterwarnings('ignore', category=RuntimeWarning)\n"
+        "    warnings.filterwarnings('ignore', category=UserWarning)\n"
+        "pytestmark = pytest.mark.filterwarnings('ignore::builtins.RuntimeWarning')\n"
+    )
+    assert runtime_warning_ignores(src) == [2, 4, 9, 11]
+
+
+TEST_MODULES = sorted((SRC.parent.parent / "tests").glob("*.py")) + sorted((SRC.parent.parent / "bench").glob("test_*.py"))
+
+
+@pytest.mark.parametrize("path", TEST_MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_test_ignores_a_runtime_warning(path):
+    """pyproject's filterwarnings = ["error"] covers every test: an overflow
+    the code forms on purpose is formed under np.errstate where it is read."""
+    assert runtime_warning_ignores(path.read_text(encoding="utf-8")) == []

@@ -481,7 +481,6 @@ def test_cor_variants_reject_broken_side_condition(diag_instance):
         cor_12_variants(a, p, q, p_prime=p_prime)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning")
 def test_a_side_condition_whose_residual_reads_nan_fails():
     # a p' overflows in its second column: the residual a p' - a reads NaN and fails
     a, p, q = np.diag([1e307, 0.0]), np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
@@ -489,7 +488,6 @@ def test_a_side_condition_whose_residual_reads_nan_fails():
         cor_12_variants(a, p, q, p_prime=np.array([[1.0, 100.0], [0.0, 0.0]]))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning")
 def test_update_forms_whose_difference_reads_nan_disagree():
     # factors whose products overflow: form1 = b (1 + d b)^-1 reads inf + nan j,
     # and the NaN norm of the difference of the forms fails their agreement
@@ -499,7 +497,6 @@ def test_update_forms_whose_difference_reads_nan_disagree():
         _update(b, np.zeros((2, 2), dtype=complex), (factor, b.copy()), (factor, np.eye(2, dtype=complex)), DEFAULT_TOL, lambda: 1e200)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning")
 def test_update_forms_whose_agreement_cutoff_overflows_disagree():
     # a right factor inverse of all 1e308: the forms differ by about 2e308,
     # and so does ||form1||; deviation and cutoff both read inf, which passed,
