@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .errors import DimMismatch, GenerationFailed, GinvError, InputError, NotExists
 from .gen_inverse import (
@@ -79,12 +79,6 @@ def _emit(obj, out_path):
         dump_file(obj, out_path)
     else:
         print(dumps(obj))
-
-
-def _add_tol_flags(sp):
-    sp.add_argument("--tol-rank", type=float, default=None)
-    sp.add_argument("--tol-eq", type=float, default=None)
-    sp.add_argument("--tol-inv", type=float, default=None)
 
 
 def _instance_fields(path):
@@ -233,8 +227,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_ensemble(args) -> int:
-    if not args.config:
-        raise InputError("ensemble needs --config")
     config = config_from_json(load_file(args.config))
     return _campaign(config, args)
 
@@ -245,51 +237,44 @@ def _build_parser() -> argparse.ArgumentParser:
         description="inverses with prescribed idempotents: compute, check, campaign",
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
+    # the flags every command takes: --out and one per tolerance field
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", default=None)
+    for f in fields(Tolerances):
+        common.add_argument("--" + f.name.replace("_", "-"), type=float, default=None)
 
-    sp = sub.add_parser("compute", help="inverse for one instance file")
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--out", default=None)
+    def command(name, fn, help):
+        sp = sub.add_parser(name, parents=[common], help=help)
+        sp.set_defaults(fn=fn)
+        return sp
+
+    def add_in(sp, required=True):
+        sp.add_argument("--in", dest="infile", required=required)
+
+    sp = command("compute", _cmd_compute, "inverse for one instance file")
+    add_in(sp)
     sp.add_argument("--exact", action="store_true")
-    _add_tol_flags(sp)
-    sp.set_defaults(fn=_cmd_compute)
 
-    sp = sub.add_parser("exists", help="existence report for one instance file")
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--out", default=None)
-    _add_tol_flags(sp)
-    sp.set_defaults(fn=_cmd_exists)
+    add_in(command("exists", _cmd_exists, "existence report for one instance file"))
 
-    sp = sub.add_parser("gap", help="gap between two subspaces given by basis files")
+    sp = command("gap", _cmd_gap, "gap between two subspaces given by basis files")
     sp.add_argument("--m", required=True)
     sp.add_argument("--n", required=True)
-    sp.add_argument("--out", default=None)
-    _add_tol_flags(sp)
-    sp.set_defaults(fn=_cmd_gap)
 
-    sp = sub.add_parser("perturb", help="update formula plus equivalence checks")
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--out", default=None)
-    _add_tol_flags(sp)
-    sp.set_defaults(fn=_cmd_perturb)
+    add_in(command("perturb", _cmd_perturb, "update formula plus equivalence checks"))
 
-    sp = sub.add_parser("verify", help="run one check id on a scenario or an ensemble")
+    sp = command("verify", _cmd_verify, "run one check id on a scenario or an ensemble")
     sp.add_argument("theorem_pos", nargs="?", default=None, metavar="check-id")
     sp.add_argument("--theorem", default=None)
-    sp.add_argument("--in", dest="infile", default=None)
+    add_in(sp, required=False)
     sp.add_argument("--config", default=None)
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--out", default=None)
     sp.add_argument("--csv", default=None)
-    _add_tol_flags(sp)
-    sp.set_defaults(fn=_cmd_verify)
 
-    sp = sub.add_parser("ensemble", help="campaign over a config file")
+    sp = command("ensemble", _cmd_ensemble, "campaign over a config file")
     sp.add_argument("--config", required=True)
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--out", default=None)
     sp.add_argument("--csv", default=None)
-    _add_tol_flags(sp)
-    sp.set_defaults(fn=_cmd_ensemble)
 
     return ap
 

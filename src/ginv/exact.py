@@ -40,18 +40,18 @@ class ExactScalar:
 
     def __add__(self, other):
         other = _coerce(other)
-        return ExactScalar(self.re + other.re, self.im + other.im)
+        return _scalar(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other):
         other = _coerce(other)
-        return ExactScalar(self.re - other.re, self.im - other.im)
+        return _scalar(self.re - other.re, self.im - other.im)
 
     def __neg__(self):
-        return ExactScalar(-self.re, -self.im)
+        return _scalar(-self.re, -self.im)
 
     def __mul__(self, other):
         other = _coerce(other)
-        return ExactScalar(
+        return _scalar(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
@@ -61,7 +61,7 @@ class ExactScalar:
         d = other.re * other.re + other.im * other.im
         if d == 0:
             raise ZeroDivisionError("exact division by zero")
-        return ExactScalar(
+        return _scalar(
             (self.re * other.re + self.im * other.im) / d,
             (self.im * other.re - self.re * other.im) / d,
         )
@@ -70,7 +70,7 @@ class ExactScalar:
     __rmul__ = __mul__
 
     def conjugate(self):
-        return ExactScalar(self.re, -self.im)
+        return _scalar(self.re, -self.im)
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
@@ -95,6 +95,15 @@ class ExactScalar:
     def as_strings(self) -> tuple:
         """The (re, im) pair as plain rational strings, e.g. ("1/2", "0")."""
         return str(self.re), str(self.im)
+
+
+def _scalar(re: Fraction, im: Fraction) -> ExactScalar:
+    """An ExactScalar of parts that are Fractions already, kept as they are:
+    the operators' results, which ExactScalar() would copy again."""
+    x = object.__new__(ExactScalar)
+    x.re = re
+    x.im = im
+    return x
 
 
 def _coerce(x) -> ExactScalar:

@@ -28,6 +28,7 @@ from .linalg import DEFAULT_TOL, Tolerances, _eye, _integer, _number, spectral_n
 from .perturbation import (
     Scenario,
     _BOUND_CHECKS,
+    _MOVES,
     _bound_holds,
     _generated_scenario,
     _thresholds,
@@ -287,27 +288,24 @@ def _make_delta(stream, cls, a, b, p, q, mag, na, cap=math.inf):
     return scale * d
 
 
-# Profiles: (base family, cycle of delta classes, moves p, moves q). The
-# checks that move an idempotent are the bound checks: their moves, and the
-# shift of a when the class cycle asks for one, stay below THRESHOLD_HEADROOM
-# times the smallness thresholds of the bound.
+# Profiles: (base family, cycle of delta classes).
 _PROFILES = {
-    "thm2.4": ("outer", ("stable", "generic", "singular"), False, False),
-    "lemma2.6": ("outer_rank", ("zero", "stable", "destabilizing"), False, False),
-    "thm2.7": ("outer_rank", ("stable", "destabilizing"), False, False),
-    "cor2.8": ("outer_rank", ("stable", "destabilizing"), False, False),
-    "tm2.7": ("l_aligned", ("stable", "destabilizing"), False, False),
-    "lemma2.10": ("l_aligned", ("stable", "generic", "destabilizing"), False, False),
-    "lemas1": ("l_aligned", ("stable", "generic", "destabilizing"), False, False),
-    "thm2.12": ("strict", ("strict-stable", "destabilizing"), False, False),
-    "thm3.4": ("outer", ("zero",), True, False),
-    "thm3.6": ("outer", ("zero",), False, True),
-    "thm3.8": ("outer", ("zero",), True, True),
-    "thm3.9": ("outer", ("generic",), True, True),
-    "cor3.11": ("strict", ("zero",), True, False),
-    "cor3.12": ("strict", ("zero",), False, True),
-    "cor3.13": ("strict", ("zero",), True, True),
-    "selftest-bad-bound": ("outer", ("zero",), True, False),
+    "thm2.4": ("outer", ("stable", "generic", "singular")),
+    "lemma2.6": ("outer_rank", ("zero", "stable", "destabilizing")),
+    "thm2.7": ("outer_rank", ("stable", "destabilizing")),
+    "cor2.8": ("outer_rank", ("stable", "destabilizing")),
+    "tm2.7": ("l_aligned", ("stable", "destabilizing")),
+    "lemma2.10": ("l_aligned", ("stable", "generic", "destabilizing")),
+    "lemas1": ("l_aligned", ("stable", "generic", "destabilizing")),
+    "thm2.12": ("strict", ("strict-stable", "destabilizing")),
+    "thm3.4": ("outer", ("zero",)),
+    "thm3.6": ("outer", ("zero",)),
+    "thm3.8": ("outer", ("zero",)),
+    "thm3.9": ("outer", ("generic",)),
+    "cor3.11": ("strict", ("zero",)),
+    "cor3.12": ("strict", ("zero",)),
+    "cor3.13": ("strict", ("zero",)),
+    "selftest-bad-bound": ("outer", ("zero",)),
 }
 
 _BASES = {
@@ -317,7 +315,11 @@ _BASES = {
     "strict": _base_strict,
 }
 
-_BOUND_IDS = frozenset(t for t, (_, _, moves_p, moves_q) in _PROFILES.items() if moves_p or moves_q)
+# The bound checks move idempotents as _MOVES says, and the selftest moves
+# what thm3.4 moves. Generated moves, and the shift of a when the class cycle
+# asks for one, stay below THRESHOLD_HEADROOM times the smallness thresholds
+# of the bound.
+_BOUND_MOVES = {**_MOVES, "selftest-bad-bound": _MOVES["thm3.4"]}
 
 # Checks whose statement assumes 1 + b delta_a invertible; generation
 # re-draws the rare degenerate shift instead of tripping that precondition.
@@ -360,7 +362,8 @@ def gen_scenario(config: EnsembleConfig, index: int, theorem: str, *, _memo=None
     """
     if theorem not in _PROFILES:
         raise InputError(f"unknown check id {theorem!r}")
-    family, classes, want_p, want_q = _PROFILES[theorem]
+    family, classes = _PROFILES[theorem]
+    want_p, want_q, _ = _BOUND_MOVES.get(theorem, (False, False, False))
     tol = config.tolerances
     root = RandomStream(config.seed).spawn(index)
     mag = config.perturbation_magnitudes[index % len(config.perturbation_magnitudes)]
@@ -396,7 +399,7 @@ def gen_scenario(config: EnsembleConfig, index: int, theorem: str, *, _memo=None
         p_prime = q_prime = None
         cap = math.inf  # the cap on the scale of the shift of a
         dists = {}  # the distances of the moved idempotents, as Scenario caches them
-        if theorem in _BOUND_IDS:
+        if theorem in _BOUND_MOVES:
             cap_p, cap_q, cap_d = _thresholds(kap, want_p, THRESHOLD_HEADROOM)
             cap = cap_d / max(nb, 1e-12)
             try:
@@ -484,7 +487,7 @@ def run_campaign(config: EnsembleConfig, on_report=None) -> CampaignReport:
     (base, moved idempotents) are made once.
     """
     t0 = time.perf_counter()
-    stats = {theorem: TheoremStats(near_calls=None if theorem in _BOUND_IDS else 0) for theorem in config.theorems}
+    stats = {theorem: TheoremStats(near_calls=None if theorem in _BOUND_MOVES else 0) for theorem in config.theorems}
     for index in range(config.count):
         memo = {}
         for theorem, st in stats.items():

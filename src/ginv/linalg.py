@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache, reduce
 from operator import attrgetter, truediv
 from typing import NamedTuple, Optional
@@ -70,7 +70,7 @@ class Tolerances:
     tol_inv: float = 1e-12
 
     def __post_init__(self):
-        for name in ("tol_rank", "tol_eq", "tol_inv"):
+        for name in (f.name for f in fields(self)):
             v = _number(getattr(self, name), name, ValueError)
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be a positive finite number, got {v!r}")

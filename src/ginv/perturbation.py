@@ -677,19 +677,32 @@ def _need(s: Scenario, name: str):
     return v
 
 
-def _bound(theorem, s: Scenario, moves_p: bool, moves_q: bool, moves_a: bool = False, extra=None) -> BoundReport:
+# What each bound statement moves, by check id: (p, q, a). p and q move to
+# the scenario's p_prime and q_prime, a by its delta_a.
+_MOVES = {
+    "thm3.4": (True, False, False),
+    "thm3.6": (False, True, False),
+    "thm3.8": (True, True, False),
+    "thm3.9": (True, True, True),
+    "cor3.11": (True, False, False),
+    "cor3.12": (False, True, False),
+    "cor3.13": (True, True, False),
+}
+
+
+def _bound(theorem, s: Scenario, extra=None) -> BoundReport:
     """The skeleton every quantitative bound shares.
 
-    moves_p and moves_q say which idempotents move to the scenario's p_prime
-    and q_prime. Unless moves_a, the bound is on the relative change of the
-    inverse; with moves_a the matrix moves by delta_a too and it is on the
-    absolute change. The norm bound for the new inverse goes to aux. When the
-    new inverse exists, extra(aux, s, e, agree) adds the theorem's own
-    diagnostics to aux and says whether its own part of the statement held;
-    e is the existence evaluation that the new inverse e.outer was solved
-    from, and agree the rule of its identities, _res_scale at ||a|| and the
-    larger of ||b|| and ||b'||, b' the new inverse.
+    _MOVES[theorem] says what the statement moves. Unless it moves a, the
+    bound is on the relative change of the inverse; when a moves too it is
+    on the absolute change. The norm bound for the new inverse goes to aux.
+    When the new inverse exists, extra(aux, s, e, agree) adds the theorem's
+    own diagnostics to aux and says whether its own part of the statement
+    held; e is the existence evaluation that the new inverse e.outer was
+    solved from, and agree the rule of its identities, _res_scale at ||a||
+    and the larger of ||b|| and ||b'||, b' the new inverse.
     """
+    moves_p, moves_q, moves_a = _MOVES[theorem]
     p2 = _need(s, "p_prime") if moves_p else s.p
     q2 = _need(s, "q_prime") if moves_q else s.q
     tol = s.tol
@@ -768,9 +781,10 @@ def _witness_representations(aux, s: Scenario, e: _Evaluation, agree) -> bool:
     return agree(aux["representation_deviation"]).truth
 
 
-def _cor_12(s: Scenario, moves_p: bool, moves_q: bool) -> BoundReport:
+def _cor_12(theorem, s: Scenario) -> BoundReport:
     """cor_12_variants on a scenario (see there)."""
     a, tol = s.a, s.tol
+    moves_p, moves_q, _ = _MOVES[theorem]
 
     def within(value, na, nm):
         return _decide_scaled(value, tol.tol_eq, (1.0 + na, 1.0 + nm))
@@ -805,20 +819,19 @@ def _cor_12(s: Scenario, moves_p: bool, moves_q: bool) -> BoundReport:
         aux["group_rep_deviation"] = spectral_norm(rep - new.b)
         return strict_ok and rep_ok and agree(aux["group_rep_deviation"]).truth
 
-    label = "cor3.11" if not moves_q else "cor3.12" if not moves_p else "cor3.13"
-    return _bound(label, s, moves_p, moves_q, extra=strict_new)
+    return _bound(theorem, s, extra=strict_new)
 
 
 # The bound checkers on a scenario, by check id; the public functions below
 # build a scenario from their arguments and call these.
 _BOUND_CHECKS = {
-    "thm3.4": lambda s: _bound("thm3.4", s, True, False),
-    "thm3.6": lambda s: _bound("thm3.6", s, False, True, extra=_witness_representations),
-    "thm3.8": lambda s: _bound("thm3.8", s, True, True),
-    "thm3.9": lambda s: _bound("thm3.9", s, True, True, moves_a=True),
-    "cor3.11": lambda s: _cor_12(s, True, False),
-    "cor3.12": lambda s: _cor_12(s, False, True),
-    "cor3.13": lambda s: _cor_12(s, True, True),
+    "thm3.4": lambda s: _bound("thm3.4", s),
+    "thm3.6": lambda s: _bound("thm3.6", s, extra=_witness_representations),
+    "thm3.8": lambda s: _bound("thm3.8", s),
+    "thm3.9": lambda s: _bound("thm3.9", s),
+    "cor3.11": lambda s: _cor_12("cor3.11", s),
+    "cor3.12": lambda s: _cor_12("cor3.12", s),
+    "cor3.13": lambda s: _cor_12("cor3.13", s),
 }
 
 
@@ -884,5 +897,6 @@ def cor_12_variants(a, p, q, p_prime=None, q_prime=None, tol: Tolerances = DEFAU
     """
     if p_prime is None and q_prime is None:
         raise InputError("one of p_prime, q_prime is required")
-    s = _scenario(a, p, q, tol, p_prime=p_prime, q_prime=q_prime)
-    return _cor_12(s, p_prime is not None, q_prime is not None)
+    moves = (p_prime is not None, q_prime is not None, False)
+    theorem = next(t for t, m in _MOVES.items() if t.startswith("cor") and m == moves)
+    return _cor_12(theorem, _scenario(a, p, q, tol, p_prime=p_prime, q_prime=q_prime))

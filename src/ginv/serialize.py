@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from dataclasses import asdict, fields
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -111,11 +112,7 @@ def matrix_from_json(d: dict) -> np.ndarray:
 
 
 def exact_matrix_to_json(m: ExactMatrix) -> dict:
-    data = []
-    for i in range(m.rows):
-        for j in range(m.cols):
-            data.append(list(m.entry(i, j).as_strings()))
-    return {"rows": m.rows, "cols": m.cols, "exact": True, "data": data}
+    return {"rows": m.rows, "cols": m.cols, "exact": True, "data": [list(x.as_strings()) for x in m.data.flat]}
 
 
 def _exact_part(x) -> str:
@@ -135,7 +132,7 @@ def exact_matrix_from_json(d: dict) -> ExactMatrix:
     pair; write "1/10" for one tenth."""
     r, c, data = _matrix_fields(d)
     if not data and r + c:
-        # ExactMatrix keeps no shape without entries, and an r x 0 list of
+        # A 0 x c matrix cannot be built from rows, and an r x 0 list of
         # rows would take memory in r.
         raise InputError(f"an exact matrix with no entries must be 0x0, got {r}x{c}")
 
@@ -166,7 +163,7 @@ def idempotent_from_json(d: dict, tol: Tolerances = DEFAULT_TOL) -> Idempotent:
 
 
 def tolerances_to_json(t: Tolerances) -> dict:
-    return {"tol_rank": t.tol_rank, "tol_eq": t.tol_eq, "tol_inv": t.tol_inv}
+    return asdict(t)
 
 
 def tolerances_from_json(d: dict) -> Tolerances:
@@ -174,7 +171,7 @@ def tolerances_from_json(d: dict) -> Tolerances:
     if not isinstance(d, dict):
         raise InputError(f"tolerances must be a JSON object, got {type(d).__name__}")
     try:
-        return Tolerances(**{k: d[k] for k in ("tol_rank", "tol_eq", "tol_inv") if k in d})
+        return Tolerances(**{f.name: d[f.name] for f in fields(Tolerances) if f.name in d})
     except ValueError as e:
         raise InputError(f"bad tolerance: {e}") from e
 

@@ -513,6 +513,29 @@ def test_bad_input_exits_two_without_traceback(tmp_path, capsys, monkeypatch, ar
     assert "Traceback" not in err
 
 
+def _command_argv(tmp_path, command):
+    """A valid command line of each command, up to its tolerance flags."""
+    if command in ("compute", "exists"):
+        return [command, "--in", instance_file(tmp_path)]
+    if command == "gap":
+        m = write(tmp_path, "m.json", matrix_to_json(np.array([[1.0], [0.0]])))
+        return [command, "--m", m, "--n", m]
+    if command == "perturb":
+        return [command, "--in", scenario_file(tmp_path)]
+    if command == "verify":
+        return [command, "thm2.4", "--in", scenario_file(tmp_path)]
+    return [command, "--config", config_file(tmp_path)]
+
+
+@pytest.mark.parametrize("flag", ["--tol-rank", "--tol-eq", "--tol-inv"])
+@pytest.mark.parametrize("command", ["compute", "exists", "gap", "perturb", "verify", "ensemble"])
+def test_every_command_rejects_a_negative_tolerance_flag(tmp_path, capsys, command, flag):
+    code, out, err = run(capsys, _command_argv(tmp_path, command) + [flag, "-1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: bad tolerance")
+
+
 @pytest.mark.parametrize(
     "entry",
     [None, "x", [1], "1/0", True, float("inf"), [1, 2, 3], ["1", False]],

@@ -106,6 +106,37 @@ def test_gen_scenario_is_deterministic():
     assert s1.q_prime is None
 
 
+# What each statement moves (Thms 3.4-3.9, Cors 3.11-3.13): the range
+# idempotent p, the kernel idempotent q, the matrix a. The selftest shrinks
+# the bound of thm3.4, so it moves what thm3.4 moves.
+_STATEMENT_MOVES = {
+    "thm3.4": {"p"},
+    "thm3.6": {"q"},
+    "thm3.8": {"p", "q"},
+    "thm3.9": {"p", "q", "a"},
+    "cor3.11": {"p"},
+    "cor3.12": {"q"},
+    "cor3.13": {"p", "q"},
+    "selftest-bad-bound": {"p"},
+}
+
+
+def test_every_bound_id_has_its_moves_listed():
+    assert set(_STATEMENT_MOVES) == set(perturbation._MOVES) | {"selftest-bad-bound"}
+
+
+@pytest.mark.parametrize("seed", [21, 22, 23, 24])
+@pytest.mark.parametrize("theorem", list(_STATEMENT_MOVES))
+def test_generated_scenarios_move_what_their_statement_moves(theorem, seed):
+    moves = _STATEMENT_MOVES[theorem]
+    config = EnsembleConfig(n_range=(2, 6), rank_range=(1, 5), count=5, seed=seed, theorems=(theorem,))
+    for index in range(config.count):
+        s = gen_scenario(config, index, theorem)
+        assert (s.p_prime is not None) == ("p" in moves), index
+        assert (s.q_prime is not None) == ("q" in moves), index
+        assert bool(np.any(s.delta_a)) == ("a" in moves), index
+
+
 def test_gen_scenario_bases_are_solvable():
     config = EnsembleConfig(
         n_range=(3, 3), rank_range=(2, 2), count=1, seed=1, theorems=("thm2.4",)
@@ -438,7 +469,7 @@ def test_section2_ids_build_one_scenario_per_shared_draw(monkeypatch):
     for index in range(config.count):
         draws = defaultdict(set)  # (family, class) -> the scenarios its ids got
         for theorem in SECTION2_IDS:
-            family, classes, _, _ = harness._PROFILES[theorem]
+            family, classes = harness._PROFILES[theorem]
             draws[family, classes[index % len(classes)]].add(id(got[index, theorem]))
         assert all(len(ids) == 1 for ids in draws.values()), index
         assert len(set.union(*draws.values())) == len(draws), index

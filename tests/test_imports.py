@@ -4,8 +4,9 @@ referenced somewhere in the package.
 
 No linter is a dependency, so this reads each module with ast: an imported
 name counts as used when the module loads it as a name anywhere or lists it
-in __all__. The package's __init__ imports names only to re-export them, so
-it is not checked.
+in __all__. The package's __init__ star-imports its modules to re-export
+their __all__ lists (see test_the_package_init_only_star_imports_its_modules),
+so it is not checked.
 """
 
 import ast
@@ -195,8 +196,9 @@ _TOL_EQ_HOMES = {
     "_reads_zero",  # a gap reads zero
 }
 
-# Modules that read tol_eq as configuration: parse, print, encode.
-_TOL_EQ_CONFIGURATION = {"cli.py", "serialize.py"}
+# Modules that read tol_eq as configuration: parse, print, encode. None does:
+# they take the tolerance names from dataclasses.fields(Tolerances).
+_TOL_EQ_CONFIGURATION = set()
 
 
 def attribute_readers(source: str, attr: str) -> list:
@@ -270,6 +272,37 @@ def test_rank_and_singularity_tolerances_are_read_only_by_their_rule_homes(attr,
         if path.name not in _TOL_EQ_CONFIGURATION:
             found += [h for h in attribute_readers(path.read_text(encoding="utf-8"), attr) if not h.startswith("Tolerances")]
     assert set(found) == homes
+
+
+def init_names_a_public_name(source: str) -> bool:
+    """Does a package __init__ name anything itself: an import that is not
+    `from .<module> import *`, a definition, or an assignment to a name
+    other than a dunder?"""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module and [a.name for a in node.names] == ["*"]:
+            continue
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):  # the docstring
+            continue
+        if isinstance(node, ast.Assign) and all(getattr(t, "id", "").startswith("__") for t in node.targets):
+            continue
+        return True
+    return False
+
+
+def test_init_names_are_found():
+    assert not init_names_a_public_name('"""doc"""\nfrom .errors import *\n__version__ = "1"\n')
+    assert init_names_a_public_name("from .errors import GinvError\n")
+    assert init_names_a_public_name("from . import errors\n")
+    assert init_names_a_public_name("from ginv.errors import *\n")
+    assert init_names_a_public_name("import numpy\n")
+    assert init_names_a_public_name("VERSION = 1\n")
+    assert init_names_a_public_name("def f():\n    pass\n")
+
+
+def test_the_package_init_only_star_imports_its_modules():
+    """ginv's public names are the __all__ lists of its modules, each spelled
+    once there."""
+    assert not init_names_a_public_name((SRC / "__init__.py").read_text(encoding="utf-8"))
 
 
 def test_perturbation_spells_no_part_of_a_flag():
