@@ -5,12 +5,13 @@ matrix b with b a b = b whose column space equals col(p) and whose null
 space equals col(q). When it exists it is unique, and it is computed here
 by one small dense solve: with U an orthonormal basis of col(p) and M0 the
 adjoint basis of col(q)'s orthogonal complement, b = U (M0 a U)^{-1} M0.
-The invertibility of the core M0 a U is exactly the existence condition,
-and its smallest singular value is reported as the margin. One existence
-evaluation of (a, p, q), the private _Evaluation, holds what the outer test
-and the inner-outer test (a b a = a as well) share, and answers and solves
-both the same way: the core is decomposed first, so that its margin can
-settle the subspace tests, and b is solved from it once.
+With rank p + rank q = n, the invertibility of the core M0 a U is exactly
+the existence condition, and it is decided once, by the core margin:
+sigma_min(M0 a U) > tol_inv ||a||. The subspace conditions it implies are
+tested only to explain a failure. One existence evaluation of (a, p, q),
+the private _Evaluation, holds what the outer test and the inner-outer test
+(a b a = a as well) share, and answers and solves both the same way: the
+core is decomposed first, and b is solved from it once.
 
 The module also provides group, inner, and commuting inner inverses, plus
 witness-based representation formulas that rebuild the same b through
@@ -38,7 +39,7 @@ from .errors import (
 )
 from .exact import ExactMatrix
 from .idempotents import Idempotent, idempotent_from_matrix
-from .linalg import _EPS, DEFAULT_TOL, Decision, Tolerances, _all, _cached, _counted, _decide, _decide_scaled, _eye, _norm_low, _norm_within, _rank_from_sv, _singular_values, _taken, as_matrix, spectral_norm, try_inverse
+from .linalg import DEFAULT_TOL, Decision, Tolerances, _all, _cached, _counted, _decide, _decide_scaled, _eye, _norm_low, _norm_within, _rank_from_sv, _singular_values, _taken, as_matrix, spectral_norm, try_inverse
 from .randomstream import RandomStream
 from .subspaces import Subspace, _direct_sum, _meet, _norm_range_kernel, _reads_zero, _stacked_rank, direct_sum_is_all, gap, intersection_trivial, map_subspace, orthocomplement
 
@@ -66,10 +67,14 @@ __all__ = [
 class ExistenceReport:
     """Boolean breakdown of the existence conditions plus the numeric margin.
 
-    exists is the conjunction of the three booleans and a positive core
-    margin; certificates, present only when exists, is a pair (t, s) of
-    matrices witnessing the splitting (here t = s = b, the one solve of
-    the core, for the outer and the inner-outer test alike).
+    For the outer test, exists is dims_compatible and the core margin
+    sigma_min_core > tol_inv ||a||; where it holds, the invertible core
+    proves the two subspace booleans True, and where it fails they are the
+    subspace tests' own verdicts, which say why. For the inner-outer test,
+    direct_sum is col(a) + col(q) = C^n, which exists needs as well.
+    certificates, present only when exists, is a pair (t, s) of matrices
+    witnessing the splitting (here t = s = b, the one solve of the core, for
+    the outer and the inner-outer test alike).
     """
 
     trivial_kernel_intersection: bool
@@ -283,60 +288,34 @@ def _solve(u, m0, core) -> np.ndarray:
     return u @ np.linalg.inv(core) @ m0
 
 
-# K of the core-margin certificate of _Evaluation (see _certified).
-_CORE_K = 1e4
-
-
 class _Evaluation:
     """The existence evaluation of checked (a, p, q).
 
     The constructor computes ||a||, col a, ker a and how the rank of a was
     cut (summary is _norm_range_kernel(a) when the caller has it) and the
-    dims. The core
-    M0 a U with its singular values, ||b||, the trivial meet of ker a with
-    col p, the rank defect of [col a, col q] and each test's direct sum are
-    worked out on first use, each test as a decision (linalg.Decision),
-    whose truth is the test's verdict. exists decomposes the core first for
-    every caller, and _result solves it once, for outer, inner_outer and the
-    report's certificate alike; a property that raises caches nothing. The
-    results hold no reference back to the evaluation, so a caller that needs
-    it keeps it.
+    dims. The core M0 a U with its singular values, the core margin, the
+    trivial meet of ker a with col p, the rank defect of [col a, col q] and
+    each test's direct sum are worked out on first use, each test as a
+    decision (linalg.Decision), whose truth is the test's verdict. exists
+    decomposes the core first for every caller, and _result solves it once,
+    for outer, inner_outer and the report's certificate alike; a property
+    that raises caches nothing. The results hold no reference back to the
+    evaluation, so a caller that needs it keeps it.
+
+    With the dims, the outer inverse exists exactly when the core is
+    invertible, and that is the one decision _margin: sigma_min(M0 a U) >
+    tol_inv ||a||. Where it holds, a U has full column rank r = rank p (ker a
+    meets col p only at zero), and no nonzero vector of a col(p) lies in
+    null(M0) = col q (the two, of dimensions r and n - r, split C^n): once
+    the core is decomposed, trivial and direct_sum read that same decision,
+    and no stacked SVD runs. Where it or the dims fail, the subspace tests
+    run to explain the failure: NotExists names the one that fails, and
+    IllConditioned says that only the margin does.
 
     nb = ||b|| = 1 / sigma_min(M0 a U) takes no SVD of b: U has orthonormal
     columns and M0 orthonormal rows, so ||U X M0|| = ||X|| for every X, and
     b = U core^{-1} M0 gives ||b|| = ||core^{-1}|| = 1 / sigma_min(core).
     A 0 x 0 core has smin = inf, and nb = 0.0, the norm of b = 0.
-
-    The core margin s = sigma_min(M0 a U) settles the outer test's two
-    subspace conditions, trivial and direct_sum, without their stacked SVDs
-    once the core is decomposed, the dims hold and s >= K n max(tol_rank,
-    eps) max(||a||, 1) with K = _CORE_K = 1e4 (_certified). Both are then
-    True, as their SVDs would find. Write t = tol_rank and c = n t max(||a||,
-    1): _norm_range_kernel drops the singular values of a up to c, so the
-    basis K_a of ker a has ||a K_a|| <= c. The singular values of stacked
-    orthonormal bases of two subspaces are sqrt(1 +- cos theta_i) over their
-    principal angles theta_i, and 1 beyond (Bjorck & Golub, Math. Comp. 27,
-    1973), so the stacked rank that intersection_trivial takes is full
-    when sin theta_1 / sqrt(2) exceeds its cutoff t sigma_max n <= sqrt(2) n t,
-    that is when sin theta_1 > 2 n t.
-    trivial: a unit x = U y in col p at the least angle theta_1 to ker a is
-    k + w with k in ker a, ||k|| = cos theta_1 and ||w|| = sin theta_1, so
-    s <= ||M0 a x|| <= ||a x|| <= c + ||a|| sin theta_1. s > c therefore rules
-    out a common vector (and with it dim ker a + rank p > n), and
-    s > c + 2 n t ||a|| gives sin theta_1 > 2 n t.
-    direct_sum: sigma_min(a U) >= s > n t ||a U||, so a col(p) keeps the
-    dimension rank p and, with the dims, fills C^n together with col q. Its
-    orthonormal basis X has a U = X R with ||R|| <= ||a||, and the singular
-    values of M0 X are the sines of the principal angles between col X and
-    col q (Bjorck & Golub), so sin theta_1 >= s / ||a||; s > 2 n t ||a||
-    gives the full rank.
-    In exact arithmetic K = 3 suffices, as c + 2 n t ||a|| <= 3 n t max(||a||,
-    1); the rest of K leaves (K - 3) n eps max(||a||, 1) of s for the
-    rounding of the bases, products and singular values, which is of order
-    p(n) eps max(||a||, 1). The margin scales with max(||a||, 1) because the
-    kernel cutoff c does: for ||a|| < 1 a margin in ||a|| alone falls below
-    c. It floors tol_rank at eps because below eps the cutoffs sit under
-    that rounding.
     """
 
     def __init__(self, a, p: Idempotent, q: Idempotent, tol: Tolerances, summary=None):
@@ -373,31 +352,37 @@ class _Evaluation:
         return 1.0 / self.smin
 
     @_cached
-    def _certificate(self) -> Decision:
-        """The core margin against the cutoff of the certificate; read only
-        once the core is decomposed."""
-        return _decide(self.smin, _CORE_K * self.a.shape[0] * max(self.tol.tol_rank, _EPS) * max(self.na, 1.0), ">=")
+    def _margin(self) -> Decision:
+        """The existence decision: sigma_min(M0 a U) > tol_inv ||a||."""
+        return _decide(self.smin, self.tol.tol_inv * self.na, ">")
 
     @property
-    def _certified(self) -> bool:
-        """Does the core margin prove trivial and direct_sum (see the class
-        docstring)? Only a core that is decomposed already is read."""
-        return self.dims and "_core" in self.__dict__ and self._certificate.truth
+    def _settled(self) -> bool:
+        """Do the dims and the core margin hold? Then trivial and direct_sum
+        read the margin (see the class docstring). Only a core decomposed
+        already is read, so a subspace test read before the core runs on its
+        own and takes no SVD of the core."""
+        return self.dims and "_core" in self.__dict__ and self._margin.truth
 
-    @_cached
+    @property
     def _trivial(self) -> Decision:
         """Does ker a meet col p only at zero? (trivial is its truth)"""
-        return self._certificate if self._certified else _meet(self.ker_a, self.p.range, self.tol)
+        return self._margin if self._settled else self._meets
+
+    @property
+    def _direct_sum(self) -> Decision:
+        """The outer test's direct sum: a col(p) + col(q) = C^n."""
+        return self._margin if self._settled else self._splits
+
+    # The subspace tests that _trivial and _direct_sum run where the margin
+    # does not settle them, each worked out once.
+    _meets = _cached(lambda self: _meet(self.ker_a, self.p.range, self.tol))
+    _splits = _cached(lambda self: _direct_sum(self._image, self.q.range, self.tol))
 
     @_cached
     def _image(self) -> Subspace:
         """a col(p)."""
         return map_subspace(self.a, self.p.range, self.tol)
-
-    @_cached
-    def _direct_sum(self) -> Decision:
-        """The outer test's direct sum: a col(p) + col(q) = C^n."""
-        return self._certificate if self._certified else _direct_sum(self._image, self.q.range, self.tol)
 
     # subspaces._stacked_rank of col a and col q: (how many dimensions they
     # share, the decision that they share none).
@@ -417,15 +402,15 @@ class _Evaluation:
     def _parts(self, l_mode: bool):
         """The decisions of the outer (with l_mode the inner-outer) test in
         their order, each worked out when it is reached. The core comes
-        first, so that its margin can settle the subspace tests; one that
-        overflowed is left for smin, so that the subspace tests raise their
-        error first."""
+        first, so that its margin settles the subspace tests where it holds;
+        one that overflowed is left for _margin, so that the subspace tests
+        raise their error first."""
         if self.dims and "_core" not in self.__dict__:
             with suppress(np.linalg.LinAlgError):
                 self._core
         dsum = self._direct_sum_l if l_mode else self._direct_sum
         yield from (self._trivial, dsum, _counted(self.dims))
-        yield _decide(self.smin, self.tol.tol_inv * self.na, ">")
+        yield self._margin
 
     # The parts of the outer and of the inner-outer test that linalg._taken
     # takes, each worked out once; linalg._all of them is the test as a
@@ -496,11 +481,13 @@ class _Evaluation:
 def exists_outer_pql(a, p, q, tol: Tolerances = DEFAULT_TOL) -> ExistenceReport:
     """Does the outer inverse with range col(p) and kernel col(q) exist?
 
-    Checks, in subspace form: null(a) meets col(p) trivially, a*col(p) and
-    col(q) split the whole space, and rank p + rank q = n. The core margin
-    sigma_min(M0 a U) certifies the same thing numerically. The report is
-    always produced; when the inverse exists the certificate pair (t, s)
-    with t = s = b is attached; this b is bit for bit the b of
+    In subspace form: null(a) meets col(p) trivially, a*col(p) and col(q)
+    split the whole space, and rank p + rank q = n. With the ranks, the
+    first two hold exactly when the core M0 a U is invertible, so existence
+    is one decision: rank p + rank q = n and sigma_min(M0 a U) > tol_inv
+    ||a||. Where it fails, the subspace conditions are tested to say why.
+    The report is always produced; when the inverse exists the certificate
+    pair (t, s) with t = s = b is attached; this b is bit for bit the b of
     compute_outer_pql.
     """
     return _Evaluation(*_checked(a, p, q, tol), tol).report(l_mode=False)
@@ -683,7 +670,10 @@ def exists_dual_check(a, p, q, tol: Tolerances = DEFAULT_TOL) -> bool:
     Annihilator form of the left-sided conditions: rows killing a must meet
     rows of 1 - q trivially, and the row space of (1 - q) a together with
     the rows of 1 - p must fill the space. Everything reduces to column
-    spaces of adjoints; must agree with exists_outer_pql on every input.
+    spaces of adjoints, decided at the rank cutoffs; it agrees with
+    exists_outer_pql wherever those cutoffs see what the core margin sees,
+    and reads False where a margin above tol_inv ||a|| meets a subspace
+    that reads rank-deficient at tol_rank.
     """
     a, p, q = _checked(a, p, q, tol)
     left_kernel_a = orthocomplement(_norm_range_kernel(a, tol)[1])

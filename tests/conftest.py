@@ -1,9 +1,12 @@
 """Shared fixtures and instance generators for the test suite."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from ginv import RandomStream, exists_outer_pql, idempotent_from_matrix, random_idempotent
+from ginv.exact import ExactMatrix
 
 
 @pytest.fixture
@@ -60,3 +63,21 @@ def draw_solvable(seed, n_lo=2, n_hi=8, skew=0.3, full_rank=False, max_tries=64)
         if exists_outer_pql(a, p, q).exists:
             return a, p, q
     raise AssertionError(f"no solvable draw for seed {seed}")
+
+
+# The rational instance beside the rank cutoff: a = Z diag(1, 1e-9, 2, 3) X^-1,
+# p = X diag(1, 1, 0, 0) X^-1 and q = Y diag(0, 0, 1, 1) Y^-1. The exact outer
+# inverse exists, with norm 3.3e9.
+_X = [[-1, 1, -3, 3], [-1, -2, 0, 3], [3, 3, -1, -3], [2, 1, 2, -3]]
+_Y = [[-3, 0, -1, 0], [3, -2, 0, -1], [-1, 2, -2, -1], [-3, -2, -2, 1]]
+_Z = [[1, 0, -2, 2], [2, -2, -3, -1], [-2, 2, 0, 0], [-1, 0, 3, -2]]
+
+
+def rational_instance():
+    """(a, p, q) of the instance above, as ExactMatrix."""
+    x, y, z = ExactMatrix(_X), ExactMatrix(_Y), ExactMatrix(_Z)
+
+    def diag(*d):
+        return ExactMatrix([[d[i] if i == j else 0 for j in range(4)] for i in range(4)])
+
+    return z @ diag(1, Fraction(1, 10**9), 2, 3) @ x.inverse(), x @ diag(1, 1, 0, 0) @ x.inverse(), y @ diag(0, 0, 1, 1) @ y.inverse()

@@ -257,11 +257,10 @@ _TOL_RANK_HOMES = {
     "_rank_cutoff",  # the rank cutoff of a set of singular values
     "_keeps_rank",  # an idempotent of bounded norm reads its rank
     "oblique",  # the splitting certificate of an oblique projector
-    "_Evaluation._certificate",  # the core margin proves the subspace tests
 }
 _TOL_INV_HOMES = {
     "_inverse",  # a square matrix is invertible
-    "_Evaluation._parts",  # the core margin of the existence test
+    "_Evaluation._margin",  # the existence decision: the core margin
 }
 
 
