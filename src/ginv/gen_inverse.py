@@ -39,7 +39,7 @@ from .errors import (
 )
 from .exact import ExactMatrix
 from .idempotents import Idempotent, idempotent_from_matrix
-from .linalg import DEFAULT_TOL, Decision, Tolerances, _all, _cached, _counted, _decide, _decide_scaled, _eye, _norm_low, _norm_within, _rank_from_sv, _singular_values, _taken, as_matrix, spectral_norm, try_inverse
+from .linalg import DEFAULT_TOL, Decision, Tolerances, _all, _cached, _counted, _decide, _decide_scaled, _eye, _norm_low, _norm_within, _rank_from_sv, _singular_values, as_matrix, spectral_norm, try_inverse
 from .randomstream import RandomStream
 from .subspaces import Subspace, _direct_sum, _meet, _norm_range_kernel, _reads_zero, _stacked_rank, direct_sum_is_all, gap, intersection_trivial, map_subspace, orthocomplement
 
@@ -294,13 +294,14 @@ class _Evaluation:
     The constructor computes ||a||, col a, ker a and how the rank of a was
     cut (summary is _norm_range_kernel(a) when the caller has it) and the
     dims. The core M0 a U with its singular values, the core margin, the
-    trivial meet of ker a with col p, the rank defect of [col a, col q] and
-    each test's direct sum are worked out on first use, each test as a
-    decision (linalg.Decision), whose truth is the test's verdict. exists
-    decomposes the core first for every caller, and _result solves it once,
-    for outer, inner_outer and the report's certificate alike; a property
-    that raises caches nothing. The results hold no reference back to the
-    evaluation, so a caller that needs it keeps it.
+    trivial meet of ker a with col p, the rank defect of [col a, col q],
+    each test's direct sum, and the outer and the inner-outer test are worked
+    out on first use, each as a decision (linalg.Decision) whose truth is
+    the verdict; a test is linalg._all of its parts. exists decomposes the
+    core first for every caller, and _result solves it once, for outer,
+    inner_outer and the report's certificate alike; a property that raises
+    caches nothing. The results hold no reference back to the evaluation,
+    so a caller that needs it keeps it.
 
     With the dims, the outer inverse exists exactly when the core is
     invertible, and that is the one decision _margin: sigma_min(M0 a U) >
@@ -412,24 +413,19 @@ class _Evaluation:
         yield from (self._trivial, dsum, _counted(self.dims))
         yield self._margin
 
-    # The parts of the outer and of the inner-outer test that linalg._taken
-    # takes, each worked out once; linalg._all of them is the test as a
-    # decision.
-    _outer_parts = _cached(lambda self: _taken(self._parts(l_mode=False)))
-    _l_parts = _cached(lambda self: _taken(self._parts(l_mode=True)))
+    # The outer and the inner-outer test as decisions, linalg._all of their
+    # parts, each worked out once.
+    _outer_test = _cached(lambda self: _all(self._parts(l_mode=False)))
+    _l_test = _cached(lambda self: _all(self._parts(l_mode=True)))
 
     def exists(self, l_mode: bool) -> bool:
-        """The outer (with l_mode the inner-outer) test: the truth of the
-        last part taken, with no part weighed against its cutoff."""
-        return (self._l_parts if l_mode else self._outer_parts)[-1].truth
+        """The outer (with l_mode the inner-outer) test's verdict."""
+        return (self._l_test if l_mode else self._outer_test).truth
 
     def _inner_outer_test(self) -> Decision:
-        """The decision on which inner_outer answers: linalg._all of the
-        inner-outer test's parts taken, then a b a = a on _result if they
-        hold. That is _all of the test's decision and a b a = a, with each
-        part weighed once."""
-        taken = self._l_parts
-        return _all(taken + (self._result._part("_aba_a"),) if taken[-1].truth else taken)
+        """The decision on which inner_outer answers: linalg._all of _l_test
+        and a b a = a on _result, which is solved only if _l_test holds."""
+        return _all(f() for f in (lambda: self._l_test, lambda: self._result._part("_aba_a")))
 
     @_cached
     def _result(self) -> GInvResult:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import MismatchedAmbient, NotComplementary, PerturbationTooLarge
-from .linalg import _EPS, DEFAULT_TOL, Decision, Tolerances, _cached, _decide, _decide_scaled, _frobenius, _norm_within, _number, as_matrix, rank, spectral_norm
+from .linalg import _EPS, DEFAULT_TOL, Decision, Tolerances, _cached, _decide, _decide_scaled, _frobenius, _norm_within, _number, _rank_cutoff, as_matrix, rank, spectral_norm
 from .randomstream import RandomStream
 from .subspaces import Subspace, _summary, orthocomplement
 
@@ -112,10 +112,10 @@ def oblique(t: Subspace, s: Subspace, tol: Tolerances = DEFAULT_TOL) -> Idempote
 
 def _keeps_rank(norm: float, n: int, tol: Tolerances) -> Decision:
     """Does an idempotent in C^n whose norm is at most `norm` read its rank?
-    The one rule: n tol_rank norm < 1, so a NaN norm fails it. Its nonzero
-    singular values are at least 1 and the rank cutoff of
-    idempotent_from_matrix is tol_rank n max(||p||, 1), below 1 then."""
-    return _decide(norm * n * tol.tol_rank, 1.0, "<")
+    Its nonzero singular values are at least 1, so it does when the rank
+    cutoff of idempotent_from_matrix at that norm, linalg._rank_cutoff at
+    scale 1, tol_rank n max(norm, 1), is below 1; a NaN norm fails."""
+    return _decide(_rank_cutoff(norm, (n, n), tol, 1.0), 1.0, "<")
 
 
 def _idempotency(residual: float, nm: float, tol: Tolerances) -> Decision:

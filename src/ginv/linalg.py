@@ -249,34 +249,28 @@ def _counted(truth: bool) -> Decision:
     return _new_decision(Decision, (bool(truth), math.nan, None, "="))
 
 
-def _taken(parts) -> tuple:
-    """The parts of a conjunction up to its first false one, which decides
-    it, so the last part taken carries its truth; the parts after it are not
-    taken, so a lazy parts leaves them unevaluated."""
-    taken = []
-    for d in parts:
-        taken.append(d)
-        if not d.truth:
-            break
-    return tuple(taken)
-
-
 def _all(parts) -> Decision:
     """A conjunction, as the part that carries its verdict: the first false
-    part (see _taken), or, when every part holds, the one nearest its
-    cutoff, each held part weighed once."""
-    taken = _taken(parts)
-    return taken[-1] if not taken[-1].truth else min(taken, key=_by_distance)
+    part, which decides it, with the parts after it not taken, so a lazy
+    parts leaves them unevaluated; or, when every part holds, the one
+    nearest its cutoff, each held part weighed once."""
+    held = []
+    for d in parts:
+        if not d.truth:
+            return d
+        held.append(d)
+    return min(held, key=_by_distance)
 
 
-def _rank_cutoff(s: np.ndarray, shape, tol: Tolerances, scale: Optional[float] = None) -> float:
-    """tol_rank max(shape) times sigma_max, or max(sigma_max, scale); s is nonempty."""
-    ref = float(s[0]) if scale is None else max(float(s[0]), float(scale))
+def _rank_cutoff(smax: float, shape, tol: Tolerances, scale: Optional[float] = None) -> float:
+    """The one rank cutoff: tol_rank max(shape) times sigma_max, or
+    max(sigma_max, scale)."""
+    ref = float(smax) if scale is None else max(float(smax), float(scale))
     return tol.tol_rank * ref * max(shape)
 
 
 def _rank_from_sv(s: np.ndarray, shape, tol: Tolerances, scale: Optional[float] = None) -> int:
-    return int(np.count_nonzero(s > _rank_cutoff(s, shape, tol, scale))) if s.size else 0
+    return int(np.count_nonzero(s > _rank_cutoff(s[0], shape, tol, scale))) if s.size else 0
 
 
 def _cut(s: np.ndarray, r: int, cutoff: float) -> Decision:

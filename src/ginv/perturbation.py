@@ -433,7 +433,7 @@ def equivalence_thm24(scenario: Scenario) -> EquivalenceReport:
     """
     s = scenario
     right, left = s._right_factor[0], s._left_factor[0]
-    exists = _all(s._bar._outer_parts)
+    exists = s._bar._outer_test
     aux = {"sigma_min_core": s._bar.smin}
     dev = NAN
     identity = ()

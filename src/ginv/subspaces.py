@@ -124,27 +124,26 @@ def _norm_range_kernel(m, tol: Tolerances = DEFAULT_TOL):
 def _summary(a: np.ndarray, tol: Tolerances):
     """_norm_range_kernel of a matrix a that as_matrix has checked already.
 
-    The rank cutoff is the one range_of and kernel_of use with
-    scale = max(||a||, 1); the last entry is a function that gives the
-    decision on the singular value nearest it (linalg._cut), or a count for
-    an empty a, worked out only for the few callers that read it. The norm is
-    the leading singular value of the full decomposition, which may differ
-    from spectral_norm(a) in the last bits.
-    The complete factors hold the orthogonal complements too, u[:, r:] of the
-    range and the first r rows of vh of the kernel. Each is sliced only when
-    orthocomplement first asks for it: the slot of each subspace holds the
-    function that cuts it.
+    The rank cutoff is the one range_of and kernel_of use with scale = 1,
+    tol_rank max(shape) max(||a||, 1); the last entry is a function that
+    gives the decision on the singular value nearest it (linalg._cut), or a
+    count for an empty a, worked out only for the few callers that read it.
+    The norm is the leading singular value of the full decomposition, which
+    may differ from spectral_norm(a) in the last bits. The complete factors
+    hold the orthogonal complements too, u[:, r:] of the range and the first
+    r rows of vh of the kernel, which go into each subspace's complement
+    slot (see orthocomplement).
     """
     rows, cols = a.shape
     if a.size == 0:
         return 0.0, zero_subspace(rows), full_subspace(cols), partial(_counted, True)
     u, s, vh = np.linalg.svd(a)
     nm = float(s[0])
-    cutoff = _rank_cutoff(s, a.shape, tol, max(nm, 1.0))
+    cutoff = _rank_cutoff(nm, a.shape, tol, 1.0)
     r = int(np.count_nonzero(s > cutoff))
     rng, ker = _orthonormal(rows, u[:, :r]), _orthonormal(cols, vh[r:, :].conj().T)
-    rng.__dict__["_complement"] = lambda: _orthonormal(rows, u[:, r:])
-    ker.__dict__["_complement"] = lambda: _orthonormal(cols, vh[:r, :].conj().T)
+    rng.__dict__["_complement"] = _orthonormal(rows, u[:, r:])
+    ker.__dict__["_complement"] = _orthonormal(cols, vh[:r].conj().T)
     return nm, rng, ker, partial(_cut, s, r, cutoff)
 
 
@@ -152,18 +151,17 @@ def orthocomplement(s: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """The orthogonal complement of s, kept on s in one slot.
 
     A range or kernel from _summary (so of every idempotent read by
-    idempotent_from_matrix) comes with the slot holding the function that
-    slices the complement from the SVD that found it, which the first call
-    runs. Otherwise the first call computes the complement from the null
-    space of B^H, with tol's rank cutoff. Either way later calls return that
-    object for any tol, since the rank of an orthonormal basis is its column
-    count for every tol_rank below 1/n.
+    idempotent_from_matrix) comes with the slot holding the complement, a
+    slice of the SVD that found it. Otherwise the first call computes the
+    complement from the null space of B^H, with tol's rank cutoff. Either
+    way later calls return that object for any tol, since the rank of an
+    orthonormal basis is its column count for every tol_rank below 1/n.
     """
     memo = s.__dict__
     c = memo.get("_complement")
-    if type(c) is not Subspace:
+    if c is None:
         n = s.ambient_dim
-        c = memo["_complement"] = c() if c is not None else full_subspace(n) if s.dim == 0 else _orthonormal(n, null_basis(s.basis.conj().T, tol))
+        c = memo["_complement"] = full_subspace(n) if s.dim == 0 else _orthonormal(n, null_basis(s.basis.conj().T, tol))
     return c
 
 
@@ -234,7 +232,7 @@ def _stacked_rank(m: Subspace, n: Subspace, tol: Tolerances):
         return 0, _counted(True)
     stacked = np.hstack([m.basis, n.basis])
     sv = _singular_values(stacked)
-    cutoff = _rank_cutoff(sv, stacked.shape, tol)
+    cutoff = _rank_cutoff(sv[0], stacked.shape, tol)
     return stacked.shape[1] - int(np.count_nonzero(sv > cutoff)), _decide(sv[-1], cutoff, ">")
 
 

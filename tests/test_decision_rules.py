@@ -157,9 +157,10 @@ def test_an_idempotency_cutoff_past_double_range_does_not_pass_every_residual():
 def test_keeps_rank(norm, n, tol):
     d = _keeps_rank(norm, n, tol)
     assert d.op == "<" and d.cutoff == 1.0
-    assert d.value == norm * n * tol.tol_rank or math.isnan(norm)
+    # the rank cutoff of an n x n matrix at scale 1 (linalg._rank_cutoff)
+    assert d.value == tol.tol_rank * max(norm, 1.0) * n or math.isnan(norm)
     assert_as_compared(d)
-    assert d.truth == (norm * n * tol.tol_rank < 1)  # a NaN norm fails
+    assert d.truth == (tol.tol_rank * max(norm, 1.0) * n < 1)  # a NaN norm fails
 
 
 @PROPERTY
@@ -212,7 +213,7 @@ def test_stacked_rank(pair, tol):
         return
     stacked = np.hstack([m.basis, o.basis])
     sv = np.linalg.svd(stacked, compute_uv=False)
-    assert d.op == ">" and d.value == sv[-1] and d.cutoff == _rank_cutoff(sv, stacked.shape, tol)
+    assert d.op == ">" and d.value == sv[-1] and d.cutoff == _rank_cutoff(sv[0], stacked.shape, tol)
     assert shared == m.dim + o.dim - rank(stacked, tol)
     # intersection_trivial reads it where the dimensions fit, and counts above
     assert _meet(m, o, tol) == (d if m.dim + o.dim <= n else _counted(False))

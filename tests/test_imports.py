@@ -10,6 +10,8 @@ so it is not checked.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -254,8 +256,7 @@ def test_tol_eq_is_read_only_by_the_rule_homes():
 # The rank and singularity rule homes: the only places outside configuration
 # that read tol_rank or tol_inv (see README, "Decisions").
 _TOL_RANK_HOMES = {
-    "_rank_cutoff",  # the rank cutoff of a set of singular values
-    "_keeps_rank",  # an idempotent of bounded norm reads its rank
+    "_rank_cutoff",  # the rank cutoff at a largest singular value
     "oblique",  # the splitting certificate of an oblique projector
 }
 _TOL_INV_HOMES = {
@@ -358,3 +359,35 @@ def test_no_test_ignores_a_runtime_warning(path):
     """pyproject's filterwarnings = ["error"] covers every test: an overflow
     the code forms on purpose is formed under np.errstate where it is read."""
     assert runtime_warning_ignores(path.read_text(encoding="utf-8")) == []
+
+
+_FAILING_PROPERTY = '''
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+'''
+
+
+def test_a_failing_property_test_fails_alone_and_the_session_goes_on(tmp_path):
+    """Under pyproject's warning filters, hypothesis's report of a failing
+    @given test (which imports libcst and so warns of mypy_extensions) is one
+    failure, not an INTERNALERROR that ends the session."""
+    pytest.importorskip("hypothesis")
+    (tmp_path / "test_property.py").write_text(_FAILING_PROPERTY, encoding="utf-8")
+    config = SRC.parent.parent / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config), "--rootdir", str(tmp_path), "test_property.py"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout and "INTERNALERROR" not in run.stdout + run.stderr

@@ -285,5 +285,5 @@ def test_a_cached_attribute_is_stored_once_and_not_when_its_getter_raises():
             bad.after
     assert calls == [False, True, True] and bad.__dict__ == {"fail": True}
     # the package's own tuple-unpacked and lambda-built attributes keep their names
-    for cls, names in ((GInvResult, ("_bab_b", "_aba_a", "_ba_p", "_one_ab_q")), (_Evaluation, ("cut", "_outer_parts", "_l_parts"))):
+    for cls, names in ((GInvResult, ("_bab_b", "_aba_a", "_ba_p", "_one_ab_q")), (_Evaluation, ("cut", "_outer_test", "_l_test"))):
         assert all(cls.__dict__[name].name == name for name in names)
